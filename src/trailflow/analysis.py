@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .dynamics import RESCALE_BY_SOURCE, FlowSchedule, SystemState, split_fraction
 from .graph import DirectedGraph, Path, TwoPathGraph
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import FlowSchedule, SystemState
 
 
 TIMESERIES_COLUMNS = ["t", "edge_id", "u", "v", "p", "f", "b", "norm_fwd", "norm_bwd"]
 SUMMARY_COLUMNS = ["t", "r_min", "f_s", "b_d", "converged_path_id"]
+
+_FIRST = np.zeros(1, dtype=np.intp)  # reduceat index of a single segment
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +43,8 @@ class NormalizedLevels:
 
 def normalized_levels(state: "SystemState", graph: DirectedGraph) -> NormalizedLevels:
     ga = graph.arrays
-    p = state.p
-    out_tot = np.bincount(ga.tails, weights=p, minlength=ga.n)
-    in_tot = np.bincount(ga.heads, weights=p, minlength=ga.n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fwd = np.where(out_tot[ga.tails] > 0.0, p / out_tot[ga.tails], np.nan)
-        bwd = np.where(in_tot[ga.heads] > 0.0, p / in_tot[ga.heads], np.nan)
+    fwd, _ = split_fraction(ga, state.p, forward=True)
+    bwd, _ = split_fraction(ga, state.p, forward=False)
     return NormalizedLevels(fwd=fwd, bwd=bwd)
 
 
@@ -57,43 +53,43 @@ def detect_convergence(
 ) -> Optional[Path]:
     """The unique s->d path whose every edge has forward and backward
     normalized pheromone >= 1 - epsilon, found by greedily following the
-    max-normalized out-edge from s; None when no such chain reaches d."""
+    max-normalized out-edge from s (ties to the lowest head); None when no
+    such chain reaches d.
+
+    Only the chain's vertices are read: the out-edges of each chain vertex
+    and the in-edges of the head it picks. The totals are summed the way
+    ``normalized_levels`` sums them, so the levels compared are the same
+    floats."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    levels = normalized_levels(state, graph)
+    ga = graph.arrays
+    p = state.p
     bar = 1.0 - epsilon
-    seq = [graph.source]
-    seen = {graph.source}
-    cur = graph.source
-    for _ in range(graph.n_vertices):
-        if cur == graph.destination:
-            return Path(tuple(seq))
-        out = graph.out_edges(cur)
-        if not out:
+    seq = [ga.source]
+    seen = {ga.source}
+    cur = ga.source
+    while cur != ga.destination:
+        out = ga.out_eids[ga.out_ptr[cur] : ga.out_ptr[cur + 1]]
+        p_out = p[out]
+        total = np.add.reduceat(p_out, _FIRST)[0] if out.size else 0.0
+        # a zero total leaves every level NaN: no edge to follow
+        if not total > 0.0:
             return None
-        best_eid = None
-        best = -1.0
-        for eid in out:
-            f = levels.fwd[eid]
-            if not math.isnan(f) and f > best:
-                best = f
-                best_eid = eid
-            elif not math.isnan(f) and f == best and best_eid is not None:
-                if graph.edges[eid][1] < graph.edges[best_eid][1]:
-                    best_eid = eid
-        if best_eid is None:
+        fwd = p_out / total
+        best = fwd.max()
+        if not best >= bar:
             return None
-        f = levels.fwd[best_eid]
-        b = levels.bwd[best_eid]
-        if math.isnan(f) or math.isnan(b) or f < bar or b < bar:
-            return None
-        nxt = graph.edges[best_eid][1]
-        if nxt in seen:
+        tied = np.flatnonzero(fwd == best)
+        k = tied[np.argmin(ga.heads[out[tied]])]
+        nxt = int(ga.heads[out[k]])
+        # in-total summed in edge order, as ``np.bincount`` does
+        p_in = p[ga.in_eids[ga.in_ptr[nxt] : ga.in_ptr[nxt + 1]]]
+        if not p_out[k] / np.cumsum(p_in)[-1] >= bar or nxt in seen:
             return None
         seq.append(nxt)
         seen.add(nxt)
         cur = nxt
-    return None
+    return Path(tuple(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +177,15 @@ class TheoremConstants:
     beta_surv: float
 
 
+def warmup_time(p_init_max: float, injected: float, delta: float) -> float:
+    """The warm-up time T1: steps until pheromone that started at
+    ``p_init_max`` has decayed to the per-step injection ``injected``
+    (f_s + b_d); 0 when no edge starts with pheromone."""
+    if not p_init_max > 0.0:
+        return 0.0
+    return max(0.0, math.log(p_init_max / injected) / math.log(1.0 / delta))
+
+
 def theorem_constants(
     f_s: float,
     b_d: float,
@@ -199,15 +204,12 @@ def theorem_constants(
     C_d = 5.0 * (f_s + b_d) / (f_s * (1.0 - delta))
     gamma_sl = 1.0 + (surv_top - surv_bottom) / (C_s + surv_bottom)
     gamma_dl = 1.0 + (surv_top - surv_bottom) / (C_d + surv_bottom)
-    T1 = 0.0
-    if p_init_max > 0.0:
-        T1 = max(0.0, math.log(p_init_max / (f_s + b_d)) / math.log(1.0 / delta))
     return TheoremConstants(
         C=C_s,
         gamma_sl=gamma_sl,
         gamma_dl=gamma_dl,
         gamma_l=min(gamma_sl, gamma_dl),
-        T1=T1,
+        T1=warmup_time(p_init_max, f_s + b_d, delta),
         alpha_surv=surv_top,
         beta_surv=surv_bottom,
     )
@@ -368,8 +370,6 @@ class InvariantObserver:
         self.graph = graph
         self.cfg = cfg
         self.rel_tol = rel_tol
-        from .dynamics import RESCALE_BY_SOURCE
-
         self.scale = (
             1.0 / schedule.alpha if cfg.rescale_mode == RESCALE_BY_SOURCE else 1.0
         )
@@ -398,7 +398,8 @@ class InvariantObserver:
         err = state.p - expected
         err[state.p == 0.0] = 0.0
         self._record(t, "recurrence", err, expected)
-        # conservation at interior vertices
+        # conservation at interior vertices; summed with bincount rather than
+        # the engine's segment sums, so the check does not share the kernel
         arr_f = np.bincount(ga.heads, weights=prev.f_edge, minlength=ga.n)
         arr_b = np.bincount(ga.tails, weights=prev.b_edge, minlength=ga.n)
         exp_f = ga.surv * arr_f * s

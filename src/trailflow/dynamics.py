@@ -295,21 +295,37 @@ def _split(
     return _split_general(ga, rule, p, vertex_flow, forward)
 
 
+def split_fraction(
+    ga: GraphArrays, p: np.ndarray, forward: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The linear rule's share of each edge: its pheromone over the total on
+    the out-edges of its tail (forward) or the in-edges of its head
+    (backward). Returns the per-edge fractions, NaN where that total is 0,
+    and a mask of the vertices that have edges but a zero total (None when
+    there are none)."""
+    if forward:
+        group, deg, totals = ga.tails, ga.out_deg, ga.tail_sums(p)
+    else:
+        group, deg, totals = ga.heads, ga.in_deg, np.bincount(ga.heads, weights=p, minlength=ga.n)
+    # vertices without edges always total 0; any other zero total is a 0/0
+    if np.count_nonzero(totals) == np.count_nonzero(deg):
+        return p / totals[group], None
+    with np.errstate(invalid="ignore"):
+        return p / totals[group], (totals == 0.0) & (deg > 0)
+
+
 def _split_linear(
     ga: GraphArrays, p: np.ndarray, vertex_flow: np.ndarray, forward: bool
 ) -> Tuple[np.ndarray, int]:
     group = ga.tails if forward else ga.heads
-    deg = ga.out_deg if forward else ga.in_deg
-    totals = np.bincount(group, weights=p, minlength=ga.n)
-    denom = totals[group]
-    zero = denom == 0.0
+    frac, empty = split_fraction(ga, p, forward)
     zero_events = 0
-    if zero.any():
-        frac = p / np.where(zero, 1.0, denom)
+    if empty is not None:
+        # no pheromone to follow: split evenly
+        deg = ga.out_deg if forward else ga.in_deg
+        zero = empty[group]
         frac[zero] = 1.0 / deg[group[zero]]
-        zero_events = int(np.count_nonzero((totals == 0.0) & (deg > 0) & (vertex_flow > 0.0)))
-    else:
-        frac = p / denom
+        zero_events = int(np.count_nonzero(empty & (vertex_flow > 0.0)))
     return vertex_flow[group] * frac, zero_events
 
 
@@ -383,7 +399,7 @@ def step(
 
     # (b) aggregation with leakage; delivered flow exits
     arr_f = np.bincount(ga.heads, weights=state.f_edge, minlength=ga.n)
-    arr_b = np.bincount(ga.tails, weights=state.b_edge, minlength=ga.n)
+    arr_b = ga.tail_sums(state.b_edge)
     fv = ga.surv * arr_f
     bv = ga.surv * arr_b
     delivered_f = state.delivered_forward + float(fv[ga.destination])

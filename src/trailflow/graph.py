@@ -247,9 +247,29 @@ class GraphArrays:
         self.surv = 1.0 - np.asarray(g.leakage, dtype=float)
         self.source = g.source
         self.destination = g.destination
+        # CSR grouping: the edges of vertex v are ``out_eids[out_ptr[v]:out_ptr[v+1]]``
+        # (``in_eids``/``in_ptr`` by head); stable sorts keep each segment in
+        # edge-id order, and edge ids keep their input order
+        self.out_eids = np.argsort(self.tails, kind="stable")
+        self.out_ptr = np.concatenate(([0], np.cumsum(self.out_deg)))
+        self.in_eids = np.argsort(self.heads, kind="stable")
+        self.in_ptr = np.concatenate(([0], np.cumsum(self.in_deg)))
+        # tail-sorted input (every generator but the two-path builder and the
+        # planting helpers) needs no gather before the segment sums
+        tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
+        self._by_tail = slice(None) if tail_sorted else self.out_eids
+        self._with_out = np.flatnonzero(self.out_deg)
+        self._seg_starts = self.out_ptr[self._with_out]
         # pass-through / branch structure for the general (two-branch) rule
         self._general: Optional[tuple] = None
         self._graph = g
+
+    def tail_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-vertex sums of the edge values ``x`` over each vertex's
+        out-edges (0 at vertices without out-edges)."""
+        sums = np.zeros(self.n)
+        sums[self._with_out] = np.add.reduceat(x[self._by_tail], self._seg_starts)
+        return sums
 
     def general_structure(self):
         """(pass_f_eids, pass_f_tails, branch_out, pass_b_eids, pass_b_heads,
@@ -499,17 +519,11 @@ def gen_grid(rows: int, cols: int) -> DirectedGraph:
     return DirectedGraph(rows * cols, edges, 0, rows * cols - 1)
 
 
-def plant_path(
-    graph: DirectedGraph, length: int, seed: Optional[int] = None
-) -> Tuple[DirectedGraph, Path]:
+def plant_path(graph: DirectedGraph, length: int) -> Tuple[DirectedGraph, Path]:
     """Add a fresh s->d chain of ``length`` edges through new interior
     vertices, strictly shorter than the current shortest path, so the result
-    has a unique shortest path equal to the planted one.
-
-    ``seed`` is accepted for interface parity with the other generators; the
-    fresh-chain construction is fully deterministic.
-    """
-    del seed
+    has a unique shortest path equal to the planted one. The construction is
+    deterministic."""
     if length < 1:
         raise GraphError("planted length must be >= 1")
     cur = shortest_path(graph)

@@ -36,6 +36,7 @@ from .analysis import (
     SUMMARY_COLUMNS,
     TIMESERIES_COLUMNS,
     normalized_levels,
+    warmup_time,
 )
 from .dynamics import (
     DecisionRule,
@@ -312,6 +313,25 @@ def _stream(seed: int, k: int, *extra: int) -> np.random.Generator:
     return np.random.default_rng([seed, k, *extra])
 
 
+def _connected_graph(
+    family: str, params: dict, seed: int, *stream: int
+) -> Optional[DirectedGraph]:
+    """Resample ``family`` until the destination is reachable; draw ``i``
+    takes its graph seed from ``_stream(seed, *stream, i)``. None when no
+    draw within ``RESAMPLE_CAP`` is connected."""
+    for attempt in range(RESAMPLE_CAP):
+        gseed = int(_stream(seed, *stream, attempt).integers(0, 2**63 - 1))
+        if family == "gnp":
+            graph = gen_gnp(params["n"], params["p"], gseed)
+        elif family == "banded_gnp":
+            graph = gen_banded_gnp(params["n"], params["p"], params["k"], gseed)
+        else:
+            graph = gen_grid(params["rows"], params["cols"])
+        if is_connected(graph):
+            return graph
+    return None
+
+
 def _build_graph(cfg: dict, seed: int) -> Tuple[DirectedGraph, Optional[TwoPathGraph], Optional[Path]]:
     g = cfg["graph"]
     two_path = None
@@ -322,16 +342,8 @@ def _build_graph(cfg: dict, seed: int) -> Tuple[DirectedGraph, Optional[TwoPathG
     elif g["kind"] == "grid":
         graph = gen_grid(g["rows"], g["cols"])
     else:
-        # resample until the destination is reachable
-        for attempt in range(RESAMPLE_CAP):
-            gseed = _stream(seed, 0, attempt).integers(0, 2**63 - 1)
-            if g["kind"] == "gnp":
-                graph = gen_gnp(g["n"], g["p"], gseed)
-            else:
-                graph = gen_banded_gnp(g["n"], g["p"], g["k"], gseed)
-            if is_connected(graph):
-                break
-        else:
+        graph = _connected_graph(g["kind"], g, seed, 0)
+        if graph is None:
             raise ScenarioError(
                 f"graph: no connected instance within {RESAMPLE_CAP} resamples"
             )
@@ -499,13 +511,7 @@ def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioR
     bound = None
     if "pheromone_bound" in mat.monitors:
         p0max = float(np.max(state.p)) if state.p.size else 0.0
-        T1 = 0.0
-        if p0max > 0:
-            T1 = max(
-                0.0,
-                math.log(p0max / (mat.schedule.f0 + max(mat.schedule.b0, 1e-300)))
-                / math.log(1.0 / mat.delta),
-            )
+        T1 = warmup_time(p0max, mat.schedule.f0 + mat.schedule.b0, mat.delta)
         bound = PheromoneBoundObserver(mat.delta, T1)
         observers.append(bound)
 
@@ -689,18 +695,7 @@ def _leakage_instance(args) -> InstanceResult:
     index, family, params, base_seed, horizon, epsilon, monitors = args
     t0 = time.perf_counter()
     rng = _stream(base_seed, 10, index)
-    graph = None
-    for attempt in range(RESAMPLE_CAP):
-        gseed = int(_stream(base_seed, 11, index, attempt).integers(0, 2**63 - 1))
-        if family == "gnp":
-            cand = gen_gnp(params["n"], params["p"], gseed)
-        elif family == "banded_gnp":
-            cand = gen_banded_gnp(params["n"], params["p"], params["k"], gseed)
-        else:
-            cand = gen_grid(params["rows"], params["cols"])
-        if is_connected(cand):
-            graph = cand
-            break
+    graph = _connected_graph(family, params, base_seed, 11, index)
     if graph is None:
         return InstanceResult(
             index, family, False, None, "", "", False, 0.0, 0,
@@ -743,18 +738,7 @@ def _increasing_instance(args) -> InstanceResult:
     index, family, params, base_seed, horizon, epsilon, monitors = args
     t0 = time.perf_counter()
     rng = _stream(base_seed, 20, index)
-    graph = None
-    for attempt in range(RESAMPLE_CAP):
-        gseed = int(_stream(base_seed, 21, index, attempt).integers(0, 2**63 - 1))
-        if family == "gnp":
-            cand = gen_gnp(params["n"], params["p"], gseed)
-        elif family == "banded_gnp":
-            cand = gen_banded_gnp(params["n"], params["p"], params["k"], gseed)
-        else:
-            cand = gen_grid(params["rows"], params["cols"])
-        if is_connected(cand):
-            graph = cand
-            break
+    graph = _connected_graph(family, params, base_seed, 21, index)
     if graph is None:
         return InstanceResult(
             index, family, False, None, "", "", False, 0.0, 0,

@@ -1,12 +1,25 @@
 """Independent test oracles: a dict-based reference implementation of the
-update step (kept deliberately separate from the engine's vectorized path)
-and a brute-force min-leakage path enumerator with sound pruning."""
+update step (kept deliberately separate from the engine's vectorized path),
+bincount-based linear split, step and normalized levels plus a greedy
+convergence walk over full level arrays, the graphs that exercise the
+engine's segment sums, and a brute-force min-leakage path enumerator with
+sound pruning."""
 
 from __future__ import annotations
 
 import math
 
-from trailflow.graph import Path
+import numpy as np
+
+from trailflow.graph import (
+    DirectedGraph,
+    Path,
+    build_two_path,
+    gen_banded_gnp,
+    gen_gnp,
+    gen_grid,
+    plant_path,
+)
 
 
 def reference_step(graph, p, fe, be, delta, schedule, t):
@@ -47,6 +60,94 @@ def reference_step(graph, p, fe, be, delta, schedule, t):
                 frac = newp[e] / tot if tot > 0 else 1.0 / len(ins)
                 nbe[e] = bv[v] * frac
     return newp, nfe, nbe, fv, bv, delivered_f, delivered_b
+
+
+def bincount_split(ga, p, vertex_flow, forward):
+    """The linear split with per-vertex totals from ``np.bincount``."""
+    group = ga.tails if forward else ga.heads
+    deg = ga.out_deg if forward else ga.in_deg
+    totals = np.bincount(group, weights=p, minlength=ga.n)
+    denom = totals[group]
+    zero = denom == 0.0
+    frac = p / np.where(zero, 1.0, denom)
+    frac[zero] = 1.0 / deg[group[zero]]
+    zero_events = int(np.count_nonzero((totals == 0.0) & (deg > 0) & (vertex_flow > 0.0)))
+    return vertex_flow[group] * frac, zero_events
+
+
+def bincount_levels(ga, p):
+    """Forward and backward normalized levels over ``np.bincount`` totals,
+    NaN where the total is 0."""
+    out_tot = np.bincount(ga.tails, weights=p, minlength=ga.n)[ga.tails]
+    in_tot = np.bincount(ga.heads, weights=p, minlength=ga.n)[ga.heads]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fwd = np.where(out_tot > 0.0, p / out_tot, np.nan)
+        bwd = np.where(in_tot > 0.0, p / in_tot, np.nan)
+    return fwd, bwd
+
+
+def reference_walk(graph, fwd, bwd, epsilon):
+    """The greedy s->d chain over full level arrays: follow the max forward
+    level (ties to the lowest head); stop with None on a NaN vertex, a level
+    below 1 - epsilon or a revisit."""
+    bar = 1.0 - epsilon
+    seq = [graph.source]
+    cur = graph.source
+    while cur != graph.destination:
+        best_eid = None
+        for eid in graph.out_edges(cur):
+            f = fwd[eid]
+            if math.isnan(f):
+                continue
+            if (
+                best_eid is None
+                or f > fwd[best_eid]
+                or (f == fwd[best_eid] and graph.edges[eid][1] < graph.edges[best_eid][1])
+            ):
+                best_eid = eid
+        if best_eid is None or not (fwd[best_eid] >= bar and bwd[best_eid] >= bar):
+            return None
+        nxt = graph.edges[best_eid][1]
+        if nxt in seq:
+            return None
+        seq.append(nxt)
+        cur = nxt
+    return Path(tuple(seq))
+
+
+def bincount_step(state, graph, schedule, delta):
+    """One linear step (constant schedule, nothing flushed) on bincount sums."""
+    ga = graph.arrays
+    p = delta * (state.p + state.f_edge + state.b_edge)
+    fv = ga.surv * np.bincount(ga.heads, weights=state.f_edge, minlength=ga.n)
+    bv = ga.surv * np.bincount(ga.tails, weights=state.b_edge, minlength=ga.n)
+    fv[ga.destination] = 0.0
+    bv[ga.source] = 0.0
+    fv[ga.source] += schedule.forward_at(state.t + 1)
+    bv[ga.destination] += schedule.backward_at(state.t + 1)
+    fe, zf = bincount_split(ga, p, fv, True)
+    be, zb = bincount_split(ga, p, bv, False)
+    return p, fe, be, fv, bv, zf + zb
+
+
+def kernel_graphs():
+    """Graphs covering the grouping cases, each with an initial pheromone."""
+    gnp = gen_gnp(60, 0.1, 4)
+    banded = gen_banded_gnp(80, 0.5, 6, 2)
+    grid = gen_grid(10, 10)
+    planted, _ = plant_path(gen_grid(10, 10), 9)  # chain edges appended: not tail-sorted
+    # bottom chain follows the top: not tail-sorted
+    two_path = build_two_path(2, 3, [0.1], [0.2, 0.0]).graph
+    # interior vertex 1 has no out-edges; edges listed out of tail order
+    dead_end = DirectedGraph(4, [(2, 3), (0, 1), (0, 2)], 0, 3)
+    # vertex 1 has out-edges but no pheromone on them (a 0/0 split)
+    zero_total = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (1, 2), (2, 3)], 0, 3)
+    rng = np.random.default_rng(11)
+    cases = []
+    for g in (gnp, banded, grid, planted, two_path, dead_end):
+        cases.append((g, rng.uniform(0.1, 1.0, g.n_edges)))
+    cases.append((zero_total, np.array([1.0, 1.0, 0.0, 0.0, 1.0])))
+    return cases
 
 
 def brute_force_min_leakage(graph):

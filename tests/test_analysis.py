@@ -24,7 +24,9 @@ from trailflow.dynamics import (
     init_state,
     run,
 )
-from trailflow.graph import build_two_path, build_two_path_survival
+from trailflow.graph import DirectedGraph, build_two_path, build_two_path_survival, shortest_path
+
+from helpers import bincount_levels, kernel_graphs, reference_walk
 
 LIN = DecisionRule.linear()
 
@@ -62,6 +64,15 @@ def test_normalized_levels_zero_total_is_nan():
     assert all(math.isnan(x) for x in lv.fwd)
 
 
+def test_normalized_levels_match_bincount_reference():
+    sched = FlowSchedule.constant(1.0, 1.0)
+    for g, p0 in kernel_graphs():
+        lv = normalized_levels(init_state(g, p0, sched), g)
+        fwd, bwd = bincount_levels(g.arrays, p0)
+        np.testing.assert_allclose(lv.fwd, fwd, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(lv.bwd, bwd, rtol=1e-13, atol=0.0)
+
+
 # -- convergence detector --------------------------------------------------------
 
 
@@ -94,6 +105,40 @@ def test_detect_convergence_requires_backward_too():
     # forward side sharp at s, symmetric at d: no qualifying path
     st = make_state(tp, [1.0, 0.5, 1e-9, 0.5])
     assert detect_convergence(st, tp.graph, 0.01) is None
+
+
+def test_detect_convergence_matches_reference_walk():
+    """Pheromone concentrated on the shortest path, with background levels
+    from small integers (many forward-level ties and zero-total vertices)."""
+    sched = FlowSchedule.constant(1.0, 1.0)
+    rng = np.random.default_rng(3)
+    hits = 0
+    for g, _ in kernel_graphs():
+        path = shortest_path(g)
+        on_path = [g.edge_id(u, v) for u, v in zip(path.vertices, path.vertices[1:])]
+        for boost in (0.0, 1.0, 4.0, 100.0):
+            p = rng.integers(0, 3, g.n_edges).astype(float)
+            p[on_path] += boost
+            fwd, bwd = bincount_levels(g.arrays, p)
+            st = init_state(g, p, sched)
+            for eps in (0.01, 0.3, 0.6):
+                found = detect_convergence(st, g, eps)
+                assert found == reference_walk(g, fwd, bwd, eps)
+                hits += found is not None
+    assert hits > 10
+
+
+def test_detect_convergence_tie_and_zero_total():
+    # s's two out-edges tie at 1/2; the walk takes the lower head, 1
+    g = DirectedGraph(4, [(0, 2), (0, 1), (2, 3), (1, 3)], 0, 3)
+    st = init_state(g, 1.0, FlowSchedule.constant(1, 1))
+    assert detect_convergence(st, g, 0.6).vertices == (0, 1, 3)
+    assert detect_convergence(st, g, 0.4) is None
+    # vertex 1 is reached with full levels but its out-edges carry nothing
+    g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (1, 2), (2, 3)], 0, 3)
+    st = init_state(g, np.array([1.0, 0.0, 0.0, 0.0, 1.0]), FlowSchedule.constant(1, 1))
+    assert math.isnan(normalized_levels(st, g).fwd[g.edge_id(1, 3)])
+    assert detect_convergence(st, g, 0.01) is None
 
 
 # -- ratio potential --------------------------------------------------------------

@@ -11,6 +11,7 @@ from trailflow.dynamics import (
     FlowSchedule,
     RESCALE_BY_SOURCE,
     UniformInit,
+    _split_linear,
     flush_underflow,
     init_state,
     make_explicit_state,
@@ -22,7 +23,7 @@ from trailflow.graph import DirectedGraph, build_two_path, gen_gnp
 from trailflow.analysis import normalized_levels
 from trailflow.rules import RuleError, linear_rule, power_rule
 
-from helpers import reference_step
+from helpers import bincount_split, bincount_step, kernel_graphs, reference_step
 
 LIN = DecisionRule.linear()
 
@@ -279,6 +280,56 @@ def test_general_rule_requires_two_path():
             EngineConfig(delta=0.5),
             5,
         )
+
+
+# -- segment-sum kernel vs a bincount reference -----------------------------------
+
+
+def test_linear_split_matches_bincount_reference():
+    for g, p0 in kernel_graphs():
+        ga = g.arrays
+        rng = np.random.default_rng(g.n_edges)
+        p = p0 * rng.uniform(0.5, 2.0, g.n_edges)
+        vflow = rng.uniform(0.0, 1.0, ga.n)
+        for forward in (True, False):
+            got, z_got = _split_linear(ga, p, vflow, forward)
+            want, z_want = bincount_split(ga, p, vflow, forward)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            assert z_got == z_want
+
+
+def test_step_matches_bincount_reference():
+    sched = FlowSchedule.constant(0.8, 0.6)
+    for g, p0 in kernel_graphs():
+        st = init_state(g, p0, sched)
+        for _ in range(25):
+            p, fe, be, fv, bv, zeros = bincount_step(st, g, sched, 0.7)
+            prev_zeros = st.zero_split_events
+            st = step(st, g, LIN, sched, EngineConfig(delta=0.7))
+            for got, want in (
+                (st.p, p),
+                (st.f_edge, fe),
+                (st.b_edge, be),
+                (st.f_vertex, fv),
+                (st.b_vertex, bv),
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            assert st.zero_split_events - prev_zeros == zeros
+            assert st.underflow_flushes == 0
+
+
+def test_zero_total_split_counts_match_bincount_reference():
+    g, p0 = kernel_graphs()[-1]
+    ga = g.arrays
+    vflow = np.array([1.0, 0.5, 0.0, 0.0])
+    got, z_got = _split_linear(ga, p0, vflow, True)
+    want, z_want = bincount_split(ga, p0, vflow, True)
+    np.testing.assert_array_equal(got, want)
+    assert z_got == z_want == 1
+    # vertex 1 splits its flow evenly over its two out-edges
+    assert got[g.edge_id(1, 3)] == got[g.edge_id(1, 2)] == 0.25
+    vflow[1] = 0.0
+    assert _split_linear(ga, p0, vflow, True)[1] == bincount_split(ga, p0, vflow, True)[1] == 0
 
 
 # -- rescale and underflow -------------------------------------------------------

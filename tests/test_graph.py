@@ -156,7 +156,7 @@ def test_grid_counts_and_shortest():
 
 
 def test_plant_path_unique_shortest():
-    g, planted = plant_path(gen_grid(10, 10), 9, seed=1)
+    g, planted = plant_path(gen_grid(10, 10), 9)
     assert planted.length == 9
     assert shortest_path(g) == planted
     assert count_shortest_paths(g) == 1
