@@ -358,7 +358,14 @@ class InvariantObserver:
 
     Under rescaling the previous-step quantities are divided by the factor
     before comparison.
+
+    The five residuals and their scales sit side by side in buffers sized
+    once per observer (see ``KINDS`` for the order), so one tolerance test
+    covers them all. A step with a violation appends, per failing kind and
+    in ``KINDS`` order, the entry with the largest relative error.
     """
+
+    KINDS = ("recurrence", "conservation_f", "conservation_b", "split_f", "split_b")
 
     def __init__(
         self,
@@ -376,13 +383,27 @@ class InvariantObserver:
         # flush-to-zero makes sub-threshold discrepancies meaningless
         self.abs_floor = cfg.underflow_threshold * 1e6
         self.violations: List[InvariantViolation] = []
-
-    def _record(self, t: int, kind: str, err: np.ndarray, scale: np.ndarray) -> None:
-        tol = np.maximum(self.rel_tol * np.maximum(scale, 1e-30), self.abs_floor)
-        bad = np.abs(err) > tol
-        if bad.any():
-            i = int(np.argmax(np.abs(err) / np.maximum(scale, 1e-30)))
-            self.violations.append(InvariantViolation(t, kind, i, float(err[i])))
+        ga = graph.arrays
+        m, n = ga.m, ga.n
+        # offsets of the kinds: one edge block, then four vertex blocks
+        self._bounds = (0, m, m + n, m + 2 * n, m + 3 * n, m + 4 * n)
+        # tolerance = max(rel_tol * max(scale, 1e-30), abs_floor), with the
+        # constant part folded (rounding is monotone, so this is exact)
+        self._tol_floor = max(rel_tol * 1e-30, self.abs_floor)
+        self._err = np.empty(m + 4 * n)
+        self._scale = np.empty(m + 4 * n)
+        self._abs = np.empty(m + 4 * n)
+        self._tol = np.empty(m + 4 * n)
+        self._bad = np.empty(m + 4 * n, dtype=bool)
+        # entries never checked: s and d in conservation, vertices without
+        # out-/in-edges in the split checks
+        never = np.zeros(m + 4 * n, dtype=bool)
+        for lo in (m, m + n):
+            never[lo + ga.source] = never[lo + ga.destination] = True
+        never[m + 2 * n : m + 3 * n] = ga.out_deg == 0
+        never[m + 3 * n :] = ga.in_deg == 0
+        self._never = never
+        self._skip = never.copy()
 
     def __call__(self, t, state, prev) -> None:
         if prev is None:
@@ -391,35 +412,52 @@ class InvariantObserver:
             # states
             return
         ga = self.graph.arrays
-        thr = self.cfg.underflow_threshold
-        s = self.scale
-        # pheromone recurrence (skip flushed entries)
-        expected = self.cfg.delta * (prev.p + prev.f_edge + prev.b_edge) * s
-        err = state.p - expected
-        err[state.p == 0.0] = 0.0
-        self._record(t, "recurrence", err, expected)
-        # conservation at interior vertices; summed with bincount rather than
-        # the engine's segment sums, so the check does not share the kernel
-        arr_f = np.bincount(ga.heads, weights=prev.f_edge, minlength=ga.n)
-        arr_b = np.bincount(ga.tails, weights=prev.b_edge, minlength=ga.n)
-        exp_f = ga.surv * arr_f * s
-        exp_b = ga.surv * arr_b * s
-        mask = np.ones(ga.n, dtype=bool)
-        mask[ga.source] = False
-        mask[ga.destination] = False
-        err_f = np.where(mask, state.f_vertex - exp_f, 0.0)
-        err_b = np.where(mask, state.b_vertex - exp_b, 0.0)
-        if thr > 0.0:
-            err_f[state.f_vertex == 0.0] = 0.0
-            err_b[state.b_vertex == 0.0] = 0.0
-        self._record(t, "conservation_f", err_f, exp_f)
-        self._record(t, "conservation_b", err_b, exp_b)
-        # split consistency on the stepped state
-        out_sum = np.bincount(ga.tails, weights=state.f_edge, minlength=ga.n)
-        in_sum = np.bincount(ga.heads, weights=state.b_edge, minlength=ga.n)
-        mask_out = ga.out_deg > 0
-        mask_in = ga.in_deg > 0
-        err_split_f = np.where(mask_out, out_sum - state.f_vertex, 0.0)
-        err_split_b = np.where(mask_in, in_sum - state.b_vertex, 0.0)
-        self._record(t, "split_f", err_split_f, state.f_vertex)
-        self._record(t, "split_b", err_split_b, state.b_vertex)
+        m, n = ga.m, ga.n
+        err, scale, skip = self._err, self._scale, self._skip
+        # scales: expected p, expected f/b vertex flows (conservation), then
+        # the stepped f/b vertex flows (split)
+        expected = scale[:m]
+        np.add(prev.p, prev.f_edge, out=expected)
+        expected += prev.b_edge
+        expected *= self.cfg.delta
+        # conservation sums use bincount rather than the engine's segment
+        # sums, so the check does not share the kernel
+        arr_f = np.bincount(ga.heads, weights=prev.f_edge, minlength=n)
+        arr_b = np.bincount(ga.tails, weights=prev.b_edge, minlength=n)
+        np.multiply(ga.surv, arr_f, out=scale[m : m + n])
+        np.multiply(ga.surv, arr_b, out=scale[m + n : m + 2 * n])
+        if self.scale != 1.0:
+            scale[: m + 2 * n] *= self.scale
+        vertex = scale[m + 2 * n :]
+        np.concatenate((state.f_vertex, state.b_vertex), out=vertex)
+        # residuals
+        np.subtract(state.p, expected, out=err[:m])
+        np.subtract(vertex, scale[m : m + 2 * n], out=err[m : m + 2 * n])
+        out_sum = np.bincount(ga.tails, weights=state.f_edge, minlength=n)
+        in_sum = np.bincount(ga.heads, weights=state.b_edge, minlength=n)
+        split = err[m + 2 * n :]
+        np.concatenate((out_sum, in_sum), out=split)
+        split -= vertex
+        # flushed entries are not compared: zero pheromone always, zero
+        # vertex flow in conservation when a flush threshold is set
+        np.equal(state.p, 0.0, out=skip[:m])
+        if self.cfg.underflow_threshold > 0.0:
+            np.equal(vertex, 0.0, out=skip[m : m + 2 * n])
+        skip |= self._never
+        np.copyto(err, 0.0, where=skip)
+        # one tolerance test over all five residuals
+        tol = np.multiply(scale, self.rel_tol, out=self._tol)
+        np.maximum(tol, self._tol_floor, out=tol)
+        np.greater(np.abs(err, out=self._abs), tol, out=self._bad)
+        if self._bad.any():
+            self._record(t)
+
+    def _record(self, t: int) -> None:
+        """Append the worst entry of every kind with a violation."""
+        b = self._bounds
+        for k, kind in enumerate(self.KINDS):
+            lo, hi = b[k], b[k + 1]
+            if self._bad[lo:hi].any():
+                rel = self._abs[lo:hi] / np.maximum(self._scale[lo:hi], 1e-30)
+                i = int(np.argmax(rel))
+                self.violations.append(InvariantViolation(t, kind, i, float(self._err[lo + i])))

@@ -304,11 +304,12 @@ def split_fraction(
     and a mask of the vertices that have edges but a zero total (None when
     there are none)."""
     if forward:
-        group, deg, totals = ga.tails, ga.out_deg, ga.tail_sums(p)
+        group, deg, n_grouped, totals = ga.tails, ga.out_deg, ga.n_tails, ga.tail_sums(p)
     else:
-        group, deg, totals = ga.heads, ga.in_deg, np.bincount(ga.heads, weights=p, minlength=ga.n)
+        totals = np.bincount(ga.heads, weights=p, minlength=ga.n)
+        group, deg, n_grouped = ga.heads, ga.in_deg, ga.n_heads
     # vertices without edges always total 0; any other zero total is a 0/0
-    if np.count_nonzero(totals) == np.count_nonzero(deg):
+    if np.count_nonzero(totals) == n_grouped:
         return p / totals[group], None
     with np.errstate(invalid="ignore"):
         return p / totals[group], (totals == 0.0) & (deg > 0)
@@ -391,17 +392,21 @@ def step(
     """One synchronous update; returns the state at t+1."""
     ga = graph.arrays
     t1 = state.t + 1
+    m, n = ga.m, ga.n
+
+    # p, f_vertex and b_vertex are disjoint slices of one buffer, so the
+    # rescale, the flush and the finiteness test each make one numpy call
+    buf = np.empty(m + 2 * n)
+    p, fv, bv = buf[:m], buf[m : m + n], buf[m + n :]
 
     # (a) pheromone update from the flows that traversed edges at time t
-    p = state.p + state.f_edge
+    np.add(state.p, state.f_edge, out=p)
     p += state.b_edge
     p *= cfg.delta
 
     # (b) aggregation with leakage; delivered flow exits
-    arr_f = np.bincount(ga.heads, weights=state.f_edge, minlength=ga.n)
-    arr_b = ga.tail_sums(state.b_edge)
-    fv = ga.surv * arr_f
-    bv = ga.surv * arr_b
+    np.multiply(ga.surv, np.bincount(ga.heads, weights=state.f_edge, minlength=n), out=fv)
+    np.multiply(ga.surv, ga.tail_sums(state.b_edge), out=bv)
     delivered_f = state.delivered_forward + float(fv[ga.destination])
     delivered_b = state.delivered_backward + float(bv[ga.source])
     fv[ga.destination] = 0.0
@@ -409,10 +414,7 @@ def step(
 
     # (e'/c) rescale before injection so fresh flow enters at base magnitude
     if cfg.rescale_mode == RESCALE_BY_SOURCE:
-        inv = 1.0 / schedule.alpha
-        p *= inv
-        fv *= inv
-        bv *= inv
+        buf *= 1.0 / schedule.alpha
         inj_f, inj_b = schedule.f0, schedule.b0
     else:
         inj_f = schedule.forward_at(t1)
@@ -420,16 +422,9 @@ def step(
     fv[ga.source] += inj_f
     bv[ga.destination] += inj_b
 
-    flushes = 0
-    thr = cfg.underflow_threshold
-    if thr > 0.0:
-        for arr in (p, fv, bv):
-            mask = (arr != 0.0) & (arr < thr)
-            if mask.any():
-                flushes += int(np.count_nonzero(mask))
-                arr[mask] = 0.0
+    flushes = _flush(buf, cfg.underflow_threshold)
 
-    if not math.isfinite(float(p.sum()) + float(fv.sum()) + float(bv.sum())):
+    if not math.isfinite(float(buf.sum())):
         raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
 
     # (d) split the new vertex flows against p(t+1)
@@ -483,19 +478,26 @@ def rescale(state: SystemState, factor: float, rule: DecisionRule) -> SystemStat
     return out
 
 
+def _flush(x: np.ndarray, threshold: float) -> int:
+    """Zero, in place, every nonzero entry of ``x`` below ``threshold``
+    (negative values included); returns how many were zeroed."""
+    if threshold <= 0.0:
+        return 0
+    mask = x != 0.0
+    mask &= x < threshold
+    count = int(np.count_nonzero(mask))
+    if count:
+        x[mask] = 0.0
+    return count
+
+
 def flush_underflow(state: SystemState, threshold: float) -> SystemState:
     """Zero every pheromone/flow value below ``threshold``; counts flushes."""
     if threshold < 0.0:
         raise ValueError("threshold must be >= 0")
     out = state.copy()
-    count = 0
-    if threshold > 0.0:
-        for arr in (out.p, out.f_edge, out.b_edge, out.f_vertex, out.b_vertex):
-            mask = (arr != 0.0) & (arr < threshold)
-            if mask.any():
-                count += int(np.count_nonzero(mask))
-                arr[mask] = 0.0
-    out.underflow_flushes += count
+    for arr in (out.p, out.f_edge, out.b_edge, out.f_vertex, out.b_vertex):
+        out.underflow_flushes += _flush(arr, threshold)
     return out
 
 

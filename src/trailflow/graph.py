@@ -260,6 +260,9 @@ class GraphArrays:
         self._by_tail = slice(None) if tail_sorted else self.out_eids
         self._with_out = np.flatnonzero(self.out_deg)
         self._seg_starts = self.out_ptr[self._with_out]
+        # how many vertices have out-edges / in-edges
+        self.n_tails = int(self._with_out.size)
+        self.n_heads = int(np.count_nonzero(self.in_deg))
         # pass-through / branch structure for the general (two-branch) rule
         self._general: Optional[tuple] = None
         self._graph = g

@@ -2,8 +2,8 @@
 update step (kept deliberately separate from the engine's vectorized path),
 bincount-based linear split, step and normalized levels plus a greedy
 convergence walk over full level arrays, the graphs that exercise the
-engine's segment sums, and a brute-force min-leakage path enumerator with
-sound pruning."""
+engine's segment sums, a per-kind invariant observer, and a brute-force
+min-leakage path enumerator with sound pruning."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from trailflow.analysis import InvariantViolation
+from trailflow.dynamics import RESCALE_BY_SOURCE
 from trailflow.graph import (
     DirectedGraph,
     Path,
@@ -148,6 +150,61 @@ def kernel_graphs():
         cases.append((g, rng.uniform(0.1, 1.0, g.n_edges)))
     cases.append((zero_total, np.array([1.0, 1.0, 0.0, 0.0, 1.0])))
     return cases
+
+
+class ReferenceInvariantObserver:
+    """The invariant checks of ``analysis.InvariantObserver`` one kind at a
+    time, each with its own tolerance test and argmax: the observer's
+    contract written out plainly."""
+
+    def __init__(self, graph, cfg, schedule, rel_tol=1e-12):
+        self.graph = graph
+        self.cfg = cfg
+        self.rel_tol = rel_tol
+        self.scale = 1.0 / schedule.alpha if cfg.rescale_mode == RESCALE_BY_SOURCE else 1.0
+        self.abs_floor = cfg.underflow_threshold * 1e6
+        self.violations = []
+
+    def _record(self, t, kind, err, scale):
+        tol = np.maximum(self.rel_tol * np.maximum(scale, 1e-30), self.abs_floor)
+        bad = np.abs(err) > tol
+        if bad.any():
+            i = int(np.argmax(np.abs(err) / np.maximum(scale, 1e-30)))
+            self.violations.append(InvariantViolation(t, kind, i, float(err[i])))
+
+    def __call__(self, t, state, prev):
+        if prev is None:
+            return
+        ga = self.graph.arrays
+        thr = self.cfg.underflow_threshold
+        s = self.scale
+        # pheromone recurrence (skip flushed entries)
+        expected = self.cfg.delta * (prev.p + prev.f_edge + prev.b_edge) * s
+        err = state.p - expected
+        err[state.p == 0.0] = 0.0
+        self._record(t, "recurrence", err, expected)
+        # conservation at interior vertices
+        arr_f = np.bincount(ga.heads, weights=prev.f_edge, minlength=ga.n)
+        arr_b = np.bincount(ga.tails, weights=prev.b_edge, minlength=ga.n)
+        exp_f = ga.surv * arr_f * s
+        exp_b = ga.surv * arr_b * s
+        mask = np.ones(ga.n, dtype=bool)
+        mask[ga.source] = False
+        mask[ga.destination] = False
+        err_f = np.where(mask, state.f_vertex - exp_f, 0.0)
+        err_b = np.where(mask, state.b_vertex - exp_b, 0.0)
+        if thr > 0.0:
+            err_f[state.f_vertex == 0.0] = 0.0
+            err_b[state.b_vertex == 0.0] = 0.0
+        self._record(t, "conservation_f", err_f, exp_f)
+        self._record(t, "conservation_b", err_b, exp_b)
+        # split consistency on the stepped state
+        out_sum = np.bincount(ga.tails, weights=state.f_edge, minlength=ga.n)
+        in_sum = np.bincount(ga.heads, weights=state.b_edge, minlength=ga.n)
+        err_split_f = np.where(ga.out_deg > 0, out_sum - state.f_vertex, 0.0)
+        err_split_b = np.where(ga.in_deg > 0, in_sum - state.b_vertex, 0.0)
+        self._record(t, "split_f", err_split_f, state.f_vertex)
+        self._record(t, "split_b", err_split_b, state.b_vertex)
 
 
 def brute_force_min_leakage(graph):

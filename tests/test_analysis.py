@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trailflow.analysis import (
+    InvariantObserver,
     PheromoneBoundObserver,
     PotentialObserver,
     PotentialTrace,
@@ -18,15 +19,26 @@ from trailflow.analysis import (
     update_potential,
 )
 from trailflow.dynamics import (
+    RESCALE_BY_SOURCE,
     DecisionRule,
     EngineConfig,
     FlowSchedule,
+    UniformInit,
     init_state,
     run,
+    step,
 )
-from trailflow.graph import DirectedGraph, build_two_path, build_two_path_survival, shortest_path
+from trailflow.graph import (
+    DirectedGraph,
+    build_two_path,
+    build_two_path_survival,
+    gen_gnp,
+    gen_grid,
+    plant_path,
+    shortest_path,
+)
 
-from helpers import bincount_levels, kernel_graphs, reference_walk
+from helpers import ReferenceInvariantObserver, bincount_levels, kernel_graphs, reference_walk
 
 LIN = DecisionRule.linear()
 
@@ -264,3 +276,151 @@ def test_fixed_flow_distinct_leakage_potential_checks():
     tc = theorem_constants(1.0, 1.0, 0.5, tp.surv_top, tp.surv_bottom, 1.0)
     assert sweep_potential_monotone(pot.trace) == []
     assert sweep_potential_growth(pot.trace, tc) == []
+
+
+# -- invariant observer --------------------------------------------------------
+
+
+def _observer_cases():
+    """(graph, schedule, cfg, steps): the two-path graph under 2x growth with
+    rescaling and a flush threshold that bites by step 620, the planted grid
+    of the increasing protocol (1.1x growth, rescaling), leaky G(n, p)
+    without a flush threshold, and a graph whose interior vertex 1 has no
+    out-edges."""
+    gnp = gen_gnp(60, 0.1, 4)
+    leaky = gnp.with_leakage(np.random.default_rng(5).uniform(0.0, 0.5, gnp.n_vertices))
+    planted, _ = plant_path(gen_grid(10, 10), 9)
+    const = FlowSchedule.constant(1.0, 0.7)
+    return [
+        (
+            build_two_path(2, 3, [0.1], [0.2, 0.0]).graph,
+            FlowSchedule.exponential(1.0, 1.0, 2.0),
+            EngineConfig(delta=0.5, underflow_threshold=1e-30, rescale_mode=RESCALE_BY_SOURCE),
+            700,
+        ),
+        (
+            planted,
+            FlowSchedule.exponential(0.8, 0.6, 1.1),
+            EngineConfig(delta=0.3, rescale_mode=RESCALE_BY_SOURCE),
+            80,
+        ),
+        (leaky, const, EngineConfig(delta=0.6, underflow_threshold=0.0), 80),
+        (DirectedGraph(4, [(2, 3), (0, 1), (0, 2)], 0, 3), const, EngineConfig(delta=0.5), 80),
+    ]
+
+
+def _stepped_pairs(graph, schedule, cfg, steps):
+    """(prev, state) for the initial state (prev None) and each step."""
+    st = init_state(graph, UniformInit(0.1, 1.0, 3), schedule)
+    pairs = [(None, st)]
+    for _ in range(steps):
+        nxt = step(st, graph, LIN, schedule, cfg)
+        pairs.append((st, nxt))
+        st = nxt
+    return pairs
+
+
+def _observer_pairs(graph, cfg, schedule):
+    """The observer and the reference at the default tolerance and at one
+    tight enough that engine rounding registers."""
+    return [
+        (
+            InvariantObserver(graph, cfg, schedule, tol),
+            ReferenceInvariantObserver(graph, cfg, schedule, tol),
+        )
+        for tol in (1e-12, 1e-16)
+    ]
+
+
+def test_invariant_observer_matches_reference_on_stepped_states():
+    tight_hits = 0
+    flushed = 0
+    for graph, schedule, cfg, steps in _observer_cases():
+        pairs = _stepped_pairs(graph, schedule, cfg, steps)
+        observers = _observer_pairs(graph, cfg, schedule)
+        for prev, cur in pairs:
+            for obs, ref in observers:
+                obs(cur.t, cur, prev)
+                ref(cur.t, cur, prev)
+        (obs, ref), (tight, tight_ref) = observers
+        assert obs.violations == ref.violations == []
+        assert tight.violations == tight_ref.violations
+        tight_hits += len(tight.violations)
+        flushed += pairs[-1][1].underflow_flushes
+    assert tight_hits > 0 and flushed > 0
+
+
+def _fault(state, name, index, mode):
+    arr = getattr(state, name)
+    if mode == "zero":
+        arr[index] = 0.0
+    elif mode == "tiny":  # below the 1e-42 tolerance of a zero scale
+        arr[index] = 1e-45
+    elif mode == "negate":
+        arr[index] = -arr[index] - 1.0
+    else:
+        arr[index] *= 1.0 + mode
+
+
+def test_invariant_observer_matches_reference_on_faults():
+    """Fault-injected stepped pairs: single faults in every array of either
+    state, at random entries, the source and destination rows and
+    zero-degree vertices, as relative errors above and below the tolerance,
+    flushed zeros, tiny values and sign flips; then several faults at once."""
+    rng = np.random.default_rng(17)
+    modes = (1e-6, -1e-9, 1e-14, "zero", "tiny", "negate")
+    kinds = set()
+    for graph, schedule, cfg, _ in _observer_cases():
+        ga = graph.arrays
+        rows = {ga.source, ga.destination, int(rng.integers(ga.n))}
+        rows |= {int(v) for v in np.flatnonzero((ga.out_deg == 0) | (ga.in_deg == 0))}
+        targets = [(name, int(rng.integers(ga.m))) for name in ("p", "f_edge", "b_edge")]
+        targets += [(name, v) for v in sorted(rows) for name in ("f_vertex", "b_vertex")]
+        obs = InvariantObserver(graph, cfg, schedule)
+        ref = ReferenceInvariantObserver(graph, cfg, schedule)
+        for prev, cur in _stepped_pairs(graph, schedule, cfg, 40)[20::10]:
+            faults = [(w, name, i, mode) for w in (0, 1) for name, i in targets for mode in modes]
+            combos = [[f] for f in faults]
+            for _ in range(20):
+                combos.append([faults[j] for j in rng.choice(len(faults), 3, replace=False)])
+            for combo in combos:
+                pair = [prev.copy(), cur.copy()]
+                for w, name, i, mode in combo:
+                    _fault(pair[w], name, i, mode)
+                obs(cur.t, pair[1], pair[0])
+                ref(cur.t, pair[1], pair[0])
+        assert obs.violations == ref.violations
+        kinds |= {v.kind for v in ref.violations}
+    assert kinds == set(InvariantObserver.KINDS)
+
+
+def test_invariant_observer_rows_it_skips_and_flags():
+    graph, _ = plant_path(gen_grid(10, 10), 9)
+    ga = graph.arrays
+    schedule = FlowSchedule.exponential(0.8, 0.6, 1.1)
+    cfg = EngineConfig(delta=0.3, rescale_mode=RESCALE_BY_SOURCE)
+    prev, cur = _stepped_pairs(graph, schedule, cfg, 5)[-1]
+
+    def violations(name, index, mode):
+        bad = cur.copy()
+        _fault(bad, name, index, mode)
+        obs = InvariantObserver(graph, cfg, schedule)
+        obs(bad.t, bad, prev)
+        return [(v.kind, v.index) for v in obs.violations]
+
+    s, d = ga.source, ga.destination
+    # s and d are exempt from conservation; s has out-edges, d in-edges
+    assert violations("f_vertex", s, 1e-6) == [("split_f", s)]
+    assert violations("b_vertex", d, 1e-6) == [("split_b", d)]
+    # d has no out-edges and s no in-edges: nothing checks these rows
+    assert ga.out_deg[d] == 0 and ga.in_deg[s] == 0
+    assert violations("f_vertex", d, 1e-6) == []
+    assert violations("b_vertex", s, 1e-6) == []
+    # a flushed pheromone or vertex flow is not compared with its recurrence
+    # or conservation value, but the split still sees the missing vertex flow
+    assert violations("p", 5, "zero") == []
+    v = int(graph.edges[5][1])
+    assert cur.f_vertex[v] > 0.0
+    assert violations("f_vertex", v, "zero") == [("split_f", v)]
+    assert violations("p", 5, 1e-9) == [("recurrence", 5)]
+    assert violations("f_vertex", v, 1e-9) == [("conservation_f", v), ("split_f", v)]

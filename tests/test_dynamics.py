@@ -220,6 +220,73 @@ def test_step_abort_on_nan():
     assert trace.failure_t == 1 and "pheromone" in trace.failure
 
 
+# edges e0=(0,1), e1=(0,2), e2=(1,3), e3=(1,2), e4=(2,3): vertex 1 has two
+# out-edges and vertex 2 two in-edges, both interior
+BUFFER_EDGES = [(0, 1), (0, 2), (1, 3), (1, 2), (2, 3)]
+
+
+def _buffer_state(leakage=None):
+    g = DirectedGraph(4, BUFFER_EDGES, 0, 3, leakage)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    return g, sched, init_state(g, 1.0, sched)
+
+
+def test_step_flushes_sub_threshold_values_in_p_and_vertex_flows():
+    g, sched, st = _buffer_state()
+    st.p[:] = [1.0, 1.0, -1.0, 1e-305, 1.0]  # p(t+1): e2 negative, e3 tiny
+    st.f_edge[:] = [1e-305, -1e-3, 0.0, 0.0, 0.0]  # f_vertex: 1 tiny, 2 negative
+    st.b_edge[:] = [0.0, 0.0, 1e-305, 0.0, -1e-3]  # b_vertex: 1 tiny, 2 negative
+    kept = step(st, g, LIN, sched, EngineConfig(delta=0.5, underflow_threshold=0.0))
+    out = step(st, g, LIN, sched, EngineConfig(delta=0.5))
+    assert out.underflow_flushes - st.underflow_flushes == 6
+    for name, zeroed in (("p", [2, 3]), ("f_vertex", [1, 2]), ("b_vertex", [1, 2])):
+        expect = getattr(kept, name).copy()
+        assert np.all((expect[zeroed] != 0.0) & (expect[zeroed] < 1e-300))
+        expect[zeroed] = 0.0
+        np.testing.assert_array_equal(getattr(out, name), expect)
+
+
+@pytest.mark.parametrize(
+    "where, value, detail",
+    [
+        ("p", math.nan, "non-finite pheromone at index 0"),
+        ("p", math.inf, "non-finite pheromone at index 0"),
+        ("f_vertex", math.nan, "non-finite forward vertex flow at index 2"),
+        ("f_vertex", math.inf, "non-finite forward vertex flow at index 2"),
+        ("b_vertex", math.nan, "non-finite backward vertex flow at index 1"),
+        ("b_vertex", math.inf, "non-finite backward vertex flow at index 1"),
+    ],
+)
+def test_step_abort_names_the_nonfinite_array(where, value, detail):
+    # two finite edge flows overflow in the vertex sum; a vertex with
+    # leakage 1 turns that inf into 0 * inf = NaN
+    absorbing = {"f_vertex": {2: 1.0}, "b_vertex": {1: 1.0}}.get(where)
+    g, sched, st = _buffer_state(absorbing if math.isnan(value) else None)
+    if where == "p":
+        st.p[0] = value
+    elif where == "f_vertex":
+        st.f_edge[[1, 3]] = 1e308
+    else:
+        st.b_edge[[2, 3]] = 1e308
+    with pytest.raises(EngineAbort) as exc, np.errstate(over="ignore", invalid="ignore"):
+        step(st, g, LIN, sched, EngineConfig(delta=0.5))
+    assert exc.value.t == 1 and exc.value.detail == detail
+
+
+def test_stepped_state_arrays_are_independent():
+    tp = two_path_23(0.1, 0.2)
+    sched = FlowSchedule.exponential(1.0, 0.5, 1.1)
+    cfg = EngineConfig(delta=0.5, rescale_mode=RESCALE_BY_SOURCE)
+    st1 = step(init_state(tp.graph, 1.0, sched), tp.graph, LIN, sched, cfg)
+    st2 = step(st1, tp.graph, LIN, sched, cfg)
+    before1, before2 = st1.copy(), st2.copy()
+    st2.p[:] = 7.0
+    for name in ("f_edge", "b_edge", "f_vertex", "b_vertex"):
+        np.testing.assert_array_equal(getattr(st2, name), getattr(before2, name))
+    for name in ("p", "f_edge", "b_edge", "f_vertex", "b_vertex"):
+        np.testing.assert_array_equal(getattr(st1, name), getattr(before1, name))
+
+
 def test_determinism():
     g = gen_gnp(20, 0.2, 4).with_leakage(np.linspace(0, 0.5, 20))
     sched = FlowSchedule.constant(1.0, 0.7)
