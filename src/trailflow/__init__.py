@@ -1,62 +1,20 @@
 """Deterministic simulator and analysis toolkit for bidirectional
-pheromone-guided flow on directed graphs."""
+pheromone-guided flow on directed graphs.
 
-from .graph import (
-    DirectedGraph,
-    GraphError,
-    Path,
-    TwoPathGraph,
-    build_two_path,
-    build_two_path_survival,
-    gen_banded_gnp,
-    gen_gnp,
-    gen_grid,
-    min_leakage_path,
-    path_leakage,
-    plant_band_ladder,
-    plant_path,
-    shortest_path,
-)
-from .rules import (
-    DecisionRule,
-    RuleFunction,
-    fixed_points,
-    general_split,
-    linear_rule,
-    linear_split,
-    power_rule,
-    rule_from_config,
-    sine_rule,
-    stability_margin,
-    stable_fixed_points,
-    table_rule,
-    validate_rule,
-)
-from .dynamics import (
-    EngineAbort,
-    EngineConfig,
-    FlowSchedule,
-    RunTrace,
-    SystemState,
-    UniformInit,
-    flush_underflow,
-    init_state,
-    make_explicit_state,
-    rescale,
-    run,
-    step,
-)
-from .analysis import (
-    NormalizedLevels,
-    PotentialObserver,
-    PotentialTrace,
-    TheoremConstants,
-    check_pheromone_bound,
-    check_potential_growth,
-    detect_convergence,
-    normalized_levels,
-    theorem_constants,
-    update_potential,
-)
+The package exports what a basic run needs; everything else is imported
+from its module (``trailflow.graph``, ``trailflow.analysis``, ...)."""
+
+from .dynamics import EngineConfig, FlowSchedule, init_state, run
+from .graph import build_two_path_survival
+from .rules import DecisionRule
+
+__all__ = [
+    "DecisionRule",
+    "EngineConfig",
+    "FlowSchedule",
+    "build_two_path_survival",
+    "init_state",
+    "run",
+]
 
 __version__ = "0.1.0"

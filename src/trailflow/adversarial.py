@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import detect_convergence
+from .analysis import BranchLevelObserver, detect_convergence
 from .dynamics import (
     DecisionRule,
     EngineConfig,
@@ -30,7 +30,7 @@ from .dynamics import (
     run,
 )
 from .graph import Path, TwoPathGraph, build_two_path, build_two_path_survival
-from .rules import RuleError, RuleFunction, RuleLinearAtResolution
+from .rules import RuleError, RuleFunction, RuleLinearAtResolution, _eval_grid
 
 CASE_BELOW = "below_diagonal"  # g(r+s) < r+s on (0, eps]
 CASE_ABOVE = "above_diagonal"  # g(r+s) > r+s on (0, eps]
@@ -53,10 +53,7 @@ def find_nonlinearity(rule: RuleFunction, grid: int = 4097) -> Nonlinearity:
     largest grid-certified eps (r + eps < 1/2) over which g - id keeps the
     sign it has at r."""
     xs = np.linspace(0.0, 0.5, grid)
-    try:
-        h = np.asarray(rule.fn(xs), dtype=float) - xs
-    except Exception:
-        h = np.asarray([float(rule.fn(float(x))) for x in xs]) - xs
+    h = _eval_grid(rule, xs) - xs
     interior = slice(1, grid - 1)
     mags = np.abs(h[interior])
     if float(mags.max(initial=0.0)) <= 1e-8:
@@ -330,25 +327,6 @@ def flow_counterexample(
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
-
-
-class BranchLevelObserver:
-    """Records the watched branch's normalized level at the source side
-    (forward) and destination side (backward) every step."""
-
-    def __init__(self, two_path: TwoPathGraph, branch: str) -> None:
-        other = "bottom" if branch == "top" else "top"
-        self.s_eid, self.d_eid = two_path.branch_eids(branch)
-        self.s_other, self.d_other = two_path.branch_eids(other)
-        self.norm_s: List[float] = []
-        self.norm_d: List[float] = []
-
-    def __call__(self, t, state, prev) -> None:
-        p = state.p
-        ts = p[self.s_eid] + p[self.s_other]
-        td = p[self.d_eid] + p[self.d_other]
-        self.norm_s.append(float(p[self.s_eid] / ts) if ts > 0 else math.nan)
-        self.norm_d.append(float(p[self.d_eid] / td) if td > 0 else math.nan)
 
 
 class FlowBoundObserver:

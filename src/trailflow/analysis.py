@@ -48,6 +48,31 @@ def normalized_levels(state: "SystemState", graph: DirectedGraph) -> NormalizedL
     return NormalizedLevels(fwd=fwd, bwd=bwd)
 
 
+class BranchLevelObserver:
+    """Records a two-path branch's normalized level at the source side
+    (forward: its first edge over both out-edges of s) and at the
+    destination side (backward: its last edge over both in-edges of d) every
+    step; NaN where both edges carry no pheromone.
+
+    The two levels are computed as scalars from the four branch-point
+    edges, not through ``split_fraction``: on two-path graphs its two calls
+    cost about four times as much as this whole call."""
+
+    def __init__(self, two_path: TwoPathGraph, branch: str) -> None:
+        other = "bottom" if branch == "top" else "top"
+        self.s_eid, self.d_eid = two_path.branch_eids(branch)
+        self.s_other, self.d_other = two_path.branch_eids(other)
+        self.norm_s: List[float] = []
+        self.norm_d: List[float] = []
+
+    def __call__(self, t, state, prev) -> None:
+        p = state.p
+        ts = p[self.s_eid] + p[self.s_other]
+        td = p[self.d_eid] + p[self.d_other]
+        self.norm_s.append(float(p[self.s_eid] / ts) if ts > 0 else math.nan)
+        self.norm_d.append(float(p[self.d_eid] / td) if td > 0 else math.nan)
+
+
 def detect_convergence(
     state: "SystemState", graph: DirectedGraph, epsilon: float
 ) -> Optional[Path]:
@@ -220,34 +245,6 @@ def theorem_constants(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    applicable: bool
-    ok: bool
-    edge: Optional[int] = None
-    value: float = 0.0
-    bound: float = 0.0
-
-
-def check_pheromone_bound(
-    state: "SystemState",
-    schedule: "FlowSchedule",
-    delta: float,
-    t: int,
-    T1: float,
-    slack: float = 1e-9,
-) -> BoundCheck:
-    """Assert p_uv(t) <= 2 (f_s(t) + b_d(t)) / (1 - delta) for t >= T1."""
-    if t < T1:
-        return BoundCheck(applicable=False, ok=True)
-    bound = 2.0 * (schedule.forward_at(t) + schedule.backward_at(t)) / (1.0 - delta)
-    worst = int(np.argmax(state.p))
-    value = float(state.p[worst])
-    if value <= bound + slack:
-        return BoundCheck(True, True, None, value, bound)
-    return BoundCheck(True, False, worst, value, bound)
-
-
 class PheromoneBoundObserver:
     """Per-step bound monitor; uses the amounts actually injected at each
     step so it stays correct under rescaling."""
@@ -273,26 +270,6 @@ class GrowthViolation:
     kind: str  # "monotonic" | "growth"
     value: float
     required: float
-
-
-def check_potential_growth(
-    trace: PotentialTrace,
-    constants: TheoremConstants,
-    t: int,
-    slack: float = 1e-9,
-) -> Optional[GrowthViolation]:
-    """Single-time check: r_min(t+1) >= r_min(t) and, for t past the warm-up,
-    r_min(t+L) >= gamma_l * r_min(t) (1 - slack)."""
-    L = trace.window
-    r = trace.r_min
-    if t + 1 < len(r) and not math.isnan(r[t]) and not math.isnan(r[t + 1]):
-        if r[t + 1] < r[t] * (1.0 - 1e-12):
-            return GrowthViolation(t, "monotonic", r[t + 1], r[t])
-    if t >= constants.T1 + L and t + L < len(r):
-        need = constants.gamma_l * r[t] * (1.0 - slack)
-        if not math.isnan(r[t]) and not math.isnan(r[t + L]) and r[t + L] < need:
-            return GrowthViolation(t, "growth", r[t + L], need)
-    return None
 
 
 def sweep_potential_monotone(

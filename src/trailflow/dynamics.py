@@ -32,7 +32,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .graph import DirectedGraph, GraphArrays, Path, min_leakage_path
-from .rules import DecisionRule, RuleError, clamp_unit_half
+from .rules import DecisionRule, clamp_unit_half
 
 
 class EngineAbort(RuntimeError):
@@ -422,10 +422,11 @@ def step(
     fv[ga.source] += inj_f
     bv[ga.destination] += inj_b
 
-    flushes = _flush(buf, cfg.underflow_threshold)
-
+    # tested before the flush, which would zero a -inf as an underflow
     if not math.isfinite(float(buf.sum())):
         raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
+
+    flushes = _flush(buf, cfg.underflow_threshold)
 
     # (d) split the new vertex flows against p(t+1)
     f_edge, zf = _split(ga, rule, p, fv, forward=True)
@@ -456,28 +457,6 @@ def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
     return "non-finite total (overflow)"
 
 
-# ---------------------------------------------------------------------------
-# Standalone transforms
-# ---------------------------------------------------------------------------
-
-
-def rescale(state: SystemState, factor: float, rule: DecisionRule) -> SystemState:
-    """Divide all stored magnitudes by ``factor``; normalized levels are
-    unchanged. Only sound under the linear rule."""
-    if not factor > 1.0:
-        raise ValueError("rescale factor must be > 1")
-    if not rule.is_linear:
-        raise RuleError("rescaling is invalid for general rules (no scale invariance)")
-    inv = 1.0 / factor
-    out = state.copy()
-    out.p *= inv
-    out.f_edge *= inv
-    out.b_edge *= inv
-    out.f_vertex *= inv
-    out.b_vertex *= inv
-    return out
-
-
 def _flush(x: np.ndarray, threshold: float) -> int:
     """Zero, in place, every nonzero entry of ``x`` below ``threshold``
     (negative values included); returns how many were zeroed."""
@@ -489,16 +468,6 @@ def _flush(x: np.ndarray, threshold: float) -> int:
     if count:
         x[mask] = 0.0
     return count
-
-
-def flush_underflow(state: SystemState, threshold: float) -> SystemState:
-    """Zero every pheromone/flow value below ``threshold``; counts flushes."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be >= 0")
-    out = state.copy()
-    for arr in (out.p, out.f_edge, out.b_edge, out.f_vertex, out.b_vertex):
-        out.underflow_flushes += _flush(arr, threshold)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ is a fixed point of the update map. When r is a stable fixed point of g
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .analysis import BranchLevelObserver
 from .dynamics import (
     DecisionRule,
     EngineConfig,
@@ -209,16 +209,11 @@ def stability_experiment(
     schedule = FlowSchedule.constant(f_s, b_d)
     cfg = EngineConfig(delta=delta)
     fe0, be0 = eq.f_edge, eq.b_edge
-    s_top, s_bot = two_path.s_top_eid, two_path.s_bottom_eid
-    d_top, d_bot = two_path.d_top_eid, two_path.d_bottom_eid
+    levels = BranchLevelObserver(two_path, "top")
 
-    def deviation(st: SystemState) -> float:
-        p = st.p
-        tot_s = p[s_top] + p[s_bot]
-        tot_d = p[d_top] + p[d_bot]
-        ns = p[s_top] / tot_s if tot_s > 0 else math.nan
-        nd = p[d_top] / tot_d if tot_d > 0 else math.nan
-        dev = max(abs(ns - r), abs(nd - r))
+    def deviation(st: SystemState, prev: Optional[SystemState]) -> float:
+        levels(st.t, st, prev)
+        dev = max(abs(levels.norm_s[-1] - r), abs(levels.norm_d[-1] - r))
         dev = max(dev, float(np.max(np.abs(st.f_edge - fe0))))
         dev = max(dev, float(np.max(np.abs(st.b_edge - be0))))
         return dev
@@ -228,14 +223,14 @@ def stability_experiment(
     max_after = 0.0
     series: List[Tuple[int, float]] = []
     cur = state
-    dev = deviation(cur)
+    dev = deviation(cur, None)
     if series_path:
         series.append((0, dev))
     if dev <= eps_target:
         t_converged = 0
     for _ in range(T_max):
-        cur = step(cur, g, decision, schedule, cfg)
-        dev = deviation(cur)
+        prev, cur = cur, step(cur, g, decision, schedule, cfg)
+        dev = deviation(cur, prev)
         if series_path:
             series.append((cur.t, dev))
         if t_converged is None:

@@ -140,6 +140,8 @@ def rule_from_config(cfg: dict) -> RuleFunction:
 
 
 def _eval_grid(rule: RuleFunction, xs: np.ndarray) -> np.ndarray:
+    """g on the grid ``xs``: one call on the whole array when ``fn`` maps it
+    elementwise, one call per point otherwise."""
     try:
         ys = np.asarray(rule.fn(xs), dtype=float)
         if ys.shape == xs.shape:
@@ -147,32 +149,6 @@ def _eval_grid(rule: RuleFunction, xs: np.ndarray) -> np.ndarray:
     except Exception:
         pass
     return np.asarray([float(rule.fn(float(x))) for x in xs])
-
-
-# ---------------------------------------------------------------------------
-# Splits
-# ---------------------------------------------------------------------------
-
-
-def linear_split(pheromones: Sequence[float]) -> List[float]:
-    """Proportional fractions p_i / sum(p); uniform 1/k when the total is 0
-    (preserves flow conservation in degenerate configurations)."""
-    ps = [float(p) for p in pheromones]
-    if not ps:
-        raise RuleError("linear_split needs at least one pheromone value")
-    if any(p < 0 for p in ps):
-        raise RuleError("pheromone values must be non-negative")
-    total = math.fsum(ps)
-    if total <= 0.0:
-        return [1.0 / len(ps)] * len(ps)
-    return [p / total for p in ps]
-
-
-def general_split(rule: RuleFunction, norm_min: float) -> Tuple[float, float]:
-    """(fraction on the minimum-pheromone edge, fraction on the other edge)."""
-    x = clamp_unit_half(norm_min)
-    g = float(rule.fn(x))
-    return g, 1.0 - g
 
 
 def clamp_unit_half(x: float) -> float:

@@ -19,13 +19,14 @@ Derived randomness is drawn from numpy's PCG64 via seed sequences
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -689,80 +690,79 @@ INCREASING_FULL = [
 ]
 
 
-def _leakage_instance(args) -> InstanceResult:
-    """One protocol instance: fixed flow, uniform leakage, converge to the
-    min-leakage path."""
-    index, family, params, base_seed, horizon, epsilon, monitors = args
-    t0 = time.perf_counter()
-    rng = _stream(base_seed, 10, index)
-    graph = _connected_graph(family, params, base_seed, 11, index)
-    if graph is None:
-        return InstanceResult(
-            index, family, False, None, "", "", False, 0.0, 0,
-            time.perf_counter() - t0, failure="no connected instance",
-        )
+def _leakage_graph(
+    graph: DirectedGraph, family: str, params: dict, rng: np.random.Generator
+) -> Tuple[DirectedGraph, Optional[Path]]:
+    """Uniform leakage on every vertex; the oracle is the min-leakage path."""
     graph = graph.with_leakage(rng.uniform(0.0, 1.0, graph.n_vertices))
-    delta = float(min(max(rng.uniform(0.0, 1.0), 1e-6), 1.0 - 1e-6))
-    p0 = rng.uniform(0.0, 1.0, graph.n_edges)
-    f0, b0 = rng.uniform(0.5, 1.0, 2)
-    schedule = FlowSchedule.constant(float(f0), float(b0))
-    cfg = EngineConfig(delta=delta, epsilon_convergence=epsilon)
-    state = init_state(graph, p0, schedule)
-    observers = []
-    inv = None
-    if monitors:
-        inv = InvariantObserver(graph, cfg, schedule)
-        observers.append(inv)
-    trace = run(state, graph, DecisionRule.linear(), schedule, cfg, horizon, observers)
-    oracle = min_leakage_path(graph)
-    converged = trace.converged_path is not None
-    match = converged and oracle is not None and trace.converged_path == oracle
-    return InstanceResult(
-        index=index,
-        family=f"{family}{tuple(params.values())}",
-        converged=converged,
-        steps=trace.converged_t,
-        converged_path=str(trace.converged_path) if converged else "",
-        oracle_path=str(oracle) if oracle else "",
-        match=bool(match),
-        delta=delta,
-        invariant_violations=len(inv.violations) if inv else 0,
-        runtime_s=time.perf_counter() - t0,
-        failure=trace.failure,
-    )
+    return graph, min_leakage_path(graph)
 
 
-def _increasing_instance(args) -> InstanceResult:
-    """One protocol instance: zero leakage, 1.1x growth with rescaling,
-    converge to the (planted) unique shortest path."""
-    index, family, params, base_seed, horizon, epsilon, monitors = args
+def _planted_graph(
+    graph: DirectedGraph, family: str, params: dict, rng: np.random.Generator
+) -> Tuple[DirectedGraph, Optional[Path]]:
+    """Zero leakage and a shortest path planted where the family does not
+    give a unique one; the oracle is that path."""
+    if family == "grid":
+        return plant_path(graph, 9)
+    if family == "banded_gnp":
+        graph, _ = plant_band_ladder(graph, params["k"])
+        return graph, shortest_path(graph)
+    if count_shortest_paths(graph) != 1:
+        return plant_path(graph, shortest_path(graph).length - 1)
+    return graph, shortest_path(graph)
+
+
+@dataclass(frozen=True)
+class _Preset:
+    families: list
+    instances: int  # desk-scale default
+    horizon: int
+    streams: Tuple[int, int]  # seed streams of the instance draws and the graph
+    prepare: Callable  # (graph, family, params, rng) -> (graph, oracle)
+    schedule: Callable  # (f0, b0) -> FlowSchedule
+    rescale_mode: str
+
+
+_PRESETS = {
+    "appendixC-leakage": _Preset(
+        LEAKAGE_FULL, 50, 100_000, (10, 11), _leakage_graph, FlowSchedule.constant, RESCALE_OFF
+    ),
+    "appendixC-increasing": _Preset(
+        INCREASING_FULL, 10, 10_000, (20, 21), _planted_graph,
+        functools.partial(FlowSchedule.exponential, alpha=1.1), RESCALE_BY_SOURCE,
+    ),
+}
+
+
+def _preset(preset: str) -> _Preset:
+    if preset not in _PRESETS:
+        raise ScenarioError(f"preset: unknown preset {preset!r}")
+    return _PRESETS[preset]
+
+
+def _instance(args) -> InstanceResult:
+    """One protocol instance: draw a connected graph, prepare it the preset's
+    way (leakage or a planted path), draw delta, the initial pheromone and
+    the injections, and run the linear rule until it converges to the
+    oracle path."""
+    preset, index, family, params, base_seed, horizon, epsilon, monitors = args
+    spec = _PRESETS[preset]
     t0 = time.perf_counter()
-    rng = _stream(base_seed, 20, index)
-    graph = _connected_graph(family, params, base_seed, 21, index)
+    rng = _stream(base_seed, spec.streams[0], index)
+    graph = _connected_graph(family, params, base_seed, spec.streams[1], index)
     if graph is None:
         return InstanceResult(
             index, family, False, None, "", "", False, 0.0, 0,
             time.perf_counter() - t0, failure="no connected instance",
         )
-    if family == "grid":
-        graph, planted = plant_path(graph, 9)
-        oracle = planted
-    elif family == "banded_gnp":
-        graph, planted = plant_band_ladder(graph, params["k"])
-        oracle = shortest_path(graph)
-    else:
-        if count_shortest_paths(graph) != 1:
-            cur = shortest_path(graph)
-            graph, planted = plant_path(graph, cur.length - 1)
-            oracle = planted
-        else:
-            oracle = shortest_path(graph)
+    graph, oracle = spec.prepare(graph, family, params, rng)
     delta = float(min(max(rng.uniform(0.0, 1.0), 1e-6), 1.0 - 1e-6))
     p0 = rng.uniform(0.0, 1.0, graph.n_edges)
     f0, b0 = rng.uniform(0.5, 1.0, 2)
-    schedule = FlowSchedule.exponential(float(f0), float(b0), 1.1)
+    schedule = spec.schedule(float(f0), float(b0))
     cfg = EngineConfig(
-        delta=delta, epsilon_convergence=epsilon, rescale_mode=RESCALE_BY_SOURCE
+        delta=delta, epsilon_convergence=epsilon, rescale_mode=spec.rescale_mode
     )
     state = init_state(graph, p0, schedule)
     observers = []
@@ -786,14 +786,6 @@ def _increasing_instance(args) -> InstanceResult:
         runtime_s=time.perf_counter() - t0,
         failure=trace.failure,
     )
-
-
-def _preset_spec(preset: str):
-    if preset == "appendixC-leakage":
-        return LEAKAGE_FULL, _leakage_instance, 50, 100_000
-    if preset == "appendixC-increasing":
-        return INCREASING_FULL, _increasing_instance, 10, 10_000
-    raise ScenarioError(f"preset: unknown preset {preset!r}")
 
 
 def batch_jobs(
@@ -809,19 +801,19 @@ def batch_jobs(
     ``instances`` of one representative family (50 leakage / 10 increasing
     when 0); ``full_scale`` reproduces the full family list at the
     protocol's instance counts."""
-    families, _, default_instances, default_horizon = _preset_spec(preset)
-    horizon = horizon or default_horizon
+    spec = _preset(preset)
+    horizon = horizon or spec.horizon
     if full_scale:
         jobs = []
         idx = 0
-        for family, params, count in families:
+        for family, params, count in spec.families:
             for _ in range(count):
-                jobs.append((idx, family, params, base_seed, horizon, epsilon, monitors))
+                jobs.append((preset, idx, family, params, base_seed, horizon, epsilon, monitors))
                 idx += 1
         return jobs
-    n = instances or default_instances
-    family, params, _ = families[-1] if preset == "appendixC-increasing" else families[0]
-    return [(i, family, params, base_seed, horizon, epsilon, monitors) for i in range(n)]
+    n = instances or spec.instances
+    family, params, _ = spec.families[-1] if preset == "appendixC-increasing" else spec.families[0]
+    return [(preset, i, family, params, base_seed, horizon, epsilon, monitors) for i in range(n)]
 
 
 def run_batch(
@@ -836,13 +828,12 @@ def run_batch(
     out_dir: Optional[str] = None,
 ) -> BatchResult:
     """Run a protocol preset; see ``batch_jobs`` for scale semantics."""
-    _, worker, _, _ = _preset_spec(preset)
     jobs = batch_jobs(preset, instances, base_seed, full_scale, epsilon, horizon, monitors)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(worker, jobs))
+            rows = list(pool.map(_instance, jobs))
     else:
-        rows = [worker(job) for job in jobs]
+        rows = [_instance(job) for job in jobs]
     rows.sort(key=lambda r: r.index)
     result = BatchResult(preset=preset, rows=rows)
     if out_dir:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from trailflow.adversarial import (
@@ -17,7 +18,13 @@ from trailflow.adversarial import (
 )
 from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, init_state, run, step
 from trailflow.graph import build_two_path
-from trailflow.rules import RuleLinearAtResolution, linear_rule, power_rule, sine_rule
+from trailflow.rules import (
+    RuleFunction,
+    RuleLinearAtResolution,
+    linear_rule,
+    power_rule,
+    sine_rule,
+)
 
 TP23 = build_two_path(2, 3, [0.0], [0.0, 0.0])
 LIN = DecisionRule.linear()
@@ -36,6 +43,12 @@ def test_find_nonlinearity_cases():
     assert nl2.r == pytest.approx(0.125)
     with pytest.raises(RuleLinearAtResolution):
         find_nonlinearity(linear_rule())
+
+
+def test_find_nonlinearity_evaluates_scalar_rules_per_point():
+    # fn collapses an array to one number; evaluated per grid point it is 2x^2
+    scalar = RuleFunction("scalar 2x^2", lambda x: 2.0 * float(np.max(x)) ** 2)
+    assert find_nonlinearity(scalar) == find_nonlinearity(power_rule(2))
 
 
 # -- leakage counterexample --------------------------------------------------------

@@ -8,8 +8,6 @@ from trailflow.analysis import (
     PheromoneBoundObserver,
     PotentialObserver,
     PotentialTrace,
-    check_pheromone_bound,
-    check_potential_growth,
     detect_convergence,
     normalized_levels,
     ratio,
@@ -217,17 +215,21 @@ def test_theorem_constants_asymmetric_flows():
 # -- pheromone bound ---------------------------------------------------------------
 
 
-def test_check_pheromone_bound():
+def test_pheromone_bound_observer_skips_warmup_and_flags_fault():
     tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
     sched = FlowSchedule.constant(1.0, 1.0)
     st = init_state(tp.graph, 1.0, sched)
-    res = check_pheromone_bound(st, sched, 0.5, t=0, T1=0.0)
-    assert res.applicable and res.ok and res.bound == pytest.approx(8.0)
-    skipped = check_pheromone_bound(st, sched, 0.5, t=0, T1=5.0)
-    assert not skipped.applicable
+    obs = PheromoneBoundObserver(0.5, T1=0.0)
+    obs(0, st, None)
+    assert obs.violations == []  # p = 1 within 2 (f_s + b_d) / (1 - delta) = 8
     st.p[0] = 100.0  # fault injection
-    bad = check_pheromone_bound(st, sched, 0.5, t=0, T1=0.0)
-    assert not bad.ok and bad.edge == 0 and bad.value == 100.0
+    warming = PheromoneBoundObserver(0.5, T1=5.0)
+    warming(4, st, None)
+    assert warming.violations == []  # t < T1: the bound does not apply yet
+    warming(5, st, None)
+    obs(0, st, None)
+    assert warming.violations == [(5, 0, 100.0, 8.0)]
+    assert obs.violations == [(0, 0, 100.0, 8.0)]
 
 
 def test_pheromone_bound_observer_long_run():
@@ -243,14 +245,17 @@ def test_pheromone_bound_observer_long_run():
 # -- growth checks ------------------------------------------------------------------
 
 
-def test_check_potential_growth_fault_injection():
+def test_potential_sweeps_flag_fault_injection():
     trace = PotentialTrace(window=2)
     trace.r_min = [1.0, 1.0, 2.0, 1.5, 3.0]  # decreases at t=2 -> 3
     tc = theorem_constants(1.0, 1.0, 0.5, 1.0, 0.9, 1.0)
-    v = check_potential_growth(trace, tc, 2)
-    assert v is not None and v.kind == "monotonic"
     viols = sweep_potential_monotone(trace, t_min=0)
-    assert [x.t for x in viols] == [2]
+    assert [(v.t, v.kind, v.value, v.required) for v in viols] == [(2, "monotonic", 1.5, 2.0)]
+    assert [v.t for v in sweep_potential_monotone(trace)] == [2]  # from t = window
+    assert sweep_potential_growth(trace, tc) == []  # r_min(4) = 3 >= gamma_l r_min(2)
+    trace.window = 1
+    growth = sweep_potential_growth(trace, tc)
+    assert [(v.t, v.kind, v.value) for v in growth] == [(2, "growth", 1.5)]
 
 
 def test_sweep_growth_requires_gamma_factor():

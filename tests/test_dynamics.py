@@ -11,17 +11,16 @@ from trailflow.dynamics import (
     FlowSchedule,
     RESCALE_BY_SOURCE,
     UniformInit,
+    _flush,
     _split_linear,
-    flush_underflow,
     init_state,
     make_explicit_state,
-    rescale,
     run,
     step,
 )
 from trailflow.graph import DirectedGraph, build_two_path, gen_gnp
 from trailflow.analysis import normalized_levels
-from trailflow.rules import RuleError, linear_rule, power_rule
+from trailflow.rules import linear_rule, power_rule
 
 from helpers import bincount_split, bincount_step, kernel_graphs, reference_step
 
@@ -273,6 +272,20 @@ def test_step_abort_names_the_nonfinite_array(where, value, detail):
     assert exc.value.t == 1 and exc.value.detail == detail
 
 
+@pytest.mark.parametrize("where, index", [("p", 0), ("f_edge", 3), ("b_edge", 2)])
+def test_step_abort_on_negative_inf(where, index):
+    # -inf is not an underflow: it aborts as +inf does; the edge flow reaches
+    # the pheromone of its edge first
+    details = []
+    for value in (math.inf, -math.inf):
+        g, sched, st = _buffer_state()
+        getattr(st, where)[index] = value
+        with pytest.raises(EngineAbort) as exc:
+            step(st, g, LIN, sched, EngineConfig(delta=0.5))
+        details.append((exc.value.t, exc.value.detail))
+    assert details == [(1, f"non-finite pheromone at index {index}")] * 2
+
+
 def test_stepped_state_arrays_are_independent():
     tp = two_path_23(0.1, 0.2)
     sched = FlowSchedule.exponential(1.0, 0.5, 1.1)
@@ -403,18 +416,21 @@ def test_zero_total_split_counts_match_bincount_reference():
 
 
 def test_rescale_preserves_normalized_levels():
+    """The rescale inside ``step`` divides every stored magnitude by the
+    growth factor and leaves the normalized levels as they are."""
     tp = two_path_23()
-    sched = FlowSchedule.constant(1.0, 1.0)
+    sched = FlowSchedule.exponential(1.0, 1.0, 1.1)
     st = init_state(tp.graph, UniformInit(0.5, 1.5, 2), sched)
-    before = normalized_levels(st, tp.graph)
-    out = rescale(st, 1.1, LIN)
-    after = normalized_levels(out, tp.graph)
+    plain = step(st, tp.graph, LIN, sched, EngineConfig(delta=0.5))
+    scaled = step(st, tp.graph, LIN, sched,
+                  EngineConfig(delta=0.5, rescale_mode=RESCALE_BY_SOURCE))
+    for name in ("p", "f_edge", "b_edge", "f_vertex", "b_vertex"):
+        np.testing.assert_allclose(getattr(scaled, name) * 1.1, getattr(plain, name), rtol=1e-15)
+    before = normalized_levels(plain, tp.graph)
+    after = normalized_levels(scaled, tp.graph)
     assert np.nanmax(np.abs(before.fwd - after.fwd)) <= 1e-12
-    assert np.allclose(out.p * 1.1, st.p)
-    with pytest.raises(ValueError):
-        rescale(st, 1.0, LIN)
-    with pytest.raises(RuleError):
-        rescale(st, 1.1, DecisionRule.general(power_rule(2)))
+    assert np.nanmax(np.abs(before.bwd - after.bwd)) <= 1e-12
+    assert (scaled.injected_f, scaled.injected_b) == (1.0, 1.0)  # base magnitude
 
 
 def test_rescaled_run_equals_plain_exponential_run():
@@ -453,16 +469,12 @@ def test_rescale_mode_validation():
 
 
 def test_flush_underflow():
-    tp = two_path_23()
-    sched = FlowSchedule.constant(1.0, 1.0)
-    st = init_state(tp.graph, 1.0, sched)
-    assert flush_underflow(st, 0.0).underflow_flushes == 0
-    st.p[0] = 1e-310
-    out = flush_underflow(st, 1e-300)
-    assert out.p[0] == 0.0
-    assert out.underflow_flushes == 1
-    with pytest.raises(ValueError):
-        flush_underflow(st, -1.0)
+    x = np.array([1e-310, -1e-3, 0.0, 1.0, 1e-300, math.nan])
+    kept = x.copy()
+    assert _flush(kept, 0.0) == 0  # a zero threshold turns the flush off
+    np.testing.assert_array_equal(kept, x)
+    assert _flush(x, 1e-300) == 2
+    np.testing.assert_array_equal(x, [0.0, 0.0, 0.0, 1.0, 1e-300, math.nan])
 
 
 def test_long_exponential_run_flushes_losing_branch():

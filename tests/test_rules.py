@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trailflow.dynamics import _split_general, _split_linear
+from trailflow.graph import DirectedGraph, build_two_path
 from trailflow.rules import (
     DecisionRule,
     RuleError,
+    clamp_unit_half,
     fixed_points,
-    general_split,
     linear_rule,
-    linear_split,
     power_rule,
     rule_from_config,
     sine_rule,
@@ -25,14 +26,24 @@ from trailflow.rules import (
 # -- linear split -------------------------------------------------------------
 
 
+def _source_split(ps):
+    """The engine's linear split of one unit of flow at the source over its
+    out-edges, which carry pheromone ``ps``; (edge flows, zero-split count)."""
+    k = len(ps)
+    fan = [(0, i) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    ga = DirectedGraph(k + 2, fan, 0, k + 1).arrays
+    p = np.ones(ga.m)
+    p[:k] = ps
+    vflow = np.zeros(ga.n)
+    vflow[0] = 1.0
+    eflow, zero = _split_linear(ga, p, vflow, forward=True)
+    return eflow[:k].tolist(), zero
+
+
 def test_linear_split_examples():
-    assert linear_split([1, 1]) == [0.5, 0.5]
-    assert linear_split([3, 1]) == [0.75, 0.25]
-    assert linear_split([0, 0]) == [0.5, 0.5]
-    with pytest.raises(RuleError):
-        linear_split([])
-    with pytest.raises(RuleError):
-        linear_split([1.0, -0.5])
+    assert _source_split([1, 1]) == ([0.5, 0.5], 0)
+    assert _source_split([3, 1]) == ([0.75, 0.25], 0)
+    assert _source_split([0, 0]) == ([0.5, 0.5], 1)  # no pheromone: even, flagged
 
 
 @given(
@@ -41,23 +52,42 @@ def test_linear_split_examples():
 )
 @settings(max_examples=100, deadline=None)
 def test_linear_split_sums_to_one_and_scale_invariant(ps, c):
-    fr = linear_split(ps)
+    fr, _ = _source_split(ps)
     assert abs(sum(fr) - 1.0) <= 1e-12
-    fr2 = linear_split([c * p for p in ps])
+    fr2, _ = _source_split([c * p for p in ps])
     assert all(abs(a - b) <= 1e-9 for a, b in zip(fr, fr2))
 
 
 # -- general split ------------------------------------------------------------
 
+TP22 = build_two_path(2, 2, [0.0], [0.0])
+
+
+def _branch_split(rule, p_top, p_bottom):
+    """The engine's split of one unit of flow at the source over the two
+    branch edges under a general rule; (top flow, bottom flow)."""
+    ga = TP22.graph.arrays
+    p = np.ones(ga.m)
+    p[TP22.s_top_eid] = p_top
+    p[TP22.s_bottom_eid] = p_bottom
+    vflow = np.zeros(ga.n)
+    vflow[TP22.graph.source] = 1.0
+    eflow, _ = _split_general(ga, DecisionRule.general(rule), p, vflow, forward=True)
+    return float(eflow[TP22.s_top_eid]), float(eflow[TP22.s_bottom_eid])
+
 
 def test_general_split_examples():
-    lin = linear_rule()
-    assert general_split(lin, 0.25) == (0.25, 0.75)
-    with pytest.raises(RuleError):
-        general_split(lin, 0.6)  # outside [0, 1/2]
-    f_min, f_oth = general_split(power_rule(2), 0.25)
+    assert _branch_split(linear_rule(), 1.0, 3.0) == (0.25, 0.75)
+    assert _branch_split(linear_rule(), 3.0, 1.0) == (0.75, 0.25)
+    f_min, f_oth = _branch_split(power_rule(2), 1.0, 3.0)
     assert f_min == pytest.approx(0.125)
     assert f_oth == pytest.approx(0.875)
+    # the branch minimum is validated in [0, 1/2], absorbing 1e-12 of slop
+    assert clamp_unit_half(0.25) == 0.25
+    assert clamp_unit_half(-1e-13) == 0.0 and clamp_unit_half(0.5 + 1e-13) == 0.5
+    for bad in (0.6, -0.1, math.nan):
+        with pytest.raises(RuleError):
+            clamp_unit_half(bad)
 
 
 def test_general_split_matches_tabulated_oracle():
@@ -66,8 +96,8 @@ def test_general_split_matches_tabulated_oracle():
     tab = table_rule(xs, 2.0 * xs**2)
     rule = power_rule(2)
     for x in np.linspace(0.0, 0.5, 97):
-        a = general_split(rule, float(x))[0]
-        b = general_split(tab, float(x))[0]
+        a = float(rule(float(x)))
+        b = float(tab(float(x)))
         assert abs(a - b) <= 1e-6  # interpolation error bound on a 2001 grid
 
 
@@ -75,7 +105,7 @@ def test_general_split_matches_tabulated_oracle():
 @settings(max_examples=80, deadline=None)
 def test_general_split_fractions_sum_exactly(x):
     for rule in (power_rule(2), power_rule(0.5), sine_rule(0.05)):
-        a, b = general_split(rule, x)
+        a, b = _branch_split(rule, x, 1.0 - x)
         assert a + b == 1.0  # b computed as exact complement
         assert 0.0 <= a <= 1.0
 

@@ -273,6 +273,26 @@ def test_cli_counterexample(capsys):
     assert doc["positive_control_converged"] == "0>1>4"
 
 
+COUNTEREXAMPLE_KEYS = {
+    "rule", "kind", "r", "eps", "c_eps", "c_g", "case", "constraint", "horizon",
+    "invariant_held", "flow_bounds_held", "first_violation_t", "positive_control_converged",
+}
+
+
+@pytest.mark.parametrize("kind", ["leakage", "flow"])
+def test_cli_counterexample_kinds(kind, capsys):
+    code = main(
+        ["counterexample", "--rule", '{"kind":"power","k":2}', "--kind", kind, "--steps", "2000"]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == COUNTEREXAMPLE_KEYS
+    assert doc["kind"] == kind and doc["horizon"] == 2000
+    assert doc["invariant_held"] is True and doc["flow_bounds_held"] is True
+    assert doc["first_violation_t"] is None
+    assert doc["positive_control_converged"] == "0>1>4"
+
+
 def test_cli_swap_demo(capsys):
     assert main(["swap-demo", "--seeds", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
