@@ -29,7 +29,7 @@ from .dynamics import (
     make_explicit_state,
     run,
 )
-from .graph import Path, TwoPathGraph, build_two_path, build_two_path_survival
+from .graph import Path, TwoPathGraph, build_two_path_survival
 from .rules import RuleError, RuleFunction, RuleLinearAtResolution, _eval_grid
 
 CASE_BELOW = "below_diagonal"  # g(r+s) < r+s on (0, eps]
@@ -92,28 +92,14 @@ class CounterexampleConfig:
 
 
 @dataclass(frozen=True)
-class LeakageCounterexample:
+class Counterexample:
     rule_fn: RuleFunction
     config: CounterexampleConfig
     two_path: TwoPathGraph  # leakage applied
     state: SystemState
-    schedule: FlowSchedule
+    schedule: FlowSchedule  # constant (leakage) or growing by alpha = mu (flow)
     watch_branch: str  # branch whose level is bounded
     direction: str  # AT_MOST (case below) | AT_LEAST (case above)
-    surv_top: float
-    surv_bottom: float
-
-
-@dataclass(frozen=True)
-class FlowCounterexample:
-    rule_fn: RuleFunction
-    config: CounterexampleConfig
-    two_path: TwoPathGraph
-    state: SystemState
-    schedule: FlowSchedule
-    watch_branch: str
-    direction: str
-    mu: float
 
 
 def _case_constants(rule: RuleFunction, r: float, eps: float, case: str) -> Tuple[float, float]:
@@ -170,7 +156,6 @@ def _counterexample_state(
     rule: RuleFunction,
     watch_branch: str,
     bound: float,
-    with_survival: bool,
 ) -> SystemState:
     """Initial state for the proof configurations.
 
@@ -191,11 +176,7 @@ def _counterexample_state(
         level = bound if branch == watch_branch else 1.0 - bound
         frac = frac_watch if branch == watch_branch else 1.0 - frac_watch
         path = two_path.top if branch == "top" else two_path.bottom
-        if with_survival:
-            prefix, suffix = _branch_products(two_path, branch)
-        else:
-            k = path.length
-            prefix = suffix = [1.0] * k
+        prefix, suffix = _branch_products(two_path, branch)
         for i, (u, v) in enumerate(path.edge_pairs()):
             p[(u, v)] = level
             fe[(u, v)] = f_s * frac * prefix[i]
@@ -212,7 +193,7 @@ def leakage_counterexample(
     eps: Optional[float] = None,
     surv_top: Optional[float] = None,
     surv_bottom: Optional[float] = None,
-) -> LeakageCounterexample:
+) -> Counterexample:
     """Leakage assignment and initial state under which a non-linear rule
     with fixed flow never converges to the min-leakage path.
 
@@ -258,16 +239,14 @@ def leakage_counterexample(
 
     graph2 = build_two_path_survival(two_path.m, two_path.n, surv_top, surv_bottom)
     schedule = FlowSchedule.constant(f_s, b_d)
-    state = _counterexample_state(
-        graph2, schedule, rule, watch, nl.r + nl.eps, with_survival=True
-    )
+    state = _counterexample_state(graph2, schedule, rule, watch, nl.r + nl.eps)
     cfg = CounterexampleConfig(
         r=nl.r, eps=nl.eps, case=nl.case, c_eps=c_eps, c_g=c_g,
         bound=nl.r + nl.eps, constraint=constraint,
     )
-    return LeakageCounterexample(
+    return Counterexample(
         rule_fn=rule, config=cfg, two_path=graph2, state=state, schedule=schedule,
-        watch_branch=watch, direction=direction, surv_top=surv_top, surv_bottom=surv_bottom,
+        watch_branch=watch, direction=direction,
     )
 
 
@@ -278,7 +257,7 @@ def flow_counterexample(
     mu: Optional[float] = None,
     r: Optional[float] = None,
     eps: Optional[float] = None,
-) -> FlowCounterexample:
+) -> Counterexample:
     """Per-step multiplicative growth factor and initial state under which a
     non-linear rule with zero leakage never converges to the unique shortest
     path. The growth condition couples the factor to the path-length gap:
@@ -311,16 +290,14 @@ def flow_counterexample(
         watch, direction = "bottom", AT_LEAST
 
     schedule = FlowSchedule.exponential(f0, f0, mu)
-    state = _counterexample_state(
-        two_path, schedule, rule, watch, nl.r + nl.eps, with_survival=False
-    )
+    state = _counterexample_state(two_path, schedule, rule, watch, nl.r + nl.eps)
     cfg = CounterexampleConfig(
         r=nl.r, eps=nl.eps, case=nl.case, c_eps=c_eps, c_g=c_g,
         bound=nl.r + nl.eps, constraint=constraint,
     )
-    return FlowCounterexample(
+    return Counterexample(
         rule_fn=rule, config=cfg, two_path=two_path, state=state, schedule=schedule,
-        watch_branch=watch, direction=direction, mu=mu,
+        watch_branch=watch, direction=direction,
     )
 
 
@@ -444,7 +421,7 @@ def verify_nonconvergence(
 
 
 def run_counterexample(
-    cx,
+    cx: Counterexample,
     T: int,
     delta: float = 0.5,
     epsilon: float = 0.01,
@@ -471,7 +448,7 @@ def run_counterexample(
 
 
 def run_positive_control(
-    cx,
+    cx: Counterexample,
     T: int,
     delta: float = 0.5,
     epsilon: float = 0.01,

@@ -142,9 +142,6 @@ class PotentialTrace:
     r_d: List[float] = field(default_factory=list)
     r_min: List[float] = field(default_factory=list)
 
-    def r_min_at(self, t: int) -> float:
-        return self.r_min[t]
-
 
 def update_potential(
     trace: PotentialTrace, state: "SystemState", two_path: TwoPathGraph

@@ -115,7 +115,6 @@ class EngineConfig:
     underflow_threshold: float = 1e-300
     rescale_mode: str = RESCALE_OFF
     epsilon_convergence: Optional[float] = None
-    convergence_check_interval: int = 16
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):
@@ -170,24 +169,12 @@ class SystemState:
         )
 
 
-@dataclass(frozen=True)
-class UniformInit:
-    """Uniform(low, high) per-edge pheromone initialization, seeded."""
-
-    low: float
-    high: float
-    seed: int
-
-
-PheromoneInit = Union[float, Sequence[float], Mapping[Tuple[int, int], float], UniformInit]
+PheromoneInit = Union[float, Sequence[float], Mapping[Tuple[int, int], float]]
 
 
 def _resolve_pheromone(graph: DirectedGraph, init: PheromoneInit) -> np.ndarray:
     m = graph.n_edges
-    if isinstance(init, UniformInit):
-        rng = np.random.default_rng(init.seed)
-        p = rng.uniform(init.low, init.high, size=m)
-    elif isinstance(init, Mapping):
+    if isinstance(init, Mapping):
         p = np.zeros(m)
         for (u, v), val in init.items():
             p[graph.edge_id(u, v)] = float(val)
@@ -337,32 +324,26 @@ def _split_general(
     vertex_flow: np.ndarray,
     forward: bool,
 ) -> Tuple[np.ndarray, int]:
-    pass_f_eids, pass_f_v, branch_out, pass_b_eids, pass_b_v, branch_in = ga.general_structure()
+    # on two parallel paths every vertex but the source (forward) or the
+    # destination (backward) passes its flow on along its single edge
+    out_s, in_d = ga.two_path_branches()
     if forward:
-        pass_eids, pass_v, branches = pass_f_eids, pass_f_v, branch_out
+        eflow, amount, (e1, e2) = vertex_flow[ga.tails], vertex_flow[ga.source], out_s
     else:
-        pass_eids, pass_v, branches = pass_b_eids, pass_b_v, branch_in
-    eflow = np.zeros(ga.m)
-    eflow[pass_eids] = vertex_flow[pass_v]
-    zero_events = 0
-    fn = rule.rule_fn.fn
-    for v, e1, e2 in branches:
-        amount = vertex_flow[v]
-        p1, p2 = p[e1], p[e2]
-        total = p1 + p2
-        if total <= 0.0:
-            eflow[e1] = eflow[e2] = 0.5 * amount
-            if amount > 0.0:
-                zero_events += 1
-            continue
-        if p1 <= p2:
-            e_min, e_oth, x = e1, e2, p1 / total
-        else:
-            e_min, e_oth, x = e2, e1, p2 / total
-        g = float(fn(clamp_unit_half(x)))
-        eflow[e_min] = amount * g
-        eflow[e_oth] = amount * (1.0 - g)
-    return eflow, zero_events
+        eflow, amount, (e1, e2) = vertex_flow[ga.heads], vertex_flow[ga.destination], in_d
+    p1, p2 = p[e1], p[e2]
+    total = p1 + p2
+    if total <= 0.0:
+        eflow[e1] = eflow[e2] = 0.5 * amount
+        return eflow, int(amount > 0.0)
+    if p1 <= p2:
+        e_min, e_oth, x = e1, e2, p1 / total
+    else:
+        e_min, e_oth, x = e2, e1, p2 / total
+    g = float(rule.rule_fn.fn(clamp_unit_half(x)))
+    eflow[e_min] = amount * g
+    eflow[e_oth] = amount * (1.0 - g)
+    return eflow, 0
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +360,7 @@ def validate_run_setup(
         if schedule.kind != "exponential":
             raise ConfigError("rescaling applies to exponential schedules only")
     if not rule.is_linear:
-        graph.arrays.general_structure()  # raises off two-path graphs
+        graph.arrays.two_path_branches()  # raises off two-path graphs
 
 
 def step(
@@ -474,6 +455,9 @@ def _flush(x: np.ndarray, threshold: float) -> int:
 # Run loop
 # ---------------------------------------------------------------------------
 
+# the run loop tests for convergence every this many steps and after the last
+CONVERGENCE_CHECK_INTERVAL = 16
+
 # observer contract: called as obs(t, state, prev_state) after every step and
 # once with prev_state=None on the initial state; a truthy return stops the run
 Observer = Callable[[int, SystemState, Optional[SystemState]], Optional[bool]]
@@ -517,7 +501,6 @@ def run(
         if obs(state.t, state, None):
             stop = True
     eps = cfg.epsilon_convergence
-    interval = max(1, cfg.convergence_check_interval)
     cur = state
     for i in range(T):
         if stop:
@@ -535,7 +518,7 @@ def run(
         for obs in observers:
             if obs(cur.t, cur, prev):
                 stop = True
-        if eps is not None and (trace.steps_run % interval == 0 or i == T - 1):
+        if eps is not None and (trace.steps_run % CONVERGENCE_CHECK_INTERVAL == 0 or i == T - 1):
             path = detect_convergence(cur, graph, eps)
             if path is not None:
                 trace.stop_reason = "converged"

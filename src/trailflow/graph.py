@@ -48,6 +48,14 @@ class Path:
         return ">".join(str(v) for v in self.vertices)
 
 
+def _vertex_index(v, n_vertices: int) -> int:
+    """``int(v)``, checked to name one of ``n_vertices`` vertices (a negative
+    index would silently pick a vertex from the end)."""
+    if not 0 <= int(v) < n_vertices:
+        raise GraphError(f"vertex {v} out of range 0..{n_vertices - 1}")
+    return int(v)
+
+
 class DirectedGraph:
     """Immutable directed graph with designated source/destination and
     per-vertex leakage in [0, 1]."""
@@ -90,7 +98,7 @@ class DirectedGraph:
         if leakage is not None:
             if isinstance(leakage, Mapping):
                 for v, l in leakage.items():
-                    lk[int(v)] = float(l)
+                    lk[_vertex_index(v, n_vertices)] = float(l)
             else:
                 lk = np.asarray(leakage, dtype=float).copy()
                 if lk.shape != (n_vertices,):
@@ -139,24 +147,19 @@ class DirectedGraph:
         return [self.edges[e][0] for e in self._in[v]]
 
     def with_leakage(
-        self,
-        leakage: Union[Sequence[float], Mapping[int, float]],
-        zero_endpoints: bool = True,
+        self, leakage: Union[Sequence[float], Mapping[int, float]]
     ) -> "DirectedGraph":
-        """Copy of this graph with new leakage values.
-
-        With ``zero_endpoints`` (default) the source/destination entries are
-        forced to 0 regardless of the input, matching the model convention.
-        """
+        """Copy of this graph with new leakage values (a mapping updates the
+        vertices it names). The source/destination entries are forced to 0
+        regardless of the input, matching the model convention."""
         if isinstance(leakage, Mapping):
             lk = np.array(self.leakage, dtype=float)
             for v, l in leakage.items():
-                lk[int(v)] = float(l)
+                lk[_vertex_index(v, self.n_vertices)] = float(l)
         else:
             lk = np.asarray(leakage, dtype=float).copy()
-        if zero_endpoints:
-            lk[self.source] = 0.0
-            lk[self.destination] = 0.0
+        lk[self.source] = 0.0
+        lk[self.destination] = 0.0
         return DirectedGraph(self.n_vertices, self.edges, self.source, self.destination, lk)
 
     # -- flat arrays for the flow engine ----------------------------------
@@ -263,8 +266,7 @@ class GraphArrays:
         # how many vertices have out-edges / in-edges
         self.n_tails = int(self._with_out.size)
         self.n_heads = int(np.count_nonzero(self.in_deg))
-        # pass-through / branch structure for the general (two-branch) rule
-        self._general: Optional[tuple] = None
+        self._branches: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
         self._graph = g
 
     def tail_sums(self, x: np.ndarray) -> np.ndarray:
@@ -274,38 +276,18 @@ class GraphArrays:
         sums[self._with_out] = np.add.reduceat(x[self._by_tail], self._seg_starts)
         return sums
 
-    def general_structure(self):
-        """(pass_f_eids, pass_f_tails, branch_out, pass_b_eids, pass_b_heads,
-        branch_in); only valid on two-parallel-path graphs."""
-        if self._general is None:
-            g = self._graph
-            if two_path_structure(g) is None:
+    def two_path_branches(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """The source's two out-edges and the destination's two in-edges,
+        each pair in edge-id order: the only branch points of the general
+        (two-branch) rule. Raises GraphError off two-parallel-path graphs."""
+        if self._branches is None:
+            if two_path_structure(self._graph) is None:
                 raise GraphError("general decision rules apply only to two-parallel-path graphs")
-            pf, pft, bo = [], [], []
-            for v in range(self.n):
-                es = g.out_edges(v)
-                if len(es) == 1:
-                    pf.append(es[0])
-                    pft.append(v)
-                elif len(es) == 2:
-                    bo.append((v, es[0], es[1]))
-            pb, pbh, bi = [], [], []
-            for v in range(self.n):
-                es = g.in_edges(v)
-                if len(es) == 1:
-                    pb.append(es[0])
-                    pbh.append(v)
-                elif len(es) == 2:
-                    bi.append((v, es[0], es[1]))
-            self._general = (
-                np.asarray(pf, dtype=np.int64),
-                np.asarray(pft, dtype=np.int64),
-                tuple(bo),
-                np.asarray(pb, dtype=np.int64),
-                np.asarray(pbh, dtype=np.int64),
-                tuple(bi),
-            )
-        return self._general
+            s, d = self.source, self.destination
+            out_s = self.out_eids[self.out_ptr[s] : self.out_ptr[s + 1]]
+            in_d = self.in_eids[self.in_ptr[d] : self.in_ptr[d + 1]]
+            self._branches = ((int(out_s[0]), int(out_s[1])), (int(in_d[0]), int(in_d[1])))
+        return self._branches
 
 
 # ---------------------------------------------------------------------------

@@ -126,16 +126,24 @@ def table_rule(xs: Sequence[float], ys: Sequence[float]) -> RuleFunction:
 
 
 def rule_from_config(cfg: dict) -> RuleFunction:
-    """Build a rule from its config form: {kind: linear|power|sine|table, ...}."""
+    """Build a rule from its config form: {kind: linear|power|sine|table, ...}.
+    A missing or malformed parameter raises RuleError."""
     kind = cfg.get("kind")
-    if kind == "linear":
-        return linear_rule()
-    if kind == "power":
-        return power_rule(float(cfg["k"]))
-    if kind == "sine":
-        return sine_rule(float(cfg["a"]))
-    if kind == "table":
-        return table_rule(cfg["xs"], cfg["ys"])
+    try:
+        if kind == "linear":
+            return linear_rule()
+        if kind == "power":
+            return power_rule(float(cfg["k"]))
+        if kind == "sine":
+            return sine_rule(float(cfg["a"]))
+        if kind == "table":
+            return table_rule(cfg["xs"], cfg["ys"])
+    except RuleError:
+        raise
+    except KeyError as exc:
+        raise RuleError(f"{kind} rule: missing parameter {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise RuleError(f"{kind} rule: {exc}") from None
     raise RuleError(f"unknown rule kind {kind!r}")
 
 

@@ -51,6 +51,7 @@ from .dynamics import (
 )
 from .graph import (
     DirectedGraph,
+    GraphError,
     Path,
     TwoPathGraph,
     build_two_path,
@@ -64,7 +65,7 @@ from .graph import (
     plant_path,
     shortest_path,
 )
-from .rules import RuleFunction, rule_from_config, validate_rule
+from .rules import RuleError, RuleFunction, rule_from_config, validate_rule
 
 RESAMPLE_CAP = 1000
 MONITOR_NAMES = ("invariants", "pheromone_bound", "potential")
@@ -85,6 +86,17 @@ def _check_keys(doc: dict, allowed: set, where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
+
+
+def _required(doc: dict, key: str, where: str, conv: Callable = float):
+    """``conv(doc[key])``; a missing key or a value ``conv`` rejects raises a
+    ScenarioError naming ``where.key``."""
+    if key not in doc:
+        raise ScenarioError(f"{where}.{key}: required")
+    try:
+        return conv(doc[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}.{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ def parse_scenario(doc) -> Scenario:
     kind = graph["kind"]
     if kind == "two_path":
         _check_keys(graph, {"kind", "m", "n", "leak_top", "leak_bottom"}, "graph")
-        m, n = int(graph["m"]), int(graph["n"])
+        m, n = _required(graph, "m", "graph", int), _required(graph, "n", "graph", int)
         cfg["graph"] = {
             "kind": kind,
             "m": m,
@@ -138,15 +150,26 @@ def parse_scenario(doc) -> Scenario:
         }
     elif kind == "gnp":
         _check_keys(graph, {"kind", "n", "p"}, "graph")
-        cfg["graph"] = {"kind": kind, "n": int(graph["n"]), "p": float(graph["p"])}
+        cfg["graph"] = {
+            "kind": kind,
+            "n": _required(graph, "n", "graph", int),
+            "p": _required(graph, "p", "graph"),
+        }
     elif kind == "banded_gnp":
         _check_keys(graph, {"kind", "n", "p", "k"}, "graph")
         cfg["graph"] = {
-            "kind": kind, "n": int(graph["n"]), "p": float(graph["p"]), "k": int(graph["k"]),
+            "kind": kind,
+            "n": _required(graph, "n", "graph", int),
+            "p": _required(graph, "p", "graph"),
+            "k": _required(graph, "k", "graph", int),
         }
     elif kind == "grid":
         _check_keys(graph, {"kind", "rows", "cols"}, "graph")
-        cfg["graph"] = {"kind": kind, "rows": int(graph["rows"]), "cols": int(graph["cols"])}
+        cfg["graph"] = {
+            "kind": kind,
+            "rows": _required(graph, "rows", "graph", int),
+            "cols": _required(graph, "cols", "graph", int),
+        }
     else:
         raise ScenarioError(f"graph.kind: unknown graph family {kind!r}")
 
@@ -157,7 +180,7 @@ def parse_scenario(doc) -> Scenario:
         pk = plant.get("kind", "path")
         if pk == "path":
             _check_keys(plant, {"kind", "length"}, "plant")
-            cfg["plant"] = {"kind": "path", "length": int(plant["length"])}
+            cfg["plant"] = {"kind": "path", "length": _required(plant, "length", "plant", int)}
         elif pk == "band_ladder":
             _check_keys(plant, {"kind"}, "plant")
             if cfg["graph"]["kind"] != "banded_gnp":
@@ -181,10 +204,10 @@ def parse_scenario(doc) -> Scenario:
         }
     elif lk == "explicit":
         _check_keys(leak, {"kind", "values"}, "leakage")
-        cfg["leakage"] = {
-            "kind": "explicit",
-            "values": {str(k): float(v) for k, v in leak["values"].items()},
-        }
+        values = _required(
+            leak, "values", "leakage", lambda vs: {str(int(k)): float(v) for k, v in vs.items()}
+        )
+        cfg["leakage"] = {"kind": "explicit", "values": values}
     else:
         raise ScenarioError("leakage.kind: must be zero | uniform | explicit")
     if cfg["graph"]["kind"] == "two_path" and cfg["leakage"]["kind"] != "zero":
@@ -237,12 +260,17 @@ def parse_scenario(doc) -> Scenario:
         }
     elif ik == "constant":
         _check_keys(init, {"kind", "value"}, "init")
-        cfg["init"] = {"kind": "constant", "value": float(init["value"])}
+        cfg["init"] = {"kind": "constant", "value": _required(init, "value", "init")}
     elif ik == "explicit":
         _check_keys(init, {"kind", "values"}, "init")
-        cfg["init"] = {"kind": "explicit", "values": [float(x) for x in init["values"]]}
+        values = _required(init, "values", "init", lambda vs: [float(x) for x in vs])
+        cfg["init"] = {"kind": "explicit", "values": values}
     else:
         raise ScenarioError("init.kind: must be uniform | constant | explicit")
+    # the engine rejects negative pheromone only when the run starts
+    for key in ("low", "high", "value", "values"):
+        if key in cfg["init"] and not np.all(np.asarray(cfg["init"][key]) >= 0.0):
+            raise ScenarioError(f"init.{key}: pheromone must be non-negative")
 
     default_steps = 10_000 if sk == "exponential" else 100_000
     cfg["steps"] = int(doc.get("steps", default_steps))
@@ -337,23 +365,27 @@ def _build_graph(cfg: dict, seed: int) -> Tuple[DirectedGraph, Optional[TwoPathG
     g = cfg["graph"]
     two_path = None
     planted = None
-    if g["kind"] == "two_path":
-        two_path = build_two_path(g["m"], g["n"], g["leak_top"], g["leak_bottom"])
-        graph = two_path.graph
-    elif g["kind"] == "grid":
-        graph = gen_grid(g["rows"], g["cols"])
-    else:
-        graph = _connected_graph(g["kind"], g, seed, 0)
-        if graph is None:
-            raise ScenarioError(
-                f"graph: no connected instance within {RESAMPLE_CAP} resamples"
-            )
+    try:
+        if g["kind"] == "two_path":
+            two_path = build_two_path(g["m"], g["n"], g["leak_top"], g["leak_bottom"])
+            graph = two_path.graph
+        elif g["kind"] == "grid":
+            graph = gen_grid(g["rows"], g["cols"])
+        else:
+            graph = _connected_graph(g["kind"], g, seed, 0)
+    except GraphError as exc:
+        raise ScenarioError(f"graph: {exc}") from None
+    if graph is None:
+        raise ScenarioError(f"graph: no connected instance within {RESAMPLE_CAP} resamples")
     plant = cfg["plant"]
     if plant is not None:
-        if plant["kind"] == "path":
-            graph, planted = plant_path(graph, plant["length"])
-        else:
-            graph, planted = plant_band_ladder(graph, cfg["graph"]["k"])
+        try:
+            if plant["kind"] == "path":
+                graph, planted = plant_path(graph, plant["length"])
+            else:
+                graph, planted = plant_band_ladder(graph, cfg["graph"]["k"])
+        except GraphError as exc:
+            raise ScenarioError(f"plant: {exc}") from None
     return graph, two_path, planted
 
 
@@ -363,18 +395,25 @@ def _materialize(scenario: Scenario) -> Materialized:
     graph, two_path, planted = _build_graph(cfg, seed)
 
     leak = cfg["leakage"]
-    if leak["kind"] == "uniform":
-        rng = _stream(seed, 1)
-        graph = graph.with_leakage(rng.uniform(leak["low"], leak["high"], graph.n_vertices))
-    elif leak["kind"] == "explicit":
-        graph = graph.with_leakage({int(k): v for k, v in leak["values"].items()})
+    try:
+        if leak["kind"] == "uniform":
+            rng = _stream(seed, 1)
+            graph = graph.with_leakage(rng.uniform(leak["low"], leak["high"], graph.n_vertices))
+        elif leak["kind"] == "explicit":
+            graph = graph.with_leakage({int(k): v for k, v in leak["values"].items()})
+    except GraphError as exc:
+        key = "leakage.values" if leak["kind"] == "explicit" else "leakage"
+        raise ScenarioError(f"{key}: {exc}") from None
 
     rule_cfg = cfg["rule"]
     if rule_cfg["kind"] == "linear":
         rule = DecisionRule.linear()
         rule_fn = None
     else:
-        rule_fn = rule_from_config(rule_cfg)
+        try:
+            rule_fn = rule_from_config(rule_cfg)
+        except RuleError as exc:
+            raise ScenarioError(f"rule: {exc}") from None
         bad = validate_rule(rule_fn)
         if bad:
             raise ScenarioError(f"rule: invalid rule function ({bad[0].detail})")

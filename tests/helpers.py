@@ -1,6 +1,6 @@
 """Independent test oracles: a dict-based reference implementation of the
 update step (kept deliberately separate from the engine's vectorized path),
-bincount-based linear split, step and normalized levels plus a greedy
+a degree-scan general split, a bincount-based linear split, step and normalized levels plus a greedy
 convergence walk over full level arrays, the graphs that exercise the
 engine's segment sums, a per-kind invariant observer, and a brute-force
 min-leakage path enumerator with sound pruning."""
@@ -22,6 +22,7 @@ from trailflow.graph import (
     gen_grid,
     plant_path,
 )
+from trailflow.rules import clamp_unit_half
 
 
 def reference_step(graph, p, fe, be, delta, schedule, t):
@@ -75,6 +76,37 @@ def bincount_split(ga, p, vertex_flow, forward):
     frac[zero] = 1.0 / deg[group[zero]]
     zero_events = int(np.count_nonzero((totals == 0.0) & (deg > 0) & (vertex_flow > 0.0)))
     return vertex_flow[group] * frac, zero_events
+
+
+def reference_general_split(graph, rule, p, vertex_flow, forward):
+    """The general rule's split found by scanning every vertex's degree: a
+    vertex with one out-edge (forward; in-edge backward) passes its flow on,
+    a vertex with two splits it by ``rule`` at the branch minimum. Returns
+    (edge flows, zero-split count)."""
+    edges_of = graph.out_edges if forward else graph.in_edges
+    eflow = np.zeros(graph.n_edges)
+    zero_events = 0
+    for v in range(graph.n_vertices):
+        es = edges_of(v)
+        amount = vertex_flow[v]
+        if len(es) == 1:
+            eflow[es[0]] = amount
+        elif len(es) == 2:
+            e1, e2 = es
+            p1, p2 = p[e1], p[e2]
+            total = p1 + p2
+            if total <= 0.0:
+                eflow[e1] = eflow[e2] = 0.5 * amount
+                zero_events += int(amount > 0.0)
+                continue
+            if p1 <= p2:
+                e_min, e_oth, x = e1, e2, p1 / total
+            else:
+                e_min, e_oth, x = e2, e1, p2 / total
+            g = float(rule.rule_fn.fn(clamp_unit_half(x)))
+            eflow[e_min] = amount * g
+            eflow[e_oth] = amount * (1.0 - g)
+    return eflow, zero_events
 
 
 def bincount_levels(ga, p):

@@ -89,7 +89,7 @@ def test_leakage_counterexample_case_above():
     assert cx.config.case == CASE_ABOVE
     assert cx.watch_branch == "bottom" and cx.direction == AT_LEAST
     assert "beta/alpha >=" in cx.config.constraint
-    assert cx.surv_bottom < cx.surv_top
+    assert cx.two_path.surv_bottom < cx.two_path.surv_top
 
 
 @pytest.mark.parametrize("rule", [power_rule(2), power_rule(0.5), sine_rule(0.05)])
@@ -114,7 +114,7 @@ def test_leakage_positive_control_converges():
 def test_flow_counterexample_constants():
     fx = flow_counterexample(power_rule(2), TP23, 1.0, mu=1.03, r=0.25, eps=0.1)
     assert fx.config.c_g == pytest.approx(0.02625)
-    assert fx.mu == 1.03
+    assert fx.schedule.alpha == 1.03
     assert fx.schedule.kind == "exponential" and fx.schedule.alpha == 1.03
     with pytest.raises(ValueError):
         flow_counterexample(power_rule(2), TP23, 1.0, mu=1.01, r=0.25, eps=0.1)
@@ -122,10 +122,10 @@ def test_flow_counterexample_constants():
 
 def test_flow_counterexample_default_mu_respects_case_bound():
     fx = flow_counterexample(power_rule(2), TP23, 1.0, r=0.25, eps=0.1)
-    assert fx.mu >= (1.0 + fx.config.c_g) ** (1.0 / (TP23.n - TP23.m))
+    assert fx.schedule.alpha >= (1.0 + fx.config.c_g) ** (1.0 / (TP23.n - TP23.m))
     fx2 = flow_counterexample(power_rule(0.5), TP23, 1.0)
     assert fx2.config.case == CASE_ABOVE
-    assert 1.0 < fx2.mu <= (1.0 / (1.0 - fx2.config.c_g)) ** (1.0 / (TP23.n - TP23.m))
+    assert 1.0 < fx2.schedule.alpha <= (1.0 / (1.0 - fx2.config.c_g)) ** (1.0 / (TP23.n - TP23.m))
 
 
 def test_flow_counterexample_preconditions():

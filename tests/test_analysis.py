@@ -21,7 +21,6 @@ from trailflow.dynamics import (
     DecisionRule,
     EngineConfig,
     FlowSchedule,
-    UniformInit,
     init_state,
     run,
     step,
@@ -316,7 +315,7 @@ def _observer_cases():
 
 def _stepped_pairs(graph, schedule, cfg, steps):
     """(prev, state) for the initial state (prev None) and each step."""
-    st = init_state(graph, UniformInit(0.1, 1.0, 3), schedule)
+    st = init_state(graph, np.random.default_rng(3).uniform(0.1, 1.0, graph.n_edges), schedule)
     pairs = [(None, st)]
     for _ in range(steps):
         nxt = step(st, graph, LIN, schedule, cfg)

@@ -10,19 +10,25 @@ from trailflow.dynamics import (
     EngineConfig,
     FlowSchedule,
     RESCALE_BY_SOURCE,
-    UniformInit,
     _flush,
+    _split_general,
     _split_linear,
     init_state,
     make_explicit_state,
     run,
     step,
 )
-from trailflow.graph import DirectedGraph, build_two_path, gen_gnp
+from trailflow.graph import DirectedGraph, GraphError, build_two_path, gen_gnp
 from trailflow.analysis import normalized_levels
-from trailflow.rules import linear_rule, power_rule
+from trailflow.rules import linear_rule, power_rule, sine_rule
 
-from helpers import bincount_split, bincount_step, kernel_graphs, reference_step
+from helpers import (
+    bincount_split,
+    bincount_step,
+    kernel_graphs,
+    reference_general_split,
+    reference_step,
+)
 
 LIN = DecisionRule.linear()
 
@@ -75,7 +81,8 @@ def test_init_symmetric_split():
 
 def test_init_uniform_in_range():
     tp = two_path_23()
-    st = init_state(tp.graph, UniformInit(0.0, 1.0, 42), FlowSchedule.constant(1, 1))
+    p0 = np.random.default_rng(42).uniform(0.0, 1.0, tp.graph.n_edges)
+    st = init_state(tp.graph, p0, FlowSchedule.constant(1, 1))
     assert np.all(st.p > 0.0) and np.all(st.p < 1.0)
 
 
@@ -136,7 +143,7 @@ def test_step_matches_reference_implementation():
         sched = FlowSchedule.constant(float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.5, 1.5)))
         delta = float(rng.uniform(0.1, 0.9))
         cfg = EngineConfig(delta=delta, underflow_threshold=0.0)
-        st = init_state(g, UniformInit(0.1, 1.0, seed), sched)
+        st = init_state(g, np.random.default_rng(seed).uniform(0.1, 1.0, g.n_edges), sched)
         p = {e: float(st.p[g.edge_id(*e)]) for e in g.edges}
         fe = {e: float(st.f_edge[g.edge_id(*e)]) for e in g.edges}
         be = {e: float(st.b_edge[g.edge_id(*e)]) for e in g.edges}
@@ -163,7 +170,7 @@ def test_step_conservation_and_recurrence_properties():
     sched = FlowSchedule.constant(1.0, 1.0)
     cfg = EngineConfig(delta=0.4)
     ga = g.arrays
-    st = init_state(g, UniformInit(0.1, 1.0, 1), sched)
+    st = init_state(g, np.random.default_rng(1).uniform(0.1, 1.0, g.n_edges), sched)
     for _ in range(30):
         prev = st
         st = step(st, g, LIN, sched, cfg)
@@ -306,7 +313,7 @@ def test_determinism():
     cfg = EngineConfig(delta=0.6)
     runs = []
     for _ in range(2):
-        st = init_state(g, UniformInit(0.0, 1.0, 8), sched)
+        st = init_state(g, np.random.default_rng(8).uniform(0.0, 1.0, g.n_edges), sched)
         for _ in range(50):
             st = step(st, g, LIN, sched, cfg)
         runs.append(st)
@@ -339,8 +346,9 @@ def test_general_rule_matches_linear_when_g_is_identity():
     tp = two_path_23(0.05, 0.1, 0.0)
     sched = FlowSchedule.constant(1.0, 1.0)
     cfg = EngineConfig(delta=0.5)
-    a = init_state(tp.graph, UniformInit(0.2, 1.0, 3), sched, DecisionRule.linear())
-    b = init_state(tp.graph, UniformInit(0.2, 1.0, 3), sched, DecisionRule.general(linear_rule()))
+    p0 = np.random.default_rng(3).uniform(0.2, 1.0, tp.graph.n_edges)
+    a = init_state(tp.graph, p0, sched, DecisionRule.linear())
+    b = init_state(tp.graph, p0, sched, DecisionRule.general(linear_rule()))
     for _ in range(50):
         a = step(a, tp.graph, DecisionRule.linear(), sched, cfg)
         b = step(b, tp.graph, DecisionRule.general(linear_rule()), sched, cfg)
@@ -351,7 +359,7 @@ def test_general_rule_matches_linear_when_g_is_identity():
 def test_general_rule_requires_two_path():
     g = gen_gnp(8, 0.6, 1)
     sched = FlowSchedule.constant(1.0, 1.0)
-    with pytest.raises(Exception):
+    with pytest.raises(GraphError):
         run(
             init_state(g, 1.0, sched),
             g,
@@ -360,6 +368,36 @@ def test_general_rule_requires_two_path():
             EngineConfig(delta=0.5),
             5,
         )
+    with pytest.raises(GraphError):
+        init_state(g, 1.0, sched, DecisionRule.general(power_rule(2)))
+
+
+@pytest.mark.parametrize("rule", [power_rule(2), power_rule(0.5), sine_rule(0.05)])
+@pytest.mark.parametrize("leaky", [False, True])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (4, 7)])
+def test_general_split_matches_degree_scan_reference(m, n, leaky, rule):
+    rng = np.random.default_rng([m, n, int(leaky)])
+    high = 0.3 if leaky else 0.0
+    tp = build_two_path(m, n, rng.uniform(0.0, high, m - 1), rng.uniform(0.0, high, n - 1))
+    g, ga, decision = tp.graph, tp.graph.arrays, DecisionRule.general(rule)
+    base = rng.uniform(0.1, 1.0, ga.m)
+    pheromones = [base]
+    # zero pheromone on one branch edge, then on both branch edges of an end
+    for zeroed in ([tp.s_top_eid], [tp.d_bottom_eid], [tp.s_top_eid, tp.s_bottom_eid],
+                   [tp.d_top_eid, tp.d_bottom_eid]):
+        p = base.copy()
+        p[zeroed] = 0.0
+        pheromones.append(p)
+    flows = rng.uniform(0.1, 1.0, ga.n)
+    idle_ends = flows.copy()
+    idle_ends[[g.source, g.destination]] = 0.0
+    for p in pheromones:
+        for vflow in (flows, idle_ends):
+            for forward in (True, False):
+                got, z_got = _split_general(ga, decision, p, vflow, forward)
+                want, z_want = reference_general_split(g, decision, p, vflow, forward)
+                assert got.tobytes() == want.tobytes()
+                assert z_got == z_want
 
 
 # -- segment-sum kernel vs a bincount reference -----------------------------------
@@ -420,7 +458,8 @@ def test_rescale_preserves_normalized_levels():
     growth factor and leaves the normalized levels as they are."""
     tp = two_path_23()
     sched = FlowSchedule.exponential(1.0, 1.0, 1.1)
-    st = init_state(tp.graph, UniformInit(0.5, 1.5, 2), sched)
+    p0 = np.random.default_rng(2).uniform(0.5, 1.5, tp.graph.n_edges)
+    st = init_state(tp.graph, p0, sched)
     plain = step(st, tp.graph, LIN, sched, EngineConfig(delta=0.5))
     scaled = step(st, tp.graph, LIN, sched,
                   EngineConfig(delta=0.5, rescale_mode=RESCALE_BY_SOURCE))

@@ -63,6 +63,16 @@ def test_with_leakage_forces_endpoints():
     assert g2.leakage[1] == 0.7
 
 
+def test_leakage_mapping_rejects_out_of_range_vertex():
+    # a negative key would otherwise index from the end and leak a real vertex
+    g = gen_gnp(10, 0.4, 2)
+    for bad in (-2, 10):
+        with pytest.raises(GraphError):
+            DirectedGraph(10, g.edges, 0, 9, {bad: 0.5})
+        with pytest.raises(GraphError):
+            g.with_leakage({bad: 0.5})
+
+
 # -- two-path builder --------------------------------------------------------
 
 

@@ -237,6 +237,35 @@ def test_cli_run_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+GRID33 = {"kind": "grid", "rows": 3, "cols": 3}
+TWO_PATH22 = {"kind": "two_path", "m": 2, "n": 2}
+
+# configs the parser must reject with exit code 2 (not the violation code 1),
+# each with the key or section its message names
+BAD_CONFIGS = [
+    ({"graph": {"kind": "gnp", "n": 6, "p": 2.0}}, "graph"),
+    ({"graph": {"kind": "two_path", "m": 1, "n": 3}}, "graph"),
+    ({"graph": TWO_PATH22, "rule": {"kind": "power"}}, "rule"),
+    ({"graph": {"kind": "gnp", "p": 0.5}}, "graph.n"),
+    ({"graph": GRID33, "leakage": {"kind": "explicit", "values": {"4": 2.0}}}, "leakage.values"),
+    ({"graph": GRID33, "leakage": {"kind": "explicit", "values": {"9": 0.5}}}, "leakage.values"),
+    ({"graph": GRID33, "plant": {"length": 10}}, "plant"),
+    ({"graph": TWO_PATH22, "init": {"kind": "explicit", "values": [1, -1, 1, 1]}}, "init.values"),
+]
+
+
+@pytest.mark.parametrize("doc,section", BAD_CONFIGS)
+def test_cli_run_bad_config_exits_2_and_names_section(tmp_path, capsys, doc, section):
+    cfg = write_config(tmp_path, dict(doc, seed=1, steps=50))
+    assert main(["run", "--config", cfg]) == 2
+    assert f"config error: {section}" in capsys.readouterr().err
+
+
+def test_cli_analyze_rule_missing_parameter_exits_2(capsys):
+    assert main(["analyze-rule", "--rule", '{"kind":"power"}']) == 2
+    assert "missing parameter 'k'" in capsys.readouterr().err
+
+
 def test_cli_run_override_seed(tmp_path):
     cfg = write_config(tmp_path, dict(A1_DOC, seed=1))
     assert main(["run", "--config", cfg, "--seed", "9", "--steps", "50"]) == 0
