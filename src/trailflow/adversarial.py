@@ -21,6 +21,7 @@ import numpy as np
 
 from .analysis import BranchLevelObserver, detect_convergence
 from .dynamics import (
+    ConfigError,
     DecisionRule,
     EngineConfig,
     FlowSchedule,
@@ -203,7 +204,7 @@ def leakage_counterexample(
     its budget when survivals are chosen automatically.
     """
     if f_s <= 0.0 or b_d <= 0.0:
-        raise ValueError("flows must be positive")
+        raise ConfigError("flows must be positive")
     nl = _resolve_nonlinearity(rule, r, eps)
     c_eps, c_g = _case_constants(rule, nl.r, nl.eps, nl.case)
     budget = c_g * f_s / b_d
@@ -213,9 +214,9 @@ def leakage_counterexample(
         if surv_top is None:
             surv_top = min(0.995, surv_bottom * (1.0 + (1.0 - DEFAULT_MARGIN) * budget))
         if not surv_top > surv_bottom:
-            raise ValueError("case requires the top path to be strictly min-leakage")
+            raise ConfigError("case requires the top path to be strictly min-leakage")
         if surv_top / surv_bottom > 1.0 + budget:
-            raise ValueError(
+            raise ConfigError(
                 f"survival ratio {surv_top / surv_bottom:.6g} violates the "
                 f"constraint alpha/beta <= {1.0 + budget:.6g}"
             )
@@ -228,9 +229,9 @@ def leakage_counterexample(
             reduction = min((1.0 - DEFAULT_MARGIN) * budget, 0.5)
             surv_bottom = surv_top * (1.0 - reduction)
         if not surv_bottom < surv_top:
-            raise ValueError("case requires the bottom path to be strictly max-leakage")
+            raise ConfigError("case requires the bottom path to be strictly max-leakage")
         if surv_bottom / surv_top < 1.0 - budget:
-            raise ValueError(
+            raise ConfigError(
                 f"survival ratio {surv_bottom / surv_top:.6g} violates the "
                 f"constraint beta/alpha >= {1.0 - budget:.6g}"
             )
@@ -264,11 +265,11 @@ def flow_counterexample(
     mu^(n-m) >= 1 + c_g for the below-diagonal case, mu^(n-m) <= 1/(1-c_g)
     for the above-diagonal case."""
     if f0 <= 0.0:
-        raise ValueError("f0 must be positive")
+        raise ConfigError("f0 must be positive")
     if two_path.m >= two_path.n:
-        raise ValueError("unique shortest path requires m < n")
+        raise ConfigError("unique shortest path requires m < n")
     if np.any(two_path.graph.leakage != 0.0):
-        raise ValueError("flow counterexample requires zero leakage")
+        raise ConfigError("flow counterexample requires zero leakage")
     nl = _resolve_nonlinearity(rule, r, eps)
     c_eps, c_g = _case_constants(rule, nl.r, nl.eps, nl.case)
     gap = two_path.n - two_path.m
@@ -277,7 +278,7 @@ def flow_counterexample(
         if mu is None:
             mu = mu_min * (1.0 + 0.005)
         if mu < mu_min:
-            raise ValueError(f"mu={mu:.6g} below the case bound {mu_min:.6g}")
+            raise ConfigError(f"mu={mu:.6g} below the case bound {mu_min:.6g}")
         constraint = f"mu^(n-m) >= 1 + c_g = {1.0 + c_g:.6g}"
         watch, direction = "top", AT_MOST
     else:
@@ -285,7 +286,7 @@ def flow_counterexample(
         if mu is None:
             mu = 1.0 + 0.9 * (mu_max - 1.0) if math.isfinite(mu_max) else 1.1
         if not (1.0 < mu <= mu_max):
-            raise ValueError(f"mu={mu:.6g} outside (1, {mu_max:.6g}]")
+            raise ConfigError(f"mu={mu:.6g} outside (1, {mu_max:.6g}]")
         constraint = f"mu^(n-m) <= 1/(1 - c_g) = {1.0 / (1.0 - c_g):.6g}"
         watch, direction = "bottom", AT_LEAST
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .adversarial import (
     flow_counterexample,
@@ -28,6 +29,7 @@ from .adversarial import (
 from .dynamics import ConfigError, DecisionRule
 from .graph import build_two_path
 from .rules import (
+    DEFAULT_GRID,
     RuleError,
     rule_from_config,
     stable_fixed_points,
@@ -41,12 +43,44 @@ EXIT_CONFIG = 2
 EXIT_ABORT = 3
 
 
+def _arg(conv: Callable, ok: Callable, message: str) -> Callable:
+    """An argparse ``type=``: convert the text with ``conv`` and require
+    ``ok``; argparse reports a failure with the flag's name and exits 2."""
+
+    def parse(text: str):
+        value = conv(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{message}, got {text}")
+        return value
+
+    parse.__name__ = conv.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other configuration error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
+
+_COUNT = _arg(int, lambda v: v >= 1, "must be >= 1")
+_SEED = _arg(int, lambda v: v >= 0, "must be >= 0")
+_PATH_EDGES = _arg(int, lambda v: v >= 2, "must be >= 2")
+_POSITIVE = _arg(float, lambda v: 0 < v < math.inf, "must be a finite number > 0")
+_NONNEG = _arg(float, lambda v: 0 <= v < math.inf, "must be a finite number >= 0")
+_UNIT = _arg(float, lambda v: 0 < v < 1, "must lie in (0, 1)")
+
+
 def _load_scenario(path: str, overrides: dict) -> Scenario:
-    with open(path) as fh:
-        doc = json.load(fh)
-    for key, val in overrides.items():
-        if val is not None:
-            doc[key] = val
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable or not text
+        raise ScenarioError(f"config: {exc}") from None
+    if isinstance(doc, dict):  # anything else is rejected by parse_scenario
+        doc.update((key, val) for key, val in overrides.items() if val is not None)
     return parse_scenario(doc)
 
 
@@ -76,7 +110,7 @@ def _cmd_batch(args) -> int:
         result = run_batch(
             args.preset,
             instances=args.instances,
-            base_seed=args.seed or 0,
+            base_seed=args.seed,
             workers=args.workers,
             full_scale=args.full_scale,
             epsilon=args.epsilon or 0.01,
@@ -102,7 +136,7 @@ def _cmd_batch(args) -> int:
     aborts = 0
     for i in range(count):
         scenario = _load_scenario(
-            args.config, {"seed": (args.seed or 0) + i, "steps": args.steps}
+            args.config, {"seed": args.seed + i, "steps": args.steps, "epsilon": args.epsilon}
         )
         result = run_scenario(
             scenario,
@@ -129,7 +163,7 @@ def _cmd_analyze_rule(args) -> int:
             "violations": [v.detail for v in violations],
         }
     else:
-        report = stable_fixed_points(rule, grid=args.grid or 4097, tol=args.tol)
+        report = stable_fixed_points(rule, grid=args.grid, tol=args.tol)
         doc = {
             "rule": rule.name,
             "valid": True,
@@ -193,7 +227,7 @@ def _cmd_swap_demo(args) -> int:
     rule = DecisionRule.linear()
     if args.seeds:
         reports, rate = swap_demo_batch(
-            two_path, rule, args.seeds, base_seed=args.seed or 0, T=args.steps
+            two_path, rule, args.seeds, base_seed=args.seed, T=args.steps
         )
         doc = {
             "mode": "batch",
@@ -219,7 +253,7 @@ def _cmd_swap_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trailflow",
         description="Simulate and analyze bidirectional pheromone-guided flow",
     )
@@ -237,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=["appendixC-leakage", "appendixC-increasing"])
     group.add_argument("--config")
-    p.add_argument("--instances", type=int, default=0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--instances", type=_COUNT, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--steps", type=_COUNT)
+    p.add_argument("--epsilon", type=_UNIT)
+    p.add_argument("--workers", type=_COUNT, default=1)
     p.add_argument("--full-scale", action="store_true")
     p.add_argument("--monitors", action="store_true")
     p.add_argument("--out-dir")
@@ -249,36 +283,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-rule", help="fixed points and stable points of a rule")
     p.add_argument("--rule", required=True, help='JSON, e.g. {"kind":"power","k":2}')
-    p.add_argument("--grid", type=int)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument(
+        "--grid", type=_arg(int, lambda v: v >= 64, "must be >= 64"), default=DEFAULT_GRID
+    )
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_analyze_rule)
 
     p = sub.add_parser("counterexample", help="construct and verify a counterexample")
     p.add_argument("--rule", required=True)
     p.add_argument("--kind", choices=["leakage", "flow"], required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--fs", type=float, default=1.0)
-    p.add_argument("--bd", type=float, default=1.0)
-    p.add_argument("--f0", type=float, default=1.0)
+    p.add_argument("--m", type=_PATH_EDGES, default=2)
+    p.add_argument("--n", type=_PATH_EDGES, default=3)
+    p.add_argument("--fs", type=_POSITIVE, default=1.0)
+    p.add_argument("--bd", type=_POSITIVE, default=1.0)
+    p.add_argument("--f0", type=_POSITIVE, default=1.0)
     p.add_argument("--mu", type=float)
     p.add_argument("--r", type=float)
     p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--control-steps", type=int, default=100_000)
+    p.add_argument("--delta", type=_UNIT, default=0.5)
+    p.add_argument("--steps", type=_COUNT)
+    p.add_argument("--control-steps", type=_COUNT, default=100_000)
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("swap-demo", help="unidirectional pheromone swap experiment")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--p-top", type=float, default=2.0)
-    p.add_argument("--p-bottom", type=float, default=1.0)
-    p.add_argument("--seeds", type=int, default=0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--m", type=_PATH_EDGES, default=2)
+    p.add_argument("--n", type=_PATH_EDGES, default=3)
+    p.add_argument("--p-top", type=_NONNEG, default=2.0)
+    p.add_argument("--p-bottom", type=_NONNEG, default=1.0)
+    p.add_argument("--seeds", type=_SEED, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--steps", type=_COUNT, default=200)
     p.set_defaults(func=_cmd_swap_demo)
 
     return parser
@@ -287,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is _cmd_batch and args.config and (
+        args.full_scale or args.monitors or args.workers > 1
+    ):
+        parser.error("--full-scale, --monitors and --workers > 1 apply to --preset only")
     try:
         return args.func(args)
     except (ScenarioError, ConfigError, RuleError, json.JSONDecodeError) as exc:

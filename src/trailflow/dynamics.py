@@ -183,9 +183,9 @@ def _resolve_pheromone(graph: DirectedGraph, init: PheromoneInit) -> np.ndarray:
     else:
         p = np.asarray(init, dtype=float).copy()
         if p.shape != (m,):
-            raise ValueError(f"pheromone array must have length {m}")
+            raise ConfigError(f"pheromone array must have length {m}")
     if np.any(p < 0.0):
-        raise ValueError("initial pheromone must be non-negative")
+        raise ConfigError("initial pheromone must be non-negative")
     return p
 
 
@@ -491,7 +491,7 @@ def run(
     """Apply ``step`` up to T times with observers; stops early on detected
     convergence when the config asks for it."""
     if T < 1:
-        raise ValueError("T must be >= 1")
+        raise ConfigError("T must be >= 1")
     validate_run_setup(graph, rule, schedule, cfg)
     from .analysis import detect_convergence
 

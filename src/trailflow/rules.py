@@ -127,7 +127,9 @@ def table_rule(xs: Sequence[float], ys: Sequence[float]) -> RuleFunction:
 
 def rule_from_config(cfg: dict) -> RuleFunction:
     """Build a rule from its config form: {kind: linear|power|sine|table, ...}.
-    A missing or malformed parameter raises RuleError."""
+    A non-object, or a missing or malformed parameter, raises RuleError."""
+    if not isinstance(cfg, dict):
+        raise RuleError(f"rule must be an object, got {cfg!r}")
     kind = cfg.get("kind")
     try:
         if kind == "linear":

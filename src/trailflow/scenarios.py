@@ -6,10 +6,13 @@ A scenario is a JSON document with the keys
     name, graph, plant, leakage, rule, schedule, delta, init, steps,
     epsilon, seed, monitors, rescale, underflow_threshold, outputs
 
-Unknown keys and illegal combinations are rejected with the offending key
-named. Defaults: delta sampled uniform(0,1) from the scenario seed,
-epsilon 0.01, underflow 1e-300, rescaling on for exponential schedules,
-horizon 1e5 steps (1e4 for exponential schedules).
+read through one table per section (and kind) of key, strict converter and
+default: an integer takes no bool, float or string, a number no string or
+bool, a boolean no string, a list or object no string. Any other bad value,
+unknown key or illegal combination also raises a ScenarioError naming its
+``section.key``; the CLI exits 2 on it. Defaults: delta sampled uniform(0,1)
+from the scenario seed, epsilon 0.01, underflow 1e-300, rescaling on for
+exponential schedules, horizon 1e5 steps (1e4 for exponential schedules).
 
 Derived randomness is drawn from numpy's PCG64 via seed sequences
 ``[seed, stream]`` with streams 0=graph (plus attempt), 1=leakage, 2=delta,
@@ -65,38 +68,160 @@ from .graph import (
     plant_path,
     shortest_path,
 )
-from .rules import RuleError, RuleFunction, rule_from_config, validate_rule
+from .rules import RuleError, rule_from_config, validate_rule
 
 RESAMPLE_CAP = 1000
-MONITOR_NAMES = ("invariants", "pheromone_bound", "potential")
 
 
 class ScenarioError(ValueError):
     """Configuration problem; the message names the offending key."""
 
 
-_TOP_KEYS = {
-    "name", "graph", "plant", "leakage", "rule", "schedule", "delta", "init",
-    "steps", "epsilon", "seed", "monitors", "rescale", "underflow_threshold",
-    "outputs",
+def _typed(*types: type) -> Callable:
+    """Strict converter accepting exactly ``types``; a bool is no int."""
+
+    def conv(v):
+        if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {v!r}")
+        return v
+
+    return conv
+
+
+_int, _bool, _str, _dict = _typed(int), _typed(bool), _typed(str), _typed(dict)
+
+
+def _checked(conv: Callable, ok: Callable, message: str) -> Callable:
+    """Converter ``conv`` whose result must also satisfy ``ok``."""
+
+    def read(v):
+        x = conv(v)
+        if not ok(x):
+            raise ValueError(f"{message}, got {v!r}")
+        return x
+
+    return read
+
+
+_float = _checked(lambda v: float(_typed(int, float)(v)), math.isfinite, "expected a finite number")
+
+
+def _choice(*options: str) -> Callable:
+    return _checked(_str, lambda v: v in options, f"must be {' | '.join(options)}")
+
+
+def _list_of(conv: Callable) -> Callable:
+    return lambda v: [conv(x) for x in _typed(list)(v)]
+
+
+def _optional(conv: Callable) -> Callable:
+    return lambda v: None if v is None else conv(v)
+
+
+_COUNT = _checked(_int, lambda x: x > 0, "must be > 0")
+_NONNEG_INT = _checked(_int, lambda x: x >= 0, "must be >= 0")
+_POSITIVE = _checked(_float, lambda x: x > 0, "must be > 0")
+_NONNEG = _checked(_float, lambda x: x >= 0, "must be >= 0")
+_UNIT = _checked(_float, lambda x: 0 < x < 1, "must lie in (0, 1)")
+
+
+def _section(where: str, table, default_kind: Optional[str] = None) -> Callable:
+    """Converter for the object ``where``. ``table`` is its field tuple, or a
+    dict from each ``kind`` to one; a field is ``(key, converter[, default])``
+    and a key without a default is required. The converter rejects unknown
+    keys, converts each field strictly and fills defaults, a callable default
+    being computed from the fields read before it. Every error names
+    ``where.key``."""
+    prefix = f"{where}." if where else ""
+
+    def read(doc) -> dict:
+        if not isinstance(doc, dict):
+            raise ScenarioError(f"{where or 'config'}: must be an object")
+        out, fields = {}, table
+        if isinstance(table, dict):
+            kind = doc.get("kind", default_kind)
+            if kind not in tuple(table):
+                raise ScenarioError(f"{prefix}kind: must be {' | '.join(table)}, got {kind!r}")
+            out, fields = {"kind": kind}, table[kind]
+        unknown = set(doc) - set(out) - {f[0] for f in fields}
+        if unknown:
+            raise ScenarioError(f"{prefix}{sorted(unknown, key=str)[0]}: unknown key")
+        for key, conv, *default in fields:
+            if key in doc:
+                value = doc[key]
+            elif not default:
+                raise ScenarioError(f"{prefix}{key}: required")
+            else:
+                value = default[0](out) if callable(default[0]) else default[0]
+            try:
+                out[key] = conv(value)
+            except ScenarioError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioError(f"{prefix}{key}: {exc}") from None
+        return out
+
+    return read
+
+
+_GRAPH = {
+    "two_path": (
+        ("m", _int),
+        ("n", _int),
+        ("leak_top", _list_of(_float), lambda g: [0.0] * (g["m"] - 1)),
+        ("leak_bottom", _list_of(_float), lambda g: [0.0] * (g["n"] - 1)),
+    ),
+    "gnp": (("n", _int), ("p", _float)),
+    "banded_gnp": (("n", _int), ("p", _float), ("k", _int)),
+    "grid": (("rows", _int), ("cols", _int)),
 }
-
-
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
-def _required(doc: dict, key: str, where: str, conv: Callable = float):
-    """``conv(doc[key])``; a missing key or a value ``conv`` rejects raises a
-    ScenarioError naming ``where.key``."""
-    if key not in doc:
-        raise ScenarioError(f"{where}.{key}: required")
-    try:
-        return conv(doc[key])
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}.{key}: {exc}") from None
+_PLANT = {"path": (("length", _int),), "band_ladder": ()}
+# explicit leakage is stored with decimal-string vertex ids
+_LEAKAGE = {
+    "zero": (),
+    "uniform": (("low", _float, 0.0), ("high", _float, 1.0)),
+    "explicit": (("values", lambda v: {str(int(k)): _float(x) for k, x in _dict(v).items()}),),
+}
+_FLOWS = (("f0", _POSITIVE, 1.0), ("b0", _NONNEG, 1.0))
+_SCHEDULE = {
+    "constant": _FLOWS,
+    "exponential": (*_FLOWS, ("alpha", _checked(_float, lambda a: a > 1, "must be > 1"))),
+    "linear": (*_FLOWS, ("alpha", _POSITIVE)),
+}
+# the engine would reject negative pheromone only when the run starts
+_INIT = {
+    "uniform": (("low", _NONNEG, 0.0), ("high", _NONNEG, 1.0)),
+    "constant": (("value", _NONNEG),),
+    "explicit": (("values", _list_of(_NONNEG)),),
+}
+_OUTPUTS = (
+    ("dir", _optional(_str), None),
+    ("csv", _bool, True),
+    ("json", _bool, True),
+    ("dot", _bool, True),
+    ("snapshot_interval", _COUNT, 100),
+)
+_SCENARIO = (
+    ("name", _str, "scenario"),
+    ("seed", _NONNEG_INT),  # all randomness must be explicitly seeded
+    ("graph", _section("graph", _GRAPH)),
+    ("plant", _optional(_section("plant", _PLANT, default_kind="path")), None),
+    ("leakage", _section("leakage", _LEAKAGE), {"kind": "zero"}),
+    # ``rule_from_config`` reads the rule's parameters in ``_materialize``
+    ("rule", _checked(lambda v: dict(_dict(v)), lambda r: "kind" in r, "needs a 'kind'"),
+     {"kind": "linear"}),
+    ("schedule", _section("schedule", _SCHEDULE), {"kind": "constant"}),
+    # a decay in (0, 1), or {"kind": "uniform"} to draw it from the seed
+    ("delta", lambda v: _section("delta", {"uniform": ()})(v) if isinstance(v, dict)
+     else _UNIT(v), {"kind": "uniform"}),
+    ("init", _section("init", _INIT), {"kind": "uniform"}),
+    ("steps", _COUNT, lambda cfg: 10_000 if cfg["schedule"]["kind"] == "exponential" else 100_000),
+    ("epsilon", _UNIT, 0.01),
+    ("monitors", _list_of(_choice("invariants", "pheromone_bound", "potential")), []),
+    ("rescale", _choice("auto", "on", "off"), "auto"),
+    ("underflow_threshold", _NONNEG, 1e-300),
+    ("outputs", _section("outputs", _OUTPUTS), {}),
+)
 
 
 @dataclass(frozen=True)
@@ -109,10 +234,6 @@ class Scenario:
     def name(self) -> str:
         return self.config["name"]
 
-    @property
-    def seed(self) -> int:
-        return self.config["seed"]
-
     def serialize(self) -> str:
         return json.dumps(self.config, sort_keys=True, indent=2)
 
@@ -124,173 +245,20 @@ def parse_scenario(doc) -> Scenario:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError("config must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "scenario")
+    cfg = _section("", _SCENARIO)(doc)
 
-    cfg: dict = {}
-    cfg["name"] = str(doc.get("name", "scenario"))
-    if "seed" not in doc:
-        raise ScenarioError("seed: required (all randomness must be explicitly seeded)")
-    cfg["seed"] = int(doc["seed"])
-
-    graph = doc.get("graph")
-    if not isinstance(graph, dict) or "kind" not in graph:
-        raise ScenarioError("graph: required object with a 'kind'")
-    kind = graph["kind"]
-    if kind == "two_path":
-        _check_keys(graph, {"kind", "m", "n", "leak_top", "leak_bottom"}, "graph")
-        m, n = _required(graph, "m", "graph", int), _required(graph, "n", "graph", int)
-        cfg["graph"] = {
-            "kind": kind,
-            "m": m,
-            "n": n,
-            "leak_top": [float(x) for x in graph.get("leak_top", [0.0] * (m - 1))],
-            "leak_bottom": [float(x) for x in graph.get("leak_bottom", [0.0] * (n - 1))],
-        }
-    elif kind == "gnp":
-        _check_keys(graph, {"kind", "n", "p"}, "graph")
-        cfg["graph"] = {
-            "kind": kind,
-            "n": _required(graph, "n", "graph", int),
-            "p": _required(graph, "p", "graph"),
-        }
-    elif kind == "banded_gnp":
-        _check_keys(graph, {"kind", "n", "p", "k"}, "graph")
-        cfg["graph"] = {
-            "kind": kind,
-            "n": _required(graph, "n", "graph", int),
-            "p": _required(graph, "p", "graph"),
-            "k": _required(graph, "k", "graph", int),
-        }
-    elif kind == "grid":
-        _check_keys(graph, {"kind", "rows", "cols"}, "graph")
-        cfg["graph"] = {
-            "kind": kind,
-            "rows": _required(graph, "rows", "graph", int),
-            "cols": _required(graph, "cols", "graph", int),
-        }
-    else:
-        raise ScenarioError(f"graph.kind: unknown graph family {kind!r}")
-
-    plant = doc.get("plant")
-    if plant is not None:
-        if not isinstance(plant, dict):
-            raise ScenarioError("plant: must be an object")
-        pk = plant.get("kind", "path")
-        if pk == "path":
-            _check_keys(plant, {"kind", "length"}, "plant")
-            cfg["plant"] = {"kind": "path", "length": _required(plant, "length", "plant", int)}
-        elif pk == "band_ladder":
-            _check_keys(plant, {"kind"}, "plant")
-            if cfg["graph"]["kind"] != "banded_gnp":
-                raise ScenarioError("plant.kind: band_ladder requires a banded_gnp graph")
-            cfg["plant"] = {"kind": "band_ladder"}
-        else:
-            raise ScenarioError(f"plant.kind: unknown planting {pk!r}")
-    else:
-        cfg["plant"] = None
-
-    leak = doc.get("leakage", {"kind": "zero"})
-    lk = leak.get("kind") if isinstance(leak, dict) else None
-    if lk == "zero":
-        cfg["leakage"] = {"kind": "zero"}
-    elif lk == "uniform":
-        _check_keys(leak, {"kind", "low", "high"}, "leakage")
-        cfg["leakage"] = {
-            "kind": "uniform",
-            "low": float(leak.get("low", 0.0)),
-            "high": float(leak.get("high", 1.0)),
-        }
-    elif lk == "explicit":
-        _check_keys(leak, {"kind", "values"}, "leakage")
-        values = _required(
-            leak, "values", "leakage", lambda vs: {str(int(k)): float(v) for k, v in vs.items()}
-        )
-        cfg["leakage"] = {"kind": "explicit", "values": values}
-    else:
-        raise ScenarioError("leakage.kind: must be zero | uniform | explicit")
-    if cfg["graph"]["kind"] == "two_path" and cfg["leakage"]["kind"] != "zero":
-        raise ScenarioError(
-            "leakage: two_path graphs carry leakage in graph.leak_top/leak_bottom"
-        )
-
-    rule = doc.get("rule", {"kind": "linear"})
-    if not isinstance(rule, dict) or "kind" not in rule:
-        raise ScenarioError("rule: must be an object with a 'kind'")
-    cfg["rule"] = dict(rule)
-    if rule["kind"] != "linear" and cfg["graph"]["kind"] != "two_path":
+    graph_kind = cfg["graph"]["kind"]
+    if graph_kind == "two_path" and cfg["leakage"]["kind"] != "zero":
+        raise ScenarioError("leakage: two_path graphs carry leakage in graph.leak_top/leak_bottom")
+    if cfg["rule"]["kind"] != "linear" and graph_kind != "two_path":
         raise ScenarioError("rule.kind: general rules require a two_path graph")
-
-    sched = doc.get("schedule", {"kind": "constant", "f0": 1.0, "b0": 1.0})
-    _check_keys(sched, {"kind", "f0", "b0", "alpha"}, "schedule")
-    sk = sched.get("kind")
-    if sk not in ("constant", "exponential", "linear"):
-        raise ScenarioError("schedule.kind: must be constant | exponential | linear")
-    cfg["schedule"] = {
-        "kind": sk,
-        "f0": float(sched.get("f0", 1.0)),
-        "b0": float(sched.get("b0", 1.0)),
-    }
-    if sk != "constant":
-        if "alpha" not in sched:
-            raise ScenarioError("schedule.alpha: required for growing schedules")
-        cfg["schedule"]["alpha"] = float(sched["alpha"])
-
-    delta = doc.get("delta", {"kind": "uniform"})
-    if isinstance(delta, dict):
-        _check_keys(delta, {"kind"}, "delta")
-        if delta.get("kind") != "uniform":
-            raise ScenarioError("delta.kind: must be uniform when not a number")
-        cfg["delta"] = {"kind": "uniform"}
-    else:
-        d = float(delta)
-        if not (0.0 < d < 1.0):
-            raise ScenarioError("delta: must lie in (0, 1)")
-        cfg["delta"] = d
-
-    init = doc.get("init", {"kind": "uniform", "low": 0.0, "high": 1.0})
-    ik = init.get("kind") if isinstance(init, dict) else None
-    if ik == "uniform":
-        _check_keys(init, {"kind", "low", "high"}, "init")
-        cfg["init"] = {
-            "kind": "uniform",
-            "low": float(init.get("low", 0.0)),
-            "high": float(init.get("high", 1.0)),
-        }
-    elif ik == "constant":
-        _check_keys(init, {"kind", "value"}, "init")
-        cfg["init"] = {"kind": "constant", "value": _required(init, "value", "init")}
-    elif ik == "explicit":
-        _check_keys(init, {"kind", "values"}, "init")
-        values = _required(init, "values", "init", lambda vs: [float(x) for x in vs])
-        cfg["init"] = {"kind": "explicit", "values": values}
-    else:
-        raise ScenarioError("init.kind: must be uniform | constant | explicit")
-    # the engine rejects negative pheromone only when the run starts
-    for key in ("low", "high", "value", "values"):
-        if key in cfg["init"] and not np.all(np.asarray(cfg["init"][key]) >= 0.0):
-            raise ScenarioError(f"init.{key}: pheromone must be non-negative")
-
-    default_steps = 10_000 if sk == "exponential" else 100_000
-    cfg["steps"] = int(doc.get("steps", default_steps))
-    if cfg["steps"] < 1:
-        raise ScenarioError("steps: must be >= 1")
-    cfg["epsilon"] = float(doc.get("epsilon", 0.01))
-    if not (0.0 < cfg["epsilon"] < 1.0):
-        raise ScenarioError("epsilon: must lie in (0, 1)")
-
-    monitors = doc.get("monitors", [])
-    for mname in monitors:
-        if mname not in MONITOR_NAMES:
-            raise ScenarioError(f"monitors: unknown monitor {mname!r}")
-    cfg["monitors"] = list(monitors)
-    if "potential" in monitors and cfg["graph"]["kind"] != "two_path":
+    if "potential" in cfg["monitors"] and graph_kind != "two_path":
         raise ScenarioError("monitors: potential requires a two_path graph")
+    if (cfg["plant"] or {}).get("kind") == "band_ladder" and graph_kind != "banded_gnp":
+        raise ScenarioError("plant.kind: band_ladder requires a banded_gnp graph")
 
-    rescale = doc.get("rescale", "auto")
-    if rescale not in ("auto", "on", "off"):
-        raise ScenarioError("rescale: must be auto | on | off")
+    sk = cfg["schedule"]["kind"]
+    rescale = cfg["rescale"]
     effective = rescale == "on" or (rescale == "auto" and sk == "exponential")
     if effective and cfg["rule"]["kind"] != "linear":
         if rescale == "on":
@@ -299,18 +267,6 @@ def parse_scenario(doc) -> Scenario:
     if effective and sk != "exponential":
         raise ScenarioError("rescale: applies to exponential schedules only")
     cfg["rescale"] = "on" if effective else "off"
-
-    cfg["underflow_threshold"] = float(doc.get("underflow_threshold", 1e-300))
-
-    outputs = doc.get("outputs", {})
-    _check_keys(outputs, {"dir", "csv", "json", "dot", "snapshot_interval"}, "outputs")
-    cfg["outputs"] = {
-        "dir": outputs.get("dir"),
-        "csv": bool(outputs.get("csv", True)),
-        "json": bool(outputs.get("json", True)),
-        "dot": bool(outputs.get("dot", True)),
-        "snapshot_interval": int(outputs.get("snapshot_interval", 100)),
-    }
 
     scenario = Scenario(config=cfg)
     _materialize(scenario)  # surfaces construction-time problems early
@@ -327,15 +283,10 @@ class Materialized:
     graph: DirectedGraph
     two_path: Optional[TwoPathGraph]
     rule: DecisionRule
-    rule_fn: Optional[RuleFunction]
     schedule: FlowSchedule
     engine: EngineConfig
     pheromone: object
-    steps: int
-    epsilon: float
-    monitors: List[str]
     planted: Optional[Path]
-    delta: float
 
 
 def _stream(seed: int, k: int, *extra: int) -> np.random.Generator:
@@ -361,57 +312,39 @@ def _connected_graph(
     return None
 
 
-def _build_graph(cfg: dict, seed: int) -> Tuple[DirectedGraph, Optional[TwoPathGraph], Optional[Path]]:
-    g = cfg["graph"]
-    two_path = None
-    planted = None
+def _materialize(scenario: Scenario) -> Materialized:
+    cfg = scenario.config
+    seed, g, plant, leak = cfg["seed"], cfg["graph"], cfg["plant"], cfg["leakage"]
+    two_path = planted = None
+    where = "graph"  # the section a GraphError is reported under
     try:
         if g["kind"] == "two_path":
             two_path = build_two_path(g["m"], g["n"], g["leak_top"], g["leak_bottom"])
             graph = two_path.graph
-        elif g["kind"] == "grid":
-            graph = gen_grid(g["rows"], g["cols"])
         else:
             graph = _connected_graph(g["kind"], g, seed, 0)
-    except GraphError as exc:
-        raise ScenarioError(f"graph: {exc}") from None
-    if graph is None:
-        raise ScenarioError(f"graph: no connected instance within {RESAMPLE_CAP} resamples")
-    plant = cfg["plant"]
-    if plant is not None:
-        try:
-            if plant["kind"] == "path":
-                graph, planted = plant_path(graph, plant["length"])
-            else:
-                graph, planted = plant_band_ladder(graph, cfg["graph"]["k"])
-        except GraphError as exc:
-            raise ScenarioError(f"plant: {exc}") from None
-    return graph, two_path, planted
-
-
-def _materialize(scenario: Scenario) -> Materialized:
-    cfg = scenario.config
-    seed = cfg["seed"]
-    graph, two_path, planted = _build_graph(cfg, seed)
-
-    leak = cfg["leakage"]
-    try:
+            if graph is None:
+                raise GraphError(f"no connected instance within {RESAMPLE_CAP} resamples")
+        where = "plant"
+        if plant is not None and plant["kind"] == "path":
+            graph, planted = plant_path(graph, plant["length"])
+        elif plant is not None:
+            graph, planted = plant_band_ladder(graph, g["k"])
+        where = "leakage"
         if leak["kind"] == "uniform":
             rng = _stream(seed, 1)
             graph = graph.with_leakage(rng.uniform(leak["low"], leak["high"], graph.n_vertices))
         elif leak["kind"] == "explicit":
+            where = "leakage.values"
             graph = graph.with_leakage({int(k): v for k, v in leak["values"].items()})
     except GraphError as exc:
-        key = "leakage.values" if leak["kind"] == "explicit" else "leakage"
-        raise ScenarioError(f"{key}: {exc}") from None
+        raise ScenarioError(f"{where}: {exc}") from None
 
-    rule_cfg = cfg["rule"]
-    if rule_cfg["kind"] == "linear":
+    if cfg["rule"]["kind"] == "linear":
         rule = DecisionRule.linear()
-        rule_fn = None
     else:
         try:
-            rule_fn = rule_from_config(rule_cfg)
+            rule_fn = rule_from_config(cfg["rule"])
         except RuleError as exc:
             raise ScenarioError(f"rule: {exc}") from None
         bad = validate_rule(rule_fn)
@@ -419,13 +352,7 @@ def _materialize(scenario: Scenario) -> Materialized:
             raise ScenarioError(f"rule: invalid rule function ({bad[0].detail})")
         rule = DecisionRule.general(rule_fn)
 
-    s = cfg["schedule"]
-    if s["kind"] == "constant":
-        schedule = FlowSchedule.constant(s["f0"], s["b0"])
-    elif s["kind"] == "exponential":
-        schedule = FlowSchedule.exponential(s["f0"], s["b0"], s["alpha"])
-    else:
-        schedule = FlowSchedule.linear(s["f0"], s["b0"], s["alpha"])
+    schedule = FlowSchedule(**cfg["schedule"])
 
     if isinstance(cfg["delta"], dict):
         delta = float(_stream(seed, 2).uniform(0.0, 1.0))
@@ -437,14 +364,11 @@ def _materialize(scenario: Scenario) -> Materialized:
     if init["kind"] == "uniform":
         p0 = _stream(seed, 3).uniform(init["low"], init["high"], graph.n_edges)
     elif init["kind"] == "constant":
-        p0 = float(init["value"])
+        p0 = init["value"]
     else:
-        vals = init["values"]
-        if len(vals) != graph.n_edges:
-            raise ScenarioError(
-                f"init.values: expected {graph.n_edges} entries, got {len(vals)}"
-            )
-        p0 = np.asarray(vals, dtype=float)
+        p0 = init["values"]
+        if len(p0) != graph.n_edges:
+            raise ScenarioError(f"init.values: expected {graph.n_edges} entries, got {len(p0)}")
 
     engine = EngineConfig(
         delta=delta,
@@ -456,15 +380,10 @@ def _materialize(scenario: Scenario) -> Materialized:
         graph=graph,
         two_path=two_path,
         rule=rule,
-        rule_fn=rule_fn,
         schedule=schedule,
         engine=engine,
         pheromone=p0,
-        steps=cfg["steps"],
-        epsilon=cfg["epsilon"],
-        monitors=list(cfg["monitors"]),
         planted=planted,
-        delta=delta,
     )
 
 
@@ -478,7 +397,7 @@ class TimeseriesRecorder:
 
     def __init__(self, graph: DirectedGraph, interval: int) -> None:
         self.graph = graph
-        self.interval = max(1, interval)
+        self.interval = interval
         self.rows: List[list] = []
 
     def __call__(self, t, state, prev) -> None:
@@ -536,44 +455,43 @@ class ScenarioResult:
 
 def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioResult:
     mat = _materialize(scenario)
+    cfg = scenario.config
     graph = mat.graph
     state = init_state(graph, mat.pheromone, mat.schedule, mat.rule, strict=True)
 
     observers = []
     potential = None
-    if "potential" in mat.monitors and mat.two_path is not None:
+    if "potential" in cfg["monitors"]:
         potential = PotentialObserver(mat.two_path)
         observers.append(potential)
     inv = None
-    if "invariants" in mat.monitors:
+    if "invariants" in cfg["monitors"]:
         inv = InvariantObserver(graph, mat.engine, mat.schedule)
         observers.append(inv)
     bound = None
-    if "pheromone_bound" in mat.monitors:
+    if "pheromone_bound" in cfg["monitors"]:
         p0max = float(np.max(state.p)) if state.p.size else 0.0
-        T1 = warmup_time(p0max, mat.schedule.f0 + mat.schedule.b0, mat.delta)
-        bound = PheromoneBoundObserver(mat.delta, T1)
+        T1 = warmup_time(p0max, mat.schedule.f0 + mat.schedule.b0, mat.engine.delta)
+        bound = PheromoneBoundObserver(mat.engine.delta, T1)
         observers.append(bound)
 
-    outputs = scenario.config["outputs"]
+    outputs = cfg["outputs"]
     out_dir = out_dir or outputs["dir"]
-    timeseries = None
-    summary = None
-    if out_dir:
-        if outputs["csv"]:
-            timeseries = TimeseriesRecorder(graph, outputs["snapshot_interval"])
-            summary = SummaryRecorder(potential)
-            observers.extend([timeseries, summary])
+    timeseries = summary = None
+    if out_dir and outputs["csv"]:
+        timeseries = TimeseriesRecorder(graph, outputs["snapshot_interval"])
+        summary = SummaryRecorder(potential)
+        observers.extend([timeseries, summary])
 
     t0 = time.perf_counter()
-    trace = run(state, graph, mat.rule, mat.schedule, mat.engine, mat.steps, observers)
+    trace = run(state, graph, mat.rule, mat.schedule, mat.engine, cfg["steps"], observers)
     runtime = time.perf_counter() - t0
 
     result = ScenarioResult(
         scenario=scenario,
         trace=trace,
         graph=graph,
-        delta=mat.delta,
+        delta=mat.engine.delta,
         oracle_shortest=shortest_path(graph),
         oracle_min_leakage=min_leakage_path(graph),
         planted=mat.planted,

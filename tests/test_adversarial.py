@@ -16,7 +16,15 @@ from trailflow.adversarial import (
     unidirectional_swap_demo,
     verify_nonconvergence,
 )
-from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, init_state, run, step
+from trailflow.dynamics import (
+    ConfigError,
+    DecisionRule,
+    EngineConfig,
+    FlowSchedule,
+    init_state,
+    run,
+    step,
+)
 from trailflow.graph import build_two_path
 from trailflow.rules import (
     RuleFunction,
@@ -75,7 +83,7 @@ def test_leakage_counterexample_constants():
 
 
 def test_leakage_counterexample_rejects_violating_survival():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         leakage_counterexample(
             power_rule(2), TP23, 1.0, 1.0, r=0.25, eps=0.1,
             surv_top=0.99, surv_bottom=0.95,  # ratio 1.042 > 1.02625
@@ -116,7 +124,7 @@ def test_flow_counterexample_constants():
     assert fx.config.c_g == pytest.approx(0.02625)
     assert fx.schedule.alpha == 1.03
     assert fx.schedule.kind == "exponential" and fx.schedule.alpha == 1.03
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         flow_counterexample(power_rule(2), TP23, 1.0, mu=1.01, r=0.25, eps=0.1)
 
 
@@ -130,10 +138,10 @@ def test_flow_counterexample_default_mu_respects_case_bound():
 
 def test_flow_counterexample_preconditions():
     equal = build_two_path(3, 3, [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         flow_counterexample(power_rule(2), equal, 1.0)  # no unique shortest path
     leaky = build_two_path(2, 3, [0.1], [0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         flow_counterexample(power_rule(2), leaky, 1.0)  # leakage must be zero
     with pytest.raises(RuleLinearAtResolution):
         flow_counterexample(linear_rule(), TP23, 1.0)

@@ -92,7 +92,7 @@ def test_init_strict_warns_on_zero_target_pheromone():
     p[tp.graph.edges[tp.s_top_eid]] = 0.0  # zero on the min-leakage path
     st = init_state(tp.graph, p, FlowSchedule.constant(1, 1), strict=True)
     assert st.warnings and "zero initial pheromone" in st.warnings[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         init_state(tp.graph, -1.0, FlowSchedule.constant(1, 1))
 
 
@@ -535,7 +535,7 @@ def test_run_validates_horizon():
     tp = two_path_23()
     sched = FlowSchedule.constant(1.0, 1.0)
     st = init_state(tp.graph, 1.0, sched)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run(st, tp.graph, LIN, sched, EngineConfig(delta=0.5), 0)
 
 

@@ -30,6 +30,9 @@ A1_DOC = {
     "monitors": ["invariants", "pheromone_bound", "potential"],
 }
 
+GRID33 = {"kind": "grid", "rows": 3, "cols": 3}
+TWO_PATH22 = {"kind": "two_path", "m": 2, "n": 2}
+
 
 # -- parsing -------------------------------------------------------------------
 
@@ -57,6 +60,123 @@ def test_parse_exponential_defaults_enable_rescale():
 
 def test_parse_round_trip():
     s = parse_scenario(A1_DOC)
+    assert parse_scenario(s.serialize()) == s
+
+
+# ``serialize()`` of a 3x3 grid config that sets only its seed
+SERIALIZED_DEFAULTS = {
+    "delta": {"kind": "uniform"},
+    "epsilon": 0.01,
+    "graph": {"cols": 3, "kind": "grid", "rows": 3},
+    "init": {"high": 1.0, "kind": "uniform", "low": 0.0},
+    "leakage": {"kind": "zero"},
+    "monitors": [],
+    "name": "scenario",
+    "outputs": {"csv": True, "dir": None, "dot": True, "json": True, "snapshot_interval": 100},
+    "plant": None,
+    "rescale": "off",
+    "rule": {"kind": "linear"},
+    "schedule": {"b0": 1.0, "f0": 1.0, "kind": "constant"},
+    "seed": 1,
+    "steps": 100000,
+    "underflow_threshold": 1e-300,
+}
+TWO_PATH23_FILLED = {
+    "kind": "two_path", "leak_bottom": [0.0, 0.0], "leak_top": [0.0], "m": 2, "n": 3,
+}
+
+# one config per graph, leakage, init, schedule and plant kind, plus outputs and
+# the optional top-level scalars: (the keys set beside seed 1 on the grid, the
+# serialized sections that then differ from SERIALIZED_DEFAULTS). The text is
+# pinned byte for byte, floats and ints included: saved scenario.json files
+# must read back to the same scenario.
+SERIALIZE_GOLDEN = {
+    "graph-two_path": (
+        {"graph": {"kind": "two_path", "m": 2, "n": 3}},
+        {"graph": TWO_PATH23_FILLED},
+    ),
+    "graph-gnp": (
+        {"graph": {"kind": "gnp", "n": 8, "p": 0.5}},
+        {"graph": {"kind": "gnp", "n": 8, "p": 0.5}},
+    ),
+    "graph-banded_gnp": (
+        {"graph": {"kind": "banded_gnp", "n": 8, "p": 0.5, "k": 2}},
+        {"graph": {"k": 2, "kind": "banded_gnp", "n": 8, "p": 0.5}},
+    ),
+    "graph-grid": ({}, {}),
+    "leakage-zero": ({"leakage": {"kind": "zero"}}, {}),
+    "leakage-uniform": (
+        {"leakage": {"kind": "uniform", "low": 0.1, "high": 0.2}},
+        {"leakage": {"high": 0.2, "kind": "uniform", "low": 0.1}},
+    ),
+    "leakage-explicit": (
+        {"leakage": {"kind": "explicit", "values": {"4": 0.5, "2": 0}}},
+        {"leakage": {"kind": "explicit", "values": {"2": 0.0, "4": 0.5}}},
+    ),
+    "init-uniform": (
+        {"init": {"kind": "uniform", "low": 0.5, "high": 2}},
+        {"init": {"high": 2.0, "kind": "uniform", "low": 0.5}},
+    ),
+    "init-constant": (
+        {"init": {"kind": "constant", "value": 3}},
+        {"init": {"kind": "constant", "value": 3.0}},
+    ),
+    "init-explicit": (
+        {"graph": TWO_PATH22, "init": {"kind": "explicit", "values": [1, 2.5, 0, 1]}},
+        {
+            "graph": {"kind": "two_path", "leak_bottom": [0.0], "leak_top": [0.0], "m": 2, "n": 2},
+            "init": {"kind": "explicit", "values": [1.0, 2.5, 0.0, 1.0]},
+        },
+    ),
+    "schedule-constant": (
+        {"schedule": {"kind": "constant", "f0": 2, "b0": 0.5}},
+        {"schedule": {"b0": 0.5, "f0": 2.0, "kind": "constant"}},
+    ),
+    "schedule-exponential": (
+        {"schedule": {"kind": "exponential", "f0": 1, "b0": 1, "alpha": 1.1}},
+        {
+            "rescale": "on",
+            "schedule": {"alpha": 1.1, "b0": 1.0, "f0": 1.0, "kind": "exponential"},
+            "steps": 10000,
+        },
+    ),
+    "schedule-linear": (
+        {"schedule": {"kind": "linear", "f0": 1, "b0": 0.5, "alpha": 0.2}},
+        {"schedule": {"alpha": 0.2, "b0": 0.5, "f0": 1.0, "kind": "linear"}},
+    ),
+    "plant-path": (
+        {"graph": {"kind": "grid", "rows": 4, "cols": 4}, "plant": {"length": 3}},
+        {"graph": {"cols": 4, "kind": "grid", "rows": 4}, "plant": {"kind": "path", "length": 3}},
+    ),
+    "plant-band_ladder": (
+        {"graph": {"kind": "banded_gnp", "n": 20, "p": 0.5, "k": 3},
+         "plant": {"kind": "band_ladder"}},
+        {"graph": {"k": 3, "kind": "banded_gnp", "n": 20, "p": 0.5},
+         "plant": {"kind": "band_ladder"}},
+    ),
+    "outputs": (
+        {"outputs": {"dir": "out", "csv": False, "json": True, "dot": False,
+                     "snapshot_interval": 5}},
+        {"outputs": {"csv": False, "dir": "out", "dot": False, "json": True,
+                     "snapshot_interval": 5}},
+    ),
+    "scalars": (
+        {"name": "all-scalars", "graph": {"kind": "two_path", "m": 2, "n": 3},
+         "rule": {"kind": "power", "k": 2}, "delta": 0.25, "steps": 500, "epsilon": 0.05,
+         "monitors": ["potential"], "rescale": "off", "underflow_threshold": 0},
+        {"delta": 0.25, "epsilon": 0.05, "graph": TWO_PATH23_FILLED, "monitors": ["potential"],
+         "name": "all-scalars", "rule": {"k": 2, "kind": "power"}, "steps": 500,
+         "underflow_threshold": 0.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZE_GOLDEN))
+def test_serialize_golden(case):
+    doc, changed = SERIALIZE_GOLDEN[case]
+    s = parse_scenario(dict({"seed": 1, "graph": GRID33}, **doc))
+    expected = dict(SERIALIZED_DEFAULTS, **changed)
+    assert s.serialize() == json.dumps(expected, sort_keys=True, indent=2)
     assert parse_scenario(s.serialize()) == s
 
 
@@ -235,10 +355,12 @@ def test_cli_run_config_error(tmp_path, capsys):
     )
     assert main(["run", "--config", cfg]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    (tmp_path / "list.json").write_text("[1]")
+    assert main(["run", "--config", str(tmp_path / "list.json"), "--seed", "3"]) == 2
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    assert main(["run", "--config", str(tmp_path / "binary.json")]) == 2
+    assert main(["run", "--config", str(tmp_path)]) == 2  # a directory
 
-
-GRID33 = {"kind": "grid", "rows": 3, "cols": 3}
-TWO_PATH22 = {"kind": "two_path", "m": 2, "n": 2}
 
 # configs the parser must reject with exit code 2 (not the violation code 1),
 # each with the key or section its message names
@@ -253,17 +375,121 @@ BAD_CONFIGS = [
     ({"graph": TWO_PATH22, "init": {"kind": "explicit", "values": [1, -1, 1, 1]}}, "init.values"),
 ]
 
+# a config in which every optional key of every section can be set
+ALL_SECTIONS = {
+    "graph": GRID33,
+    "leakage": {"kind": "uniform"},
+    "schedule": {"kind": "linear", "alpha": 0.5},
+    "init": {"kind": "uniform"},
+    "outputs": {},
+}
+
+
+def with_value(path, value, doc=ALL_SECTIONS):
+    """A copy of ``doc`` with ``value`` at the dotted ``path``."""
+    doc = json.loads(json.dumps(doc))
+    *sections, key = path.split(".")
+    target = doc
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    return doc
+
+
+# every optional scalar with a value of the wrong type or out of range; each
+# must be rejected under its own section.key
+BAD_SCALARS = [
+    ("name", 5),
+    ("seed", "x"), ("seed", 1.7), ("seed", True), ("seed", -1),
+    ("steps", 1.5), ("steps", "3"), ("steps", 0),
+    ("epsilon", "abc"), ("epsilon", 0),
+    ("delta", "q"), ("delta", 0),
+    ("rescale", "maybe"),
+    ("underflow_threshold", "x"), ("underflow_threshold", -1.0),
+    ("monitors", "invariants"),
+    ("leakage.low", "a"), ("leakage.high", [1]),
+    ("schedule.f0", "1"), ("schedule.f0", 0), ("schedule.b0", -1), ("schedule.alpha", "z"),
+    ("init.low", -1), ("init.high", "1"),
+    ("outputs.dir", 5), ("outputs.csv", "no"), ("outputs.json", 1), ("outputs.dot", None),
+    ("outputs.snapshot_interval", "q"), ("outputs.snapshot_interval", 0),
+]
+BAD_CONFIGS += [(with_value(path, value), path) for path, value in BAD_SCALARS]
+BAD_CONFIGS += [
+    ({"graph": {"kind": "two_path", "m": 2.9, "n": 3}}, "graph.m"),
+    ({"graph": {"kind": "two_path", "m": 2, "n": 3, "leak_top": "0"}}, "graph.leak_top"),
+    ({"graph": {"kind": "banded_gnp", "n": 9, "p": 0.5, "k": "2"}}, "graph.k"),
+    ({"graph": GRID33, "plant": {"length": 2.5}}, "plant.length"),
+    ({"graph": GRID33, "leakage": {"kind": "zero", "low": 0.1}}, "leakage.low"),
+    ({"graph": GRID33, "schedule": {"kind": "constant", "alpha": 2}}, "schedule.alpha"),
+    ({"graph": GRID33, "schedule": {"kind": "exponential"}}, "schedule.alpha"),
+    ({"graph": GRID33, "init": {"kind": "constant", "value": "1"}}, "init.value"),
+    ({"graph": GRID33, "init": {"kind": "explicit", "values": "1"}}, "init.values"),
+    ({"graph": GRID33, "rule": "linear"}, "rule"),
+    ({"graph": GRID33, "monitors": ["invariants", 1]}, "monitors"),
+]
+
 
 @pytest.mark.parametrize("doc,section", BAD_CONFIGS)
 def test_cli_run_bad_config_exits_2_and_names_section(tmp_path, capsys, doc, section):
-    cfg = write_config(tmp_path, dict(doc, seed=1, steps=50))
+    cfg = write_config(tmp_path, dict({"seed": 1, "steps": 50}, **doc))
     assert main(["run", "--config", cfg]) == 2
     assert f"config error: {section}" in capsys.readouterr().err
+
+
+def exit_status(argv):
+    """``main(argv)``, or the status of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+POWER2 = '{"kind":"power","k":2}'
+
+# command lines that must exit 2 naming the flag or the violated bound
+BAD_ARGS = [
+    (["counterexample", "--kind", "flow", "--rule", POWER2, "--mu", "1.001"], "mu=1.001"),
+    (["counterexample", "--kind", "leakage", "--rule", POWER2, "--fs", "-1"], "--fs"),
+    (["counterexample", "--kind", "flow", "--rule", POWER2, "--m", "3", "--n", "3"], "m < n"),
+    (["counterexample", "--kind", "leakage", "--rule", POWER2, "--steps", "0"], "--steps"),
+    (["counterexample", "--kind", "leakage", "--rule", POWER2, "--m", "1"], "--m"),
+    (["swap-demo", "--m", "1"], "--m"),
+    (["swap-demo", "--n", "x"], "--n"),
+    (["swap-demo", "--steps", "0"], "--steps"),
+    (["swap-demo", "--p-top", "-1"], "--p-top"),
+    (["swap-demo", "--seeds", "-1"], "--seeds"),
+    (["batch", "--preset", "appendixC-leakage", "--epsilon", "0"], "--epsilon"),
+    (["batch", "--preset", "appendixC-leakage", "--instances", "0"], "--instances"),
+    (["batch", "--config", "scenario.json", "--full-scale"], "--full-scale"),
+    (["batch", "--config", "scenario.json", "--monitors"], "--monitors"),
+    (["batch", "--config", "scenario.json", "--workers", "2"], "--workers"),
+    (["analyze-rule", "--rule", "[1]"], "rule must be an object"),
+    (["analyze-rule", "--rule", POWER2, "--grid", "0"], "--grid"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", BAD_ARGS)
+def test_cli_bad_arguments_exit_2_and_name_flag(capsys, argv, fragment):
+    assert exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and fragment in err
 
 
 def test_cli_analyze_rule_missing_parameter_exits_2(capsys):
     assert main(["analyze-rule", "--rule", '{"kind":"power"}']) == 2
     assert "missing parameter 'k'" in capsys.readouterr().err
+
+
+def test_cli_batch_config_passes_epsilon(tmp_path):
+    cfg = write_config(tmp_path, A1_DOC)
+    out = tmp_path / "out"
+    args = ["--config", cfg, "--seed", "7", "--epsilon", "0.3", "--out-dir"]
+    assert main(["batch", *args, str(out / "batch"), "--instances", "1"]) == 0
+    assert main(["run", *args, str(out / "run")]) == 0
+    batch = json.load(open(out / "batch" / "instance_0000" / "final_state.json"))
+    single = json.load(open(out / "run" / "final_state.json"))
+    assert batch["converged_t"] == single["converged_t"]
+    assert json.load(open(out / "run" / "scenario.json"))["epsilon"] == 0.3
 
 
 def test_cli_run_override_seed(tmp_path):
