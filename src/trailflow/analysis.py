@@ -43,8 +43,8 @@ class NormalizedLevels:
 
 def normalized_levels(state: "SystemState", graph: DirectedGraph) -> NormalizedLevels:
     ga = graph.arrays
-    fwd, _ = split_fraction(ga, state.p, forward=True)
-    bwd, _ = split_fraction(ga, state.p, forward=False)
+    fwd = split_fraction(ga, state.p, forward=True)
+    bwd = split_fraction(ga, state.p, forward=False)
     return NormalizedLevels(fwd=fwd, bwd=bwd)
 
 

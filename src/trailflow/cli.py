@@ -35,7 +35,14 @@ from .rules import (
     stable_fixed_points,
     validate_rule,
 )
-from .scenarios import Scenario, ScenarioError, parse_scenario, run_batch, run_scenario
+from .scenarios import (
+    Scenario,
+    ScenarioError,
+    output_errors,
+    parse_scenario,
+    run_batch,
+    run_scenario,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -177,7 +184,7 @@ def _cmd_analyze_rule(args) -> int:
     text = json.dumps(doc, indent=2)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
+        with output_errors("--out"), open(args.out, "w") as fh:
             fh.write(text)
     return EXIT_OK
 
@@ -215,9 +222,10 @@ def _cmd_counterexample(args) -> int:
     text = json.dumps(doc, indent=2)
     print(text)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        with open(os.path.join(args.out_dir, "counterexample.json"), "w") as fh:
-            fh.write(text)
+        with output_errors("--out-dir"):
+            os.makedirs(args.out_dir, exist_ok=True)
+            with open(os.path.join(args.out_dir, "counterexample.json"), "w") as fh:
+                fh.write(text)
     control_ok = control.converged_path == cx.two_path.top
     return EXIT_OK if report.ok and control_ok else EXIT_VIOLATION
 

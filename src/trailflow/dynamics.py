@@ -276,45 +276,81 @@ def _split(
     p: np.ndarray,
     vertex_flow: np.ndarray,
     forward: bool,
+    bounded: bool = False,
 ) -> Tuple[np.ndarray, int]:
     if rule.is_linear:
-        return _split_linear(ga, p, vertex_flow, forward)
+        return _split_linear(ga, p, vertex_flow, forward, bounded)
     return _split_general(ga, rule, p, vertex_flow, forward)
 
 
-def split_fraction(
+def _vertex_totals(
     ga: GraphArrays, p: np.ndarray, forward: bool
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear split's groups: each edge's slot, the vertex of each slot
+    and its pheromone total, over the vertices with out-edges (forward) or
+    in-edges (backward)."""
+    if forward:
+        return ga.out_slot, ga.with_out, ga.out_sums(p)
+    totals = np.bincount(ga.in_slot, weights=p, minlength=ga.with_in.size)
+    return ga.in_slot, ga.with_in, totals
+
+
+def split_fraction(ga: GraphArrays, p: np.ndarray, forward: bool) -> np.ndarray:
     """The linear rule's share of each edge: its pheromone over the total on
     the out-edges of its tail (forward) or the in-edges of its head
-    (backward). Returns the per-edge fractions, NaN where that total is 0,
-    and a mask of the vertices that have edges but a zero total (None when
-    there are none)."""
-    if forward:
-        group, deg, n_grouped, totals = ga.tails, ga.out_deg, ga.n_tails, ga.tail_sums(p)
-    else:
-        totals = np.bincount(ga.heads, weights=p, minlength=ga.n)
-        group, deg, n_grouped = ga.heads, ga.in_deg, ga.n_heads
-    # vertices without edges always total 0; any other zero total is a 0/0
-    if np.count_nonzero(totals) == n_grouped:
-        return p / totals[group], None
+    (backward); NaN where that total is 0."""
+    slot, _, totals = _vertex_totals(ga, p, forward)
+    if np.count_nonzero(totals) == totals.size:
+        return p / totals[slot]
     with np.errstate(invalid="ignore"):
-        return p / totals[group], (totals == 0.0) & (deg > 0)
+        return p / totals[slot]
+
+
+# flow * _RATIO_SCALE < total keeps the ratio flow/total below 2**32 and
+# p * ratio (p <= total) within rounding of the flow, far from overflow. A
+# vertex that fails the test, a zero total among them, splits per edge in
+# the form flow * (p / total), which never overflows. The product is
+# subnormal, and slow, only for flows below about 1e-298.
+_RATIO_SCALE = 2.0**-32
+# after a flush at threshold h, a state whose values sum below h * this
+# cannot hold a ratio flow/total near overflow (see ``step``)
+_BOUNDED_SUM = 2.0**1020
 
 
 def _split_linear(
-    ga: GraphArrays, p: np.ndarray, vertex_flow: np.ndarray, forward: bool
+    ga: GraphArrays,
+    p: np.ndarray,
+    vertex_flow: np.ndarray,
+    forward: bool,
+    bounded: bool = False,
 ) -> Tuple[np.ndarray, int]:
-    group = ga.tails if forward else ga.heads
-    frac, empty = split_fraction(ga, p, forward)
-    zero_events = 0
-    if empty is not None:
-        # no pheromone to follow: split evenly
-        deg = ga.out_deg if forward else ga.in_deg
-        zero = empty[group]
-        frac[zero] = 1.0 / deg[group[zero]]
-        zero_events = int(np.count_nonzero(empty & (vertex_flow > 0.0)))
-    return vertex_flow[group] * frac, zero_events
+    """Each edge's pheromone times its vertex's ratio flow/total: one
+    division per vertex and one gather per edge. ``bounded`` says that no
+    ratio can overflow, so the fast path needs only positive totals."""
+    slot, verts, totals = _vertex_totals(ga, p, forward)
+    flow = vertex_flow[verts]
+    fast = bounded and np.count_nonzero(totals) == totals.size
+    if not fast:
+        exact = flow * _RATIO_SCALE < totals
+        fast = np.count_nonzero(exact) == exact.size
+    if fast:
+        return p * (flow / totals)[slot], 0
+    # a zero total means no pheromone on any edge of that vertex, so a ratio
+    # of 0 sends its edges nothing; only positive flow needs the fix below
+    eflow = p * np.divide(flow, totals, out=np.zeros_like(flow), where=exact)[slot]
+    fix = ~exact & (flow > 0.0)
+    if not fix.any():
+        return eflow, 0
+    # per edge: flow * (p / total), or with no pheromone to follow an even split
+    e = np.flatnonzero(fix[slot])
+    s = slot[e]
+    total = totals[s]
+    empty = total == 0.0
+    share = np.divide(p[e], total, out=np.zeros_like(total), where=~empty)
+    deg = ga.out_deg if forward else ga.in_deg
+    share[empty] = 1.0 / deg[verts[s[empty]]]
+    eflow[e] = flow[s] * share
+    return eflow, int(np.count_nonzero(fix & (totals == 0.0)))
 
 
 def _split_general(
@@ -404,14 +440,19 @@ def step(
     bv[ga.destination] += inj_b
 
     # tested before the flush, which would zero a -inf as an underflow
-    if not math.isfinite(float(buf.sum())):
+    total = float(buf.sum())
+    if not math.isfinite(total):
         raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
 
     flushes = _flush(buf, cfg.underflow_threshold)
+    # after the flush every positive pheromone total is at least the
+    # threshold and no vertex flow exceeds ``total`` (all values are >= 0),
+    # so every ratio flow/total is below _BOUNDED_SUM when this holds
+    bounded = total < cfg.underflow_threshold * _BOUNDED_SUM
 
     # (d) split the new vertex flows against p(t+1)
-    f_edge, zf = _split(ga, rule, p, fv, forward=True)
-    b_edge, zb = _split(ga, rule, p, bv, forward=False)
+    f_edge, zf = _split(ga, rule, p, fv, True, bounded)
+    b_edge, zb = _split(ga, rule, p, bv, False, bounded)
 
     return SystemState(
         t=t1,

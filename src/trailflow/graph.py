@@ -261,19 +261,26 @@ class GraphArrays:
         # planting helpers) needs no gather before the segment sums
         tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
         self._by_tail = slice(None) if tail_sorted else self.out_eids
-        self._with_out = np.flatnonzero(self.out_deg)
-        self._seg_starts = self.out_ptr[self._with_out]
-        # how many vertices have out-edges / in-edges
-        self.n_tails = int(self._with_out.size)
-        self.n_heads = int(np.count_nonzero(self.in_deg))
+        # the vertices with out-edges / in-edges, and each edge's index into
+        # them by its tail / head: the slots of the per-vertex split totals
+        self.with_out = np.flatnonzero(self.out_deg)
+        self.with_in = np.flatnonzero(self.in_deg)
+        self.out_slot = (np.cumsum(self.out_deg > 0) - 1)[self.tails]
+        self.in_slot = (np.cumsum(self.in_deg > 0) - 1)[self.heads]
+        self._seg_starts = self.out_ptr[self.with_out]
         self._branches: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
         self._graph = g
+
+    def out_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of the edge values ``x`` over the out-edges of each vertex
+        in ``with_out``."""
+        return np.add.reduceat(x[self._by_tail], self._seg_starts)
 
     def tail_sums(self, x: np.ndarray) -> np.ndarray:
         """Per-vertex sums of the edge values ``x`` over each vertex's
         out-edges (0 at vertices without out-edges)."""
         sums = np.zeros(self.n)
-        sums[self._with_out] = np.add.reduceat(x[self._by_tail], self._seg_starts)
+        sums[self.with_out] = self.out_sums(x)
         return sums
 
     def two_path_branches(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:

@@ -125,28 +125,52 @@ def table_rule(xs: Sequence[float], ys: Sequence[float]) -> RuleFunction:
     )
 
 
+# each rule kind's constructor and the config keys of its arguments
+_RULE_KINDS = {
+    "linear": (linear_rule, ()),
+    "power": (power_rule, ("k",)),
+    "sine": (sine_rule, ("a",)),
+    "table": (table_rule, ("xs", "ys")),
+}
+
+
 def rule_from_config(cfg: dict) -> RuleFunction:
     """Build a rule from its config form: {kind: linear|power|sine|table, ...}.
-    A non-object, or a missing or malformed parameter, raises RuleError."""
+    A non-object, an unknown kind or key, or a missing parameter raises
+    RuleError, as does a parameter that is not a finite number (a bool or a
+    string is none) or, for a table, a list of them."""
     if not isinstance(cfg, dict):
         raise RuleError(f"rule must be an object, got {cfg!r}")
     kind = cfg.get("kind")
-    try:
-        if kind == "linear":
-            return linear_rule()
-        if kind == "power":
-            return power_rule(float(cfg["k"]))
-        if kind == "sine":
-            return sine_rule(float(cfg["a"]))
-        if kind == "table":
-            return table_rule(cfg["xs"], cfg["ys"])
-    except RuleError:
-        raise
-    except KeyError as exc:
-        raise RuleError(f"{kind} rule: missing parameter {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise RuleError(f"{kind} rule: {exc}") from None
-    raise RuleError(f"unknown rule kind {kind!r}")
+    if kind not in _RULE_KINDS:
+        raise RuleError(f"unknown rule kind {kind!r}")
+    build, params = _RULE_KINDS[kind]
+    unknown = sorted(set(cfg) - {"kind", *params}, key=str)
+    if unknown:
+        raise RuleError(f"{kind} rule: {unknown[0]}: unknown key")
+    args = []
+    for key in params:
+        if key not in cfg:
+            raise RuleError(f"{kind} rule: missing parameter {key!r}")
+        value = cfg[key]
+        if kind != "table":
+            args.append(_finite(kind, key, value))
+        elif isinstance(value, (list, tuple)):
+            args.append([_finite(kind, key, v) for v in value])
+        else:
+            raise RuleError(f"{kind} rule: {key}: expected a list, got {value!r}")
+    return build(*args)
+
+
+def _finite(kind: str, key: str, value) -> float:
+    """``value`` as a float; anything but a finite int or float raises."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    raise RuleError(f"{kind} rule: {key}: expected a finite number, got {value!r}")
 
 
 def _eval_grid(rule: RuleFunction, xs: np.ndarray) -> np.ndarray:

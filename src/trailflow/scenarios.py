@@ -28,6 +28,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -75,6 +76,16 @@ RESAMPLE_CAP = 1000
 
 class ScenarioError(ValueError):
     """Configuration problem; the message names the offending key."""
+
+
+@contextmanager
+def output_errors(where: str):
+    """Raise an OSError from creating or writing output files as a
+    ScenarioError naming ``where``, the flag or key that chose the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
 def _typed(*types: type) -> Callable:
@@ -340,13 +351,13 @@ def _materialize(scenario: Scenario) -> Materialized:
     except GraphError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
+    try:
+        rule_fn = rule_from_config(cfg["rule"])
+    except RuleError as exc:
+        raise ScenarioError(f"rule: {exc}") from None
     if cfg["rule"]["kind"] == "linear":
         rule = DecisionRule.linear()
     else:
-        try:
-            rule_fn = rule_from_config(cfg["rule"])
-        except RuleError as exc:
-            raise ScenarioError(f"rule: {exc}") from None
         bad = validate_rule(rule_fn)
         if bad:
             raise ScenarioError(f"rule: invalid rule function ({bad[0].detail})")
@@ -454,6 +465,9 @@ class ScenarioResult:
 
 
 def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioResult:
+    """Run ``scenario`` and write its artifacts to ``out_dir`` (the CLI's
+    ``--out-dir``), or else to its ``outputs.dir``; a directory that cannot
+    be made or written raises ScenarioError naming the one that chose it."""
     mat = _materialize(scenario)
     cfg = scenario.config
     graph = mat.graph
@@ -476,7 +490,11 @@ def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioR
         observers.append(bound)
 
     outputs = cfg["outputs"]
+    where = "--out-dir" if out_dir else "outputs.dir"
     out_dir = out_dir or outputs["dir"]
+    if out_dir:
+        with output_errors(where):
+            os.makedirs(out_dir, exist_ok=True)
     timeseries = summary = None
     if out_dir and outputs["csv"]:
         timeseries = TimeseriesRecorder(graph, outputs["snapshot_interval"])
@@ -502,12 +520,12 @@ def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioR
         potential=potential,
     )
     if out_dir:
-        _write_artifacts(result, timeseries, summary, outputs)
+        with output_errors(where):
+            _write_artifacts(result, timeseries, summary, outputs)
     return result
 
 
 def _write_artifacts(result, timeseries, summary, outputs) -> None:
-    os.makedirs(result.out_dir, exist_ok=True)
     jp = lambda *parts: os.path.join(result.out_dir, *parts)
     with open(jp("scenario.json"), "w") as fh:
         fh.write(result.scenario.serialize())
@@ -784,8 +802,13 @@ def run_batch(
     monitors: bool = False,
     out_dir: Optional[str] = None,
 ) -> BatchResult:
-    """Run a protocol preset; see ``batch_jobs`` for scale semantics."""
+    """Run a protocol preset; see ``batch_jobs`` for scale semantics. An
+    ``out_dir`` (the CLI's ``--out-dir``) that cannot be made or written
+    raises ScenarioError."""
     jobs = batch_jobs(preset, instances, base_seed, full_scale, epsilon, horizon, monitors)
+    if out_dir:
+        with output_errors("--out-dir"):
+            os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_instance, jobs))
@@ -794,8 +817,8 @@ def run_batch(
     rows.sort(key=lambda r: r.index)
     result = BatchResult(preset=preset, rows=rows)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        result.write_csv(os.path.join(out_dir, "batch.csv"))
-        with open(os.path.join(out_dir, "batch.json"), "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2)
+        with output_errors("--out-dir"):
+            result.write_csv(os.path.join(out_dir, "batch.csv"))
+            with open(os.path.join(out_dir, "batch.json"), "w") as fh:
+                json.dump(result.to_json_dict(), fh, indent=2)
     return result

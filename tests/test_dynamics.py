@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +19,19 @@ from trailflow.dynamics import (
     run,
     step,
 )
-from trailflow.graph import DirectedGraph, GraphError, build_two_path, gen_gnp
-from trailflow.analysis import normalized_levels
+from trailflow.graph import (
+    DirectedGraph,
+    GraphError,
+    build_two_path,
+    gen_gnp,
+    gen_grid,
+    plant_path,
+)
+from trailflow.analysis import InvariantObserver, normalized_levels
 from trailflow.rules import linear_rule, power_rule, sine_rule
 
 from helpers import (
+    bincount_levels,
     bincount_split,
     bincount_step,
     kernel_graphs,
@@ -448,6 +457,87 @@ def test_zero_total_split_counts_match_bincount_reference():
     assert got[g.edge_id(1, 3)] == got[g.edge_id(1, 2)] == 0.25
     vflow[1] = 0.0
     assert _split_linear(ga, p0, vflow, True)[1] == bincount_split(ga, p0, vflow, True)[1] == 0
+
+
+def test_step_through_subnormal_total_matches_bincount_reference():
+    """With the flush off, the source and the destination each split unit
+    flow over a subnormal pheromone total. flow / total overflows there, so
+    those vertices split per edge; nothing aborts and the flows stay finite."""
+    g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
+    ga = g.arrays
+    ulp = 5e-324  # the smallest subnormal; delta = 0.5 halves these exactly
+    p0 = {(0, 1): 6 * ulp, (0, 2): 2 * ulp, (1, 3): 6 * ulp, (2, 3): 2 * ulp}
+    sched = FlowSchedule.constant(1.0, 1.0)
+    cfg = EngineConfig(delta=0.5, underflow_threshold=0.0)
+    st = step(make_explicit_state(g, p0, {}, {}, sched), g, LIN, sched, cfg)
+    assert 0.0 < st.p[g.edge_id(0, 1)] < np.finfo(float).tiny
+    for got, vflow, forward in ((st.f_edge, st.f_vertex, True), (st.b_edge, st.b_vertex, False)):
+        want, zeros = bincount_split(ga, st.p, vflow, forward)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert zeros == 0
+    assert st.f_edge[g.edge_id(0, 1)] == st.b_edge[g.edge_id(1, 3)] == 0.75
+    assert st.zero_split_events == 0
+    st = step(st, g, LIN, sched, cfg)
+    assert np.isfinite(st.f_edge).all() and np.isfinite(st.b_edge).all()
+
+
+def test_step_large_flow_over_small_total_matches_bincount_reference():
+    """With the default flush, totals of 4e-300 under flows of 1e10: the
+    state's values sum far above what bounds every ratio, so those vertices
+    still split per edge, and flow / total (2.5e309) never overflows."""
+    g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
+    p0 = {e: 4e-300 for e in g.edges}
+    sched = FlowSchedule.constant(1e10, 1e10)
+    st = step(make_explicit_state(g, p0, {}, {}, sched), g, LIN, sched, EngineConfig(delta=0.5))
+    assert st.underflow_flushes == 0
+    for got, vflow, forward in ((st.f_edge, st.f_vertex, True), (st.b_edge, st.b_vertex, False)):
+        want, _ = bincount_split(g.arrays, st.p, vflow, forward)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert st.f_edge[g.edge_id(0, 1)] == st.b_edge[g.edge_id(1, 3)] == 5e9
+
+
+def test_zero_total_vertices_match_bincount_reference():
+    """A G(n, p) whose chosen vertices carry no pheromone on their out-edges
+    or in-edges: those with flow split it evenly and are counted, those
+    without send nothing; the normalized levels there are NaN."""
+    g = gen_gnp(80, 0.1, 5)
+    ga = g.arrays
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.1, 1.0, ga.m)
+    empty = np.arange(0, 80, 4)
+    p[np.isin(ga.tails, empty) | np.isin(ga.heads, empty)] = 0.0
+    vflow = rng.uniform(0.1, 1.0, ga.n)
+    vflow[empty[::2]] = 0.0
+    for forward in (True, False):
+        got, z_got = _split_linear(ga, p, vflow, forward)
+        want, z_want = bincount_split(ga, p, vflow, forward)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        deg = ga.out_deg if forward else ga.in_deg
+        assert z_got == z_want == np.count_nonzero(deg[empty[1::2]])
+    levels = normalized_levels(init_state(g, p, FlowSchedule.constant(1.0, 1.0)), g)
+    fwd, bwd = bincount_levels(ga, p)
+    np.testing.assert_allclose(levels.fwd, fwd, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(levels.bwd, bwd, rtol=1e-13, atol=0.0)
+    assert np.isnan(levels.fwd).any() and np.isnan(levels.bwd).any()
+
+
+def test_linear_split_fast_path_sets_no_error_state(monkeypatch):
+    """On a planted grid with positive totals no split, level or monitor
+    call enters ``np.errstate`` or warns."""
+
+    def errstate(**kwargs):
+        raise AssertionError(f"np.errstate({kwargs}) on the fast path")
+
+    g, _ = plant_path(gen_grid(10, 10), 9)
+    sched = FlowSchedule.exponential(1.0, 1.0, 1.1)
+    cfg = EngineConfig(delta=0.5, rescale_mode=RESCALE_BY_SOURCE, epsilon_convergence=0.01)
+    state = init_state(g, 1.0, sched)
+    monkeypatch.setattr(np, "errstate", errstate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(state, g, LIN, sched, cfg, 200, [InvariantObserver(g, cfg, sched)])
+        normalized_levels(trace.final_state, g)
+    assert trace.failure is None and trace.final_state.zero_split_events == 0
 
 
 # -- rescale and underflow -------------------------------------------------------

@@ -46,6 +46,11 @@ def test_linear_split_examples():
     assert _source_split([0, 0]) == ([0.5, 0.5], 1)  # no pheromone: even, flagged
 
 
+def test_linear_split_subnormal_total():
+    # 1 / 5e-324 overflows, so this vertex splits per edge as flow * (p / total)
+    assert _source_split([5e-324, 0.0]) == ([1.0, 0.0], 0)
+
+
 @given(
     st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=8),
     st.floats(min_value=1e-6, max_value=1e6),
@@ -142,6 +147,23 @@ def test_rule_from_config_round_trip():
         assert again.config == rule.config
     with pytest.raises(RuleError):
         rule_from_config({"kind": "nope"})
+
+
+@pytest.mark.parametrize(
+    "cfg,fragment",
+    [
+        ({"kind": "power", "k": True}, "power rule: k: expected a finite number"),
+        ({"kind": "power", "k": "2"}, "power rule: k: expected a finite number"),
+        ({"kind": "power", "k": 2, "zz": 1}, "power rule: zz: unknown key"),
+        ({"kind": "sine", "a": float("nan")}, "sine rule: a: expected a finite number"),
+        ({"kind": "table", "xs": [0, 0.5], "ys": "01"}, "table rule: ys: expected a list"),
+        ({"kind": "table", "xs": [0, 0.5], "ys": [0, False]}, "table rule: ys: expected"),
+        ({"kind": "linear", "k": 1}, "linear rule: k: unknown key"),
+    ],
+)
+def test_rule_from_config_strict(cfg, fragment):
+    with pytest.raises(RuleError, match=fragment):
+        rule_from_config(cfg)
 
 
 # -- fixed points -------------------------------------------------------------

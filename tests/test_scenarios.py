@@ -480,6 +480,52 @@ def test_cli_analyze_rule_missing_parameter_exits_2(capsys):
     assert "missing parameter 'k'" in capsys.readouterr().err
 
 
+# rule parameters read strictly: (rule, the key its error names)
+BAD_RULES = [
+    ({"kind": "power", "k": True}, "k"),
+    ({"kind": "power", "k": "2"}, "k"),
+    ({"kind": "power", "k": 2, "zz": 1}, "zz"),
+]
+
+
+@pytest.mark.parametrize("rule,key", BAD_RULES)
+def test_cli_analyze_rule_strict_parameters_exit_2(capsys, rule, key):
+    assert main(["analyze-rule", "--rule", json.dumps(rule)]) == 2
+    assert f"config error: power rule: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule,key", BAD_RULES)
+def test_cli_run_strict_rule_section_exits_2(tmp_path, capsys, rule, key):
+    cfg = write_config(tmp_path, {"seed": 1, "steps": 50, "graph": TWO_PATH22, "rule": rule})
+    assert main(["run", "--config", cfg]) == 2
+    assert f"config error: rule: power rule: {key}:" in capsys.readouterr().err
+    with pytest.raises(ScenarioError, match=f"rule: power rule: {key}:"):
+        parse_scenario({"seed": 1, "graph": TWO_PATH22, "rule": rule})
+
+
+def test_parse_linear_rule_rejects_parameters():
+    with pytest.raises(ScenarioError, match="rule: linear rule: k: unknown key"):
+        parse_scenario({"seed": 1, "graph": GRID33, "rule": {"kind": "linear", "k": 2}})
+
+
+def test_cli_unusable_output_path_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = write_config(tmp_path, {"seed": 1, "steps": 50, "graph": TWO_PATH22})
+    assert main(["run", "--config", cfg, "--out-dir", str(afile)]) == 2
+    assert "config error: --out-dir:" in capsys.readouterr().err
+    cfg = write_config(
+        tmp_path, {"seed": 1, "steps": 50, "graph": TWO_PATH22, "outputs": {"dir": str(afile)}}
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert "config error: outputs.dir:" in capsys.readouterr().err
+    assert main(["analyze-rule", "--rule", '{"kind":"power","k":2}', "--out", str(tmp_path)]) == 2
+    assert "config error: --out:" in capsys.readouterr().err
+    argv = ["batch", "--preset", "appendixC-leakage", "--instances", "1", "--out-dir", str(afile)]
+    assert main(argv) == 2
+    assert "config error: --out-dir:" in capsys.readouterr().err
+
+
 def test_cli_batch_config_passes_epsilon(tmp_path):
     cfg = write_config(tmp_path, A1_DOC)
     out = tmp_path / "out"
