@@ -200,6 +200,9 @@ def _cmd_counterexample(args) -> int:
     else:
         cx = flow_counterexample(rule, two_path, args.f0, mu=args.mu, r=args.r, eps=args.eps)
         horizon = args.steps or 10_000
+    if args.out_dir:
+        with output_errors("--out-dir"):
+            os.makedirs(args.out_dir, exist_ok=True)
     report, trace, _ = run_counterexample(cx, horizon, delta=args.delta)
     control = run_positive_control(cx, args.control_steps, delta=args.delta)
     doc = {
@@ -223,7 +226,6 @@ def _cmd_counterexample(args) -> int:
     print(text)
     if args.out_dir:
         with output_errors("--out-dir"):
-            os.makedirs(args.out_dir, exist_ok=True)
             with open(os.path.join(args.out_dir, "counterexample.json"), "w") as fh:
                 fh.write(text)
     control_ok = control.converged_path == cx.two_path.top

@@ -113,6 +113,22 @@ def equilibrium_state(
     )
 
 
+class _MaxDeviation:
+    """The largest absolute difference between some arrays and their
+    references, taken in one pass over a scratch buffer allocated once.
+    ``max`` is exact, so this is the maximum of the per-array maxima."""
+
+    def __init__(self, *refs: np.ndarray) -> None:
+        self.refs = refs
+        self.buf = np.empty(sum(ref.size for ref in refs))
+        self.parts = np.split(self.buf, np.cumsum([ref.size for ref in refs[:-1]]))
+
+    def __call__(self, *arrays: np.ndarray) -> float:
+        for arr, ref, part in zip(arrays, self.refs, self.parts):
+            np.subtract(arr, ref, out=part)
+        return float(np.abs(self.buf, out=self.buf).max())
+
+
 def verify_equilibrium(
     state: SystemState,
     two_path: TwoPathGraph,
@@ -125,17 +141,12 @@ def verify_equilibrium(
     flow from its initial value."""
     g = two_path.graph
     decision = DecisionRule.general(rule)
-    p0, fe0, be0 = state.p.copy(), state.f_edge.copy(), state.b_edge.copy()
+    deviation = _MaxDeviation(state.p.copy(), state.f_edge.copy(), state.b_edge.copy())
     cur = state
     drift = 0.0
     for _ in range(k):
         cur = step(cur, g, decision, schedule, cfg)
-        drift = max(
-            drift,
-            float(np.max(np.abs(cur.p - p0))),
-            float(np.max(np.abs(cur.f_edge - fe0))),
-            float(np.max(np.abs(cur.b_edge - be0))),
-        )
+        drift = max(drift, deviation(cur.p, cur.f_edge, cur.b_edge))
     return drift
 
 
@@ -208,15 +219,13 @@ def stability_experiment(
     decision = DecisionRule.general(rule)
     schedule = FlowSchedule.constant(f_s, b_d)
     cfg = EngineConfig(delta=delta)
-    fe0, be0 = eq.f_edge, eq.b_edge
+    flow_dev = _MaxDeviation(eq.f_edge, eq.b_edge)
     levels = BranchLevelObserver(two_path, "top")
 
     def deviation(st: SystemState, prev: Optional[SystemState]) -> float:
         levels(st.t, st, prev)
         dev = max(abs(levels.norm_s[-1] - r), abs(levels.norm_d[-1] - r))
-        dev = max(dev, float(np.max(np.abs(st.f_edge - fe0))))
-        dev = max(dev, float(np.max(np.abs(st.b_edge - be0))))
-        return dev
+        return max(dev, flow_dev(st.f_edge, st.b_edge))
 
     t_converged: Optional[int] = None
     held = True

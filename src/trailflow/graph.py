@@ -258,13 +258,15 @@ class GraphArrays:
         self.in_eids = np.argsort(self.heads, kind="stable")
         self.in_ptr = np.concatenate(([0], np.cumsum(self.in_deg)))
         # tail-sorted input (every generator but the two-path builder and the
-        # planting helpers) needs no gather before the segment sums
-        tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
-        self._by_tail = slice(None) if tail_sorted else self.out_eids
+        # planting helpers) needs no gather before the segment sums, and the
+        # forward split lays its ratios out by ``np.repeat`` over ``out_len``
+        self.tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
+        self._by_tail = slice(None) if self.tail_sorted else self.out_eids
         # the vertices with out-edges / in-edges, and each edge's index into
         # them by its tail / head: the slots of the per-vertex split totals
         self.with_out = np.flatnonzero(self.out_deg)
         self.with_in = np.flatnonzero(self.in_deg)
+        self.out_len = self.out_deg[self.with_out]  # out-degrees of ``with_out``
         self.out_slot = (np.cumsum(self.out_deg > 0) - 1)[self.tails]
         self.in_slot = (np.cumsum(self.in_deg > 0) - 1)[self.heads]
         self._seg_starts = self.out_ptr[self.with_out]

@@ -1,7 +1,8 @@
 """Independent test oracles: a dict-based reference implementation of the
 update step (kept deliberately separate from the engine's vectorized path),
-a degree-scan general split, a bincount-based linear split, step and normalized levels plus a greedy
-convergence walk over full level arrays, the graphs that exercise the
+a degree-scan general split, a stability run's deviation in its original
+form, a bincount-based linear split, step and normalized levels plus a
+greedy convergence walk over full level arrays, the graphs that exercise the
 engine's segment sums, a per-kind invariant observer, and a brute-force
 min-leakage path enumerator with sound pruning."""
 
@@ -107,6 +108,23 @@ def reference_general_split(graph, rule, p, vertex_flow, forward):
             eflow[e_min] = amount * g
             eflow[e_oth] = amount * (1.0 - g)
     return eflow, zero_events
+
+
+def reference_deviation(two_path, r, state, fe0, be0):
+    """A stability run's deviation in its original form: the top branch's
+    levels at s and d from numpy scalars (NaN on a zero total), then one
+    ``np.max`` per edge-flow array, combined by Python's ``max`` in that
+    order."""
+    p = state.p
+    (s_top, d_top), (s_bot, d_bot) = two_path.branch_eids("top"), two_path.branch_eids("bottom")
+    ts = p[s_top] + p[s_bot]
+    td = p[d_top] + p[d_bot]
+    level_s = float(p[s_top] / ts) if ts > 0 else math.nan
+    level_d = float(p[d_top] / td) if td > 0 else math.nan
+    dev = max(abs(level_s - r), abs(level_d - r))
+    dev = max(dev, float(np.max(np.abs(state.f_edge - fe0))))
+    dev = max(dev, float(np.max(np.abs(state.b_edge - be0))))
+    return dev
 
 
 def bincount_levels(ga, p):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trailflow.analysis import (
+    BranchLevelObserver,
     InvariantObserver,
     PheromoneBoundObserver,
     PotentialObserver,
@@ -428,3 +429,27 @@ def test_invariant_observer_rows_it_skips_and_flags():
     assert violations("f_vertex", v, "zero") == [("split_f", v)]
     assert violations("p", 5, 1e-9) == [("recurrence", 5)]
     assert violations("f_vertex", v, 1e-9) == [("conservation_f", v), ("split_f", v)]
+
+
+def test_branch_level_observer_levels_and_zero_totals():
+    """Each level is the branch edge's pheromone over both branch edges at s
+    (at d), the same float as numpy's p / (p + p), and NaN on a zero total."""
+    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
+    s_top, d_top = tp.branch_eids("top")
+    s_bot, d_bot = tp.branch_eids("bottom")
+    rng = np.random.default_rng(3)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    obs = BranchLevelObserver(tp, "top")
+    cases = [rng.uniform(0.0, 2.0, tp.graph.n_edges) for _ in range(20)]
+    zero_s, zero_d = cases[0].copy(), cases[1].copy()
+    zero_s[[s_top, s_bot]] = 0.0
+    zero_d[[d_top, d_bot]] = 0.0
+    cases += [zero_s, zero_d]
+    for p in cases:
+        obs(0, init_state(tp.graph, p, sched), None)
+    want_s = [p[s_top] / (p[s_top] + p[s_bot]) for p in cases[:-2]]
+    want_d = [p[d_top] / (p[d_top] + p[d_bot]) for p in cases[:-2]]
+    assert [x.hex() for x in obs.norm_s[:-2]] == [float(x).hex() for x in want_s]
+    assert [x.hex() for x in obs.norm_d[:-2]] == [float(x).hex() for x in want_d]
+    assert math.isnan(obs.norm_s[-2]) and not math.isnan(obs.norm_d[-2])
+    assert math.isnan(obs.norm_d[-1]) and not math.isnan(obs.norm_s[-1])

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -519,6 +520,32 @@ def test_zero_total_vertices_match_bincount_reference():
     np.testing.assert_allclose(levels.fwd, fwd, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(levels.bwd, bwd, rtol=1e-13, atol=0.0)
     assert np.isnan(levels.fwd).any() and np.isnan(levels.bwd).any()
+
+
+def test_forward_repeat_split_equals_gather_form():
+    """On a tail-sorted G(n, p) the forward split lays out each vertex's
+    ratio with ``np.repeat``; it gives the gather form's floats bit for bit,
+    on the fast path and with zero-total vertices, with and without flow."""
+    g = gen_gnp(80, 0.1, 6)
+    ga = g.arrays
+    assert ga.tail_sorted
+    gather = copy.copy(ga)
+    gather.tail_sorted = False
+    rng = np.random.default_rng(6)
+    p = rng.uniform(0.1, 1.0, ga.m)
+    vflow = rng.uniform(0.1, 1.0, ga.n)
+    empty_p = p.copy()
+    empty = np.arange(1, 80, 3)
+    empty_p[np.isin(ga.tails, empty)] = 0.0
+    vflow_idle = vflow.copy()
+    vflow_idle[empty[::2]] = 0.0
+    for pher, flow in ((p, vflow), (empty_p, vflow), (empty_p, vflow_idle)):
+        for bounded in (False, True):
+            got, z_got = _split_linear(ga, pher, flow, True, bounded)
+            want, z_want = _split_linear(gather, pher, flow, True, bounded)
+            assert got.tobytes() == want.tobytes()
+            assert z_got == z_want
+    assert _split_linear(ga, empty_p, vflow, True)[1] == np.count_nonzero(ga.out_deg[empty])
 
 
 def test_linear_split_fast_path_sets_no_error_state(monkeypatch):

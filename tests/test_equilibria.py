@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from trailflow.dynamics import EngineConfig, FlowSchedule
+from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, step
 from trailflow.equilibria import (
     EquilibriumError,
     EquilibriumSpec,
@@ -18,6 +20,8 @@ from trailflow.rules import (
     sine_rule,
     stable_fixed_points,
 )
+
+from helpers import reference_deviation
 
 TP = build_two_path(2, 2, [0.0], [0.0])
 SCHED = FlowSchedule.constant(1.0, 1.0)
@@ -126,3 +130,56 @@ def test_stability_report_series(tmp_path):
     assert len(lines) == 202  # header + t=0..200
     doc = out.to_json_dict()
     assert doc["held_until_Tmax"] is True
+
+
+def _stable_case(rule):
+    rep = stable_fixed_points(rule)
+    r = rep.stable_points[0]
+    return rule, r, rep.margins[r].r_eps / 4
+
+
+@pytest.mark.parametrize(
+    "rule, r, eps, seed",
+    [
+        (*_stable_case(power_rule(2)), 3),
+        (*_stable_case(power_rule(0.5)), 5),
+        (*_stable_case(sine_rule(0.05)), 7),
+        (sine_rule(0.05), 0.5, 0.02, 2),  # the unstable point: the run drifts away
+    ],
+    ids=["power2", "power0.5", "sine0.05", "sine0.05-unstable"],
+)
+def test_stability_series_matches_reference_deviation(tmp_path, rule, r, eps, seed):
+    """Every row of the series CSV is the original deviation formula's float,
+    bit for bit, replayed over the same steps."""
+    path = tmp_path / "series.csv"
+    T = 600
+    stability_experiment(rule, r, eps, 1e-3, T, TP, seed=seed, series_path=str(path))
+    eq = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
+    st = perturb(eq, eps, seed)
+    decision = DecisionRule.general(rule)
+    want = [(0, reference_deviation(TP, r, st, eq.f_edge, eq.b_edge).hex())]
+    for _ in range(T):
+        st = step(st, TP.graph, decision, SCHED, CFG)
+        want.append((st.t, reference_deviation(TP, r, st, eq.f_edge, eq.b_edge).hex()))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "deviation"]
+    assert [(int(t), float(d).hex()) for t, d in rows[1:]] == want
+
+
+def test_verify_equilibrium_drift_matches_per_array_maxima():
+    rule = sine_rule(0.05)
+    st = equilibrium_state(TP, rule, 0.5, 1.0, 1.0, 0.5)
+    st.p[TP.s_top_eid] += 0.1
+    p0, fe0, be0 = st.p.copy(), st.f_edge.copy(), st.b_edge.copy()
+    decision = DecisionRule.general(rule)
+    cur, want = st, 0.0
+    for _ in range(400):
+        cur = step(cur, TP.graph, decision, SCHED, CFG)
+        want = max(
+            want,
+            float(np.max(np.abs(cur.p - p0))),
+            float(np.max(np.abs(cur.f_edge - fe0))),
+            float(np.max(np.abs(cur.b_edge - be0))),
+        )
+    assert verify_equilibrium(st, TP, rule, SCHED, CFG, 400).hex() == want.hex()

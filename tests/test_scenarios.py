@@ -526,6 +526,22 @@ def test_cli_unusable_output_path_exits_2(tmp_path, capsys):
     assert "config error: --out-dir:" in capsys.readouterr().err
 
 
+def test_cli_counterexample_unusable_out_dir_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the counterexample ran before the --out-dir check")
+
+    monkeypatch.setattr("trailflow.cli.run_counterexample", no_run)
+    monkeypatch.setattr("trailflow.cli.run_positive_control", no_run)
+    argv = ["counterexample", "--kind", "leakage", "--rule", '{"kind":"power","k":2}']
+    assert main([*argv, "--out-dir", str(afile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: --out-dir:" in err
+
+
 def test_cli_batch_config_passes_epsilon(tmp_path):
     cfg = write_config(tmp_path, A1_DOC)
     out = tmp_path / "out"
