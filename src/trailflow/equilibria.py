@@ -129,6 +129,21 @@ class _MaxDeviation:
         return float(np.abs(self.buf, out=self.buf).max())
 
 
+def _repeats(cur: SystemState, prev: SystemState) -> bool:
+    """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
+    byte (so -0.0 does not match 0.0). ``step`` reads only these three
+    arrays and, through the schedule, ``t``; so under a constant schedule
+    every later state holds the same bytes again, and so does every value
+    computed from them. Callers test it only on a step whose deviation
+    equals the previous step's, a float compare that every repeat passes,
+    so most steps copy no bytes."""
+    return (
+        cur.p.tobytes() == prev.p.tobytes()
+        and cur.f_edge.tobytes() == prev.f_edge.tobytes()
+        and cur.b_edge.tobytes() == prev.b_edge.tobytes()
+    )
+
+
 def verify_equilibrium(
     state: SystemState,
     two_path: TwoPathGraph,
@@ -138,15 +153,27 @@ def verify_equilibrium(
     k: int,
 ) -> float:
     """Run k steps; the maximum absolute deviation of any pheromone or edge
-    flow from its initial value."""
+    flow from its initial value.
+
+    Under a constant schedule the run stops at the first state that repeats
+    its predecessor (``_repeats``): every later deviation is that state's
+    again, and the drift is a running maximum, so the rest adds nothing."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     g = two_path.graph
     decision = DecisionRule.general(rule)
     deviation = _MaxDeviation(state.p.copy(), state.f_edge.copy(), state.b_edge.copy())
+    stops = schedule.kind == "constant"
     cur = state
+    dev = deviation(cur.p, cur.f_edge, cur.b_edge)
     drift = 0.0
     for _ in range(k):
+        prev, prev_dev = cur, dev
         cur = step(cur, g, decision, schedule, cfg)
-        drift = max(drift, deviation(cur.p, cur.f_edge, cur.b_edge))
+        dev = deviation(cur.p, cur.f_edge, cur.b_edge)
+        drift = max(drift, dev)
+        if stops and dev == prev_dev and _repeats(cur, prev):
+            break
     return drift
 
 
@@ -177,6 +204,7 @@ class StabilityReport:
     eps_target: float
     seed: int
     t_converged: Optional[int]
+    t_stationary: Optional[int]
     held_until_Tmax: bool
     T_max: int
     max_dev_after_convergence: float
@@ -190,6 +218,7 @@ class StabilityReport:
             "eps_target": self.eps_target,
             "seed": self.seed,
             "t_converged": self.t_converged,
+            "t_stationary": self.t_stationary,
             "held_until_Tmax": self.held_until_Tmax,
             "T_max": self.T_max,
             "max_dev_after_convergence": self.max_dev_after_convergence,
@@ -212,7 +241,19 @@ def stability_experiment(
 ) -> StabilityReport:
     """Perturb the equilibrium at r by ``eps`` and report the first time all
     branch normalized levels and edge flows are within ``eps_target`` of the
-    equilibrium, and whether they stay there through T_max."""
+    equilibrium, and whether they stay there through T_max.
+
+    The run stops stepping at ``t_stationary``, the first state that repeats
+    its predecessor byte for byte (``_repeats``). The schedule is constant,
+    so every later state is that state again and every later deviation is
+    its deviation: the series repeats that row up to T_max, and the report
+    holds the floats that stepping to T_max gives."""
+    if not eps >= 0.0:
+        raise ValueError("perturbation eps must be >= 0")
+    if not eps_target >= 0.0:
+        raise ValueError("eps_target must be >= 0")
+    if T_max < 0:
+        raise ValueError("T_max must be >= 0")
     eq = equilibrium_state(two_path, rule, r, f_s, b_d, delta)
     state = perturb(eq, eps, seed) if eps > 0.0 else eq
     g = two_path.graph
@@ -228,6 +269,7 @@ def stability_experiment(
         return max(dev, flow_dev(st.f_edge, st.b_edge))
 
     t_converged: Optional[int] = None
+    t_stationary: Optional[int] = None
     held = True
     max_after = 0.0
     series: List[Tuple[int, float]] = []
@@ -238,7 +280,8 @@ def stability_experiment(
     if dev <= eps_target:
         t_converged = 0
     for _ in range(T_max):
-        prev, cur = cur, step(cur, g, decision, schedule, cfg)
+        prev, prev_dev = cur, dev
+        cur = step(cur, g, decision, schedule, cfg)
         dev = deviation(cur, prev)
         if series_path:
             series.append((cur.t, dev))
@@ -249,9 +292,16 @@ def stability_experiment(
             max_after = max(max_after, dev)
             if dev > eps_target:
                 held = False
+        if dev == prev_dev and _repeats(cur, prev):
+            t_stationary = cur.t
+            break
+    # every later deviation is ``dev``, which the previous step had too: if
+    # it is within eps_target, t_converged is already set and max_after and
+    # held have taken it in. Only the series lacks the rows up to T_max.
     if t_converged is None:
         held = False
     if series_path:
+        series.extend((t, dev) for t in range(cur.t + 1, T_max + 1))
         with open(series_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "deviation"])
@@ -263,6 +313,7 @@ def stability_experiment(
         eps_target=eps_target,
         seed=seed,
         t_converged=t_converged,
+        t_stationary=t_stationary,
         held_until_Tmax=held,
         T_max=T_max,
         max_dev_after_convergence=max_after,

@@ -162,6 +162,7 @@ def test_A4_equilibria_and_stability():
 
     held = 0
     total = 0
+    stationary = 0
     for rule in A4_RULES:
         rep = stable_fixed_points(rule)
         for r in rep.stable_points:
@@ -174,11 +175,13 @@ def test_A4_equilibria_and_stability():
                 ok = out.t_converged is not None and out.held_until_Tmax
                 assert ok, f"{rule.name} r={r} seed={seed}: {out}"
                 held += ok
+                stationary += out.t_stationary is not None
     assert held == total == 60  # 3 rules x 1 stable point x 20 seeds
     report(
         "A4",
         f"{len(drift_summary)} equilibria with drift <= 1e-12; "
-        f"stability held in {held}/{total} perturbed runs",
+        f"stability held in {held}/{total} perturbed runs, "
+        f"{stationary}/{total} stationary (a state repeated its predecessor) by T_max",
     )
 
 

@@ -7,6 +7,7 @@ from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, step
 from trailflow.equilibria import (
     EquilibriumError,
     EquilibriumSpec,
+    _repeats,
     equilibrium_state,
     perturb,
     stability_experiment,
@@ -183,3 +184,153 @@ def test_verify_equilibrium_drift_matches_per_array_maxima():
             float(np.max(np.abs(cur.b_edge - be0))),
         )
     assert verify_equilibrium(st, TP, rule, SCHED, CFG, 400).hex() == want.hex()
+
+
+def _brute_force_stability(rule, r, eps, eps_target, T, seed):
+    """A stability run stepped all the way to T with the deviation in its
+    original form: the report fields, every series row and the first t
+    whose state repeats its predecessor byte for byte."""
+    eq = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
+    st = perturb(eq, eps, seed)
+    decision = DecisionRule.general(rule)
+    rows = [(0, reference_deviation(TP, r, st, eq.f_edge, eq.b_edge))]
+    t_stationary = None
+    for _ in range(T):
+        prev, st = st, step(st, TP.graph, decision, SCHED, CFG)
+        rows.append((st.t, reference_deviation(TP, r, st, eq.f_edge, eq.b_edge)))
+        same = all(
+            a.tobytes() == b.tobytes()
+            for a, b in ((st.p, prev.p), (st.f_edge, prev.f_edge), (st.b_edge, prev.b_edge))
+        )
+        if same and t_stationary is None:
+            t_stationary = st.t
+    t_converged = next((t for t, dev in rows if dev <= eps_target), None)
+    after = [dev for t, dev in rows if t_converged is not None and t > t_converged]
+    held = t_converged is not None and all(dev <= eps_target for dev in after)
+    return {
+        "t_converged": t_converged,
+        "t_stationary": t_stationary,
+        "held_until_Tmax": held,
+        "max_dev_after_convergence": max(after, default=0.0).hex(),
+        "rows": [(t, dev.hex()) for t, dev in rows],
+    }
+
+
+@pytest.mark.parametrize(
+    "rule, r, eps, eps_target, T, seed, stationary",
+    [
+        (*_stable_case(power_rule(2)), 1e-3, 2000, 3, True),
+        (*_stable_case(power_rule(0.5)), 1e-3, 2000, 5, True),
+        (*_stable_case(sine_rule(0.05)), 1e-3, 2000, 7, True),
+        # leaves r = 0.5 and settles on another fixed point, never within 1e-3 of r
+        (sine_rule(0.05), 0.5, 0.02, 1e-3, 2000, 2, True),
+        # the fixed point's deviation is not exactly 0, so 0.0 is never reached
+        (*_stable_case(power_rule(0.5)), 0.0, 2000, 3, True),
+        # T_max ends before the state repeats
+        (*_stable_case(sine_rule(0.05)), 1e-3, 60, 7, False),
+        (sine_rule(0.05), 0.5, 0.02, 1e-3, 100, 2, False),
+    ],
+    ids=[
+        "power2", "power0.5", "sine0.05", "sine0.05-unstable", "eps-target-0",
+        "sine0.05-short", "sine0.05-unstable-short",
+    ],
+)
+def test_stability_experiment_replays_brute_force(
+    tmp_path, rule, r, eps, eps_target, T, seed, stationary
+):
+    """Stopping at the first repeated state changes no report field and no
+    series row: both are the floats of a run stepped to T_max."""
+    path = tmp_path / "series.csv"
+    out = stability_experiment(rule, r, eps, eps_target, T, TP, seed=seed, series_path=str(path))
+    want = _brute_force_stability(rule, r, eps, eps_target, T, seed)
+    assert (out.t_stationary is not None) == stationary
+    got = {
+        "t_converged": out.t_converged,
+        "t_stationary": out.t_stationary,
+        "held_until_Tmax": out.held_until_Tmax,
+        "max_dev_after_convergence": out.max_dev_after_convergence.hex(),
+    }
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "deviation"]
+    got["rows"] = [(int(t), float(d).hex()) for t, d in rows[1:]]
+    assert got == want
+    assert out.to_json_dict()["t_stationary"] == out.t_stationary
+
+
+def test_stability_experiment_stops_stepping_at_t_stationary(monkeypatch):
+    import trailflow.equilibria as equilibria
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(equilibria, "step", counted)
+    rule, r, eps = _stable_case(power_rule(2))
+    out = stability_experiment(rule, r, eps, 1e-3, 10_000, TP, seed=1)
+    assert out.t_stationary is not None
+    assert len(calls) <= out.t_stationary + 1
+    assert out.held_until_Tmax and out.T_max == 10_000
+
+
+def test_repeats_compares_bytes_not_floats():
+    st = equilibrium_state(TP, power_rule(2), 0.0, 1.0, 1.0, 0.5)
+    assert _repeats(st, st.copy())
+    neg = st.copy()
+    top = TP.path_eids("top")[0]
+    assert st.f_edge[top] == 0.0
+    neg.f_edge[top] = -0.0
+    assert np.array_equal(neg.f_edge, st.f_edge)  # equal as floats
+    assert not _repeats(neg, st)
+
+
+def test_verify_equilibrium_stops_at_fixed_point_with_exact_drift(monkeypatch):
+    import trailflow.equilibria as equilibria
+
+    rule, r, eps = _stable_case(sine_rule(0.05))
+    eq = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
+    st = perturb(eq, eps, seed=4)
+    k = 1000  # well past the state's fixed point (about t = 100)
+    p0, fe0, be0 = st.p.copy(), st.f_edge.copy(), st.b_edge.copy()
+    decision = DecisionRule.general(rule)
+    cur, want = st, 0.0
+    for _ in range(k):
+        cur = step(cur, TP.graph, decision, SCHED, CFG)
+        want = max(
+            want,
+            float(np.max(np.abs(cur.p - p0))),
+            float(np.max(np.abs(cur.f_edge - fe0))),
+            float(np.max(np.abs(cur.b_edge - be0))),
+        )
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(equilibria, "step", counted)
+    assert verify_equilibrium(st, TP, rule, SCHED, CFG, k).hex() == want.hex()
+    assert len(calls) < k // 2
+    # only a constant schedule makes a repeat a fixed point: under this
+    # linear one the equilibrium repeats itself until t = 12, where 1 + 1e-17 t
+    # first rounds above 1, so every step is taken
+    calls.clear()
+    eq_drift = verify_equilibrium(eq, TP, rule, FlowSchedule.linear(1.0, 1.0, 1e-17), CFG, 50)
+    assert len(calls) == 50
+    assert eq_drift > 0.0
+
+
+def test_stability_inputs_rejected():
+    rule, r, eps = _stable_case(sine_rule(0.05))
+    st = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="eps"):
+        stability_experiment(rule, r, -0.1, 1e-3, 50, TP)
+    with pytest.raises(ValueError, match="eps_target"):
+        stability_experiment(rule, r, eps, -1e-3, 50, TP)
+    with pytest.raises(ValueError, match="T_max"):
+        stability_experiment(rule, r, eps, 1e-3, -5, TP)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be"):
+            verify_equilibrium(perturb(st, eps, seed=1), TP, rule, SCHED, CFG, k)
