@@ -393,29 +393,20 @@ def verify_nonconvergence(
     levels: BranchLevelObserver,
     bound: float,
     direction: str,
-    T: Optional[int] = None,
     slack: float = 1e-9,
 ) -> NonconvergenceReport:
     """Check the branch level bound at both graph ends over the recorded
-    steps (<= for AT_MOST, >= for AT_LEAST)."""
-    n = len(levels.norm_s) if T is None else min(T + 1, len(levels.norm_s))
-    first_t: Optional[int] = None
-    first_v: Optional[float] = None
-    for t in range(n):
-        for v in (levels.norm_s[t], levels.norm_d[t]):
-            if math.isnan(v):
-                continue
-            bad = v > bound + slack if direction == AT_MOST else v < bound - slack
-            if bad:
-                first_t, first_v = t, v
-                break
-        if first_t is not None:
-            break
+    steps (<= for AT_MOST, >= for AT_LEAST). A NaN level compares false,
+    so it never violates."""
+    limit = bound + slack if direction == AT_MOST else bound - slack
+    bad = (lambda v: v > limit) if direction == AT_MOST else (lambda v: v < limit)
+    pairs = enumerate(zip(levels.norm_s, levels.norm_d))
+    first_t, first_v = next(((t, v) for t, pair in pairs for v in pair if bad(v)), (None, None))
     return NonconvergenceReport(
         ok=first_t is None,
         bound=bound,
         direction=direction,
-        steps_checked=n,
+        steps_checked=len(levels.norm_s),
         first_violation_t=first_t,
         first_violation_value=first_v,
     )

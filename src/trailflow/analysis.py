@@ -12,7 +12,7 @@ window minimum; a true 0/positive ratio is 0 and dominates the minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -338,7 +338,8 @@ class InvariantObserver:
     The five residuals and their scales sit side by side in buffers sized
     once per observer (see ``KINDS`` for the order), so one tolerance test
     covers them all. A step with a violation appends, per failing kind and
-    in ``KINDS`` order, the entry with the largest relative error.
+    in ``KINDS`` order, the entry with the largest relative error; on a
+    stationary run's repeated state it repeats the last step's entries.
     """
 
     KINDS = ("recurrence", "conservation_f", "conservation_b", "split_f", "split_b")
@@ -380,12 +381,16 @@ class InvariantObserver:
         never[m + 3 * n :] = ga.in_deg == 0
         self._never = never
         self._skip = never.copy()
+        self._last: List[InvariantViolation] = []  # the last step's records
 
     def __call__(self, t, state, prev) -> None:
         if prev is None:
             # initial states may be explicitly constructed (proof
             # configurations, perturbations); invariants apply to stepped
             # states
+            return
+        if prev is state:  # a repeated state: the last step's arrays and records
+            self.violations.extend(replace(v, t=t) for v in self._last)
             return
         ga = self.graph.arrays
         m, n = ga.m, ga.n
@@ -425,15 +430,17 @@ class InvariantObserver:
         tol = np.multiply(scale, self.rel_tol, out=self._tol)
         np.maximum(tol, self._tol_floor, out=tol)
         np.greater(np.abs(err, out=self._abs), tol, out=self._bad)
-        if self._bad.any():
-            self._record(t)
+        self._last = self._worst(t) if self._bad.any() else []
+        self.violations.extend(self._last)
 
-    def _record(self, t: int) -> None:
-        """Append the worst entry of every kind with a violation."""
+    def _worst(self, t: int) -> List[InvariantViolation]:
+        """The worst entry of every kind with a violation."""
         b = self._bounds
+        out = []
         for k, kind in enumerate(self.KINDS):
             lo, hi = b[k], b[k + 1]
             if self._bad[lo:hi].any():
                 rel = self._abs[lo:hi] / np.maximum(self._scale[lo:hi], 1e-30)
                 i = int(np.argmax(rel))
-                self.violations.append(InvariantViolation(t, kind, i, float(self._err[lo + i])))
+                out.append(InvariantViolation(t, kind, i, float(self._err[lo + i])))
+        return out

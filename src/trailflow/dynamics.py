@@ -513,25 +513,74 @@ def _flush(x: np.ndarray, threshold: float) -> int:
 # the run loop tests for convergence every this many steps and after the last
 CONVERGENCE_CHECK_INTERVAL = 16
 
-# observer contract: called as obs(t, state, prev_state) after every step and
-# once with prev_state=None on the initial state; a truthy return stops the run
-Observer = Callable[[int, SystemState, Optional[SystemState]], Optional[bool]]
+# observer contract: called as obs(t, state, prev_state) once with
+# prev_state=None on the initial state, then once for every later t. After a
+# stationary stop (see ``run``) the call is obs(t, s, s) on the repeated state
+# s, so ``prev is state`` means nothing changed and the time is ``t``, not s.t
+Observer = Callable[[int, SystemState, Optional[SystemState]], None]
 
 
 @dataclass
 class RunTrace:
     stop_reason: str = "horizon"
-    steps_run: int = 0
     converged_path: Optional[Path] = None
     converged_t: Optional[int] = None
     failure: Optional[str] = None
     failure_t: Optional[int] = None
     final_state: Optional[SystemState] = None
     warnings: Tuple[str, ...] = ()
+    t_stationary: Optional[int] = None  # where stepping stopped on a repeated state
 
-    @property
-    def converged(self) -> bool:
-        return self.converged_path is not None
+
+_STEP_INPUTS = ("p", "f_edge", "b_edge")  # what ``step`` reads, besides ``t``
+
+
+def _repeats(cur: SystemState, prev: SystemState) -> bool:
+    """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
+    byte (so -0.0 does not match 0.0)."""
+    return all(getattr(cur, a).tobytes() == getattr(prev, a).tobytes() for a in _STEP_INPUTS)
+
+
+class _RepeatGate:
+    """``_repeats`` at O(1) cost while the state changes: one entry is first
+    compared as floats, a test that every repeat passes. When the bytes
+    differ, the entry that changed most becomes the one compared first."""
+
+    probe = ("p", 0)
+
+    def __call__(self, cur: SystemState, prev: SystemState) -> bool:
+        name, i = self.probe
+        a = getattr(cur, name)
+        if a.size and a.item(i) != getattr(prev, name).item(i):
+            return False
+        for name in _STEP_INPUTS:
+            a, b = getattr(cur, name), getattr(prev, name)
+            if a.tobytes() != b.tobytes():
+                self.probe = (name, int(np.argmax(np.abs(a - b))))
+                return False
+        return True
+
+
+def _hold(state: SystemState, k: int, *step_args) -> SystemState:
+    """The state ``k`` steps after ``state``, which repeats its predecessor.
+    Each of those steps maps its arrays to themselves and adds the same
+    amounts to the delivered flow and the counters: one step from a copy
+    with these at zero gives them exactly. The delivered amounts are added
+    one step at a time, so the sums round as stepping rounds them."""
+    zero = replace(state, delivered_forward=0.0, delivered_backward=0.0)
+    unit = step(replace(zero, underflow_flushes=0, zero_split_events=0), *step_args)
+    forward, backward = state.delivered_forward, state.delivered_backward
+    for _ in range(k):
+        forward += unit.delivered_forward
+        backward += unit.delivered_backward
+    return replace(
+        state,
+        t=state.t + k,
+        delivered_forward=forward,
+        delivered_backward=backward,
+        underflow_flushes=state.underflow_flushes + k * unit.underflow_flushes,
+        zero_split_events=state.zero_split_events + k * unit.zero_split_events,
+    )
 
 
 def run(
@@ -544,23 +593,28 @@ def run(
     observers: Sequence[Observer] = (),
 ) -> RunTrace:
     """Apply ``step`` up to T times with observers; stops early on detected
-    convergence when the config asks for it."""
+    convergence when the config asks for it.
+
+    Under a constant schedule, stepping stops at the first state that
+    repeats its predecessor (``_repeats``), at ``t_stationary``: ``step``
+    reads only those arrays and ``t``, so every later state would repeat it
+    too. The run still ends as stepping would end it. The observers see the
+    repeated state for every remaining t, one convergence check on it stands
+    for the next one stepping would make, and ``_hold`` gives the final
+    state."""
     if T < 1:
         raise ConfigError("T must be >= 1")
     validate_run_setup(graph, rule, schedule, cfg)
     from .analysis import detect_convergence
 
     trace = RunTrace(warnings=state.warnings)
-    stop = False
     for obs in observers:
-        if obs(state.t, state, None):
-            stop = True
+        obs(state.t, state, None)
     eps = cfg.epsilon_convergence
+    gate = _RepeatGate() if schedule.kind == "constant" else None
+    path = None
     cur = state
-    for i in range(T):
-        if stop:
-            trace.stop_reason = "observer_stop"
-            break
+    for i in range(1, T + 1):
         try:
             nxt = step(cur, graph, rule, schedule, cfg)
         except EngineAbort as exc:
@@ -569,17 +623,29 @@ def run(
             trace.failure_t = exc.t
             break
         prev, cur = cur, nxt
-        trace.steps_run += 1
         for obs in observers:
-            if obs(cur.t, cur, prev):
-                stop = True
-        if eps is not None and (trace.steps_run % CONVERGENCE_CHECK_INTERVAL == 0 or i == T - 1):
+            obs(cur.t, cur, prev)
+        if eps is not None and (i % CONVERGENCE_CHECK_INTERVAL == 0 or i == T):
             path = detect_convergence(cur, graph, eps)
             if path is not None:
-                trace.stop_reason = "converged"
-                trace.converged_path = path
-                trace.converged_t = cur.t
                 break
+        if gate is not None and gate(cur, prev):
+            trace.t_stationary = cur.t
+            k = T - i
+            if eps is not None and k:
+                path = detect_convergence(cur, graph, eps)
+                if path is not None:
+                    k = min(k, CONVERGENCE_CHECK_INTERVAL - i % CONVERGENCE_CHECK_INTERVAL)
+            for t in range(cur.t + 1, cur.t + k + 1):
+                for obs in observers:
+                    obs(t, cur, cur)
+            if k:
+                cur = _hold(cur, k, graph, rule, schedule, cfg)
+            break
+    if path is not None:
+        trace.stop_reason = "converged"
+        trace.converged_path = path
+        trace.converged_t = cur.t
     trace.final_state = cur
     trace.warnings = cur.warnings
     return trace

@@ -15,17 +15,21 @@ is a fixed point of the update map. When r is a stable fixed point of g
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .analysis import BranchLevelObserver
-from .dynamics import (
+# ``step`` is not called here; perfbench/tracing.py patches the name on
+# this module, so it stays importable
+from .dynamics import (  # noqa: F401
     DecisionRule,
     EngineConfig,
     FlowSchedule,
+    RunTrace,
     SystemState,
+    run,
     step,
 )
 from .graph import TwoPathGraph
@@ -84,30 +88,18 @@ def equilibrium_state(
     if abs(float(rule.fn(r)) - r) > 1e-10:
         raise EquilibriumError(f"r={r} is not a fixed point of the rule")
     spec = EquilibriumSpec(r=r, f_s=f_s, b_d=b_d, delta=delta)
-    m = g.n_edges
-    p = np.zeros(m)
-    fe = np.zeros(m)
-    be = np.zeros(m)
-    ft, bt = spec.flows_top
-    fb, bb = spec.flows_bottom
-    for eid in two_path.path_eids("top"):
-        p[eid] = spec.pheromone_top
-        fe[eid] = ft
-        be[eid] = bt
-    for eid in two_path.path_eids("bottom"):
-        p[eid] = spec.pheromone_bottom
-        fe[eid] = fb
-        be[eid] = bb
-    fv = np.zeros(g.n_vertices)
-    bv = np.zeros(g.n_vertices)
+    p, fe, be = np.zeros(g.n_edges), np.zeros(g.n_edges), np.zeros(g.n_edges)
+    fv, bv = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
     fv[g.source] = f_s
     bv[g.destination] = b_d
-    for v in two_path.top.vertices[1:-1]:
-        fv[v] = ft
-        bv[v] = bt
-    for v in two_path.bottom.vertices[1:-1]:
-        fv[v] = fb
-        bv[v] = bb
+    for branch, pheromone, (f, b) in (
+        ("top", spec.pheromone_top, spec.flows_top),
+        ("bottom", spec.pheromone_bottom, spec.flows_bottom),
+    ):
+        eids = two_path.path_eids(branch)
+        p[eids], fe[eids], be[eids] = pheromone, f, b
+        inner = list(getattr(two_path, branch).vertices[1:-1])
+        fv[inner], bv[inner] = f, b
     return SystemState(
         t=0, p=p, f_edge=fe, b_edge=be, f_vertex=fv, b_vertex=bv, injected_f=f_s, injected_b=b_d
     )
@@ -129,21 +121,6 @@ class _MaxDeviation:
         return float(np.abs(self.buf, out=self.buf).max())
 
 
-def _repeats(cur: SystemState, prev: SystemState) -> bool:
-    """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
-    byte (so -0.0 does not match 0.0). ``step`` reads only these three
-    arrays and, through the schedule, ``t``; so under a constant schedule
-    every later state holds the same bytes again, and so does every value
-    computed from them. Callers test it only on a step whose deviation
-    equals the previous step's, a float compare that every repeat passes,
-    so most steps copy no bytes."""
-    return (
-        cur.p.tobytes() == prev.p.tobytes()
-        and cur.f_edge.tobytes() == prev.f_edge.tobytes()
-        and cur.b_edge.tobytes() == prev.b_edge.tobytes()
-    )
-
-
 def verify_equilibrium(
     state: SystemState,
     two_path: TwoPathGraph,
@@ -153,28 +130,21 @@ def verify_equilibrium(
     k: int,
 ) -> float:
     """Run k steps; the maximum absolute deviation of any pheromone or edge
-    flow from its initial value.
-
-    Under a constant schedule the run stops at the first state that repeats
-    its predecessor (``_repeats``): every later deviation is that state's
-    again, and the drift is a running maximum, so the rest adds nothing."""
+    flow from its initial value. The drift is a running maximum, so the
+    repeated tail of a stationary run adds nothing."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    g = two_path.graph
-    decision = DecisionRule.general(rule)
     deviation = _MaxDeviation(state.p.copy(), state.f_edge.copy(), state.b_edge.copy())
-    stops = schedule.kind == "constant"
-    cur = state
-    dev = deviation(cur.p, cur.f_edge, cur.b_edge)
-    drift = 0.0
-    for _ in range(k):
-        prev, prev_dev = cur, dev
-        cur = step(cur, g, decision, schedule, cfg)
-        dev = deviation(cur.p, cur.f_edge, cur.b_edge)
-        drift = max(drift, dev)
-        if stops and dev == prev_dev and _repeats(cur, prev):
-            break
-    return drift
+    drift = [0.0]
+
+    def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
+        if prev is not None and prev is not st:
+            drift[0] = max(drift[0], deviation(st.p, st.f_edge, st.b_edge))
+
+    # k steps whatever the config says about convergence
+    cfg = replace(cfg, epsilon_convergence=None)
+    run(state, two_path.graph, DecisionRule.general(rule), schedule, cfg, k, [observe])
+    return drift[0]
 
 
 def perturb(state: SystemState, magnitude: float, seed: int) -> SystemState:
@@ -209,21 +179,10 @@ class StabilityReport:
     T_max: int
     max_dev_after_convergence: float
     max_drift_series_path: Optional[str] = None
+    warnings: Tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "r": self.r,
-            "eps": self.eps,
-            "eps_target": self.eps_target,
-            "seed": self.seed,
-            "t_converged": self.t_converged,
-            "t_stationary": self.t_stationary,
-            "held_until_Tmax": self.held_until_Tmax,
-            "T_max": self.T_max,
-            "max_dev_after_convergence": self.max_dev_after_convergence,
-            "max_drift_series_path": self.max_drift_series_path,
-        }
+        return {**self.__dict__, "warnings": list(self.warnings)}
 
 
 def stability_experiment(
@@ -243,11 +202,10 @@ def stability_experiment(
     branch normalized levels and edge flows are within ``eps_target`` of the
     equilibrium, and whether they stay there through T_max.
 
-    The run stops stepping at ``t_stationary``, the first state that repeats
-    its predecessor byte for byte (``_repeats``). The schedule is constant,
-    so every later state is that state again and every later deviation is
-    its deviation: the series repeats that row up to T_max, and the report
-    holds the floats that stepping to T_max gives."""
+    The schedule is constant, so the run stops stepping at ``t_stationary``,
+    the first state that repeats its predecessor (see ``run``); every later
+    deviation is that state's, and the report holds the floats that
+    stepping to T_max gives."""
     if not eps >= 0.0:
         raise ValueError("perturbation eps must be >= 0")
     if not eps_target >= 0.0:
@@ -256,56 +214,33 @@ def stability_experiment(
         raise ValueError("T_max must be >= 0")
     eq = equilibrium_state(two_path, rule, r, f_s, b_d, delta)
     state = perturb(eq, eps, seed) if eps > 0.0 else eq
-    g = two_path.graph
-    decision = DecisionRule.general(rule)
-    schedule = FlowSchedule.constant(f_s, b_d)
-    cfg = EngineConfig(delta=delta)
     flow_dev = _MaxDeviation(eq.f_edge, eq.b_edge)
     levels = BranchLevelObserver(two_path, "top")
+    devs: List[float] = []  # the deviation at every t from 0 to T_max
 
-    def deviation(st: SystemState, prev: Optional[SystemState]) -> float:
-        levels(st.t, st, prev)
+    def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
+        if prev is st:  # the repeated state of a stationary run
+            devs.append(devs[-1])
+            return
+        levels(t, st, prev)
         dev = max(abs(levels.norm_s[-1] - r), abs(levels.norm_d[-1] - r))
-        return max(dev, flow_dev(st.f_edge, st.b_edge))
+        devs.append(max(dev, flow_dev(st.f_edge, st.b_edge)))
 
-    t_converged: Optional[int] = None
-    t_stationary: Optional[int] = None
-    held = True
-    max_after = 0.0
-    series: List[Tuple[int, float]] = []
-    cur = state
-    dev = deviation(cur, None)
+    if T_max:
+        decision, sched = DecisionRule.general(rule), FlowSchedule.constant(f_s, b_d)
+        trace = run(state, two_path.graph, decision, sched, EngineConfig(delta), T_max, [observe])
+    else:  # ``run`` takes at least one step
+        observe(0, state, None)
+        trace = RunTrace(warnings=state.warnings)
+    t_converged = next((t for t, dev in enumerate(devs) if dev <= eps_target), None)
+    after = devs[t_converged + 1 :] if t_converged is not None else []
+    # a running maximum from 0.0, as the deviations arrive
+    max_after = max((0.0, *after))
     if series_path:
-        series.append((0, dev))
-    if dev <= eps_target:
-        t_converged = 0
-    for _ in range(T_max):
-        prev, prev_dev = cur, dev
-        cur = step(cur, g, decision, schedule, cfg)
-        dev = deviation(cur, prev)
-        if series_path:
-            series.append((cur.t, dev))
-        if t_converged is None:
-            if dev <= eps_target:
-                t_converged = cur.t
-        else:
-            max_after = max(max_after, dev)
-            if dev > eps_target:
-                held = False
-        if dev == prev_dev and _repeats(cur, prev):
-            t_stationary = cur.t
-            break
-    # every later deviation is ``dev``, which the previous step had too: if
-    # it is within eps_target, t_converged is already set and max_after and
-    # held have taken it in. Only the series lacks the rows up to T_max.
-    if t_converged is None:
-        held = False
-    if series_path:
-        series.extend((t, dev) for t in range(cur.t + 1, T_max + 1))
         with open(series_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "deviation"])
-            w.writerows(series)
+            w.writerows(enumerate(devs))
     return StabilityReport(
         rule=rule.name,
         r=r,
@@ -313,9 +248,10 @@ def stability_experiment(
         eps_target=eps_target,
         seed=seed,
         t_converged=t_converged,
-        t_stationary=t_stationary,
-        held_until_Tmax=held,
+        t_stationary=trace.t_stationary,
+        held_until_Tmax=t_converged is not None and max_after <= eps_target,
         T_max=T_max,
         max_dev_after_convergence=max_after,
         max_drift_series_path=series_path,
+        warnings=trace.warnings,
     )

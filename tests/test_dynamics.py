@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from trailflow.adversarial import FlowBoundObserver, leakage_counterexample
 from trailflow.dynamics import (
+    CONVERGENCE_CHECK_INTERVAL,
     ConfigError,
     DecisionRule,
     EngineAbort,
@@ -13,6 +15,7 @@ from trailflow.dynamics import (
     FlowSchedule,
     RESCALE_BY_SOURCE,
     _flush,
+    _repeats,
     _split_general,
     _split_linear,
     init_state,
@@ -28,7 +31,13 @@ from trailflow.graph import (
     gen_grid,
     plant_path,
 )
-from trailflow.analysis import InvariantObserver, normalized_levels
+from trailflow.analysis import (
+    BranchLevelObserver,
+    InvariantObserver,
+    detect_convergence,
+    normalized_levels,
+)
+from trailflow.equilibria import equilibrium_state
 from trailflow.rules import linear_rule, power_rule, sine_rule
 
 from helpers import (
@@ -656,7 +665,7 @@ def test_run_validates_horizon():
         run(st, tp.graph, LIN, sched, EngineConfig(delta=0.5), 0)
 
 
-def test_run_observer_contract_and_stop():
+def test_run_observer_contract():
     tp = two_path_23()
     sched = FlowSchedule.constant(1.0, 1.0)
     st = init_state(tp.graph, 1.0, sched)
@@ -664,12 +673,153 @@ def test_run_observer_contract_and_stop():
 
     def obs(t, state, prev):
         seen.append((t, prev is None))
-        return t >= 5
 
-    trace = run(st, tp.graph, LIN, sched, EngineConfig(delta=0.5), 100, observers=[obs])
+    run(st, tp.graph, LIN, sched, EngineConfig(delta=0.5), 100, observers=[obs])
     assert seen[0] == (0, True)
-    assert trace.stop_reason == "observer_stop"
-    assert trace.final_state.t == 5
+    assert seen[1:] == [(t, False) for t in range(1, 101)]
+
+
+class _ArrayRecorder:
+    """Records, for every call, t and the bytes of every array the observer
+    is shown."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, t, state, prev):
+        arrays = (state.p, state.f_edge, state.b_edge, state.f_vertex, state.b_vertex)
+        self.rows.append((t, prev is None, *(a.tobytes() for a in arrays)))
+
+
+def _records(obs):
+    if isinstance(obs, BranchLevelObserver):
+        return [x.hex() for x in obs.norm_s + obs.norm_d]
+    return obs.violations if hasattr(obs, "violations") else obs.rows
+
+
+def _step_to_horizon(state, graph, rule, schedule, cfg, T, observers):
+    """``run`` without the stationary stop: every step is taken. Returns the
+    final state, the converged path and the first t whose state repeats its
+    predecessor."""
+    eps = cfg.epsilon_convergence
+    for obs in observers:
+        obs(state.t, state, None)
+    cur, first_repeat = state, None
+    for i in range(T):
+        prev, cur = cur, step(cur, graph, rule, schedule, cfg)
+        for obs in observers:
+            obs(cur.t, cur, prev)
+        if first_repeat is None and _repeats(cur, prev):
+            first_repeat = cur.t
+        if eps is not None and ((i + 1) % CONVERGENCE_CHECK_INTERVAL == 0 or i == T - 1):
+            path = detect_convergence(cur, graph, eps)
+            if path is not None:
+                return cur, path, first_repeat
+    return cur, None, first_repeat
+
+
+def _a5_case():
+    tp = two_path_23()
+    cx = leakage_counterexample(
+        power_rule(2), tp, 1.0, 1.0, r=0.25, eps=0.1, surv_top=0.97, surv_bottom=0.95
+    )
+    cfg = EngineConfig(delta=0.5)
+
+    def observers():
+        return [
+            BranchLevelObserver(tp, cx.watch_branch),
+            FlowBoundObserver(tp, cx.schedule, cx.watch_branch, cx.config.bound, cx.direction),
+            InvariantObserver(tp.graph, cfg, cx.schedule),
+            # checks a different decay, so it records violations on every step
+            InvariantObserver(tp.graph, EngineConfig(delta=0.6), cx.schedule),
+        ]
+
+    rule = DecisionRule.general(cx.rule_fn)
+    return cx.state, tp.graph, rule, cx.schedule, cfg, 3000, observers
+
+
+def _linear_equilibrium_case():
+    tp = build_two_path(2, 2, [0.0], [0.0])
+    st = equilibrium_state(tp, linear_rule(), 0.0, 1.0, 1.0, 0.5)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    cfg = EngineConfig(delta=0.5, epsilon_convergence=0.01)
+    return st, tp.graph, LIN, sched, cfg, 1000, lambda: [_ArrayRecorder()]
+
+
+def _linear_schedule_case():
+    tp = two_path_23()
+    sched = FlowSchedule.linear(1.0, 1.0, 0.5)
+    cfg = EngineConfig(delta=0.5)
+
+    def observers():
+        return [_ArrayRecorder(), InvariantObserver(tp.graph, cfg, sched)]
+
+    return init_state(tp.graph, 1.0, sched), tp.graph, LIN, sched, cfg, 300, observers
+
+
+def _flushing_case():
+    # a threshold above the vertex flows flushes entries and leaves vertices
+    # without pheromone on every step, stationary state included
+    tp = two_path_23()
+    sched = FlowSchedule.constant(1.0, 1.0)
+    cfg = EngineConfig(delta=0.5, underflow_threshold=0.9)
+    st = init_state(tp.graph, 1.0, sched)
+    return st, tp.graph, LIN, sched, cfg, 300, lambda: [_ArrayRecorder()]
+
+
+def _leaky_case():
+    # the flushed bottom path carries nothing, so each step delivers the top
+    # path's survival, 0.9: a sum that k * 0.9 does not round the same way
+    tp = two_path_23(leak_top=0.1, leak2=0.5)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    cfg = EngineConfig(delta=0.5, underflow_threshold=0.3)
+    st = init_state(tp.graph, 1.0, sched)
+    return st, tp.graph, LIN, sched, cfg, 300, lambda: [_ArrayRecorder()]
+
+
+@pytest.mark.parametrize(
+    "case, stationary, converged_t",
+    [
+        (_a5_case, True, None),
+        (_linear_equilibrium_case, True, 16),
+        (_linear_schedule_case, False, None),
+        (_flushing_case, True, None),
+        (_leaky_case, True, None),
+    ],
+    ids=["a5-counterexample", "linear-equilibrium", "linear-schedule", "flushing", "leaky"],
+)
+def test_run_stationary_stop_matches_stepping_to_horizon(case, stationary, converged_t):
+    """A run that stops stepping at a repeated state ends with the final
+    state, stop and observer records of a run stepped to the end."""
+    state, graph, rule, sched, cfg, T, observers = case()
+    obs_run, obs_ref = observers(), observers()
+    trace = run(state, graph, rule, sched, cfg, T, obs_run)
+    want, want_path, first_repeat = _step_to_horizon(state, graph, rule, sched, cfg, T, obs_ref)
+    assert trace.t_stationary == first_repeat
+    assert (trace.t_stationary is not None) == stationary
+    assert trace.converged_path == want_path
+    assert trace.converged_t == converged_t == (want.t if want_path else None)
+    assert trace.stop_reason == ("converged" if want_path else "horizon")
+    got = trace.final_state
+    for name in ("p", "f_edge", "b_edge", "f_vertex", "b_vertex"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("delivered_forward", "delivered_backward", "injected_f", "injected_b"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    assert (got.t, got.underflow_flushes, got.zero_split_events, got.warnings) == (
+        want.t, want.underflow_flushes, want.zero_split_events, want.warnings
+    )
+    for a, b in zip(obs_run, obs_ref):
+        assert _records(a) == _records(b)
+
+
+def test_run_stationary_stop_repeats_invariant_records():
+    """The mis-configured observer of the A5 case keeps recording after the
+    stop, so the comparison above covers repeated records."""
+    state, graph, rule, sched, cfg, T, observers = _a5_case()
+    obs = observers()[-1]
+    trace = run(state, graph, rule, sched, cfg, T, [obs])
+    after = {v.t for v in obs.violations if v.t > trace.t_stationary}
+    assert after == set(range(trace.t_stationary + 1, T + 1))
 
 
 def test_explicit_state_construction():

@@ -3,11 +3,17 @@ import csv
 import numpy as np
 import pytest
 
-from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, step
+from trailflow.dynamics import (
+    DecisionRule,
+    EngineConfig,
+    FlowSchedule,
+    _RepeatGate,
+    _repeats,
+    step,
+)
 from trailflow.equilibria import (
     EquilibriumError,
     EquilibriumSpec,
-    _repeats,
     equilibrium_state,
     perturb,
     stability_experiment,
@@ -107,6 +113,17 @@ def test_stability_experiment_converges_and_holds():
     out = stability_experiment(rule, 0.25, r_eps / 4, 1e-3, 2000, TP, seed=11)
     assert out.t_converged is not None
     assert out.held_until_Tmax
+
+
+def test_stability_report_carries_perturbation_warning():
+    rule = power_rule(2)
+    r_eps = stable_fixed_points(rule).margins[0.0].r_eps
+    out = stability_experiment(rule, 0.0, r_eps / 4, 1e-3, 2000, TP, seed=0)
+    assert out.warnings == ("perturbation clamped 3 values at 0",)
+    assert out.to_json_dict()["warnings"] == ["perturbation clamped 3 values at 0"]
+    at_zero = stability_experiment(rule, 0.0, r_eps / 4, 1e-3, 0, TP, seed=0)  # no run
+    assert at_zero.warnings == out.warnings
+    assert stability_experiment(rule, 0.0, 0.0, 1e-3, 50, TP).warnings == ()
 
 
 def test_stability_experiment_eps_zero_trivial():
@@ -259,7 +276,7 @@ def test_stability_experiment_replays_brute_force(
 
 
 def test_stability_experiment_stops_stepping_at_t_stationary(monkeypatch):
-    import trailflow.equilibria as equilibria
+    import trailflow.dynamics as dynamics
 
     calls = []
 
@@ -267,7 +284,7 @@ def test_stability_experiment_stops_stepping_at_t_stationary(monkeypatch):
         calls.append(None)
         return step(*args)
 
-    monkeypatch.setattr(equilibria, "step", counted)
+    monkeypatch.setattr(dynamics, "step", counted)
     rule, r, eps = _stable_case(power_rule(2))
     out = stability_experiment(rule, r, eps, 1e-3, 10_000, TP, seed=1)
     assert out.t_stationary is not None
@@ -284,10 +301,12 @@ def test_repeats_compares_bytes_not_floats():
     neg.f_edge[top] = -0.0
     assert np.array_equal(neg.f_edge, st.f_edge)  # equal as floats
     assert not _repeats(neg, st)
+    assert _RepeatGate()(st, st.copy())
+    assert not _RepeatGate()(neg, st)
 
 
 def test_verify_equilibrium_stops_at_fixed_point_with_exact_drift(monkeypatch):
-    import trailflow.equilibria as equilibria
+    import trailflow.dynamics as dynamics
 
     rule, r, eps = _stable_case(sine_rule(0.05))
     eq = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
@@ -310,7 +329,7 @@ def test_verify_equilibrium_stops_at_fixed_point_with_exact_drift(monkeypatch):
         calls.append(None)
         return step(*args)
 
-    monkeypatch.setattr(equilibria, "step", counted)
+    monkeypatch.setattr(dynamics, "step", counted)
     assert verify_equilibrium(st, TP, rule, SCHED, CFG, k).hex() == want.hex()
     assert len(calls) < k // 2
     # only a constant schedule makes a repeat a fixed point: under this
