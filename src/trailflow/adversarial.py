@@ -314,7 +314,9 @@ class FlowBoundObserver:
     against schedule(t - age) * q * survival-prefix and every backward flow
     against the suffix version; the other branch carries the complementary
     (1-q) lower/upper bounds. Injection before t=0 is treated as the t=0
-    value.
+    value. Under a constant schedule no bound depends on t, so on a
+    repeated state (``prev is state``) the last call's records repeat with
+    the new t.
     """
 
     def __init__(
@@ -339,20 +341,28 @@ class FlowBoundObserver:
             for i, eid in enumerate(eids):
                 self.spec.append((eid, i, k - 1 - i, prefix[i], suffix[i], level, upper))
         self.violations: List[Tuple[int, int, float, float]] = []
+        self._last: List[Tuple[int, int, float, float]] = []  # the last computed call's records
 
     def __call__(self, t, state, prev) -> None:
+        if prev is state and self.schedule.kind == "constant":
+            # a repeated state under bounds that do not depend on t
+            self.violations.extend((t, *v[1:]) for v in self._last)
+            return
         fe, be = state.f_edge, state.b_edge
         sched = self.schedule
+        found = []
         for eid, fage, bage, pre, suf, level, upper in self.spec:
             fb = sched.forward_at(max(0, t - fage)) * level * pre
             bb = sched.backward_at(max(0, t - bage)) * level * suf
             f, b = float(fe[eid]), float(be[eid])
             if upper:
                 if f > fb * (1.0 + self.slack) or b > bb * (1.0 + self.slack):
-                    self.violations.append((t, eid, f, fb))
+                    found.append((t, eid, f, fb))
             else:
                 if f < fb * (1.0 - self.slack) or b < bb * (1.0 - self.slack):
-                    self.violations.append((t, eid, f, fb))
+                    found.append((t, eid, f, fb))
+        self._last = found
+        self.violations.extend(found)
 
 
 class TargetConvergenceWatcher:

@@ -324,6 +324,12 @@ class InvariantViolation:
     error: float
 
 
+# an ``InvariantObserver`` block holds at most _BLOCK_ROWS stepped pairs, one
+# row of m + 4n entries each, and at most _BLOCK_ELEMENTS entries per array
+_BLOCK_ROWS = 32
+_BLOCK_ELEMENTS = 2**16
+
+
 class InvariantObserver:
     """Per-step checks of the update equations at 1e-12 relative tolerance:
 
@@ -335,11 +341,27 @@ class InvariantObserver:
     Under rescaling the previous-step quantities are divided by the factor
     before comparison.
 
-    The five residuals and their scales sit side by side in buffers sized
-    once per observer (see ``KINDS`` for the order), so one tolerance test
-    covers them all. A step with a violation appends, per failing kind and
-    in ``KINDS`` order, the entry with the largest relative error; on a
-    stationary run's repeated state it repeats the last step's entries.
+    The observer checks a block of consecutive stepped pairs at once: each
+    call copies the new state's arrays into the next row of buffers sized
+    once per observer, and a call whose ``prev`` is the previous call's
+    ``state`` reads prev from that copy. So writing to a state after the
+    calls that pass it changes no record. The block is checked when it
+    holds R pairs, when ``violations`` is read, when a call's ``prev`` is
+    not the previous call's ``state`` (a new chain starts), on an initial
+    state and on a repeated one. R fits the block into a fixed element
+    budget (at most 32 rows); where one row fills it (R = 1 once m + 4n
+    exceeds 2**15, as on G(1000, .1)), each pair is checked on its call
+    from the states' own arrays, with no copies.
+
+    The five residuals and their scales of a pair sit side by side in one
+    row (see ``KINDS`` for the order), so one tolerance test covers the
+    block. A pair with a violation appends, per failing kind and in
+    ``KINDS`` order, the entry with the largest relative error; on a
+    stationary run's repeated state the observer repeats the last stepped
+    pair's entries. The records, and their order, are those of checking
+    each pair on its call: the conservation and split sums are bincounts
+    over per-row bins, which sum every bin in edge order as a bincount of
+    one pair does.
     """
 
     KINDS = ("recurrence", "conservation_f", "conservation_b", "split_f", "split_b")
@@ -359,88 +381,154 @@ class InvariantObserver:
         )
         # flush-to-zero makes sub-threshold discrepancies meaningless
         self.abs_floor = cfg.underflow_threshold * 1e6
-        self.violations: List[InvariantViolation] = []
         ga = graph.arrays
         m, n = ga.m, ga.n
-        # offsets of the kinds: one edge block, then four vertex blocks
-        self._bounds = (0, m, m + n, m + 2 * n, m + 3 * n, m + 4 * n)
+        width = m + 4 * n
+        rows = self._rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // width))
+        # offsets of the kinds in a row: one edge block, then four vertex blocks
+        self._bounds = (0, m, m + n, m + 2 * n, m + 3 * n, width)
         # tolerance = max(rel_tol * max(scale, 1e-30), abs_floor), with the
         # constant part folded (rounding is monotone, so this is exact)
         self._tol_floor = max(rel_tol * 1e-30, self.abs_floor)
-        self._err = np.empty(m + 4 * n)
-        self._scale = np.empty(m + 4 * n)
-        self._abs = np.empty(m + 4 * n)
-        self._tol = np.empty(m + 4 * n)
-        self._bad = np.empty(m + 4 * n, dtype=bool)
+        self._err = np.empty((rows, width))
+        self._scale = np.empty((rows, width))  # its vertex part: the stepped f/b vertex flows
+        self._abs = np.empty((rows, width))
+        self._tol = np.empty((rows, width))
+        self._bad = np.empty((rows, width), dtype=bool)
         # entries never checked: s and d in conservation, vertices without
         # out-/in-edges in the split checks
-        never = np.zeros(m + 4 * n, dtype=bool)
+        never = np.zeros(width, dtype=bool)
         for lo in (m, m + n):
             never[lo + ga.source] = never[lo + ga.destination] = True
         never[m + 2 * n : m + 3 * n] = ga.out_deg == 0
         never[m + 3 * n :] = ga.in_deg == 0
         self._never = never
-        self._skip = never.copy()
-        self._last: List[InvariantViolation] = []  # the last step's records
+        self._skip = np.tile(never, (rows, 1))
+        if rows > 1:
+            # row k of a block sums into bins k*n .. k*n + n - 1
+            offsets = n * np.arange(rows)[:, None]
+            self._heads = (ga.heads + offsets).ravel()
+            self._tails = (ga.tails + offsets).ravel()
+            # p, f_edge and b_edge of the block's states: row 0 is the first
+            # pair's prev, row k the state of pair k
+            self._edges = np.empty((3, rows + 1, m))
+        else:
+            self._heads, self._tails = ga.heads, ga.tails
+        self._ts: List[int] = []  # t of each held pair
+        self._tail: Optional["SystemState"] = None  # the state in the block's last row
+        self._last: List[InvariantViolation] = []  # the last stepped pair's records
+        self._violations: List[InvariantViolation] = []
+
+    @property
+    def violations(self) -> List[InvariantViolation]:
+        """Every record so far, in call order; reading it checks the held
+        block first."""
+        self._check()
+        return self._violations
 
     def __call__(self, t, state, prev) -> None:
         if prev is None:
             # initial states may be explicitly constructed (proof
             # configurations, perturbations); invariants apply to stepped
             # states
+            self._check()
+            self._tail = None
             return
-        if prev is state:  # a repeated state: the last step's arrays and records
-            self.violations.extend(replace(v, t=t) for v in self._last)
+        if prev is state:  # a repeated state: the last stepped pair's records
+            self._check()
+            self._violations.extend(replace(v, t=t) for v in self._last)
             return
         ga = self.graph.arrays
         m, n = ga.m, ga.n
-        err, scale, skip = self._err, self._scale, self._skip
+        if self._rows == 1:
+            np.concatenate((state.f_vertex, state.b_vertex), out=self._scale[0, m + 2 * n :])
+            before = (prev.p[None], prev.f_edge[None], prev.b_edge[None])
+            self._check_rows([t], before, (state.p[None], state.f_edge[None], state.b_edge[None]))
+            return
+        edges = self._edges
+        if prev is not self._tail:
+            self._check()
+            edges[0, 0], edges[1, 0], edges[2, 0] = prev.p, prev.f_edge, prev.b_edge
+        k = len(self._ts)
+        edges[0, k + 1], edges[1, k + 1], edges[2, k + 1] = state.p, state.f_edge, state.b_edge
+        np.concatenate((state.f_vertex, state.b_vertex), out=self._scale[k, m + 2 * n :])
+        self._ts.append(t)
+        self._tail = state
+        if k + 1 == self._rows:
+            self._check()
+
+    def _check(self) -> None:
+        """Check the held block and keep its last state as the next
+        block's row 0."""
+        k = len(self._ts)
+        if not k:
+            return
+        edges = self._edges
+        self._check_rows(self._ts, edges[:, :k], edges[:, 1 : k + 1])
+        edges[:, 0] = edges[:, k]
+        self._ts = []
+
+    def _check_rows(self, ts: List[int], before, after) -> None:
+        """Check K = len(ts) pairs: ``before`` and ``after`` hold the (K, m)
+        p, f_edge and b_edge of the pairs' prev and stepped states, and the
+        vertex part of the first K rows of ``_scale`` holds the stepped
+        f/b vertex flows."""
+        ga = self.graph.arrays
+        m, n = ga.m, ga.n
+        K = len(ts)
+        p0, f0, b0 = before
+        p1, f1, b1 = after
+        err, scale, skip = self._err[:K], self._scale[:K], self._skip[:K]
+        heads, tails = self._heads[: K * m], self._tails[: K * m]
         # scales: expected p, expected f/b vertex flows (conservation), then
         # the stepped f/b vertex flows (split)
-        expected = scale[:m]
-        np.add(prev.p, prev.f_edge, out=expected)
-        expected += prev.b_edge
+        expected = scale[:, :m]
+        np.add(p0, f0, out=expected)
+        expected += b0
         expected *= self.cfg.delta
         # conservation sums use bincount rather than the engine's segment
         # sums, so the check does not share the kernel
-        arr_f = np.bincount(ga.heads, weights=prev.f_edge, minlength=n)
-        arr_b = np.bincount(ga.tails, weights=prev.b_edge, minlength=n)
-        np.multiply(ga.surv, arr_f, out=scale[m : m + n])
-        np.multiply(ga.surv, arr_b, out=scale[m + n : m + 2 * n])
+        arr_f = np.bincount(heads, weights=f0.ravel(), minlength=K * n)
+        arr_b = np.bincount(tails, weights=b0.ravel(), minlength=K * n)
+        np.multiply(ga.surv, arr_f.reshape(K, n), out=scale[:, m : m + n])
+        np.multiply(ga.surv, arr_b.reshape(K, n), out=scale[:, m + n : m + 2 * n])
         if self.scale != 1.0:
-            scale[: m + 2 * n] *= self.scale
-        vertex = scale[m + 2 * n :]
-        np.concatenate((state.f_vertex, state.b_vertex), out=vertex)
+            scale[:, : m + 2 * n] *= self.scale
+        vertex = scale[:, m + 2 * n :]
         # residuals
-        np.subtract(state.p, expected, out=err[:m])
-        np.subtract(vertex, scale[m : m + 2 * n], out=err[m : m + 2 * n])
-        out_sum = np.bincount(ga.tails, weights=state.f_edge, minlength=n)
-        in_sum = np.bincount(ga.heads, weights=state.b_edge, minlength=n)
-        split = err[m + 2 * n :]
-        np.concatenate((out_sum, in_sum), out=split)
-        split -= vertex
+        np.subtract(p1, expected, out=err[:, :m])
+        np.subtract(vertex, scale[:, m : m + 2 * n], out=err[:, m : m + 2 * n])
+        out_sum = np.bincount(tails, weights=f1.ravel(), minlength=K * n)
+        in_sum = np.bincount(heads, weights=b1.ravel(), minlength=K * n)
+        np.subtract(out_sum.reshape(K, n), vertex[:, :n], out=err[:, m + 2 * n : m + 3 * n])
+        np.subtract(in_sum.reshape(K, n), vertex[:, n:], out=err[:, m + 3 * n :])
         # flushed entries are not compared: zero pheromone always, zero
         # vertex flow in conservation when a flush threshold is set
-        np.equal(state.p, 0.0, out=skip[:m])
+        np.equal(p1, 0.0, out=skip[:, :m])
         if self.cfg.underflow_threshold > 0.0:
-            np.equal(vertex, 0.0, out=skip[m : m + 2 * n])
+            np.equal(vertex, 0.0, out=skip[:, m : m + 2 * n])
         skip |= self._never
         np.copyto(err, 0.0, where=skip)
-        # one tolerance test over all five residuals
-        tol = np.multiply(scale, self.rel_tol, out=self._tol)
+        # one tolerance test over all five residuals of every pair
+        tol = np.multiply(scale, self.rel_tol, out=self._tol[:K])
         np.maximum(tol, self._tol_floor, out=tol)
-        np.greater(np.abs(err, out=self._abs), tol, out=self._bad)
-        self._last = self._worst(t) if self._bad.any() else []
-        self.violations.extend(self._last)
+        bad = np.greater(np.abs(err, out=self._abs[:K]), tol, out=self._bad[:K])
+        hit = bad.any(axis=1)
+        records: List[InvariantViolation] = []
+        for k in np.flatnonzero(hit).tolist():
+            records = self._worst(ts[k], k)
+            self._violations.extend(records)
+        self._last = records if hit[-1] else []
 
-    def _worst(self, t: int) -> List[InvariantViolation]:
-        """The worst entry of every kind with a violation."""
+    def _worst(self, t: int, k: int) -> List[InvariantViolation]:
+        """The worst entry of every kind with a violation in row ``k``."""
         b = self._bounds
+        bad, err, abs_, scale = self._bad[k], self._err[k], self._abs[k], self._scale[k]
         out = []
-        for k, kind in enumerate(self.KINDS):
-            lo, hi = b[k], b[k + 1]
-            if self._bad[lo:hi].any():
-                rel = self._abs[lo:hi] / np.maximum(self._scale[lo:hi], 1e-30)
+        for j, kind in enumerate(self.KINDS):
+            lo, hi = b[j], b[j + 1]
+            if bad[lo:hi].any():
+                rel = abs_[lo:hi] / np.maximum(scale[lo:hi], 1e-30)
                 i = int(np.argmax(rel))
-                out.append(InvariantViolation(t, kind, i, float(self._err[lo + i])))
+                out.append(InvariantViolation(t, kind, i, float(err[lo + i])))
         return out

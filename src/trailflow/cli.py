@@ -136,7 +136,14 @@ def _cmd_batch(args) -> int:
                     f"{row.converged_path or '<none>'} expected {row.oracle_path}",
                     file=sys.stderr,
                 )
-        return EXIT_OK if result.match_rate == 1.0 else EXIT_VIOLATION
+            if row.invariant_violations:
+                print(
+                    f"  invariant violations #{row.index} ({row.family}): "
+                    f"{row.invariant_violations}",
+                    file=sys.stderr,
+                )
+        violated = any(row.invariant_violations for row in result.rows)
+        return EXIT_OK if result.match_rate == 1.0 and not violated else EXIT_VIOLATION
     # scenario-file batch: same scenario re-seeded per instance
     count = args.instances or 10
     mismatches = 0

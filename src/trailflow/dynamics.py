@@ -516,7 +516,10 @@ CONVERGENCE_CHECK_INTERVAL = 16
 # observer contract: called as obs(t, state, prev_state) once with
 # prev_state=None on the initial state, then once for every later t. After a
 # stationary stop (see ``run``) the call is obs(t, s, s) on the repeated state
-# s, so ``prev is state`` means nothing changed and the time is ``t``, not s.t
+# s, so ``prev is state`` means nothing changed and the time is ``t``, not s.t.
+# An observer may defer work until its results are read (``InvariantObserver``
+# checks blocks of stepped pairs); it copies what it keeps of a state, so the
+# caller may write to a state once the calls that pass it have returned
 Observer = Callable[[int, SystemState, Optional[SystemState]], None]
 
 

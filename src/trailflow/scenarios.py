@@ -642,6 +642,7 @@ class BatchResult:
             "match_rate": self.match_rate,
             "total_runtime_s": self.total_runtime_s,
             "mismatches": [r.index for r in self.rows if not r.match],
+            "invariant_violations": [r.invariant_violations for r in self.rows],
         }
 
 

@@ -9,6 +9,7 @@ min-leakage path enumerator with sound pruning."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -204,8 +205,9 @@ def kernel_graphs():
 
 class ReferenceInvariantObserver:
     """The invariant checks of ``analysis.InvariantObserver`` one kind at a
-    time, each with its own tolerance test and argmax: the observer's
-    contract written out plainly."""
+    time, each with its own tolerance test and argmax, on every call: the
+    observer's contract written out plainly. A repeated state (``prev is
+    state``) repeats the last stepped pair's records with the new t."""
 
     def __init__(self, graph, cfg, schedule, rel_tol=1e-12):
         self.graph = graph
@@ -214,6 +216,7 @@ class ReferenceInvariantObserver:
         self.scale = 1.0 / schedule.alpha if cfg.rescale_mode == RESCALE_BY_SOURCE else 1.0
         self.abs_floor = cfg.underflow_threshold * 1e6
         self.violations = []
+        self.last = []
 
     def _record(self, t, kind, err, scale):
         tol = np.maximum(self.rel_tol * np.maximum(scale, 1e-30), self.abs_floor)
@@ -225,6 +228,14 @@ class ReferenceInvariantObserver:
     def __call__(self, t, state, prev):
         if prev is None:
             return
+        if prev is state:
+            self.violations.extend(replace(v, t=t) for v in self.last)
+            return
+        before = len(self.violations)
+        self._check(t, state, prev)
+        self.last = self.violations[before:]
+
+    def _check(self, t, state, prev):
         ga = self.graph.arrays
         thr = self.cfg.underflow_threshold
         s = self.scale

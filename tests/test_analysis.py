@@ -6,6 +6,7 @@ import pytest
 from trailflow.analysis import (
     BranchLevelObserver,
     InvariantObserver,
+    InvariantViolation,
     PheromoneBoundObserver,
     PotentialObserver,
     PotentialTrace,
@@ -429,6 +430,160 @@ def test_invariant_observer_rows_it_skips_and_flags():
     assert violations("f_vertex", v, "zero") == [("split_f", v)]
     assert violations("p", 5, 1e-9) == [("recurrence", 5)]
     assert violations("f_vertex", v, 1e-9) == [("conservation_f", v), ("split_f", v)]
+
+
+# -- invariant observer blocks ---------------------------------------------------
+
+
+def _block_case(rows):
+    """The growth protocol's engine settings on a graph where the observer
+    holds blocks of 32 pairs (the planted 10x10 grid) or checks each pair
+    on its call (a 100x100 grid: m + 4n is about 60k entries)."""
+    graph = plant_path(gen_grid(10, 10), 9)[0] if rows == 32 else gen_grid(100, 100)
+    schedule = FlowSchedule.exponential(0.8, 0.6, 1.1)
+    cfg = EngineConfig(delta=0.3, rescale_mode=RESCALE_BY_SOURCE)
+    assert InvariantObserver(graph, cfg, schedule)._rows == rows
+    return graph, schedule, cfg
+
+
+def _tight_pair(graph, schedule, cfg, rel_tol=1e-16):
+    """The observer and the reference at one tolerance (by default tight
+    enough that engine rounding registers)."""
+    return (
+        InvariantObserver(graph, cfg, schedule, rel_tol),
+        ReferenceInvariantObserver(graph, cfg, schedule, rel_tol),
+    )
+
+
+def _chain(pairs):
+    return [(cur.t, cur, prev) for prev, cur in pairs]
+
+
+def _feed(calls, *observers):
+    for t, state, prev in calls:
+        for obs in observers:
+            obs(t, state, prev)
+
+
+BLOCK_ROWS = pytest.mark.parametrize("rows", [32, 1], ids=["blocks", "one-row"])
+
+
+@BLOCK_ROWS
+def test_invariant_observer_blocks_of_any_length(rows):
+    """Chains of R - 1, R, R + 1 and 2R + 1 stepped pairs."""
+    graph, schedule, cfg = _block_case(rows)
+    pairs = _stepped_pairs(graph, schedule, cfg, 2 * rows + 1)
+    hits = 0
+    for count in sorted({rows - 1, rows, rows + 1, 2 * rows + 1}):
+        obs, ref = _tight_pair(graph, schedule, cfg)
+        _feed(_chain(pairs[: count + 1]), obs, ref)
+        assert obs.violations == ref.violations
+        hits += len(ref.violations)
+    assert hits > 0
+
+
+@BLOCK_ROWS
+def test_invariant_observer_pair_outside_the_chain(rows):
+    """A faulty pair of copies in the middle of a chain: its ``prev`` is not
+    the last state passed, and neither is the ``prev`` of the call after it."""
+    graph, schedule, cfg = _block_case(rows)
+    pairs = _stepped_pairs(graph, schedule, cfg, rows + 4)
+    calls = _chain(pairs)
+    mid = rows // 2 + 2
+    prev, cur = pairs[mid]
+    bad = cur.copy()
+    _fault(bad, "p", 5, 1e-6)
+    calls.insert(mid + 1, (cur.t, bad, prev.copy()))
+    for rel_tol in (1e-12, 1e-16):
+        obs, ref = _tight_pair(graph, schedule, cfg, rel_tol)
+        _feed(calls, obs, ref)
+        assert obs.violations == ref.violations
+        assert InvariantViolation(cur.t, "recurrence", 5, bad.p[5] - cur.p[5]) in ref.violations
+
+
+@BLOCK_ROWS
+def test_invariant_observer_repeated_state_after_violating_and_clean_pairs(rows):
+    """A repeated state repeats the records of the pair just before it: a
+    clean one (nothing), a violating one, or a clean one after a violating
+    one in the same block (nothing)."""
+    graph, schedule, cfg = _block_case(rows)
+    pairs = _stepped_pairs(graph, schedule, cfg, 3)
+    last = pairs[-1][1]
+    calls = _chain(pairs)
+    calls.append((last.t + 1, last, last))  # after a clean pair
+    v = int(graph.edges[7][1])
+    bad = step(last, graph, LIN, schedule, cfg)
+    _fault(bad, "f_vertex", v, 1e-6)
+    nxt = step(bad, graph, LIN, schedule, cfg)
+    calls += [(bad.t, bad, last), (nxt.t, nxt, bad), (nxt.t + 1, nxt, nxt)]
+    bad2 = step(nxt, graph, LIN, schedule, cfg)
+    _fault(bad2, "f_vertex", v, 1e-6)
+    calls += [(bad2.t, bad2, nxt), (bad2.t + 1, bad2, bad2), (bad2.t + 2, bad2, bad2)]
+    obs, ref = _tight_pair(graph, schedule, cfg, 1e-12)
+    _feed(calls, obs, ref)
+    assert obs.violations == ref.violations
+    assert {v.t for v in ref.violations} == {bad.t, bad2.t, bad2.t + 1, bad2.t + 2}
+
+
+@BLOCK_ROWS
+def test_invariant_observer_prev_passed_before_an_initial_state(rows):
+    """After an initial state, a ``prev`` passed as a stepped state before
+    it starts a new chain and is read as it is on the call."""
+    graph, schedule, cfg = _block_case(rows)
+    pairs = _stepped_pairs(graph, schedule, cfg, 4)
+    prev, cur = pairs[-1]
+    obs, ref = _tight_pair(graph, schedule, cfg, 1e-12)
+    _feed(_chain(pairs) + [(0, pairs[0][1], None)], obs, ref)
+    nxt = step(cur, graph, LIN, schedule, cfg)
+    _fault(cur, "p", 5, 1e-6)
+    _feed([(nxt.t, nxt, cur)], obs, ref)
+    assert obs.violations == ref.violations
+    assert ref.violations[0].t == nxt.t
+
+
+@BLOCK_ROWS
+def test_invariant_observer_read_mid_chain(rows):
+    """Reading ``violations`` checks the held pairs; the chain then goes on."""
+    graph, schedule, cfg = _block_case(rows)
+    calls = _chain(_stepped_pairs(graph, schedule, cfg, 2 * rows + 3))
+    obs, ref = _tight_pair(graph, schedule, cfg)
+    for i, call in enumerate(calls):
+        _feed([call], obs, ref)
+        if i in (1, 3, rows + 2):
+            assert obs.violations == ref.violations
+    assert obs.violations == ref.violations and ref.violations
+
+
+@BLOCK_ROWS
+def test_invariant_observer_reused_across_runs(rows):
+    """One observer in two runs: the second from the first's final state,
+    then a third from a fresh initial state."""
+    graph, schedule, cfg = _block_case(rows)
+    obs, ref = _tight_pair(graph, schedule, cfg)
+    state = _stepped_pairs(graph, schedule, cfg, 0)[0][1]
+    first = run(state, graph, LIN, schedule, cfg, rows + 3, [obs, ref])
+    run(first.final_state, graph, LIN, schedule, cfg, 2 * rows, [obs, ref])
+    assert obs.violations == ref.violations
+    run(state, graph, LIN, schedule, cfg, rows + 1, [obs, ref])
+    assert obs.violations == ref.violations and ref.violations
+
+
+@BLOCK_ROWS
+def test_invariant_observer_states_written_after_their_calls(rows):
+    """Overwriting a state's arrays once no later call passes it changes no
+    record, including records not yet read."""
+    graph, schedule, cfg = _block_case(rows)
+    pairs = _stepped_pairs(graph, schedule, cfg, rows + 5)
+    obs, ref = _tight_pair(graph, schedule, cfg)
+    _feed([(0, pairs[0][1], None)], obs, ref)
+    for t, cur, prev in _chain(pairs[1:]):
+        _feed([(t, cur, prev)], obs, ref)
+        for a in (prev.p, prev.f_edge, prev.b_edge, prev.f_vertex, prev.b_vertex):
+            a.fill(7.0)
+    last = pairs[-1][1]
+    for a in (last.p, last.f_edge, last.b_edge, last.f_vertex, last.b_vertex):
+        a.fill(-1.0)
+    assert obs.violations == ref.violations and ref.violations
 
 
 def test_branch_level_observer_levels_and_zero_totals():

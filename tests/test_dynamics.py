@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trailflow.adversarial import FlowBoundObserver, leakage_counterexample
+from trailflow.adversarial import AT_LEAST, FlowBoundObserver, leakage_counterexample
 from trailflow.dynamics import (
     CONVERGENCE_CHECK_INTERVAL,
     ConfigError,
@@ -730,6 +730,8 @@ def _a5_case():
             BranchLevelObserver(tp, cx.watch_branch),
             FlowBoundObserver(tp, cx.schedule, cx.watch_branch, cx.config.bound, cx.direction),
             InvariantObserver(tp.graph, cfg, cx.schedule),
+            # the bound's other direction: it records violations on every step
+            FlowBoundObserver(tp, cx.schedule, cx.watch_branch, cx.config.bound, AT_LEAST),
             # checks a different decay, so it records violations on every step
             InvariantObserver(tp.graph, EngineConfig(delta=0.6), cx.schedule),
         ]
@@ -820,6 +822,19 @@ def test_run_stationary_stop_repeats_invariant_records():
     trace = run(state, graph, rule, sched, cfg, T, [obs])
     after = {v.t for v in obs.violations if v.t > trace.t_stationary}
     assert after == set(range(trace.t_stationary + 1, T + 1))
+
+
+def test_run_stationary_stop_repeats_flow_bound_records():
+    """The A5 case's reversed flow bound records violations on the repeated
+    state too, each t carrying the last stepped call's records."""
+    state, graph, rule, sched, cfg, T, observers = _a5_case()
+    obs = observers()[-2]
+    trace = run(state, graph, rule, sched, cfg, T, [obs])
+    ts = trace.t_stationary
+    last = [v[1:] for v in obs.violations if v[0] == ts]
+    assert last
+    for t in (ts + 1, T):
+        assert [v[1:] for v in obs.violations if v[0] == t] == last
 
 
 def test_explicit_state_construction():

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from trailflow import scenarios
+from trailflow.analysis import InvariantObserver
 from trailflow.cli import main
 from trailflow.scenarios import (
     Scenario,
@@ -319,6 +321,7 @@ def test_batch_csv_outputs(tmp_path):
     assert len(rows) == 3
     doc = json.load(open(tmp_path / "batch.json"))
     assert doc["match_rate"] == 1.0
+    assert doc["invariant_violations"] == [0, 0]  # no monitors: nothing checked
 
 
 def test_batch_workers_match_serial():
@@ -562,6 +565,37 @@ def test_cli_run_override_seed(tmp_path):
 def test_cli_batch_preset(capsys):
     assert main(["batch", "--preset", "appendixC-leakage", "--instances", "2"]) == 0
     assert "match rate 1.000" in capsys.readouterr().out
+
+
+def test_cli_batch_preset_exits_1_on_invariant_violations(tmp_path, monkeypatch, capsys):
+    """Rows that match their oracle but record invariant violations make the
+    batch exit 1, with one stderr line per such row, and ``batch.json``
+    lists every row's count; a tolerance of 1e-16 makes the engine's
+    rounding register as violations."""
+    args = ["batch", "--preset", "appendixC-increasing", "--instances", "3", "--monitors"]
+    args += ["--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert "invariant violations" not in capsys.readouterr().err
+    assert json.load(open(tmp_path / "batch.json"))["invariant_violations"] == [0, 0, 0]
+
+    def tight(graph, cfg, schedule):
+        return InvariantObserver(graph, cfg, schedule, rel_tol=1e-16)
+
+    monkeypatch.setattr(scenarios, "InvariantObserver", tight)
+    rows = run_batch("appendixC-increasing", instances=3, monitors=True).rows
+    assert all(row.match for row in rows)
+    assert any(row.invariant_violations for row in rows)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "match rate 1.000" in captured.out
+    want = [
+        f"  invariant violations #{row.index} ({row.family}): {row.invariant_violations}"
+        for row in rows
+        if row.invariant_violations
+    ]
+    assert captured.err.splitlines() == want
+    counts = json.load(open(tmp_path / "batch.json"))["invariant_violations"]
+    assert counts == [row.invariant_violations for row in rows]
 
 
 def test_cli_batch_scenario_file(tmp_path, capsys):
