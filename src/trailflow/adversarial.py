@@ -25,9 +25,11 @@ from .dynamics import (
     DecisionRule,
     EngineConfig,
     FlowSchedule,
+    RESCALE_BY_SOURCE,
+    RESCALE_OFF,
     RunTrace,
     SystemState,
-    make_explicit_state,
+    branch_state,
     run,
 )
 from .graph import Path, TwoPathGraph, build_two_path_survival
@@ -88,8 +90,11 @@ class CounterexampleConfig:
     case: str
     c_eps: float
     c_g: float
-    bound: float  # r + eps
     constraint: str
+
+    @property
+    def bound(self) -> float:
+        return self.r + self.eps
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,15 @@ class Counterexample:
     two_path: TwoPathGraph  # leakage applied
     state: SystemState
     schedule: FlowSchedule  # constant (leakage) or growing by alpha = mu (flow)
-    watch_branch: str  # branch whose level is bounded
-    direction: str  # AT_MOST (case below) | AT_LEAST (case above)
+
+    @property
+    def watch_branch(self) -> str:
+        """The branch whose level is bounded."""
+        return "top" if self.config.case == CASE_BELOW else "bottom"
+
+    @property
+    def direction(self) -> str:
+        return AT_MOST if self.config.case == CASE_BELOW else AT_LEAST
 
 
 def _case_constants(rule: RuleFunction, r: float, eps: float, case: str) -> Tuple[float, float]:
@@ -117,11 +129,15 @@ def _resolve_nonlinearity(
 ) -> Nonlinearity:
     found = find_nonlinearity(rule)
     if r is None:
+        if eps is not None:
+            raise RuleError("explicit eps requires explicit r")
         # half the certified extent: the margin constant degenerates as
         # r+eps approaches the next diagonal crossing
         return Nonlinearity(found.r, found.eps / 2.0, found.case)
     if eps is None:
         raise RuleError("explicit r requires explicit eps")
+    if not eps > 0.0:
+        raise RuleError("need eps > 0: the bound r + eps must lie above r")
     if not (0.0 < r and r + eps < 0.5):
         raise RuleError("need 0 < r and r + eps < 1/2")
     gr = float(rule.fn(r))
@@ -129,60 +145,28 @@ def _resolve_nonlinearity(
     return Nonlinearity(r=float(r), eps=float(eps), case=case)
 
 
-def _branch_products(two_path: TwoPathGraph, branch: str) -> Tuple[List[float], List[float]]:
-    """(prefix, suffix) interior survival products per edge of the branch:
-    prefix[i] multiplies forward flow on edge i (vertices passed from s),
-    suffix[i] multiplies backward flow on edge i (vertices passed from d)."""
-    path = two_path.top if branch == "top" else two_path.bottom
-    leak = two_path.graph.leakage
-    survs = [1.0 - float(leak[v]) for v in path.vertices]
-    k = len(path.vertices) - 1  # edges
-    prefix = []
-    acc = 1.0
-    for i in range(k):
-        acc *= survs[i]  # vertex v_i (s has survival 1)
-        prefix.append(acc)
-    suffix = [1.0] * k
-    acc = 1.0
-    for i in range(k - 1, -1, -1):
-        acc *= survs[i + 1] if i + 1 < len(survs) else 1.0
-        # vertex v_{i+1}; d has survival 1
-        suffix[i] = acc
-    return prefix, suffix
-
-
-def _counterexample_state(
+def _counterexample(
+    rule: RuleFunction,
+    nl: Nonlinearity,
+    c_eps: float,
+    c_g: float,
+    constraint: str,
     two_path: TwoPathGraph,
     schedule: FlowSchedule,
-    rule: RuleFunction,
-    watch_branch: str,
-    bound: float,
-) -> SystemState:
-    """Initial state for the proof configurations.
-
-    The watched branch carries normalized pheromone exactly ``bound`` = r+eps
-    at both graph ends; edge flows start rule-consistent (fraction g(bound)
-    on the watched branch, complement on the other) scaled by the interior
-    survival prefix/suffix products. Rule-consistent flows are what the
-    induction step produces, so the hypothesis holds from t=0 with margin.
-    """
-    g = two_path.graph
-    f_s = schedule.forward_at(0)
-    b_d = schedule.backward_at(0)
-    frac_watch = float(rule.fn(bound))
-    p = {}
-    fe = {}
-    be = {}
-    for branch in ("top", "bottom"):
-        level = bound if branch == watch_branch else 1.0 - bound
-        frac = frac_watch if branch == watch_branch else 1.0 - frac_watch
-        path = two_path.top if branch == "top" else two_path.bottom
-        prefix, suffix = _branch_products(two_path, branch)
-        for i, (u, v) in enumerate(path.edge_pairs()):
-            p[(u, v)] = level
-            fe[(u, v)] = f_s * frac * prefix[i]
-            be[(u, v)] = b_d * frac * suffix[i]
-    return make_explicit_state(g, p, fe, be, schedule)
+) -> Counterexample:
+    """The proof configuration: the watched branch carries normalized
+    pheromone exactly the bound r+eps at both graph ends, and the edge flows
+    start rule-consistent (fraction g(bound) on the watched branch, the
+    complement on the other). Rule-consistent flows are what the induction
+    step produces, so the hypothesis holds from t=0 with margin."""
+    config = CounterexampleConfig(nl.r, nl.eps, nl.case, c_eps, c_g, constraint)
+    bound = config.bound
+    frac = float(rule.fn(bound))
+    watched, other = (bound, frac), (1.0 - bound, 1.0 - frac)
+    # the case below bounds the top branch (``Counterexample.watch_branch``)
+    top, bottom = (watched, other) if nl.case == CASE_BELOW else (other, watched)
+    state = branch_state(two_path, schedule.forward_at(0), schedule.backward_at(0), top, bottom)
+    return Counterexample(rule, config, two_path, state, schedule)
 
 
 def leakage_counterexample(
@@ -221,7 +205,6 @@ def leakage_counterexample(
                 f"constraint alpha/beta <= {1.0 + budget:.6g}"
             )
         constraint = f"alpha/beta <= 1 + c_g f_s/b_d = {1.0 + budget:.6g}"
-        watch, direction = "top", AT_MOST
     else:
         if surv_top is None:
             surv_top = 0.97
@@ -236,19 +219,10 @@ def leakage_counterexample(
                 f"constraint beta/alpha >= {1.0 - budget:.6g}"
             )
         constraint = f"beta/alpha >= 1 - c_g f_s/b_d = {1.0 - budget:.6g}"
-        watch, direction = "bottom", AT_LEAST
 
     graph2 = build_two_path_survival(two_path.m, two_path.n, surv_top, surv_bottom)
     schedule = FlowSchedule.constant(f_s, b_d)
-    state = _counterexample_state(graph2, schedule, rule, watch, nl.r + nl.eps)
-    cfg = CounterexampleConfig(
-        r=nl.r, eps=nl.eps, case=nl.case, c_eps=c_eps, c_g=c_g,
-        bound=nl.r + nl.eps, constraint=constraint,
-    )
-    return Counterexample(
-        rule_fn=rule, config=cfg, two_path=graph2, state=state, schedule=schedule,
-        watch_branch=watch, direction=direction,
-    )
+    return _counterexample(rule, nl, c_eps, c_g, constraint, graph2, schedule)
 
 
 def flow_counterexample(
@@ -280,7 +254,6 @@ def flow_counterexample(
         if mu < mu_min:
             raise ConfigError(f"mu={mu:.6g} below the case bound {mu_min:.6g}")
         constraint = f"mu^(n-m) >= 1 + c_g = {1.0 + c_g:.6g}"
-        watch, direction = "top", AT_MOST
     else:
         mu_max = (1.0 / (1.0 - c_g)) ** (1.0 / gap) if c_g < 1.0 else math.inf
         if mu is None:
@@ -288,18 +261,9 @@ def flow_counterexample(
         if not (1.0 < mu <= mu_max):
             raise ConfigError(f"mu={mu:.6g} outside (1, {mu_max:.6g}]")
         constraint = f"mu^(n-m) <= 1/(1 - c_g) = {1.0 / (1.0 - c_g):.6g}"
-        watch, direction = "bottom", AT_LEAST
 
     schedule = FlowSchedule.exponential(f0, f0, mu)
-    state = _counterexample_state(two_path, schedule, rule, watch, nl.r + nl.eps)
-    cfg = CounterexampleConfig(
-        r=nl.r, eps=nl.eps, case=nl.case, c_eps=c_eps, c_g=c_g,
-        bound=nl.r + nl.eps, constraint=constraint,
-    )
-    return Counterexample(
-        rule_fn=rule, config=cfg, two_path=two_path, state=state, schedule=schedule,
-        watch_branch=watch, direction=direction,
-    )
+    return _counterexample(rule, nl, c_eps, c_g, constraint, two_path, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +300,7 @@ class FlowBoundObserver:
             level = bound if watched else 1.0 - bound
             upper = (direction == AT_MOST) == watched
             eids = two_path.path_eids(branch)
-            prefix, suffix = _branch_products(two_path, branch)
+            prefix, suffix = (a.tolist() for a in two_path.branch_survivals(branch))
             k = len(eids)
             for i, eid in enumerate(eids):
                 self.spec.append((eid, i, k - 1 - i, prefix[i], suffix[i], level, upper))
@@ -408,17 +372,31 @@ def verify_nonconvergence(
     """Check the branch level bound at both graph ends over the recorded
     steps (<= for AT_MOST, >= for AT_LEAST). A NaN level compares false,
     so it never violates."""
+    return _nonconvergence_report(levels, bound, direction, slack)
+
+
+def _nonconvergence_report(
+    levels: BranchLevelObserver,
+    bound: float,
+    direction: str,
+    slack: float = 1e-9,
+    target_convergence_at: Optional[int] = None,
+    flow_bound_violations: int = 0,
+) -> NonconvergenceReport:
     limit = bound + slack if direction == AT_MOST else bound - slack
     bad = (lambda v: v > limit) if direction == AT_MOST else (lambda v: v < limit)
     pairs = enumerate(zip(levels.norm_s, levels.norm_d))
     first_t, first_v = next(((t, v) for t, pair in pairs for v in pair if bad(v)), (None, None))
     return NonconvergenceReport(
-        ok=first_t is None,
+        ok=first_t is None and target_convergence_at is None and not flow_bound_violations,
         bound=bound,
         direction=direction,
         steps_checked=len(levels.norm_s),
         first_violation_t=first_t,
         first_violation_value=first_v,
+        target_convergence_at=target_convergence_at,
+        flow_bounds_ok=not flow_bound_violations,
+        flow_bound_violations=flow_bound_violations,
     )
 
 
@@ -435,17 +413,15 @@ def run_counterexample(
     graph = cx.two_path.graph
     rule = DecisionRule.general(cx.rule_fn)
     cfg = EngineConfig(delta=delta)
+    bound, direction = cx.config.bound, cx.direction
     obs = BranchLevelObserver(cx.two_path, cx.watch_branch)
-    flows = FlowBoundObserver(
-        cx.two_path, cx.schedule, cx.watch_branch, cx.config.bound, cx.direction
-    )
+    flows = FlowBoundObserver(cx.two_path, cx.schedule, cx.watch_branch, bound, direction)
     watcher = TargetConvergenceWatcher(graph, cx.two_path.top, epsilon, check_every)
     trace = run(cx.state, graph, rule, cx.schedule, cfg, T, observers=[obs, flows, watcher])
-    report = verify_nonconvergence(obs, cx.config.bound, cx.direction)
-    report.target_convergence_at = watcher.seen_at
-    report.flow_bound_violations = len(flows.violations)
-    report.flow_bounds_ok = not flows.violations
-    report.ok = report.ok and watcher.seen_at is None and report.flow_bounds_ok
+    report = _nonconvergence_report(
+        obs, bound, direction,
+        target_convergence_at=watcher.seen_at, flow_bound_violations=len(flows.violations),
+    )
     return report, trace, obs
 
 
@@ -457,14 +433,9 @@ def run_positive_control(
 ) -> RunTrace:
     """Re-run the same configuration under the linear rule; the dynamics
     must converge to the top (min-leakage / shortest) path."""
-    graph = cx.two_path.graph
-    rescale = cx.schedule.kind == "exponential"
-    cfg = EngineConfig(
-        delta=delta,
-        epsilon_convergence=epsilon,
-        rescale_mode="normalize_by_source" if rescale else "off",
-    )
-    return run(cx.state, graph, DecisionRule.linear(), cx.schedule, cfg, T)
+    rescale = RESCALE_BY_SOURCE if cx.schedule.kind == "exponential" else RESCALE_OFF
+    cfg = EngineConfig(delta=delta, epsilon_convergence=epsilon, rescale_mode=rescale)
+    return run(cx.state, cx.two_path.graph, DecisionRule.linear(), cx.schedule, cfg, T)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ split, which is the only ordering consistent with the flow-movement and
 pheromone-update equations simultaneously.
 
 States returned by ``step`` are split-consistent: the edge flows equal the
-rule's split of the stored vertex flows. Explicitly constructed states (for
-reproducing proof configurations) may bypass that invariant at t=0.
+rule's split of the stored vertex flows. ``branch_state`` builds the t=0
+states of the proof configurations from a pheromone and a flow fraction per
+branch: each interior vertex holds the flow its edge carries, and the state
+is split-consistent when the fractions are the rule's split of the
+pheromones. Perturbed states (``equilibria.perturb``) need not be.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .graph import DirectedGraph, GraphArrays, Path, min_leakage_path
+from .graph import DirectedGraph, GraphArrays, Path, TwoPathGraph, min_leakage_path
 from .rules import DecisionRule, clamp_unit_half
 
 
@@ -232,36 +235,32 @@ def init_state(
     )
 
 
-def make_explicit_state(
-    graph: DirectedGraph,
-    p: PheromoneInit,
-    f_edge: Mapping[Tuple[int, int], float],
-    b_edge: Mapping[Tuple[int, int], float],
-    schedule: FlowSchedule,
+def branch_state(
+    two_path: TwoPathGraph,
+    f0: float,
+    b0: float,
+    top: Tuple[float, float],
+    bottom: Tuple[float, float],
 ) -> SystemState:
-    """State with explicitly prescribed edge flows (proof configurations).
-
-    The split-consistency invariant is not enforced at t=0; every state
-    produced by ``step`` afterwards satisfies it.
-    """
-    ga = graph.arrays
-    pa = _resolve_pheromone(graph, p)
-    fe = np.zeros(ga.m)
-    be = np.zeros(ga.m)
-    for (u, v), val in f_edge.items():
-        fe[graph.edge_id(u, v)] = float(val)
-    for (u, v), val in b_edge.items():
-        be[graph.edge_id(u, v)] = float(val)
-    if np.any(fe < 0.0) or np.any(be < 0.0):
-        raise ValueError("explicit edge flows must be non-negative")
-    fv = np.zeros(ga.n)
-    bv = np.zeros(ga.n)
-    f0 = schedule.forward_at(0)
-    b0 = schedule.backward_at(0)
-    fv[ga.source] = f0
-    bv[ga.destination] = b0
+    """t=0 state on two parallel paths from each branch's (pheromone,
+    fraction): the pheromone on every edge of the branch, forward flow
+    ``f0 * fraction`` and backward flow ``b0 * fraction`` times the survival
+    products the flow has passed (``branch_survivals``). Each interior
+    vertex holds the flow its edge passes on, s holds f0 and d holds b0."""
+    g = two_path.graph
+    p, fe, be = np.zeros(g.n_edges), np.zeros(g.n_edges), np.zeros(g.n_edges)
+    fv, bv = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
+    for branch, (pheromone, fraction) in (("top", top), ("bottom", bottom)):
+        eids = two_path.path_eids(branch)
+        prefix, suffix = two_path.branch_survivals(branch)
+        p[eids] = pheromone
+        fe[eids] = f0 * fraction * prefix
+        be[eids] = b0 * fraction * suffix
+        inner = list(getattr(two_path, branch).vertices[1:-1])
+        fv[inner], bv[inner] = fe[eids[1:]], be[eids[:-1]]
+    fv[g.source], bv[g.destination] = f0, b0
     return SystemState(
-        t=0, p=pa, f_edge=fe, b_edge=be, f_vertex=fv, b_vertex=bv, injected_f=f0, injected_b=b0
+        t=0, p=p, f_edge=fe, b_edge=be, f_vertex=fv, b_vertex=bv, injected_f=f0, injected_b=b0
     )
 
 
@@ -538,16 +537,12 @@ class RunTrace:
 _STEP_INPUTS = ("p", "f_edge", "b_edge")  # what ``step`` reads, besides ``t``
 
 
-def _repeats(cur: SystemState, prev: SystemState) -> bool:
-    """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
-    byte (so -0.0 does not match 0.0)."""
-    return all(getattr(cur, a).tobytes() == getattr(prev, a).tobytes() for a in _STEP_INPUTS)
-
-
 class _RepeatGate:
-    """``_repeats`` at O(1) cost while the state changes: one entry is first
-    compared as floats, a test that every repeat passes. When the bytes
-    differ, the entry that changed most becomes the one compared first."""
+    """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
+    byte (so -0.0 does not match 0.0), at O(1) cost while the state changes:
+    one entry is first compared as floats, a test that every repeat passes.
+    When the bytes differ, the entry that changed most becomes the one
+    compared first."""
 
     probe = ("p", 0)
 
@@ -599,8 +594,9 @@ def run(
     convergence when the config asks for it.
 
     Under a constant schedule, stepping stops at the first state that
-    repeats its predecessor (``_repeats``), at ``t_stationary``: ``step``
-    reads only those arrays and ``t``, so every later state would repeat it
+    repeats its predecessor's pheromone and edge flows byte for byte
+    (``_RepeatGate``), at ``t_stationary``: ``step`` reads only those arrays
+    and ``t``, so every later state would repeat it
     too. The run still ends as stepping would end it. The observers see the
     repeated state for every remaining t, one convergence check on it stands
     for the next one stepping would make, and ``_hold`` gives the final

@@ -29,6 +29,7 @@ from .dynamics import (  # noqa: F401
     FlowSchedule,
     RunTrace,
     SystemState,
+    branch_state,
     run,
     step,
 )
@@ -61,14 +62,6 @@ class EquilibriumSpec:
     def pheromone_bottom(self) -> float:
         return self.pheromone_scale * (1.0 - self.r)
 
-    @property
-    def flows_top(self) -> Tuple[float, float]:
-        return self.f_s * self.r, self.b_d * self.r
-
-    @property
-    def flows_bottom(self) -> Tuple[float, float]:
-        return self.f_s * (1.0 - self.r), self.b_d * (1.0 - self.r)
-
 
 def equilibrium_state(
     two_path: TwoPathGraph,
@@ -80,29 +73,15 @@ def equilibrium_state(
 ) -> SystemState:
     """The equilibrium SystemState for fixed point r; requires zero leakage
     and |g(r) - r| <= 1e-10."""
-    g = two_path.graph
-    if np.any(g.leakage != 0.0):
+    if np.any(two_path.graph.leakage != 0.0):
         raise EquilibriumError("equilibrium construction requires zero leakage")
     if not (0.0 <= r <= 0.5):
         raise EquilibriumError("r must lie in [0, 1/2]")
     if abs(float(rule.fn(r)) - r) > 1e-10:
         raise EquilibriumError(f"r={r} is not a fixed point of the rule")
     spec = EquilibriumSpec(r=r, f_s=f_s, b_d=b_d, delta=delta)
-    p, fe, be = np.zeros(g.n_edges), np.zeros(g.n_edges), np.zeros(g.n_edges)
-    fv, bv = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
-    fv[g.source] = f_s
-    bv[g.destination] = b_d
-    for branch, pheromone, (f, b) in (
-        ("top", spec.pheromone_top, spec.flows_top),
-        ("bottom", spec.pheromone_bottom, spec.flows_bottom),
-    ):
-        eids = two_path.path_eids(branch)
-        p[eids], fe[eids], be[eids] = pheromone, f, b
-        inner = list(getattr(two_path, branch).vertices[1:-1])
-        fv[inner], bv[inner] = f, b
-    return SystemState(
-        t=0, p=p, f_edge=fe, b_edge=be, f_vertex=fv, b_vertex=bv, injected_f=f_s, injected_b=b_d
-    )
+    top, bottom = (spec.pheromone_top, r), (spec.pheromone_bottom, 1.0 - r)
+    return branch_state(two_path, f_s, b_d, top, bottom)
 
 
 class _MaxDeviation:

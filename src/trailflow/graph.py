@@ -355,6 +355,14 @@ class TwoPathGraph:
         path = self.top if branch == "top" else self.bottom
         return [self.graph.edge_id(u, v) for u, v in path.edge_pairs()]
 
+    def branch_survivals(self, branch: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(prefix, suffix) survival products per edge of a branch: prefix[i]
+        over the vertices forward flow on edge i has passed from s, suffix[i]
+        over those backward flow on edge i has passed from d."""
+        path = self.top if branch == "top" else self.bottom
+        surv = 1.0 - self.graph.leakage[list(path.vertices)]
+        return np.cumprod(surv[:-1]), np.cumprod(surv[:0:-1])[::-1]
+
     @property
     def leak_top(self) -> float:
         return path_leakage(self.graph, self.top)

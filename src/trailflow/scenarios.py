@@ -29,7 +29,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -237,9 +237,11 @@ _SCENARIO = (
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario with all defaults filled."""
+    """A validated scenario with all defaults filled, and the graph, rule,
+    schedule and engine config built from it once."""
 
     config: dict
+    materialized: Materialized = field(compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -279,9 +281,7 @@ def parse_scenario(doc) -> Scenario:
         raise ScenarioError("rescale: applies to exponential schedules only")
     cfg["rescale"] = "on" if effective else "off"
 
-    scenario = Scenario(config=cfg)
-    _materialize(scenario)  # surfaces construction-time problems early
-    return scenario
+    return Scenario(config=cfg, materialized=_materialize(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +323,7 @@ def _connected_graph(
     return None
 
 
-def _materialize(scenario: Scenario) -> Materialized:
-    cfg = scenario.config
+def _materialize(cfg: dict) -> Materialized:
     seed, g, plant, leak = cfg["seed"], cfg["graph"], cfg["plant"], cfg["leakage"]
     two_path = planted = None
     where = "graph"  # the section a GraphError is reported under
@@ -468,7 +467,7 @@ def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioR
     """Run ``scenario`` and write its artifacts to ``out_dir`` (the CLI's
     ``--out-dir``), or else to its ``outputs.dir``; a directory that cannot
     be made or written raises ScenarioError naming the one that chose it."""
-    mat = _materialize(scenario)
+    mat = scenario.materialized
     cfg = scenario.config
     graph = mat.graph
     state = init_state(graph, mat.pheromone, mat.schedule, mat.rule, strict=True)

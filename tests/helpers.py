@@ -1,5 +1,6 @@
 """Independent test oracles: a dict-based reference implementation of the
 update step (kept deliberately separate from the engine's vectorized path),
+a byte-for-byte repeat test of a state's step inputs,
 a degree-scan general split, a stability run's deviation in its original
 form, a bincount-based linear split, step and normalized levels plus a
 greedy convergence walk over full level arrays, the graphs that exercise the
@@ -14,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from trailflow.analysis import InvariantViolation
-from trailflow.dynamics import RESCALE_BY_SOURCE
+from trailflow.dynamics import _STEP_INPUTS, RESCALE_BY_SOURCE
 from trailflow.graph import (
     DirectedGraph,
     Path,
@@ -65,6 +66,12 @@ def reference_step(graph, p, fe, be, delta, schedule, t):
                 frac = newp[e] / tot if tot > 0 else 1.0 / len(ins)
                 nbe[e] = bv[v] * frac
     return newp, nfe, nbe, fv, bv, delivered_f, delivered_b
+
+
+def repeats(cur, prev):
+    """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
+    byte (so -0.0 does not match 0.0): what ``step`` reads, besides ``t``."""
+    return all(getattr(cur, a).tobytes() == getattr(prev, a).tobytes() for a in _STEP_INPUTS)
 
 
 def bincount_split(ga, p, vertex_flow, forward):

@@ -27,6 +27,7 @@ from trailflow.dynamics import (
 )
 from trailflow.graph import build_two_path
 from trailflow.rules import (
+    RuleError,
     RuleFunction,
     RuleLinearAtResolution,
     linear_rule,
@@ -152,6 +153,35 @@ def test_flow_counterexample_invariant_short_run(rule):
     fx = flow_counterexample(rule, TP23, 1.0)
     report, trace, obs = run_counterexample(fx, 2000)
     assert report.ok, (rule.name, report)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP: check the counterexample claim across the non-linear family, "
+    "and fix the near-linear failures",
+)
+@pytest.mark.parametrize("k", [1.002, 1.001])
+def test_flow_counterexample_near_linear_holds_its_bound(k):
+    # today the bound breaks at t = 4 (power 1.002) and t = 3 (power 1.001)
+    report, _, _ = run_counterexample(flow_counterexample(power_rule(k), TP23, 1.0), 2000)
+    assert report.ok, report
+
+
+@pytest.mark.parametrize("make", [
+    lambda eps: leakage_counterexample(power_rule(2), TP23, 1.0, 1.0, eps=eps),
+    lambda eps: flow_counterexample(power_rule(2), TP23, 1.0, eps=eps),
+])
+def test_counterexamples_reject_eps_without_r(make):
+    with pytest.raises(RuleError, match="explicit eps requires explicit r"):
+        make(0.05)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+def test_counterexamples_reject_nonpositive_eps(eps):
+    with pytest.raises(RuleError, match="eps > 0"):
+        leakage_counterexample(power_rule(2), TP23, 1.0, 1.0, r=0.25, eps=eps)
+    with pytest.raises(RuleError, match="eps > 0"):
+        flow_counterexample(power_rule(2), TP23, 1.0, r=0.25, eps=eps)
 
 
 # -- bound verification ----------------------------------------------------------------

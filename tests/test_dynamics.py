@@ -14,12 +14,12 @@ from trailflow.dynamics import (
     EngineConfig,
     FlowSchedule,
     RESCALE_BY_SOURCE,
+    SystemState,
     _flush,
-    _repeats,
     _split_general,
     _split_linear,
+    branch_state,
     init_state,
-    make_explicit_state,
     run,
     step,
 )
@@ -47,6 +47,7 @@ from helpers import (
     kernel_graphs,
     reference_general_split,
     reference_step,
+    repeats,
 )
 
 LIN = DecisionRule.linear()
@@ -469,6 +470,17 @@ def test_zero_total_split_counts_match_bincount_reference():
     assert _split_linear(ga, p0, vflow, True)[1] == bincount_split(ga, p0, vflow, True)[1] == 0
 
 
+def _flowless_state(g, p0, sched):
+    """t=0 state with pheromone ``p0`` (keyed by edge), no edge flow and the
+    schedule's injections at s and d."""
+    n = g.n_vertices
+    fv, bv = np.zeros(n), np.zeros(n)
+    fv[g.source], bv[g.destination] = sched.f0, sched.b0
+    p = np.array([p0[e] for e in g.edges])
+    zero = np.zeros(g.n_edges)
+    return SystemState(0, p, zero, zero.copy(), fv, bv, injected_f=sched.f0, injected_b=sched.b0)
+
+
 def test_step_through_subnormal_total_matches_bincount_reference():
     """With the flush off, the source and the destination each split unit
     flow over a subnormal pheromone total. flow / total overflows there, so
@@ -479,7 +491,7 @@ def test_step_through_subnormal_total_matches_bincount_reference():
     p0 = {(0, 1): 6 * ulp, (0, 2): 2 * ulp, (1, 3): 6 * ulp, (2, 3): 2 * ulp}
     sched = FlowSchedule.constant(1.0, 1.0)
     cfg = EngineConfig(delta=0.5, underflow_threshold=0.0)
-    st = step(make_explicit_state(g, p0, {}, {}, sched), g, LIN, sched, cfg)
+    st = step(_flowless_state(g, p0, sched), g, LIN, sched, cfg)
     assert 0.0 < st.p[g.edge_id(0, 1)] < np.finfo(float).tiny
     for got, vflow, forward in ((st.f_edge, st.f_vertex, True), (st.b_edge, st.b_vertex, False)):
         want, zeros = bincount_split(ga, st.p, vflow, forward)
@@ -498,7 +510,7 @@ def test_step_large_flow_over_small_total_matches_bincount_reference():
     g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
     p0 = {e: 4e-300 for e in g.edges}
     sched = FlowSchedule.constant(1e10, 1e10)
-    st = step(make_explicit_state(g, p0, {}, {}, sched), g, LIN, sched, EngineConfig(delta=0.5))
+    st = step(_flowless_state(g, p0, sched), g, LIN, sched, EngineConfig(delta=0.5))
     assert st.underflow_flushes == 0
     for got, vflow, forward in ((st.f_edge, st.f_vertex, True), (st.b_edge, st.b_vertex, False)):
         want, _ = bincount_split(g.arrays, st.p, vflow, forward)
@@ -709,7 +721,7 @@ def _step_to_horizon(state, graph, rule, schedule, cfg, T, observers):
         prev, cur = cur, step(cur, graph, rule, schedule, cfg)
         for obs in observers:
             obs(cur.t, cur, prev)
-        if first_repeat is None and _repeats(cur, prev):
+        if first_repeat is None and repeats(cur, prev):
             first_repeat = cur.t
         if eps is not None and ((i + 1) % CONVERGENCE_CHECK_INTERVAL == 0 or i == T - 1):
             path = detect_convergence(cur, graph, eps)
@@ -837,13 +849,34 @@ def test_run_stationary_stop_repeats_flow_bound_records():
         assert [v[1:] for v in obs.violations if v[0] == t] == last
 
 
-def test_explicit_state_construction():
-    tp = two_path_23()
+def test_branch_state_carries_flows_through_survivals():
+    tp = two_path_23(0.2, 0.1, 0.3)
     g = tp.graph
-    sched = FlowSchedule.constant(1.0, 1.0)
-    fe = {g.edges[tp.s_top_eid]: 0.3}
-    st = make_explicit_state(g, 1.0, fe, {}, sched)
-    assert st.f_edge[tp.s_top_eid] == 0.3
-    assert st.f_vertex[g.source] == 1.0
-    with pytest.raises(ValueError):
-        make_explicit_state(g, 1.0, {g.edges[0]: -0.1}, {}, sched)
+    st = branch_state(tp, 2.0, 0.5, (0.7, 0.4), (0.3, 0.6))
+    for branch, (pheromone, fraction) in (("top", (0.7, 0.4)), ("bottom", (0.3, 0.6))):
+        eids = tp.path_eids(branch)
+        prefix, suffix = tp.branch_survivals(branch)
+        # the products in the order a loop from s (prefix) and from d (suffix) takes them
+        surv = [1.0 - float(g.leakage[v]) for v in getattr(tp, branch).vertices]
+        want_prefix, want_suffix, acc = [], [], 1.0
+        for x in surv[:-1]:
+            acc *= x
+            want_prefix.append(acc)
+        acc = 1.0
+        for x in surv[:0:-1]:
+            acc *= x
+            want_suffix.insert(0, acc)
+        assert prefix.tolist() == want_prefix and suffix.tolist() == want_suffix
+        assert np.all(st.p[eids] == pheromone)
+        assert np.array_equal(st.f_edge[eids], 2.0 * fraction * prefix)
+        assert np.array_equal(st.b_edge[eids], 0.5 * fraction * suffix)
+        # each interior vertex holds the flow its out-edge (forward) or its
+        # in-edge (backward) carries
+        for i, v in enumerate(getattr(tp, branch).vertices[1:-1]):
+            assert st.f_vertex[v] == st.f_edge[eids[i + 1]]
+            assert st.b_vertex[v] == st.b_edge[eids[i]]
+    assert st.f_edge[tp.path_eids("bottom")[-1]] == pytest.approx(2.0 * 0.6 * 0.9 * 0.7)
+    assert st.b_edge[tp.path_eids("bottom")[0]] == pytest.approx(0.5 * 0.6 * 0.7 * 0.9)
+    assert st.f_vertex[g.source] == st.injected_f == 2.0
+    assert st.b_vertex[g.destination] == st.injected_b == 0.5
+    assert st.f_vertex[g.destination] == st.b_vertex[g.source] == 0.0

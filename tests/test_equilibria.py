@@ -8,7 +8,6 @@ from trailflow.dynamics import (
     EngineConfig,
     FlowSchedule,
     _RepeatGate,
-    _repeats,
     step,
 )
 from trailflow.equilibria import (
@@ -28,7 +27,7 @@ from trailflow.rules import (
     stable_fixed_points,
 )
 
-from helpers import reference_deviation
+from helpers import reference_deviation, repeats
 
 TP = build_two_path(2, 2, [0.0], [0.0])
 SCHED = FlowSchedule.constant(1.0, 1.0)
@@ -39,8 +38,6 @@ def test_equilibrium_spec_closed_form():
     spec = EquilibriumSpec(r=0.25, f_s=1.0, b_d=1.0, delta=0.5)
     assert spec.pheromone_top == pytest.approx(0.5)
     assert spec.pheromone_bottom == pytest.approx(1.5)
-    assert spec.flows_top == (0.25, 0.25)
-    assert spec.flows_bottom == (0.75, 0.75)
     assert spec.pheromone_top + spec.pheromone_bottom == pytest.approx(
         0.5 / 0.5 * (1.0 + 1.0)
     )
@@ -294,13 +291,13 @@ def test_stability_experiment_stops_stepping_at_t_stationary(monkeypatch):
 
 def test_repeats_compares_bytes_not_floats():
     st = equilibrium_state(TP, power_rule(2), 0.0, 1.0, 1.0, 0.5)
-    assert _repeats(st, st.copy())
+    assert repeats(st, st.copy())
     neg = st.copy()
     top = TP.path_eids("top")[0]
     assert st.f_edge[top] == 0.0
     neg.f_edge[top] = -0.0
     assert np.array_equal(neg.f_edge, st.f_edge)  # equal as floats
-    assert not _repeats(neg, st)
+    assert not repeats(neg, st)
     assert _RepeatGate()(st, st.copy())
     assert not _RepeatGate()(neg, st)
 

@@ -268,6 +268,16 @@ def test_run_scenario_determinism():
     assert np.array_equal(a.trace.final_state.p, b.trace.final_state.p)
 
 
+def test_scenario_is_built_once_for_parse_and_runs(monkeypatch):
+    calls = []
+    build = scenarios._materialize
+    monkeypatch.setattr(scenarios, "_materialize", lambda cfg: calls.append(cfg) or build(cfg))
+    s = parse_scenario(dict(A1_DOC, steps=50))
+    a, b = run_scenario(s), run_scenario(s)
+    assert len(calls) == 1
+    assert np.array_equal(a.trace.final_state.p, b.trace.final_state.p)
+
+
 def test_run_scenario_uniform_delta_sampled_from_seed():
     doc = {"seed": 3, "graph": {"kind": "two_path", "m": 2, "n": 3}, "steps": 5}
     r1 = run_scenario(parse_scenario(doc))
@@ -622,6 +632,19 @@ def test_cli_counterexample(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["invariant_held"] is True
     assert doc["positive_control_converged"] == "0>1>4"
+
+
+@pytest.mark.parametrize("extra", [
+    ["--eps", "0.05"],
+    ["--r", "0.25", "--eps", "-0.1"],
+    ["--r", "0.25", "--eps", "0"],
+])
+def test_cli_counterexample_bad_eps_exits_2(extra, capsys):
+    argv = ["counterexample", "--kind", "leakage", "--rule", '{"kind":"power","k":2}', *extra]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error:" in err and "eps" in err
 
 
 COUNTEREXAMPLE_KEYS = {
