@@ -359,9 +359,6 @@ class NonconvergenceReport:
     flow_bounds_ok: bool = True
     flow_bound_violations: int = 0
 
-    def to_json_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def verify_nonconvergence(
     levels: BranchLevelObserver,

@@ -1,9 +1,16 @@
 """Directed graph model, seeded graph families, and path oracles.
 
 Vertices are integers ``0 .. n_vertices-1``. Edges are ordered pairs with a
-stable integer id equal to their position in the edge list. Graphs are
-immutable after construction; derived structures (adjacency, flat arrays for
-the flow engine) are built lazily and cached.
+stable integer id equal to their position in the edge list. A graph stores
+its edges as two validated int64 arrays, ``tails`` and ``heads``; the
+generators build those arrays directly, and validation runs in numpy.
+Graphs are immutable after construction, and nothing may write to those
+arrays (they are not flagged read-only because ``np.bincount`` copies a
+read-only input on every call). Derived structures are built lazily from
+the arrays and cached: the CSR grouping and flat arrays of the flow engine
+(``arrays``), and the Python views (the ``edges`` tuple, the edge-id lookup
+and the per-vertex adjacency). ``with_leakage`` shares the edge structure
+of the graph it copies.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -16,11 +23,13 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,6 +65,54 @@ def _vertex_index(v, n_vertices: int) -> int:
     return int(v)
 
 
+def _edge_arrays(
+    edges: Union[Sequence[Tuple[int, int]], np.ndarray], n_vertices: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The int64 (tails, heads) of ``edges`` ((u, v) pairs or an (m, 2)
+    array). Raises GraphError for the first edge, in input order, that has
+    an endpoint out of range, is a self-loop or repeats an earlier edge."""
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    tails, heads = pairs[:, 0].copy(), pairs[:, 1].copy()
+    bad = (tails < 0) | (tails >= n_vertices) | (heads < 0) | (heads >= n_vertices)
+    bad |= tails == heads
+    # keys are distinct for distinct in-range pairs; an out-of-range key may
+    # match an in-range one, but that edge is itself bad and comes first
+    keys = tails * n_vertices + heads
+    if not np.all(keys[1:] > keys[:-1]):  # input in key order has no repeats
+        order = np.argsort(keys, kind="stable")
+        bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(tails[i]), int(heads[i])
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise GraphError(f"edge ({u},{v}) endpoint out of range")
+        if u == v:
+            raise GraphError(f"self-loop ({u},{v}) not allowed")
+        raise GraphError(f"duplicate edge ({u},{v})")
+    return tails, heads
+
+
+def _leakage_array(
+    base: np.ndarray, leakage: Union[Sequence[float], Mapping[int, float]]
+) -> np.ndarray:
+    """A new leakage array: ``base`` with the vertices a mapping names
+    updated, or the given per-vertex values."""
+    n = len(base)
+    if isinstance(leakage, Mapping):
+        lk = np.array(base, dtype=float)
+        for v, l in leakage.items():
+            lk[_vertex_index(v, n)] = float(l)
+        return lk
+    lk = np.array(leakage, dtype=float)
+    if lk.shape != (n,):
+        raise GraphError("leakage array length must equal n_vertices")
+    return lk
+
+
 class DirectedGraph:
     """Immutable directed graph with designated source/destination and
     per-vertex leakage in [0, 1]."""
@@ -63,11 +120,13 @@ class DirectedGraph:
     def __init__(
         self,
         n_vertices: int,
-        edges: Sequence[Tuple[int, int]],
+        edges: Union[Sequence[Tuple[int, int]], np.ndarray],
         source: int,
         destination: int,
         leakage: Optional[Union[Sequence[float], Mapping[int, float]]] = None,
     ) -> None:
+        """``edges`` is a sequence of (u, v) pairs or an (m, 2) integer
+        array; edge ids follow its order."""
         if n_vertices < 2:
             raise GraphError("graph needs at least 2 vertices")
         if not (0 <= source < n_vertices and 0 <= destination < n_vertices):
@@ -78,52 +137,45 @@ class DirectedGraph:
         self.n_vertices = int(n_vertices)
         self.source = int(source)
         self.destination = int(destination)
+        self.tails, self.heads = _edge_arrays(edges, self.n_vertices)
 
-        edge_ids: Dict[Tuple[int, int], int] = {}
-        clean: List[Tuple[int, int]] = []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise GraphError(f"edge ({u},{v}) endpoint out of range")
-            if u == v:
-                raise GraphError(f"self-loop ({u},{v}) not allowed")
-            if (u, v) in edge_ids:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            edge_ids[(u, v)] = len(clean)
-            clean.append((u, v))
-        self.edges: Tuple[Tuple[int, int], ...] = tuple(clean)
-        self._edge_ids = edge_ids
-
-        lk = np.zeros(n_vertices, dtype=float)
+        lk = np.zeros(self.n_vertices)
         if leakage is not None:
-            if isinstance(leakage, Mapping):
-                for v, l in leakage.items():
-                    lk[_vertex_index(v, n_vertices)] = float(l)
-            else:
-                lk = np.asarray(leakage, dtype=float).copy()
-                if lk.shape != (n_vertices,):
-                    raise GraphError("leakage array length must equal n_vertices")
-        if np.any(lk < 0.0) or np.any(lk > 1.0):
-            raise GraphError("leakage values must lie in [0, 1]")
+            lk = _leakage_array(lk, leakage)
+        self._set_leakage(lk)
         if lk[self.source] != 0.0 or lk[self.destination] != 0.0:
             raise GraphError("leakage at source and destination must be 0")
+        self._arrays: Optional[GraphArrays] = None
+
+    def _set_leakage(self, lk: np.ndarray) -> None:
+        # NaN fails both comparisons, so it is rejected here too
+        if not np.all((lk >= 0.0) & (lk <= 1.0)):
+            raise GraphError("leakage values must lie in [0, 1]")
         lk.setflags(write=False)
         self.leakage = lk
-
-        out: List[List[int]] = [[] for _ in range(n_vertices)]
-        inc: List[List[int]] = [[] for _ in range(n_vertices)]
-        for eid, (u, v) in enumerate(self.edges):
-            out[u].append(eid)
-            inc[v].append(eid)
-        self._out = tuple(tuple(e) for e in out)
-        self._in = tuple(tuple(e) for e in inc)
-        self._arrays: Optional[GraphArrays] = None
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        """The (u, v) pairs in edge-id order, as Python ints."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
+
+    @cached_property
+    def _edge_ids(self) -> Dict[Tuple[int, int], int]:
+        return {e: eid for eid, e in enumerate(self.edges)}
+
+    @cached_property
+    def _out(self) -> Tuple[Tuple[int, ...], ...]:
+        return _segments(self.arrays.out_eids, self.arrays.out_ptr)
+
+    @cached_property
+    def _in(self) -> Tuple[Tuple[int, ...], ...]:
+        return _segments(self.arrays.in_eids, self.arrays.in_ptr)
 
     def edge_id(self, u: int, v: int) -> int:
         try:
@@ -151,16 +203,17 @@ class DirectedGraph:
     ) -> "DirectedGraph":
         """Copy of this graph with new leakage values (a mapping updates the
         vertices it names). The source/destination entries are forced to 0
-        regardless of the input, matching the model convention."""
-        if isinstance(leakage, Mapping):
-            lk = np.array(self.leakage, dtype=float)
-            for v, l in leakage.items():
-                lk[_vertex_index(v, self.n_vertices)] = float(l)
-        else:
-            lk = np.asarray(leakage, dtype=float).copy()
+        regardless of the input, matching the model convention. The copy
+        shares this graph's validated edges and the structure derived from
+        them."""
+        lk = _leakage_array(self.leakage, leakage)
         lk[self.source] = 0.0
         lk[self.destination] = 0.0
-        return DirectedGraph(self.n_vertices, self.edges, self.source, self.destination, lk)
+        g = copy.copy(self)
+        g._set_leakage(lk)
+        if self._arrays is not None:
+            g._arrays = self._arrays.for_graph(g)
+        return g
 
     # -- flat arrays for the flow engine ----------------------------------
 
@@ -237,14 +290,32 @@ class DirectedGraph:
         return "\n".join(lines)
 
 
+def _edge_pairs(graph: DirectedGraph) -> np.ndarray:
+    """The (m, 2) array of ``graph``'s edges in edge-id order."""
+    return np.column_stack([graph.tails, graph.heads])
+
+
+def _chain_edges(vertices: Sequence[int]) -> np.ndarray:
+    """The (len - 1, 2) array of the hops along a vertex sequence."""
+    chain = np.asarray(vertices, dtype=np.int64)
+    return np.column_stack([chain[:-1], chain[1:]])
+
+
+def _segments(values: np.ndarray, ptr: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+    """The CSR segments ``values[ptr[v]:ptr[v + 1]]``, as tuples of Python
+    ints."""
+    vals, bounds = values.tolist(), ptr.tolist()
+    return tuple(tuple(vals[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 class GraphArrays:
     """Flat numpy views of a graph used by the flow engine."""
 
     def __init__(self, g: DirectedGraph) -> None:
         self.n = g.n_vertices
         self.m = g.n_edges
-        self.tails = np.fromiter((u for u, _ in g.edges), dtype=np.int64, count=g.n_edges)
-        self.heads = np.fromiter((v for _, v in g.edges), dtype=np.int64, count=g.n_edges)
+        self.tails = g.tails
+        self.heads = g.heads
         self.out_deg = np.bincount(self.tails, minlength=self.n).astype(np.int64)
         self.in_deg = np.bincount(self.heads, minlength=self.n).astype(np.int64)
         self.surv = 1.0 - np.asarray(g.leakage, dtype=float)
@@ -272,6 +343,13 @@ class GraphArrays:
         self._seg_starts = self.out_ptr[self.with_out]
         self._branches: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
         self._graph = g
+
+    def for_graph(self, g: DirectedGraph) -> "GraphArrays":
+        """These arrays for ``g``, a copy of their graph with other leakage."""
+        ga = copy.copy(self)
+        ga.surv = 1.0 - g.leakage
+        ga._graph = g
+        return ga
 
     def out_sums(self, x: np.ndarray) -> np.ndarray:
         """Sums of the edge values ``x`` over the out-edges of each vertex
@@ -403,9 +481,7 @@ def build_two_path(
     d = m + n - 1
     top_vertices = [s] + list(range(1, m)) + [d]
     bottom_vertices = [s] + list(range(m, m + n - 1)) + [d]
-    edges = list(zip(top_vertices[:-1], top_vertices[1:])) + list(
-        zip(bottom_vertices[:-1], bottom_vertices[1:])
-    )
+    edges = np.concatenate([_chain_edges(top_vertices), _chain_edges(bottom_vertices)])
     leakage = np.zeros(m + n, dtype=float)
     for v, l in zip(top_vertices[1:-1], leak_top):
         leakage[v] = float(l)
@@ -485,8 +561,7 @@ def gen_gnp(n: int, p: float, seed: int) -> DirectedGraph:
     rng = np.random.default_rng(seed)
     mat = rng.random((n, n)) < p
     np.fill_diagonal(mat, False)
-    edges = [(int(u), int(v)) for u, v in np.argwhere(mat)]
-    return DirectedGraph(n, edges, 0, n - 1)
+    return DirectedGraph(n, np.argwhere(mat), 0, n - 1)
 
 
 def gen_banded_gnp(n: int, p: float, k: int, seed: int) -> DirectedGraph:
@@ -501,8 +576,7 @@ def gen_banded_gnp(n: int, p: float, k: int, seed: int) -> DirectedGraph:
     idx = np.arange(n)
     band = np.abs(idx[:, None] - idx[None, :]) <= k
     mat &= band
-    edges = [(int(u), int(v)) for u, v in np.argwhere(mat)]
-    return DirectedGraph(n, edges, 0, n - 1)
+    return DirectedGraph(n, np.argwhere(mat), 0, n - 1)
 
 
 def gen_grid(rows: int, cols: int) -> DirectedGraph:
@@ -510,15 +584,11 @@ def gen_grid(rows: int, cols: int) -> DirectedGraph:
     bottom-right."""
     if rows < 2 or cols < 2:
         raise GraphError("rows and cols must be >= 2")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return DirectedGraph(rows * cols, edges, 0, rows * cols - 1)
+    v = np.arange(rows * cols)
+    # each vertex's rightward then downward edge, in vertex order
+    pairs = np.stack([np.column_stack([v, v + 1]), np.column_stack([v, v + cols])], axis=1)
+    keep = np.column_stack([v % cols < cols - 1, v < (rows - 1) * cols])
+    return DirectedGraph(rows * cols, pairs[keep], 0, rows * cols - 1)
 
 
 def plant_path(graph: DirectedGraph, length: int) -> Tuple[DirectedGraph, Path]:
@@ -538,7 +608,7 @@ def plant_path(graph: DirectedGraph, length: int) -> Tuple[DirectedGraph, Path]:
     n0 = graph.n_vertices
     new_vertices = list(range(n0, n0 + length - 1))
     chain = [graph.source] + new_vertices + [graph.destination]
-    edges = list(graph.edges) + list(zip(chain[:-1], chain[1:]))
+    edges = np.concatenate([_edge_pairs(graph), _chain_edges(chain)])
     leakage = np.zeros(n0 + length - 1, dtype=float)
     leakage[:n0] = graph.leakage
     g2 = DirectedGraph(n0 + length - 1, edges, graph.source, graph.destination, leakage)
@@ -561,10 +631,9 @@ def plant_band_ladder(graph: DirectedGraph, k: int) -> Tuple[DirectedGraph, Path
         chain.append(v)
         j += 1
     chain.append(graph.destination)
-    edges = list(graph.edges)
-    for u, v in zip(chain[:-1], chain[1:]):
-        if not graph.has_edge(u, v):
-            edges.append((u, v))
+    hops = _chain_edges(chain)
+    present = np.isin(hops[:, 0] * n + hops[:, 1], graph.tails * n + graph.heads)
+    edges = np.concatenate([_edge_pairs(graph), hops[~present]])
     g2 = DirectedGraph(n, edges, graph.source, graph.destination, graph.leakage)
     return g2, Path(tuple(chain))
 
@@ -614,15 +683,22 @@ def shortest_path(graph: DirectedGraph) -> Optional[Path]:
 
 
 def _bfs_dist_to_destination(graph: DirectedGraph) -> List[int]:
-    dist = [-1] * graph.n_vertices
+    """Edges on a shortest path from each vertex to the destination (-1
+    where there is none), by BFS over the in-edge CSR grouping."""
+    ga = graph.arrays
+    # in_tails[in_ptr[v]:in_ptr[v + 1]] are the in-neighbours of v
+    in_tails = ga.tails[ga.in_eids].tolist()
+    in_ptr = ga.in_ptr.tolist()
+    dist = [-1] * ga.n
     d = graph.destination
     dist[d] = 0
     q = deque([d])
     while q:
         v = q.popleft()
-        for u in graph.in_neighbors(v):
+        dv = dist[v] + 1
+        for u in in_tails[in_ptr[v] : in_ptr[v + 1]]:
             if dist[u] < 0:
-                dist[u] = dist[v] + 1
+                dist[u] = dv
                 q.append(u)
     return dist
 

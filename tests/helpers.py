@@ -1,5 +1,7 @@
-"""Independent test oracles: a dict-based reference implementation of the
-update step (kept deliberately separate from the engine's vectorized path),
+"""Independent test oracles: the per-edge graph constructor loop and the
+generators' edge lists written as loops, a dict-based reference
+implementation of the update step (kept deliberately separate from the
+engine's vectorized path),
 a byte-for-byte repeat test of a state's step inputs,
 a degree-scan general split, a stability run's deviation in its original
 form, a bincount-based linear split, step and normalized levels plus a
@@ -18,6 +20,7 @@ from trailflow.analysis import InvariantViolation
 from trailflow.dynamics import _STEP_INPUTS, RESCALE_BY_SOURCE
 from trailflow.graph import (
     DirectedGraph,
+    GraphError,
     Path,
     build_two_path,
     gen_banded_gnp,
@@ -26,6 +29,80 @@ from trailflow.graph import (
     plant_path,
 )
 from trailflow.rules import clamp_unit_half
+
+
+class ReferenceGraph:
+    """Edge validation and indexing as one loop over the edges: the same
+    GraphError for the first bad edge in input order, then the edge tuple,
+    the edge-id dict, the per-vertex out/in edge ids and the tails/heads
+    arrays read from the edge tuples. It offers what ``GraphArrays`` reads,
+    so ``GraphArrays(ReferenceGraph(...))`` gives the reference flat
+    arrays."""
+
+    def __init__(self, n_vertices, edges, source, destination, leakage=None):
+        self.n_vertices, self.source, self.destination = n_vertices, source, destination
+        edge_ids = {}
+        clean = []
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                raise GraphError(f"edge ({u},{v}) endpoint out of range")
+            if u == v:
+                raise GraphError(f"self-loop ({u},{v}) not allowed")
+            if (u, v) in edge_ids:
+                raise GraphError(f"duplicate edge ({u},{v})")
+            edge_ids[(u, v)] = len(clean)
+            clean.append((u, v))
+        self.edges = tuple(clean)
+        self.edge_ids = edge_ids
+        self.n_edges = len(clean)
+        out = [[] for _ in range(n_vertices)]
+        inc = [[] for _ in range(n_vertices)]
+        for eid, (u, v) in enumerate(self.edges):
+            out[u].append(eid)
+            inc[v].append(eid)
+        self.out = tuple(tuple(e) for e in out)
+        self.inc = tuple(tuple(e) for e in inc)
+        self.tails = np.fromiter((u for u, _ in self.edges), dtype=np.int64, count=self.n_edges)
+        self.heads = np.fromiter((v for _, v in self.edges), dtype=np.int64, count=self.n_edges)
+        self.leakage = np.zeros(n_vertices) if leakage is None else np.asarray(leakage, float)
+
+
+def reference_gnp_edges(n, p, seed, band=None):
+    """``gen_gnp``'s edge list (``gen_banded_gnp``'s with ``band``) as a
+    list of Python-int pairs."""
+    rng = np.random.default_rng(seed)
+    mat = rng.random((n, n)) < p
+    np.fill_diagonal(mat, False)
+    edges = [(int(u), int(v)) for u, v in np.argwhere(mat)]
+    return edges if band is None else [(u, v) for u, v in edges if abs(u - v) <= band]
+
+
+def reference_grid_edges(rows, cols):
+    """``gen_grid``'s edge list: each vertex's rightward then downward edge."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return edges
+
+
+def reference_two_path_edges(m, n):
+    """``build_two_path``'s edge list: the top path, then the bottom one."""
+    top = [0] + list(range(1, m)) + [m + n - 1]
+    bottom = [0] + list(range(m, m + n - 1)) + [m + n - 1]
+    return list(zip(top[:-1], top[1:])) + list(zip(bottom[:-1], bottom[1:]))
+
+
+def reference_planted_edges(edges, chain):
+    """A planting helper's edge list: ``edges``, then each hop of ``chain``
+    that is not one of them."""
+    present = set(edges)
+    return list(edges) + [e for e in zip(chain[:-1], chain[1:]) if e not in present]
 
 
 def reference_step(graph, p, fe, be, delta, schedule, t):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from trailflow.graph import (
     DirectedGraph,
+    GraphArrays,
     GraphError,
     Path,
     build_two_path,
@@ -25,7 +26,14 @@ from trailflow.graph import (
     two_path_structure,
 )
 
-from helpers import brute_force_min_leakage
+from helpers import (
+    ReferenceGraph,
+    brute_force_min_leakage,
+    reference_gnp_edges,
+    reference_grid_edges,
+    reference_planted_edges,
+    reference_two_path_edges,
+)
 
 
 # -- construction and invariants -------------------------------------------
@@ -71,6 +79,118 @@ def test_leakage_mapping_rejects_out_of_range_vertex():
             DirectedGraph(10, g.edges, 0, 9, {bad: 0.5})
         with pytest.raises(GraphError):
             g.with_leakage({bad: 0.5})
+
+
+def test_leakage_rejects_nan():
+    with pytest.raises(GraphError, match="leakage values"):
+        DirectedGraph(3, [(0, 1), (1, 2)], 0, 2, [0.0, math.nan, 0.0])
+    g = gen_gnp(5, 0.5, 1)
+    for bad in ({2: math.nan}, np.full(5, math.nan)):
+        with pytest.raises(GraphError, match="leakage values"):
+            g.with_leakage(bad)
+
+
+def _built(cls, n, edges):
+    """(graph, None), or (None, (exception type, message)) when ``cls``
+    refuses the edges."""
+    try:
+        return cls(n, edges, 0, n - 1), None
+    except GraphError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_matches_reference(g, ref):
+    assert g.edges == ref.edges
+    assert all(type(x) is int for e in g.edges for x in e)
+    for v in range(ref.n_vertices):
+        assert g.out_edges(v) == ref.out[v]
+        assert g.in_edges(v) == ref.inc[v]
+    assert {e: g.edge_id(*e) for e in ref.edges} == ref.edge_ids
+    got, want = vars(g.arrays), vars(GraphArrays(ref))
+    assert got.keys() == want.keys()
+    for name in want.keys() - {"_graph", "_branches"}:
+        if isinstance(want[name], np.ndarray):
+            assert got[name].dtype == want[name].dtype, name
+            assert np.array_equal(got[name], want[name]), name
+        else:
+            assert got[name] == want[name], name
+
+
+_EDGE_CASES = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1) | st.integers(-2, n + 1),
+                st.integers(0, n - 1) | st.integers(-2, n + 1),
+            ),
+            max_size=40,
+        ),
+    )
+)
+
+
+@given(_EDGE_CASES)
+@settings(max_examples=300, deadline=None)
+def test_constructor_matches_per_edge_reference(case):
+    """Out-of-range endpoints, self-loops and repeats raise the reference
+    loop's exception; accepted edges give its edge tuple, adjacency, edge
+    ids and flat arrays, also through ``with_leakage`` and from an (m, 2)
+    array. The list with its bad edges dropped is checked too, so that
+    long edge lists get accepted as well."""
+    n, edges = case
+    clean = []
+    for u, v in edges:
+        if 0 <= u < n and 0 <= v < n and u != v and (u, v) not in clean:
+            clean.append((u, v))
+    leak = np.linspace(0.0, 0.5, n)
+    leak[[0, n - 1]] = 0.0
+    for lst in (edges, clean):
+        ref, ref_err = _built(ReferenceGraph, n, lst)
+        for given_edges in (lst, np.array(lst, dtype=np.int64).reshape(-1, 2)):
+            g, err = _built(DirectedGraph, n, given_edges)
+            assert err == ref_err
+            if ref is None:
+                continue
+            _assert_matches_reference(g, ref)
+            _assert_matches_reference(g.with_leakage(leak), ReferenceGraph(n, lst, 0, n - 1, leak))
+    assert _built(DirectedGraph, n, clean)[1] is None
+
+
+def test_with_leakage_shares_edges_and_rebuilds_survival():
+    g = gen_gnp(30, 0.2, 5)
+    ga = g.arrays
+    leak = np.full(30, 0.25)
+    g2 = g.with_leakage(leak)
+    assert g2.tails is g.tails and g2.heads is g.heads
+    assert g2.arrays.out_eids is ga.out_eids
+    assert g2.arrays.surv[1] == 0.75 and ga.surv[1] == 1.0
+    assert g.leakage[1] == 0.0
+    ref = ReferenceGraph(30, g.edges, 0, 29, g2.leakage)
+    _assert_matches_reference(g2, ref)
+    assert two_path_structure(g2) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_generators_match_reference_edges(seed):
+    """Every generator and planting helper lists the reference loops' edge
+    tuples, in their order."""
+    assert gen_gnp(40, 0.1, seed).edges == tuple(reference_gnp_edges(40, 0.1, seed))
+    assert gen_gnp(12, 1.0, seed).edges == tuple(reference_gnp_edges(12, 1.0, seed))
+    banded = gen_banded_gnp(60, 0.5, 5, seed)
+    assert banded.edges == tuple(reference_gnp_edges(60, 0.5, seed, band=5))
+    rows, cols = 2 + seed % 5, 2 + seed % 3
+    assert gen_grid(rows, cols).edges == tuple(reference_grid_edges(rows, cols))
+    m, n = 2 + seed % 3, 2 + seed % 4
+    assert build_two_path(m, n, [0.0] * (m - 1), [0.0] * (n - 1)).graph.edges == tuple(
+        reference_two_path_edges(m, n)
+    )
+    g, planted = plant_path(gen_grid(rows + 3, cols + 3), 4)
+    base = reference_grid_edges(rows + 3, cols + 3)
+    assert g.edges == tuple(reference_planted_edges(base, planted.vertices))
+    g, ladder = plant_band_ladder(banded, 5)
+    base = reference_gnp_edges(60, 0.5, seed, band=5)
+    assert g.edges == tuple(reference_planted_edges(base, ladder.vertices))
 
 
 # -- two-path builder --------------------------------------------------------
