@@ -365,21 +365,14 @@ def verify_nonconvergence(
     bound: float,
     direction: str,
     slack: float = 1e-9,
-) -> NonconvergenceReport:
-    """Check the branch level bound at both graph ends over the recorded
-    steps (<= for AT_MOST, >= for AT_LEAST). A NaN level compares false,
-    so it never violates."""
-    return _nonconvergence_report(levels, bound, direction, slack)
-
-
-def _nonconvergence_report(
-    levels: BranchLevelObserver,
-    bound: float,
-    direction: str,
-    slack: float = 1e-9,
+    *,
     target_convergence_at: Optional[int] = None,
     flow_bound_violations: int = 0,
 ) -> NonconvergenceReport:
+    """Check the branch level bound at both graph ends over the recorded
+    steps (<= for AT_MOST, >= for AT_LEAST). A NaN level compares false,
+    so it never violates. The report is ok only if, besides, the run never
+    converged to the target and broke no edge-flow bound."""
     limit = bound + slack if direction == AT_MOST else bound - slack
     bad = (lambda v: v > limit) if direction == AT_MOST else (lambda v: v < limit)
     pairs = enumerate(zip(levels.norm_s, levels.norm_d))
@@ -415,7 +408,7 @@ def run_counterexample(
     flows = FlowBoundObserver(cx.two_path, cx.schedule, cx.watch_branch, bound, direction)
     watcher = TargetConvergenceWatcher(graph, cx.two_path.top, epsilon, check_every)
     trace = run(cx.state, graph, rule, cx.schedule, cfg, T, observers=[obs, flows, watcher])
-    report = _nonconvergence_report(
+    report = verify_nonconvergence(
         obs, bound, direction,
         target_convergence_at=watcher.seen_at, flow_bound_violations=len(flows.violations),
     )

@@ -7,10 +7,10 @@ generators build those arrays directly, and validation runs in numpy.
 Graphs are immutable after construction, and nothing may write to those
 arrays (they are not flagged read-only because ``np.bincount`` copies a
 read-only input on every call). Derived structures are built lazily from
-the arrays and cached: the CSR grouping and flat arrays of the flow engine
-(``arrays``), and the Python views (the ``edges`` tuple, the edge-id lookup
-and the per-vertex adjacency). ``with_leakage`` shares the edge structure
-of the graph it copies.
+the arrays and cached: the flat arrays of the flow engine (``arrays``),
+whose CSR grouping is the graph's only adjacency, and the ``edges`` tuple
+with its edge-id lookup. ``with_leakage`` shares the edge structure of the
+graph it copies.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -27,7 +27,6 @@ import copy
 import heapq
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -169,14 +168,6 @@ class DirectedGraph:
     def _edge_ids(self) -> Dict[Tuple[int, int], int]:
         return {e: eid for eid, e in enumerate(self.edges)}
 
-    @cached_property
-    def _out(self) -> Tuple[Tuple[int, ...], ...]:
-        return _segments(self.arrays.out_eids, self.arrays.out_ptr)
-
-    @cached_property
-    def _in(self) -> Tuple[Tuple[int, ...], ...]:
-        return _segments(self.arrays.in_eids, self.arrays.in_ptr)
-
     def edge_id(self, u: int, v: int) -> int:
         try:
             return self._edge_ids[(u, v)]
@@ -185,18 +176,6 @@ class DirectedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_ids
-
-    def out_edges(self, v: int) -> Tuple[int, ...]:
-        return self._out[v]
-
-    def in_edges(self, v: int) -> Tuple[int, ...]:
-        return self._in[v]
-
-    def out_neighbors(self, v: int) -> List[int]:
-        return [self.edges[e][1] for e in self._out[v]]
-
-    def in_neighbors(self, v: int) -> List[int]:
-        return [self.edges[e][0] for e in self._in[v]]
 
     def with_leakage(
         self, leakage: Union[Sequence[float], Mapping[int, float]]
@@ -295,17 +274,10 @@ def _edge_pairs(graph: DirectedGraph) -> np.ndarray:
     return np.column_stack([graph.tails, graph.heads])
 
 
-def _chain_edges(vertices: Sequence[int]) -> np.ndarray:
+def _chain_pairs(vertices: Sequence[int]) -> np.ndarray:
     """The (len - 1, 2) array of the hops along a vertex sequence."""
     chain = np.asarray(vertices, dtype=np.int64)
     return np.column_stack([chain[:-1], chain[1:]])
-
-
-def _segments(values: np.ndarray, ptr: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-    """The CSR segments ``values[ptr[v]:ptr[v + 1]]``, as tuples of Python
-    ints."""
-    vals, bounds = values.tolist(), ptr.tolist()
-    return tuple(tuple(vals[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
 class GraphArrays:
@@ -342,13 +314,11 @@ class GraphArrays:
         self.in_slot = (np.cumsum(self.in_deg > 0) - 1)[self.heads]
         self._seg_starts = self.out_ptr[self.with_out]
         self._branches: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
-        self._graph = g
 
     def for_graph(self, g: DirectedGraph) -> "GraphArrays":
         """These arrays for ``g``, a copy of their graph with other leakage."""
         ga = copy.copy(self)
         ga.surv = 1.0 - g.leakage
-        ga._graph = g
         return ga
 
     def out_sums(self, x: np.ndarray) -> np.ndarray:
@@ -368,7 +338,7 @@ class GraphArrays:
         each pair in edge-id order: the only branch points of the general
         (two-branch) rule. Raises GraphError off two-parallel-path graphs."""
         if self._branches is None:
-            if two_path_structure(self._graph) is None:
+            if _two_paths(self) is None:
                 raise GraphError("general decision rules apply only to two-parallel-path graphs")
             s, d = self.source, self.destination
             out_s = self.out_eids[self.out_ptr[s] : self.out_ptr[s + 1]]
@@ -481,7 +451,7 @@ def build_two_path(
     d = m + n - 1
     top_vertices = [s] + list(range(1, m)) + [d]
     bottom_vertices = [s] + list(range(m, m + n - 1)) + [d]
-    edges = np.concatenate([_chain_edges(top_vertices), _chain_edges(bottom_vertices)])
+    edges = np.concatenate([_chain_pairs(top_vertices), _chain_pairs(bottom_vertices)])
     leakage = np.zeros(m + n, dtype=float)
     for v, l in zip(top_vertices[1:-1], leak_top):
         leakage[v] = float(l)
@@ -505,42 +475,34 @@ def two_path_structure(graph: DirectedGraph) -> Optional[Tuple[Path, Path]]:
     """Decompose ``graph`` into two parallel s->d paths, or None.
 
     Requires: s has out-degree 2 / in-degree 0, d has in-degree 2 /
-    out-degree 0, every other vertex has in-degree 1 and out-degree 1.
+    out-degree 0, every other vertex has in-degree 1 and out-degree 1, each
+    path has an interior vertex, and the two paths cover every vertex.
     """
-    s, d = graph.source, graph.destination
-    for v in range(graph.n_vertices):
-        od, idg = len(graph.out_edges(v)), len(graph.in_edges(v))
-        if v == s:
-            if od != 2 or idg != 0:
-                return None
-        elif v == d:
-            if od != 0 or idg != 2:
-                return None
-        elif od != 1 or idg != 1:
-            return None
+    return _two_paths(graph.arrays)
 
-    def walk(first: int) -> Optional[List[int]]:
-        seq = [s, first]
-        seen = {s, first}
-        cur = first
-        while cur != d:
-            nxts = graph.out_neighbors(cur)
-            if len(nxts) != 1 or nxts[0] in seen and nxts[0] != d:
-                return None
-            cur = nxts[0]
-            if cur in seen and cur != d:
-                return None
-            seq.append(cur)
-            seen.add(cur)
-        return seq
 
-    first_a, first_b = sorted(graph.out_neighbors(s))
-    pa, pb = walk(first_a), walk(first_b)
-    if pa is None or pb is None:
+def _two_paths(ga: GraphArrays) -> Optional[Tuple[Path, Path]]:
+    """``two_path_structure`` read from a graph's arrays alone, which hold
+    no reference back to the graph."""
+    s, d = ga.source, ga.destination
+    want_out, want_in = np.ones(ga.n, dtype=np.int64), np.ones(ga.n, dtype=np.int64)
+    want_out[[s, d]] = 2, 0
+    want_in[[s, d]] = 0, 2
+    if not (np.array_equal(ga.out_deg, want_out) and np.array_equal(ga.in_deg, want_in)):
         return None
-    if set(pa[1:-1]) & set(pb[1:-1]):
-        return None
-    if len(pa) < 3 or len(pb) < 3:
+    # every interior vertex has one predecessor, so a walk from s never
+    # repeats a vertex and the two walks share none: each ends at d
+    succ, ptr = _adjacency(ga, forward=True)
+    paths = []
+    for v in sorted(succ[ptr[s] : ptr[s + 1]]):
+        seq = [s]
+        while v != d:
+            seq.append(v)
+            v = succ[ptr[v]]
+        seq.append(d)
+        paths.append(seq)
+    pa, pb = paths
+    if len(pa) < 3 or len(pb) < 3 or len(pa) + len(pb) - 2 != ga.n:
         return None
     return Path(tuple(pa)), Path(tuple(pb))
 
@@ -608,7 +570,7 @@ def plant_path(graph: DirectedGraph, length: int) -> Tuple[DirectedGraph, Path]:
     n0 = graph.n_vertices
     new_vertices = list(range(n0, n0 + length - 1))
     chain = [graph.source] + new_vertices + [graph.destination]
-    edges = np.concatenate([_edge_pairs(graph), _chain_edges(chain)])
+    edges = np.concatenate([_edge_pairs(graph), _chain_pairs(chain)])
     leakage = np.zeros(n0 + length - 1, dtype=float)
     leakage[:n0] = graph.leakage
     g2 = DirectedGraph(n0 + length - 1, edges, graph.source, graph.destination, leakage)
@@ -631,7 +593,7 @@ def plant_band_ladder(graph: DirectedGraph, k: int) -> Tuple[DirectedGraph, Path
         chain.append(v)
         j += 1
     chain.append(graph.destination)
-    hops = _chain_edges(chain)
+    hops = _chain_pairs(chain)
     present = np.isin(hops[:, 0] * n + hops[:, 1], graph.tails * n + graph.heads)
     edges = np.concatenate([_edge_pairs(graph), hops[~present]])
     g2 = DirectedGraph(n, edges, graph.source, graph.destination, graph.leakage)
@@ -666,61 +628,100 @@ def path_leakage(graph: DirectedGraph, path: Path) -> float:
     return 1.0 - surv
 
 
-def shortest_path(graph: DirectedGraph) -> Optional[Path]:
-    """Minimum-edge-count s->d path by BFS; lexicographically smallest vertex
-    sequence among ties; None if unreachable."""
-    dist = _bfs_dist_to_destination(graph)
-    s = graph.source
-    if dist[s] < 0:
+def _adjacency(ga: GraphArrays, forward: bool) -> Tuple[memoryview, List[int]]:
+    """(nbrs, ptr) read from the CSR grouping: the heads of v's out-edges
+    (the tails of its in-edges when not ``forward``) are
+    ``nbrs[ptr[v]:ptr[v + 1]]``, in edge-id order. ``nbrs`` is a memoryview,
+    which yields Python ints as it is read instead of holding one per
+    edge."""
+    if forward:
+        return memoryview(ga.heads[ga.out_eids]), ga.out_ptr.tolist()
+    return memoryview(ga.tails[ga.in_eids]), ga.in_ptr.tolist()
+
+
+def _distances(graph: DirectedGraph, w: Sequence[float]) -> List[float]:
+    """Cost of a cheapest walk from each vertex to the destination, where
+    entering vertex v costs ``w[v]`` (inf where there is none), by Dijkstra
+    over the in-edge CSR grouping."""
+    tails, ptr = _adjacency(graph.arrays, forward=False)
+    dist: List[float] = [math.inf] * graph.n_vertices
+    d = graph.destination
+    dist[d] = 0
+    heap: List[Tuple[float, int]] = [(0, d)]
+    while heap:
+        dv, v = heapq.heappop(heap)
+        if dv > dist[v]:
+            continue
+        cand = w[v] + dv
+        for u in tails[ptr[v] : ptr[v + 1]]:
+            if cand < dist[u]:
+                dist[u] = cand
+                heapq.heappush(heap, (cand, u))
+    return dist
+
+
+def _lex_path(graph: DirectedGraph, w: Sequence[float], dist: List[float]) -> Optional[Path]:
+    """The lexicographically smallest s->d path of cost ``dist[s]``: a
+    simple path along tight out-edges u->v (``dist[u] == w[v] + dist[v]``);
+    None if the destination is unreachable."""
+    s, d = graph.source, graph.destination
+    if dist[s] == math.inf:
         return None
-    seq = [s]
-    cur = s
-    while cur != graph.destination:
-        nxt = min(v for v in graph.out_neighbors(cur) if dist[v] == dist[cur] - 1)
-        seq.append(nxt)
-        cur = nxt
+    heads, ptr = _adjacency(graph.arrays, forward=True)
+
+    def completes(v: int, blocked: set) -> bool:
+        # a tight v->d chain avoiding ``blocked``: a greedy step to a vertex
+        # as far from d as the current one (a zero weight) can dead-end
+        stack, seen = [v], blocked | {v}
+        while stack:
+            x = stack.pop()
+            if x == d:
+                return True
+            for y in heads[ptr[x] : ptr[x + 1]]:
+                if y not in seen and dist[x] == w[y] + dist[y]:
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
+    seq, visited, cur = [s], {s}, s
+    while cur != d:
+        # a tight step closer to d always completes: the visited vertices
+        # are all at least as far from d as ``cur``
+        cur = next(
+            v
+            for v in sorted(heads[ptr[cur] : ptr[cur + 1]])
+            if v not in visited
+            and dist[cur] == w[v] + dist[v]
+            and (dist[v] < dist[cur] or completes(v, visited))
+        )
+        seq.append(cur)
+        visited.add(cur)
     return Path(tuple(seq))
 
 
-def _bfs_dist_to_destination(graph: DirectedGraph) -> List[int]:
-    """Edges on a shortest path from each vertex to the destination (-1
-    where there is none), by BFS over the in-edge CSR grouping."""
-    ga = graph.arrays
-    # in_tails[in_ptr[v]:in_ptr[v + 1]] are the in-neighbours of v
-    in_tails = ga.tails[ga.in_eids].tolist()
-    in_ptr = ga.in_ptr.tolist()
-    dist = [-1] * ga.n
-    d = graph.destination
-    dist[d] = 0
-    q = deque([d])
-    while q:
-        v = q.popleft()
-        dv = dist[v] + 1
-        for u in in_tails[in_ptr[v] : in_ptr[v + 1]]:
-            if dist[u] < 0:
-                dist[u] = dv
-                q.append(u)
-    return dist
+def _hops(graph: DirectedGraph) -> Tuple[List[int], List[float]]:
+    """Unit vertex weights and the edge counts of shortest paths to the
+    destination under them (ints, so the search makes no float objects)."""
+    w = [1] * graph.n_vertices
+    return w, _distances(graph, w)
+
+
+def shortest_path(graph: DirectedGraph) -> Optional[Path]:
+    """Minimum-edge-count s->d path; lexicographically smallest vertex
+    sequence among ties; None if unreachable."""
+    return _lex_path(graph, *_hops(graph))
 
 
 def count_shortest_paths(graph: DirectedGraph) -> int:
     """Number of distinct minimum-length s->d paths (0 if unreachable)."""
-    dist = _bfs_dist_to_destination(graph)
-    if dist[graph.source] < 0:
-        return 0
-    counts: Dict[int, int] = {graph.destination: 1}
-
-    def count(v: int) -> int:
-        if v in counts:
-            return counts[v]
-        total = sum(count(w) for w in graph.out_neighbors(v) if dist[w] == dist[v] - 1)
-        counts[v] = total
-        return total
-
-    # iterative fill by increasing distance to avoid recursion limits
-    order = sorted((v for v in range(graph.n_vertices) if dist[v] >= 0), key=lambda v: dist[v])
-    for v in order:
-        count(v)
+    w, dist = _hops(graph)
+    heads, ptr = _adjacency(graph.arrays, forward=True)
+    counts = [0] * graph.n_vertices
+    counts[graph.destination] = 1
+    # by increasing distance, so every tight successor is counted first
+    reached = [v for v in range(graph.n_vertices) if 0 < dist[v] < math.inf]
+    for v in sorted(reached, key=dist.__getitem__):
+        counts[v] = sum(counts[x] for x in heads[ptr[v] : ptr[v + 1]] if dist[v] == w[x] + dist[x])
     return counts[graph.source]
 
 
@@ -729,72 +730,10 @@ def min_leakage_path(graph: DirectedGraph) -> Optional[Path]:
     shortest path under additive weights -ln(1 - l_v) per interior vertex.
     Vertices with leakage 1 are unreachable-through. Ties break to the
     lexicographically smallest vertex sequence."""
-    n = graph.n_vertices
-    d = graph.destination
-
-    def vertex_weight(v: int) -> float:
-        if v == d:
-            return 0.0
-        l = float(graph.leakage[v])
-        if l >= 1.0:
-            return math.inf
-        return -math.log1p(-l)
-
-    w = [vertex_weight(v) for v in range(n)]
-    dist = [math.inf] * n
-    dist[d] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, d)]
-    while heap:
-        dv, v = heapq.heappop(heap)
-        if dv > dist[v]:
-            continue
-        for u in graph.in_neighbors(v):
-            cand = w[v] + dv
-            if cand < dist[u]:
-                dist[u] = cand
-                heapq.heappush(heap, (cand, u))
-    s = graph.source
-    if not math.isfinite(dist[s]):
-        return None
-
-    def on_min_path(v: int, cur: int) -> bool:
-        return v != s and math.isfinite(dist[v]) and dist[cur] == w[v] + dist[v]
-
-    def can_finish(v: int, blocked: set) -> bool:
-        # equality-chain reachability of d from v avoiding blocked; needed
-        # because zero-leakage vertices tie and a naive greedy can dead-end
-        stack = [v]
-        seen = set(blocked)
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            if x == d:
-                return True
-            for y in graph.out_neighbors(x):
-                if y not in seen and on_min_path(y, x):
-                    seen.add(y)
-                    stack.append(y)
-        return False
-
-    seq = [s]
-    cur = s
-    visited = {s}
-    while cur != d:
-        nxt = None
-        for v in sorted(graph.out_neighbors(cur)):
-            if v in visited or not on_min_path(v, cur):
-                continue
-            if can_finish(v, visited):
-                nxt = v
-                break
-        if nxt is None:  # cannot happen when dist[s] is finite
-            raise GraphError("min-leakage reconstruction failed")
-        seq.append(nxt)
-        visited.add(nxt)
-        cur = nxt
-    return Path(tuple(seq))
+    w = [math.inf if l >= 1.0 else -math.log1p(-l) for l in graph.leakage.tolist()]
+    return _lex_path(graph, w, _distances(graph, w))
 
 
 def is_connected(graph: DirectedGraph) -> bool:
     """True when the destination is reachable from the source."""
-    return _bfs_dist_to_destination(graph)[graph.source] >= 0
+    return _hops(graph)[1][graph.source] < math.inf

@@ -304,6 +304,11 @@ def _stream(seed: int, k: int, *extra: int) -> np.random.Generator:
     return np.random.default_rng([seed, k, *extra])
 
 
+def _draw_delta(rng: np.random.Generator) -> float:
+    """A uniform draw of the decay factor, kept inside (0, 1)."""
+    return float(min(max(rng.uniform(0.0, 1.0), 1e-6), 1.0 - 1e-6))
+
+
 def _connected_graph(
     family: str, params: dict, seed: int, *stream: int
 ) -> Optional[DirectedGraph]:
@@ -364,11 +369,7 @@ def _materialize(cfg: dict) -> Materialized:
 
     schedule = FlowSchedule(**cfg["schedule"])
 
-    if isinstance(cfg["delta"], dict):
-        delta = float(_stream(seed, 2).uniform(0.0, 1.0))
-        delta = min(max(delta, 1e-6), 1.0 - 1e-6)
-    else:
-        delta = cfg["delta"]
+    delta = _draw_delta(_stream(seed, 2)) if isinstance(cfg["delta"], dict) else cfg["delta"]
 
     init = cfg["init"]
     if init["kind"] == "uniform":
@@ -732,7 +733,7 @@ def _instance(args) -> InstanceResult:
             time.perf_counter() - t0, failure="no connected instance",
         )
     graph, oracle = spec.prepare(graph, family, params, rng)
-    delta = float(min(max(rng.uniform(0.0, 1.0), 1e-6), 1.0 - 1e-6))
+    delta = _draw_delta(rng)
     p0 = rng.uniform(0.0, 1.0, graph.n_edges)
     f0, b0 = rng.uniform(0.5, 1.0, 2)
     schedule = spec.schedule(float(f0), float(b0))

@@ -1,13 +1,15 @@
 """Independent test oracles: the per-edge graph constructor loop and the
-generators' edge lists written as loops, a dict-based reference
+generators' edge lists written as loops, per-vertex edge lists and sorted
+successors read from a graph's edge tuple, a dict-based reference
 implementation of the update step (kept deliberately separate from the
 engine's vectorized path),
 a byte-for-byte repeat test of a state's step inputs,
 a degree-scan general split, a stability run's deviation in its original
 form, a bincount-based linear split, step and normalized levels plus a
 greedy convergence walk over full level arrays, the graphs that exercise the
-engine's segment sums, a per-kind invariant observer, and a brute-force
-min-leakage path enumerator with sound pruning."""
+engine's segment sums, a per-kind invariant observer, a brute-force
+min-leakage path enumerator with sound pruning, and an enumerator of every
+simple s->d path."""
 
 from __future__ import annotations
 
@@ -56,16 +58,26 @@ class ReferenceGraph:
         self.edges = tuple(clean)
         self.edge_ids = edge_ids
         self.n_edges = len(clean)
-        out = [[] for _ in range(n_vertices)]
-        inc = [[] for _ in range(n_vertices)]
-        for eid, (u, v) in enumerate(self.edges):
-            out[u].append(eid)
-            inc[v].append(eid)
-        self.out = tuple(tuple(e) for e in out)
-        self.inc = tuple(tuple(e) for e in inc)
+        self.out, self.inc = edge_lists(self)
         self.tails = np.fromiter((u for u, _ in self.edges), dtype=np.int64, count=self.n_edges)
         self.heads = np.fromiter((v for _, v in self.edges), dtype=np.int64, count=self.n_edges)
         self.leakage = np.zeros(n_vertices) if leakage is None else np.asarray(leakage, float)
+
+
+def edge_lists(graph):
+    """Each vertex's out-edge ids and in-edge ids, in edge-id order, read
+    from ``graph.edges`` with one loop."""
+    out = [[] for _ in range(graph.n_vertices)]
+    inc = [[] for _ in range(graph.n_vertices)]
+    for eid, (u, v) in enumerate(graph.edges):
+        out[u].append(eid)
+        inc[v].append(eid)
+    return out, inc
+
+
+def successors(graph):
+    """Each vertex's out-neighbours in increasing order, from ``graph.edges``."""
+    return [sorted(graph.edges[e][1] for e in es) for es in edge_lists(graph)[0]]
 
 
 def reference_gnp_edges(n, p, seed, band=None):
@@ -169,11 +181,11 @@ def reference_general_split(graph, rule, p, vertex_flow, forward):
     vertex with one out-edge (forward; in-edge backward) passes its flow on,
     a vertex with two splits it by ``rule`` at the branch minimum. Returns
     (edge flows, zero-split count)."""
-    edges_of = graph.out_edges if forward else graph.in_edges
+    edges_of = edge_lists(graph)[0 if forward else 1]
     eflow = np.zeros(graph.n_edges)
     zero_events = 0
     for v in range(graph.n_vertices):
-        es = edges_of(v)
+        es = edges_of[v]
         amount = vertex_flow[v]
         if len(es) == 1:
             eflow[es[0]] = amount
@@ -228,11 +240,12 @@ def reference_walk(graph, fwd, bwd, epsilon):
     level (ties to the lowest head); stop with None on a NaN vertex, a level
     below 1 - epsilon or a revisit."""
     bar = 1.0 - epsilon
+    out = edge_lists(graph)[0]
     seq = [graph.source]
     cur = graph.source
     while cur != graph.destination:
         best_eid = None
-        for eid in graph.out_edges(cur):
+        for eid in out[cur]:
             f = fwd[eid]
             if math.isnan(f):
                 continue
@@ -360,6 +373,7 @@ def brute_force_min_leakage(graph):
     for v in range(graph.n_vertices):
         l = float(graph.leakage[v])
         w.append(math.inf if l >= 1.0 else -math.log1p(-l))
+    succ = successors(graph)
     best = None
     best_w = math.inf
 
@@ -373,7 +387,7 @@ def brute_force_min_leakage(graph):
                 best = Path(key)
                 best_w = acc
             return
-        for u in sorted(graph.out_neighbors(v)):
+        for u in succ[v]:
             if u in visited:
                 continue
             cost = acc + (w[u] if u != graph.destination else 0.0)
@@ -387,3 +401,23 @@ def brute_force_min_leakage(graph):
 
     dfs(graph.source, {graph.source}, 0.0, [graph.source])
     return best
+
+
+def simple_paths(graph):
+    """Every simple s->d path, in lexicographic order of vertex sequences,
+    by depth-first search over sorted out-neighbours."""
+    succ = successors(graph)
+    seq = [graph.source]
+
+    def extend():
+        v = seq[-1]
+        if v == graph.destination:
+            yield Path(tuple(seq))
+            return
+        for u in succ[v]:
+            if u not in seq:
+                seq.append(u)
+                yield from extend()
+                seq.pop()
+
+    return list(extend())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trailflow.dynamics import EngineConfig, FlowSchedule, init_state, run
 from trailflow.graph import (
     DirectedGraph,
     GraphArrays,
@@ -25,10 +26,12 @@ from trailflow.graph import (
     shortest_path,
     two_path_structure,
 )
+from trailflow.rules import DecisionRule, power_rule
 
 from helpers import (
     ReferenceGraph,
     brute_force_min_leakage,
+    simple_paths,
     reference_gnp_edges,
     reference_grid_edges,
     reference_planted_edges,
@@ -39,11 +42,17 @@ from helpers import (
 # -- construction and invariants -------------------------------------------
 
 
+def _segment(eids, ptr, v):
+    """Vertex ``v``'s edge ids in a CSR grouping, as a list."""
+    return eids[ptr[v] : ptr[v + 1]].tolist()
+
+
 def test_basic_invariants():
     g = DirectedGraph(3, [(0, 1), (1, 2)], 0, 2)
+    ga = g.arrays
     assert g.n_edges == 2
-    assert g.out_neighbors(0) == [1]
-    assert g.in_neighbors(2) == [1]
+    assert ga.heads[_segment(ga.out_eids, ga.out_ptr, 0)].tolist() == [1]
+    assert ga.tails[_segment(ga.in_eids, ga.in_ptr, 2)].tolist() == [1]
     with pytest.raises(GraphError):
         DirectedGraph(3, [(0, 0)], 0, 2)  # self loop
     with pytest.raises(GraphError):
@@ -56,11 +65,12 @@ def test_basic_invariants():
 
 def test_adjacency_transpose_consistency():
     g = gen_gnp(30, 0.2, 11)
+    ga = g.arrays
     for eid, (u, v) in enumerate(g.edges):
-        assert eid in g.out_edges(u)
-        assert eid in g.in_edges(v)
-    assert sum(len(g.out_edges(v)) for v in range(g.n_vertices)) == g.n_edges
-    assert sum(len(g.in_edges(v)) for v in range(g.n_vertices)) == g.n_edges
+        assert eid in _segment(ga.out_eids, ga.out_ptr, u)
+        assert eid in _segment(ga.in_eids, ga.in_ptr, v)
+    assert ga.out_ptr[-1] == ga.in_ptr[-1] == g.n_edges
+    assert sorted(ga.out_eids.tolist()) == sorted(ga.in_eids.tolist()) == list(range(g.n_edges))
 
 
 def test_with_leakage_forces_endpoints():
@@ -102,13 +112,14 @@ def _built(cls, n, edges):
 def _assert_matches_reference(g, ref):
     assert g.edges == ref.edges
     assert all(type(x) is int for e in g.edges for x in e)
+    ga = g.arrays
     for v in range(ref.n_vertices):
-        assert g.out_edges(v) == ref.out[v]
-        assert g.in_edges(v) == ref.inc[v]
+        assert _segment(ga.out_eids, ga.out_ptr, v) == ref.out[v]
+        assert _segment(ga.in_eids, ga.in_ptr, v) == ref.inc[v]
     assert {e: g.edge_id(*e) for e in ref.edges} == ref.edge_ids
     got, want = vars(g.arrays), vars(GraphArrays(ref))
     assert got.keys() == want.keys()
-    for name in want.keys() - {"_graph", "_branches"}:
+    for name in want.keys() - {"_branches"}:
         if isinstance(want[name], np.ndarray):
             assert got[name].dtype == want[name].dtype, name
             assert np.array_equal(got[name], want[name]), name
@@ -231,6 +242,19 @@ def test_two_path_structure_roundtrip():
     assert got is not None
     assert set(got) == {tp.top, tp.bottom}
     assert two_path_structure(gen_grid(3, 3)) is None
+
+
+def test_two_path_structure_rejects_uncovered_vertices():
+    # two paths 0-1-4 and 0-2-3-4 beside a 2-cycle 5<->6 that passes every
+    # degree check: the walks from s miss two vertices
+    edges = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)]
+    assert two_path_structure(DirectedGraph(5, edges, 0, 4)) is not None
+    g = DirectedGraph(7, edges + [(5, 6), (6, 5)], 0, 4)
+    assert two_path_structure(g) is None
+    schedule = FlowSchedule.constant(1.0, 1.0)
+    rule = DecisionRule.general(power_rule(2))
+    with pytest.raises(GraphError, match="two-parallel-path"):
+        run(init_state(g, 1.0, schedule), g, rule, schedule, EngineConfig(delta=0.5), 10)
 
 
 def test_build_two_path_survival_products():
@@ -378,6 +402,35 @@ def test_min_leakage_matches_brute_force_on_seeds():
             assert a == b
         agree += 1
     assert agree == 100
+
+
+def test_oracles_match_path_enumeration_with_ties():
+    """Every oracle against the simple s->d paths of small G(n, p) draws.
+    About half the vertices have zero leakage, so min-leakage ties need the
+    reconstruction's reachability check, and about 10% have leakage 1."""
+    kinds = {"tie": 0, "absorbing": 0, "unreachable": 0}
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 15])
+        n = int(rng.integers(4, 11))
+        g = gen_gnp(n, float(rng.uniform(0.15, 0.6)), seed)
+        lk = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n))
+        lk[rng.random(n) < 0.1] = 1.0
+        lk[[g.source, g.destination]] = 0.0
+        g = g.with_leakage(lk)
+        paths = simple_paths(g)
+        assert is_connected(g) == bool(paths)
+        assert min_leakage_path(g) == brute_force_min_leakage(g)
+        if not paths:
+            assert shortest_path(g) is None and count_shortest_paths(g) == 0
+            kinds["unreachable"] += 1
+            continue
+        hops = min(p.length for p in paths)
+        shortest = [p for p in paths if p.length == hops]
+        assert shortest_path(g) == shortest[0]
+        assert count_shortest_paths(g) == len(shortest)
+        kinds["tie"] += len(shortest) > 1
+        kinds["absorbing"] += bool(np.any(lk == 1.0))
+    assert min(kinds.values()) >= 10, kinds
 
 
 # -- serialization -----------------------------------------------------------
