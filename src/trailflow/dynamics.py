@@ -122,8 +122,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("decay delta must lie in (0, 1)")
-        if self.underflow_threshold < 0.0:
-            raise ConfigError("underflow threshold must be >= 0")
+        if not (0.0 <= self.underflow_threshold < math.inf):
+            raise ConfigError("underflow threshold must be finite and >= 0")
         if self.rescale_mode not in (RESCALE_OFF, RESCALE_BY_SOURCE):
             raise ConfigError(f"unknown rescale mode {self.rescale_mode!r}")
         if self.epsilon_convergence is not None and not (0.0 < self.epsilon_convergence < 1.0):
@@ -422,38 +422,40 @@ def step(
     """One synchronous update; returns the state at t+1."""
     ga = graph.arrays
     t1 = state.t + 1
-    m, n = ga.m, ga.n
+    m, n, s, d = ga.m, ga.n, ga.source, ga.destination
 
     # p, f_vertex and b_vertex are disjoint slices of one buffer, so the
-    # rescale, the flush and the finiteness test each make one numpy call
+    # rescale, the flush and the finiteness test each make one numpy call; on
+    # small graphs each call costs its fixed price, so ufuncs take ``out``
+    # positionally and scalars go through ``item`` and plain stores
     buf = np.empty(m + 2 * n)
     p, fv, bv = buf[:m], buf[m : m + n], buf[m + n :]
 
     # (a) pheromone update from the flows that traversed edges at time t
-    np.add(state.p, state.f_edge, out=p)
-    p += state.b_edge
-    p *= cfg.delta
+    np.add(state.p, state.f_edge, p)
+    np.add(p, state.b_edge, p)
+    np.multiply(p, cfg.delta, p)
 
     # (b) aggregation with leakage; delivered flow exits
-    np.multiply(ga.surv, np.bincount(ga.heads, weights=state.f_edge, minlength=n), out=fv)
-    np.multiply(ga.surv, ga.tail_sums(state.b_edge), out=bv)
-    delivered_f = state.delivered_forward + float(fv[ga.destination])
-    delivered_b = state.delivered_backward + float(bv[ga.source])
-    fv[ga.destination] = 0.0
-    bv[ga.source] = 0.0
+    np.multiply(ga.surv, np.bincount(ga.heads, state.f_edge, n), fv)
+    np.multiply(ga.surv, ga.tail_sums(state.b_edge), bv)
+    delivered_f = state.delivered_forward + fv.item(d)
+    delivered_b = state.delivered_backward + bv.item(s)
+    fv[d] = 0.0
+    bv[s] = 0.0
 
     # (e'/c) rescale before injection so fresh flow enters at base magnitude
     if cfg.rescale_mode == RESCALE_BY_SOURCE:
-        buf *= 1.0 / schedule.alpha
+        np.multiply(buf, 1.0 / schedule.alpha, buf)
         inj_f, inj_b = schedule.f0, schedule.b0
     else:
         inj_f = schedule.forward_at(t1)
         inj_b = schedule.backward_at(t1)
-    fv[ga.source] += inj_f
-    bv[ga.destination] += inj_b
+    fv[s] = fv.item(s) + inj_f
+    bv[d] = bv.item(d) + inj_b
 
     # tested before the flush, which would zero a -inf as an underflow
-    total = float(buf.sum())
+    total = float(np.add.reduce(buf))
     if not math.isfinite(total):
         raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
 
@@ -468,19 +470,19 @@ def step(
     b_edge, zb = _split(ga, rule, p, bv, False, bounded)
 
     return SystemState(
-        t=t1,
-        p=p,
-        f_edge=f_edge,
-        b_edge=b_edge,
-        f_vertex=fv,
-        b_vertex=bv,
-        delivered_forward=delivered_f,
-        delivered_backward=delivered_b,
-        injected_f=inj_f,
-        injected_b=inj_b,
-        underflow_flushes=state.underflow_flushes + flushes,
-        zero_split_events=state.zero_split_events + zf + zb,
-        warnings=state.warnings,
+        t1,
+        p,
+        f_edge,
+        b_edge,
+        fv,
+        bv,
+        delivered_f,
+        delivered_b,
+        inj_f,
+        inj_b,
+        state.underflow_flushes + flushes,
+        state.zero_split_events + zf + zb,
+        state.warnings,
     )
 
 
@@ -497,8 +499,8 @@ def _flush(x: np.ndarray, threshold: float) -> int:
     (negative values included); returns how many were zeroed."""
     if threshold <= 0.0:
         return 0
-    mask = x != 0.0
-    mask &= x < threshold
+    mask = x < threshold
+    np.logical_and(mask, x, mask)  # one mask: x is read as x != 0.0
     count = int(np.count_nonzero(mask))
     if count:
         x[mask] = 0.0

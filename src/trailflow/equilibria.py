@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from operator import sub
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -84,20 +85,11 @@ def equilibrium_state(
     return branch_state(two_path, f_s, b_d, top, bottom)
 
 
-class _MaxDeviation:
-    """The largest absolute difference between some arrays and their
-    references, taken in one pass over a scratch buffer allocated once.
-    ``max`` is exact, so this is the maximum of the per-array maxima."""
-
-    def __init__(self, *refs: np.ndarray) -> None:
-        self.refs = refs
-        self.buf = np.empty(sum(ref.size for ref in refs))
-        self.parts = np.split(self.buf, np.cumsum([ref.size for ref in refs[:-1]]))
-
-    def __call__(self, *arrays: np.ndarray) -> float:
-        for arr, ref, part in zip(arrays, self.refs, self.parts):
-            np.subtract(arr, ref, out=part)
-        return float(np.abs(self.buf, out=self.buf).max())
+def _max_abs_diff(values: List[float], refs: List[float]) -> float:
+    """max |values[i] - refs[i]| in Python floats: for finite values the
+    floats of ``np.max(np.abs(a - b))``, without numpy's fixed price per call
+    on arrays of a few entries."""
+    return max(map(abs, map(sub, values, refs)))
 
 
 def verify_equilibrium(
@@ -113,12 +105,13 @@ def verify_equilibrium(
     repeated tail of a stationary run adds nothing."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    deviation = _MaxDeviation(state.p.copy(), state.f_edge.copy(), state.b_edge.copy())
+    refs = state.p.tolist() + state.f_edge.tolist() + state.b_edge.tolist()
     drift = [0.0]
 
     def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
         if prev is not None and prev is not st:
-            drift[0] = max(drift[0], deviation(st.p, st.f_edge, st.b_edge))
+            values = st.p.tolist() + st.f_edge.tolist() + st.b_edge.tolist()
+            drift[0] = max(drift[0], _max_abs_diff(values, refs))
 
     # k steps whatever the config says about convergence
     cfg = replace(cfg, epsilon_convergence=None)
@@ -130,8 +123,8 @@ def perturb(state: SystemState, magnitude: float, seed: int) -> SystemState:
     """Add independent uniform noise in [-magnitude, +magnitude] to every
     pheromone and flow value, clamping at 0; clamps are recorded as a
     warning."""
-    if magnitude <= 0.0:
-        raise ValueError("perturbation magnitude must be positive")
+    if not (0.0 < magnitude < np.inf):
+        raise ValueError("perturbation magnitude must be positive and finite")
     rng = np.random.default_rng(seed)
     out = state.copy()
     clamped = 0
@@ -185,25 +178,26 @@ def stability_experiment(
     the first state that repeats its predecessor (see ``run``); every later
     deviation is that state's, and the report holds the floats that
     stepping to T_max gives."""
-    if not eps >= 0.0:
-        raise ValueError("perturbation eps must be >= 0")
+    if not (0.0 <= eps < np.inf):
+        raise ValueError("perturbation eps must be finite and >= 0")
     if not eps_target >= 0.0:
         raise ValueError("eps_target must be >= 0")
     if T_max < 0:
         raise ValueError("T_max must be >= 0")
     eq = equilibrium_state(two_path, rule, r, f_s, b_d, delta)
     state = perturb(eq, eps, seed) if eps > 0.0 else eq
-    flow_dev = _MaxDeviation(eq.f_edge, eq.b_edge)
-    levels = BranchLevelObserver(two_path, "top")
+    flow_refs = eq.f_edge.tolist() + eq.b_edge.tolist()
+    levels = BranchLevelObserver(two_path, "top").levels
     devs: List[float] = []  # the deviation at every t from 0 to T_max
 
     def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
         if prev is st:  # the repeated state of a stationary run
             devs.append(devs[-1])
             return
-        levels(t, st, prev)
-        dev = max(abs(levels.norm_s[-1] - r), abs(levels.norm_d[-1] - r))
-        devs.append(max(dev, flow_dev(st.f_edge, st.b_edge)))
+        level_s, level_d = levels(st.p)
+        dev = max(abs(level_s - r), abs(level_d - r))
+        flows = st.f_edge.tolist() + st.b_edge.tolist()
+        devs.append(max(dev, _max_abs_diff(flows, flow_refs)))
 
     if T_max:
         decision, sched = DecisionRule.general(rule), FlowSchedule.constant(f_s, b_d)

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -811,6 +810,8 @@ def run_batch(
         with output_errors("--out-dir"):
             os.makedirs(out_dir, exist_ok=True)
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_instance, jobs))
     else:

@@ -80,8 +80,10 @@ def test_schedule_values_and_validation():
 def test_engine_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(delta=1.0)
-    with pytest.raises(ConfigError):
-        EngineConfig(delta=0.5, underflow_threshold=-1.0)
+    # NaN would pass a ``< 0`` test and turn the flush off
+    for threshold in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="underflow threshold"):
+            EngineConfig(delta=0.5, underflow_threshold=threshold)
     with pytest.raises(ConfigError):
         EngineConfig(delta=0.5, rescale_mode="sometimes")
 

@@ -30,6 +30,7 @@ from trailflow.rules import (
 from helpers import reference_deviation, repeats
 
 TP = build_two_path(2, 2, [0.0], [0.0])
+TP35 = build_two_path(3, 5, [0.0] * 2, [0.0] * 4)
 SCHED = FlowSchedule.constant(1.0, 1.0)
 CFG = EngineConfig(delta=0.5)
 
@@ -99,8 +100,9 @@ def test_perturb_properties():
     big = perturb(equilibrium_state(TP, power_rule(2), 0.0, 1, 1, 0.5), 0.5, seed=1)
     assert any("clamped" in w for w in big.warnings)
     assert np.all(big.p >= 0.0)
-    with pytest.raises(ValueError):
-        perturb(st, 0.0, seed=1)
+    for magnitude in (0.0, -0.01, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="magnitude"):
+            perturb(st, magnitude, seed=1)
 
 
 def test_stability_experiment_converges_and_holds():
@@ -154,50 +156,69 @@ def _stable_case(rule):
 
 
 @pytest.mark.parametrize(
-    "rule, r, eps, seed",
+    "rule, r, eps, seed, tp",
     [
-        (*_stable_case(power_rule(2)), 3),
-        (*_stable_case(power_rule(0.5)), 5),
-        (*_stable_case(sine_rule(0.05)), 7),
-        (sine_rule(0.05), 0.5, 0.02, 2),  # the unstable point: the run drifts away
+        (*_stable_case(power_rule(2)), 3, TP),
+        (*_stable_case(power_rule(0.5)), 5, TP),
+        (*_stable_case(sine_rule(0.05)), 7, TP),
+        (sine_rule(0.05), 0.5, 0.02, 2, TP),  # the unstable point: the run drifts away
+        (*_stable_case(power_rule(2)), 3, TP35),
+        (*_stable_case(power_rule(3)), 4, TP35),
+        (*_stable_case(sine_rule(0.1)), 6, TP35),
+        (sine_rule(0.1), 0.5, 0.02, 8, TP35),
     ],
-    ids=["power2", "power0.5", "sine0.05", "sine0.05-unstable"],
+    ids=[
+        "power2", "power0.5", "sine0.05", "sine0.05-unstable",
+        "power2-3x5", "power3-3x5", "sine0.1-3x5", "sine0.1-3x5-unstable",
+    ],
 )
-def test_stability_series_matches_reference_deviation(tmp_path, rule, r, eps, seed):
+def test_stability_series_matches_reference_deviation(tmp_path, rule, r, eps, seed, tp):
     """Every row of the series CSV is the original deviation formula's float,
     bit for bit, replayed over the same steps."""
     path = tmp_path / "series.csv"
     T = 600
-    stability_experiment(rule, r, eps, 1e-3, T, TP, seed=seed, series_path=str(path))
-    eq = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
+    stability_experiment(rule, r, eps, 1e-3, T, tp, seed=seed, series_path=str(path))
+    eq = equilibrium_state(tp, rule, r, 1.0, 1.0, 0.5)
     st = perturb(eq, eps, seed)
     decision = DecisionRule.general(rule)
-    want = [(0, reference_deviation(TP, r, st, eq.f_edge, eq.b_edge).hex())]
+    want = [(0, reference_deviation(tp, r, st, eq.f_edge, eq.b_edge).hex())]
     for _ in range(T):
-        st = step(st, TP.graph, decision, SCHED, CFG)
-        want.append((st.t, reference_deviation(TP, r, st, eq.f_edge, eq.b_edge).hex()))
+        st = step(st, tp.graph, decision, SCHED, CFG)
+        want.append((st.t, reference_deviation(tp, r, st, eq.f_edge, eq.b_edge).hex()))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "deviation"]
     assert [(int(t), float(d).hex()) for t, d in rows[1:]] == want
 
 
-def test_verify_equilibrium_drift_matches_per_array_maxima():
-    rule = sine_rule(0.05)
-    st = equilibrium_state(TP, rule, 0.5, 1.0, 1.0, 0.5)
-    st.p[TP.s_top_eid] += 0.1
+def _per_array_drifts(st, tp, rule, ks):
+    """``verify_equilibrium``'s drift in its original form, one ``np.max``
+    per array and step, after each number of steps in ``ks``."""
     p0, fe0, be0 = st.p.copy(), st.f_edge.copy(), st.b_edge.copy()
     decision = DecisionRule.general(rule)
-    cur, want = st, 0.0
-    for _ in range(400):
-        cur = step(cur, TP.graph, decision, SCHED, CFG)
+    cur, want, drifts = st, 0.0, {}
+    for t in range(1, max(ks) + 1):
+        cur = step(cur, tp.graph, decision, SCHED, CFG)
         want = max(
             want,
             float(np.max(np.abs(cur.p - p0))),
             float(np.max(np.abs(cur.f_edge - fe0))),
             float(np.max(np.abs(cur.b_edge - be0))),
         )
-    assert verify_equilibrium(st, TP, rule, SCHED, CFG, 400).hex() == want.hex()
+        drifts[t] = want
+    return [drifts[k] for k in ks]
+
+
+def test_verify_equilibrium_drift_matches_per_array_maxima():
+    kicked = equilibrium_state(TP, sine_rule(0.05), 0.5, 1.0, 1.0, 0.5)
+    kicked.p[TP.s_top_eid] += 0.1
+    cases = [(kicked, TP, sine_rule(0.05))]
+    for rule, r, eps in (_stable_case(power_rule(3)), _stable_case(sine_rule(0.1))):
+        cases.append((perturb(equilibrium_state(TP35, rule, r, 1.0, 1.0, 0.5), eps, 5), TP35, rule))
+    ks = (1, 100, 400, 3000)
+    for st, tp, rule in cases:
+        got = [verify_equilibrium(st, tp, rule, SCHED, CFG, k).hex() for k in ks]
+        assert got == [d.hex() for d in _per_array_drifts(st, tp, rule, ks)], (rule.name, tp.m)
 
 
 def _brute_force_stability(rule, r, eps, eps_target, T, seed):
@@ -341,8 +362,9 @@ def test_verify_equilibrium_stops_at_fixed_point_with_exact_drift(monkeypatch):
 def test_stability_inputs_rejected():
     rule, r, eps = _stable_case(sine_rule(0.05))
     st = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError, match="eps"):
-        stability_experiment(rule, r, -0.1, 1e-3, 50, TP)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            stability_experiment(rule, r, bad, 1e-3, 50, TP)
     with pytest.raises(ValueError, match="eps_target"):
         stability_experiment(rule, r, eps, -1e-3, 50, TP)
     with pytest.raises(ValueError, match="T_max"):
