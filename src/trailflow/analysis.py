@@ -77,6 +77,13 @@ class BranchLevelObserver:
         self.norm_d.append(level_d)
 
 
+def _sum_in_order(values: List[float], total: float) -> float:
+    """``total`` plus each of ``values`` in turn, left to right."""
+    for x in values:
+        total += x
+    return total
+
+
 def detect_convergence(
     state: "SystemState", graph: DirectedGraph, epsilon: float
 ) -> Optional[Path]:
@@ -85,35 +92,44 @@ def detect_convergence(
     max-normalized out-edge from s (ties to the lowest head); None when no
     such chain reaches d.
 
-    Only the chain's vertices are read: the out-edges of each chain vertex
-    and the in-edges of the head it picks. The totals are summed the way
-    ``normalized_levels`` sums them, so the levels compared are the same
-    floats."""
+    Only the chain's vertices are read, in Python floats: the out-edges of
+    each chain vertex and the in-edges of the head it picks. The totals are
+    summed the way ``normalized_levels`` sums them, so the levels compared
+    are the same floats: an out-total as ``GraphArrays.out_sums`` sums it
+    (left to right from 0.0, as ``np.bincount`` does, or by ``reduceat``),
+    an in-total left to right in edge order."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     ga = graph.arrays
-    p = state.p
+    p, heads, out_eids, in_eids = state.p, ga.heads, ga.out_eids, ga.in_eids
+    out_ptr, in_ptr = ga.out_ptr, ga.in_ptr
     bar = 1.0 - epsilon
     seq = [ga.source]
     seen = {ga.source}
     cur = ga.source
     while cur != ga.destination:
-        out = ga.out_eids[ga.out_ptr[cur] : ga.out_ptr[cur + 1]]
-        p_out = p[out]
-        total = np.add.reduceat(p_out, _FIRST)[0] if out.size else 0.0
+        lo = out_ptr.item(cur)
+        p_out = p[out_eids[lo : out_ptr.item(cur + 1)]]
+        vals = p_out.tolist()
+        if ga.out_by_bincount:
+            total = _sum_in_order(vals, 0.0)
+        else:
+            total = np.add.reduceat(p_out, _FIRST).item(0) if vals else 0.0
         # a zero total leaves every level NaN: no edge to follow
         if not total > 0.0:
             return None
-        fwd = p_out / total
-        best = fwd.max()
+        fwd = [x / total for x in vals]
+        best = max(fwd)
         if not best >= bar:
             return None
-        tied = np.flatnonzero(fwd == best)
-        k = tied[np.argmin(ga.heads[out[tied]])]
-        nxt = int(ga.heads[out[k]])
-        # in-total summed in edge order, as ``np.bincount`` does
-        p_in = p[ga.in_eids[ga.in_ptr[nxt] : ga.in_ptr[nxt + 1]]]
-        if not p_out[k] / np.cumsum(p_in)[-1] >= bar or nxt in seen:
+        k = fwd.index(best)
+        nxt = heads.item(out_eids.item(lo + k))
+        if fwd.count(best) > 1:  # ties go to the lowest head
+            nxt, k = min(
+                (heads.item(out_eids.item(lo + j)), j) for j, f in enumerate(fwd) if f == best
+            )
+        in_vals = p[in_eids[in_ptr.item(nxt) : in_ptr.item(nxt + 1)]].tolist()
+        if not vals[k] / _sum_in_order(in_vals[1:], in_vals[0]) >= bar or nxt in seen:
             return None
         seq.append(nxt)
         seen.add(nxt)
@@ -488,8 +504,10 @@ class InvariantObserver:
         np.add(p0, f0, out=expected)
         expected += b0
         expected *= self.cfg.delta
-        # conservation sums use bincount rather than the engine's segment
-        # sums, so the check does not share the kernel
+        # conservation sums are bincounts, the engine's kernel for forward
+        # aggregation, and for backward aggregation where its out-sums take
+        # the bincount branch (``GraphArrays.out_by_bincount``); elsewhere the
+        # engine sums out-edges by ``reduceat``
         arr_f = np.bincount(heads, weights=f0.ravel(), minlength=K * n)
         arr_b = np.bincount(tails, weights=b0.ravel(), minlength=K * n)
         np.multiply(ga.surv, arr_f.reshape(K, n), out=scale[:, m : m + n])

@@ -70,10 +70,13 @@ class FlowSchedule:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.f0 <= 0.0:
-            raise ConfigError("forward injection f0 must be positive")
-        if self.b0 < 0.0:
-            raise ConfigError("backward injection b0 must be non-negative")
+        # NaN fails every comparison, so each test is written to reject it
+        if not 0.0 < self.f0 < math.inf:
+            raise ConfigError("forward injection f0 must be finite and positive")
+        if not 0.0 <= self.b0 < math.inf:
+            raise ConfigError("backward injection b0 must be finite and non-negative")
+        if not math.isfinite(self.alpha):
+            raise ConfigError("schedule alpha must be finite")
         if self.kind == "exponential" and not self.alpha > 1.0:
             raise ConfigError("exponential schedule needs alpha > 1")
         if self.kind == "linear" and not self.alpha > 0.0:
@@ -189,6 +192,8 @@ def _resolve_pheromone(graph: DirectedGraph, init: PheromoneInit) -> np.ndarray:
             raise ConfigError(f"pheromone array must have length {m}")
     if np.any(p < 0.0):
         raise ConfigError("initial pheromone must be non-negative")
+    if not np.all(np.isfinite(p)):
+        raise ConfigError("initial pheromone must be finite")
     return p
 
 

@@ -280,6 +280,12 @@ def _chain_pairs(vertices: Sequence[int]) -> np.ndarray:
     return np.column_stack([chain[:-1], chain[1:]])
 
 
+# graphs not sorted by tail with at most this many edges per vertex sum their
+# out-edges with np.bincount; denser ones pay more per edge in bincount than
+# the gather and per-segment cost of ``reduceat`` (README "Performance")
+_BINCOUNT_MAX_DEGREE = 16
+
+
 class GraphArrays:
     """Flat numpy views of a graph used by the flow engine."""
 
@@ -305,6 +311,12 @@ class GraphArrays:
         # forward split lays its ratios out by ``np.repeat`` over ``out_len``
         self.tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
         self._by_tail = slice(None) if self.tail_sorted else self.out_eids
+        # the one choice of how a vertex's out-edges are summed, read by
+        # ``out_sums``, ``tail_sums`` and ``detect_convergence``: np.bincount
+        # (left to right from 0.0, in edge-id order) on sparse graphs not
+        # sorted by tail, where the gather before ``reduceat`` and its cost
+        # per segment dominate; ``reduceat`` over the CSR segments otherwise
+        self.out_by_bincount = not self.tail_sorted and self.m <= _BINCOUNT_MAX_DEGREE * self.n
         # the vertices with out-edges / in-edges, and each edge's index into
         # them by its tail / head: the slots of the per-vertex split totals
         self.with_out = np.flatnonzero(self.out_deg)
@@ -324,11 +336,15 @@ class GraphArrays:
     def out_sums(self, x: np.ndarray) -> np.ndarray:
         """Sums of the edge values ``x`` over the out-edges of each vertex
         in ``with_out``."""
+        if self.out_by_bincount:
+            return np.bincount(self.out_slot, x, self.with_out.size)
         return np.add.reduceat(x[self._by_tail], self._seg_starts)
 
     def tail_sums(self, x: np.ndarray) -> np.ndarray:
         """Per-vertex sums of the edge values ``x`` over each vertex's
         out-edges (0 at vertices without out-edges)."""
+        if self.out_by_bincount:
+            return np.bincount(self.tails, x, self.n)
         sums = np.zeros(self.n)
         sums[self.with_out] = self.out_sums(x)
         return sums

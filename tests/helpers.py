@@ -28,6 +28,7 @@ from trailflow.graph import (
     gen_banded_gnp,
     gen_gnp,
     gen_grid,
+    plant_band_ladder,
     plant_path,
 )
 from trailflow.rules import clamp_unit_half
@@ -285,7 +286,11 @@ def kernel_graphs():
     gnp = gen_gnp(60, 0.1, 4)
     banded = gen_banded_gnp(80, 0.5, 6, 2)
     grid = gen_grid(10, 10)
-    planted, _ = plant_path(gen_grid(10, 10), 9)  # chain edges appended: not tail-sorted
+    # chain edges appended: not tail-sorted, out-sums by bincount
+    planted, _ = plant_path(gen_grid(10, 10), 9)
+    ladder, _ = plant_band_ladder(gen_banded_gnp(100, 0.5, 10, 2), 10)
+    # a direct s->d edge appended to a dense graph: out-sums by a gather and reduceat
+    dense, _ = plant_path(gen_gnp(40, 0.6, 5), 1)
     # bottom chain follows the top: not tail-sorted
     two_path = build_two_path(2, 3, [0.1], [0.2, 0.0]).graph
     # interior vertex 1 has no out-edges; edges listed out of tail order
@@ -294,7 +299,7 @@ def kernel_graphs():
     zero_total = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (1, 2), (2, 3)], 0, 3)
     rng = np.random.default_rng(11)
     cases = []
-    for g in (gnp, banded, grid, planted, two_path, dead_end):
+    for g in (gnp, banded, grid, planted, ladder, dense, two_path, dead_end):
         cases.append((g, rng.uniform(0.1, 1.0, g.n_edges)))
     cases.append((zero_total, np.array([1.0, 1.0, 0.0, 0.0, 1.0])))
     return cases

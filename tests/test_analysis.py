@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -137,6 +138,30 @@ def test_detect_convergence_matches_reference_walk():
                 assert found == reference_walk(g, fwd, bwd, eps)
                 hits += found is not None
     assert hits > 10
+
+
+def test_detect_convergence_reads_the_out_sum_kernel():
+    """The source's out-total is 1.0 by np.bincount, (0.0 + 1.0 + 2**-53)
+    + 2**-53, and 1 + 2**-52 by reduceat, 1.0 + (2**-53 + 2**-53): at a bar
+    of 1.0 the edge to vertex 1 passes only under the first. The walk
+    follows whichever kernel ``GraphArrays`` chose, as the levels do. The
+    destination's in-edges hold the same values, and summed in edge order
+    their total is 1.0 too."""
+    # (1, 4) listed first: not sorted by tail
+    g = DirectedGraph(5, [(1, 4), (0, 1), (0, 2), (0, 3), (2, 4), (3, 4)], 0, 4)
+    tiny = 2.0**-53
+    p = np.array([1.0, 1.0, tiny, tiny, tiny, tiny])
+    st = init_state(g, p, FlowSchedule.constant(1, 1))
+    eps = 1e-17  # 1 - eps rounds to 1.0
+    assert g.arrays.out_by_bincount
+    levels = normalized_levels(st, g)
+    assert levels.fwd[1] == levels.bwd[0] == 1.0
+    assert detect_convergence(st, g, eps).vertices == (0, 1, 4)
+    by_reduceat = copy.copy(g)
+    by_reduceat._arrays = copy.copy(g.arrays)
+    by_reduceat._arrays.out_by_bincount = False
+    assert normalized_levels(st, by_reduceat).fwd[1] < 1.0
+    assert detect_convergence(st, by_reduceat, eps) is None
 
 
 def test_detect_convergence_tie_and_zero_total():

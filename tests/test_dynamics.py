@@ -77,6 +77,38 @@ def test_schedule_values_and_validation():
     assert FlowSchedule.constant(1.0, 0.0).backward_at(4) == 0.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FlowSchedule.constant(math.nan, 1.0),
+        lambda: FlowSchedule.constant(1.0, math.nan),
+        lambda: FlowSchedule.constant(math.inf, 1.0),
+        lambda: FlowSchedule.constant(1.0, math.inf),
+        lambda: FlowSchedule.linear(1.0, 1.0, math.inf),
+        lambda: FlowSchedule.linear(1.0, 1.0, math.nan),
+        lambda: FlowSchedule.exponential(1.0, 1.0, math.inf),
+        lambda: FlowSchedule("constant", 1.0, 1.0, math.nan),
+    ],
+)
+def test_schedule_rejects_non_finite(make):
+    """NaN passes a ``<= 0`` test: a non-finite schedule used to be
+    accepted and abort the run at t = 1."""
+    with pytest.raises(ConfigError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "init", [math.nan, math.inf, [1.0, math.inf, 1.0, 1.0, 1.0], {(0, 1): math.nan}]
+)
+def test_init_state_rejects_non_finite_pheromone(init):
+    """Rejected before the first split, which warned on NaN."""
+    tp = two_path_23()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="initial pheromone must be finite"):
+            init_state(tp.graph, init, FlowSchedule.constant(1.0, 1.0))
+
+
 def test_engine_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(delta=1.0)
@@ -548,12 +580,15 @@ def test_zero_total_vertices_match_bincount_reference():
 def test_forward_repeat_split_equals_gather_form():
     """On a tail-sorted G(n, p) the forward split lays out each vertex's
     ratio with ``np.repeat``; it gives the gather form's floats bit for bit,
-    on the fast path and with zero-total vertices, with and without flow."""
+    on the fast path and with zero-total vertices, with and without flow.
+    The copy takes the gather layout and keeps the out-sum kernel, so both
+    split the same totals."""
     g = gen_gnp(80, 0.1, 6)
     ga = g.arrays
-    assert ga.tail_sorted
+    assert ga.tail_sorted and not ga.out_by_bincount
     gather = copy.copy(ga)
     gather.tail_sorted = False
+    assert not gather.out_by_bincount
     rng = np.random.default_rng(6)
     p = rng.uniform(0.1, 1.0, ga.m)
     vflow = rng.uniform(0.1, 1.0, ga.n)

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -304,6 +305,63 @@ def test_grid_counts_and_shortest():
     g2 = gen_grid(2, 2)
     assert (g2.n_vertices, g2.n_edges) == (4, 4)
     assert shortest_path(gen_grid(3, 2)).length == 3
+
+
+# -- out-sum kernel ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, bincount",
+    [
+        pytest.param(lambda: gen_gnp(100, 0.05, 1), False, id="gnp"),
+        pytest.param(lambda: gen_gnp(1000, 0.1, 1), False, id="gnp1000"),
+        pytest.param(lambda: gen_banded_gnp(100, 0.5, 10, 1), False, id="banded"),
+        pytest.param(lambda: gen_grid(10, 10), False, id="grid"),
+        pytest.param(lambda: plant_path(gen_grid(10, 10), 9)[0], True, id="planted-grid"),
+        pytest.param(
+            lambda: plant_band_ladder(gen_banded_gnp(100, 0.5, 10, 1), 10)[0], True, id="ladder"
+        ),
+        pytest.param(
+            lambda: plant_band_ladder(gen_banded_gnp(1000, 0.5, 40, 1), 40)[0],
+            False,
+            id="dense-ladder",
+        ),
+        pytest.param(lambda: build_two_path(2, 2, [0.0], [0.0]).graph, True, id="two-path"),
+    ],
+)
+def test_out_sum_kernel_choice(make, bincount):
+    """Every generator's output is sorted by tail and sums out-edges by
+    ``reduceat``; a planted path, a ladder hop or a two-path bottom chain
+    breaks tail order, and such a graph sums by ``np.bincount`` unless it
+    has more than 16 edges per vertex."""
+    ga = make().arrays
+    assert ga.out_by_bincount == bincount
+    x = np.random.default_rng(ga.m).uniform(0.0, 1.0, ga.m)
+    if bincount:
+        want = np.bincount(ga.tails, x, ga.n)
+    else:
+        want = np.zeros(ga.n)
+        want[ga.with_out] = np.add.reduceat(x[ga.out_eids], ga.out_ptr[ga.with_out])
+    assert ga.tail_sums(x).tobytes() == want.tobytes()
+    assert ga.out_sums(x).tobytes() == want[ga.with_out].tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 5)])
+def test_out_sum_kernels_agree_on_two_paths(m, n):
+    """With every out-degree at most 2, ``np.bincount`` (0.0 + a + b) and
+    ``reduceat`` (a + b) give the same bits on non-negative sums, zeros,
+    subnormals and overflow included."""
+    ga = build_two_path(m, n, [0.0] * (m - 1), [0.0] * (n - 1)).graph.arrays
+    assert ga.out_by_bincount
+    by_reduceat = copy.copy(ga)
+    by_reduceat.out_by_bincount = False
+    rng = np.random.default_rng(m * n)
+    values = [0.0, 5e-324, 1e-310, 0.5, 1.0, 3.0, 1e308]
+    for _ in range(200):
+        x = rng.choice(values, ga.m) * rng.uniform(0.5, 1.0, ga.m)
+        x[rng.random(ga.m) < 0.3] = 0.0
+        assert ga.tail_sums(x).tobytes() == by_reduceat.tail_sums(x).tobytes()
+        assert ga.out_sums(x).tobytes() == by_reduceat.out_sums(x).tobytes()
 
 
 # -- planting ----------------------------------------------------------------

@@ -365,6 +365,35 @@ def test_increasing_full_scale_premise(family, params):
         assert oracle == shortest_path(graph), index
 
 
+# the out-sum kernel of every full-scale family, as ``GraphArrays`` documents
+# it: np.bincount on graphs not sorted by tail with at most 16 edges per
+# vertex. Leakage graphs keep their generator's tail order; a planted path
+# or ladder hop is appended after it, and only the band-40 ladder is dense
+_DENSE = ("banded_gnp", {"n": 1000, "p": 0.5, "k": 40})
+
+
+@pytest.mark.parametrize(
+    "preset, family, params",
+    [
+        pytest.param(preset, f, p, id=f"{preset}-{f}{tuple(p.values())}")
+        for preset, families in (
+            ("appendixC-leakage", scenarios.LEAKAGE_FULL),
+            ("appendixC-increasing", scenarios.INCREASING_FULL),
+        )
+        for f, p, _ in families
+    ],
+)
+def test_full_scale_families_out_sum_kernel(preset, family, params):
+    spec = scenarios._PRESETS[preset]
+    for index in range(3):
+        rng = scenarios._stream(0, spec.streams[0], index)
+        drawn = scenarios._connected_graph(family, params, 0, spec.streams[1], index)
+        ga = spec.prepare(drawn, family, params, rng)[0].arrays
+        planted = ga.m > drawn.n_edges
+        assert ga.tail_sorted == (not planted), index
+        assert ga.out_by_bincount == (planted and (family, params) != _DENSE), index
+
+
 def test_batch_workers_match_serial():
     serial = run_batch("appendixC-leakage", instances=4, base_seed=9)
     parallel = run_batch("appendixC-leakage", instances=4, base_seed=9, workers=2)
