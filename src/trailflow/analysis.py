@@ -360,26 +360,27 @@ class InvariantObserver:
     before comparison.
 
     The observer checks a block of consecutive stepped pairs at once: each
-    call copies the new state's arrays into the next row of buffers sized
-    once per observer, and a call whose ``prev`` is the previous call's
-    ``state`` reads prev from that copy. So writing to a state after the
-    calls that pass it changes no record. The block is checked when it
-    holds R pairs, when ``violations`` is read, when a call's ``prev`` is
-    not the previous call's ``state`` (a new chain starts), on an initial
-    state and on a repeated one. R fits the block into a fixed element
-    budget (at most 32 rows); where one row fills it (R = 1 once m + 4n
-    exceeds 2**15, as on G(1000, .1)), each pair is checked on its call
-    from the states' own arrays, with no copies.
+    call copies the new state's buffer (``SystemState.buf``) into the next
+    row of a block sized once per observer, and a call whose ``prev`` is the
+    previous call's ``state`` reads prev from that copy. So writing to a
+    state after the calls that pass it changes no record. The block is
+    checked when it holds R pairs, when ``violations`` is read, when a
+    call's ``prev`` is not the previous call's ``state`` (a new chain
+    starts), on an initial state and on a repeated one. R fits the block
+    into a fixed element budget (at most 32 rows); where one row fills it
+    (R = 1 once m + 4n exceeds 2**15, as on G(1000, .1)), each pair is
+    checked on its call from the states' own buffers, with no copies.
 
-    The five residuals and their scales of a pair sit side by side in one
-    row (see ``KINDS`` for the order), so one tolerance test covers the
-    block. A pair with a violation appends, per failing kind and in
-    ``KINDS`` order, the entry with the largest relative error; on a
-    stationary run's repeated state the observer repeats the last stepped
-    pair's entries. The records, and their order, are those of checking
-    each pair on its call: the conservation and split sums are bincounts
-    over per-row bins, which sum every bin in edge order as a bincount of
-    one pair does.
+    The residuals and scales of K pairs lie kind-major in flat buffers of
+    K (m + 4n) entries: each kind of ``KINDS``, in that order, is one
+    contiguous (K, m) or (K, n) section, so the check's array calls write
+    contiguous memory and one tolerance test covers the block. A pair with
+    a violation appends, per failing kind and in ``KINDS`` order, the entry
+    with the largest relative error; on a stationary run's repeated state
+    the observer repeats the last stepped pair's entries. The records, and
+    their order, are those of checking each pair on its call: the
+    conservation and split sums are bincounts over per-row bins, which sum
+    every bin in edge order as a bincount of one pair does.
     """
 
     KINDS = ("recurrence", "conservation_f", "conservation_b", "split_f", "split_b")
@@ -401,37 +402,46 @@ class InvariantObserver:
         self.abs_floor = cfg.underflow_threshold * 1e6
         ga = graph.arrays
         m, n = ga.m, ga.n
-        width = m + 4 * n
+        width = self._width = m + 4 * n
         rows = self._rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // width))
-        # offsets of the kinds in a row: one edge block, then four vertex blocks
+        # the entries of each kind in one pair: one edge block, then four
+        # vertex blocks
         self._bounds = (0, m, m + n, m + 2 * n, m + 3 * n, width)
         # tolerance = max(rel_tol * max(scale, 1e-30), abs_floor), with the
         # constant part folded (rounding is monotone, so this is exact)
         self._tol_floor = max(rel_tol * 1e-30, self.abs_floor)
-        self._err = np.empty((rows, width))
-        self._scale = np.empty((rows, width))  # its vertex part: the stepped f/b vertex flows
-        self._abs = np.empty((rows, width))
-        self._tol = np.empty((rows, width))
-        self._bad = np.empty((rows, width), dtype=bool)
-        # entries never checked: s and d in conservation, vertices without
-        # out-/in-edges in the split checks
-        never = np.zeros(width, dtype=bool)
-        for lo in (m, m + n):
-            never[lo + ga.source] = never[lo + ga.destination] = True
-        never[m + 2 * n : m + 3 * n] = ga.out_deg == 0
-        never[m + 3 * n :] = ga.in_deg == 0
-        self._never = never
-        self._skip = np.tile(never, (rows, 1))
+        self._err = np.empty(rows * width)
+        # the expected pheromone and vertex flows, then the stepped vertex flows
+        self._scale = np.empty(rows * width)
+        self._abs = np.empty(rows * width)
+        self._tol = np.empty(rows * width)
+        self._bad = np.empty(rows * width, dtype=bool)
+        self._keep = np.empty(rows * width, dtype=bool)
+        # vertex entries checked, per vertex kind: all but s and d in
+        # conservation, the vertices with out-/in-edges in the split checks
+        checked = np.ones((4, 1, n), dtype=bool)
+        checked[:2, 0, [ga.source, ga.destination]] = False
+        checked[2, 0] = ga.out_deg > 0
+        checked[3, 0] = ga.in_deg > 0
+        self._checked = checked
         if rows > 1:
-            # row k of a block sums into bins k*n .. k*n + n - 1
-            offsets = n * np.arange(rows)[:, None]
-            self._heads = (ga.heads + offsets).ravel()
-            self._tails = (ga.tails + offsets).ravel()
-            # p, f_edge and b_edge of the block's states: row 0 is the first
-            # pair's prev, row k the state of pair k
-            self._edges = np.empty((3, rows + 1, m))
+            # bins of the sums over a block's [f_edge | b_edge] rows: row k
+            # sums its forward flows into k*n .. k*n + n - 1 and its
+            # backward flows R*n later, so the sums come out as (2, R, n).
+            # Conservation sums each edge flow at the vertex it reaches,
+            # the split check at the vertex it leaves
+            fwd = n * np.arange(rows)[:, None]
+            bwd = fwd + rows * n
+            self._reach = np.hstack((ga.heads + fwd, ga.tails + bwd)).ravel()
+            self._leave = np.hstack((ga.tails + fwd, ga.heads + bwd)).ravel()
+            # the buffers of the block's states: row 0 is the first pair's
+            # prev, row k the state of pair k
+            self._states = np.empty((rows + 1, 3 * m + 2 * n))
         else:
-            self._heads, self._tails = ga.heads, ga.tails
+            # one row: a sum per direction over the engine's writable bins,
+            # with no copy of the edge arrays on the large graphs of R = 1
+            self._reach = (ga.head_bins, ga.tail_bins)
+            self._leave = (ga.tail_bins, ga.head_bins)
         self._ts: List[int] = []  # t of each held pair
         self._tail: Optional["SystemState"] = None  # the state in the block's last row
         self._last: List[InvariantViolation] = []  # the last stepped pair's records
@@ -456,20 +466,15 @@ class InvariantObserver:
             self._check()
             self._violations.extend(replace(v, t=t) for v in self._last)
             return
-        ga = self.graph.arrays
-        m, n = ga.m, ga.n
         if self._rows == 1:
-            np.concatenate((state.f_vertex, state.b_vertex), out=self._scale[0, m + 2 * n :])
-            before = (prev.p[None], prev.f_edge[None], prev.b_edge[None])
-            self._check_rows([t], before, (state.p[None], state.f_edge[None], state.b_edge[None]))
+            self._check_rows([t], prev.buf[None], state.buf[None])
             return
-        edges = self._edges
+        states = self._states
         if prev is not self._tail:
             self._check()
-            edges[0, 0], edges[1, 0], edges[2, 0] = prev.p, prev.f_edge, prev.b_edge
+            states[0] = prev.buf
         k = len(self._ts)
-        edges[0, k + 1], edges[1, k + 1], edges[2, k + 1] = state.p, state.f_edge, state.b_edge
-        np.concatenate((state.f_vertex, state.b_vertex), out=self._scale[k, m + 2 * n :])
+        states[k + 1] = state.buf
         self._ts.append(t)
         self._tail = state
         if k + 1 == self._rows:
@@ -481,26 +486,41 @@ class InvariantObserver:
         k = len(self._ts)
         if not k:
             return
-        edges = self._edges
-        self._check_rows(self._ts, edges[:, :k], edges[:, 1 : k + 1])
-        edges[:, 0] = edges[:, k]
+        states = self._states
+        self._check_rows(self._ts, states[:k], states[1 : k + 1])
+        states[0] = states[k]
         self._ts = []
 
-    def _check_rows(self, ts: List[int], before, after) -> None:
-        """Check K = len(ts) pairs: ``before`` and ``after`` hold the (K, m)
-        p, f_edge and b_edge of the pairs' prev and stepped states, and the
-        vertex part of the first K rows of ``_scale`` holds the stepped
-        f/b vertex flows."""
+    def _sums(self, bins, edges: np.ndarray) -> np.ndarray:
+        """The (2, K, n) forward and backward per-vertex sums, by ``bins``,
+        of the K rows of edge flows ``edges`` (each ``[f_edge | b_edge]``)."""
+        ga = self.graph.arrays
+        m, n = ga.m, ga.n
+        if self._rows == 1:
+            fwd, bwd = bins
+            row = edges[0]
+            return np.stack((np.bincount(fwd, row[:m], n), np.bincount(bwd, row[m:], n)))[:, None]
+        K = len(edges)
+        sums = np.bincount(bins[: K * 2 * m], edges.ravel(), 2 * self._rows * n)
+        return sums.reshape(2, self._rows, n)[:, :K]
+
+    def _check_rows(self, ts: List[int], before: np.ndarray, after: np.ndarray) -> None:
+        """Check K = len(ts) pairs: row k of ``before`` and ``after`` is the
+        buffer of pair k's prev and stepped state."""
         ga = self.graph.arrays
         m, n = ga.m, ga.n
         K = len(ts)
-        p0, f0, b0 = before
-        p1, f1, b1 = after
-        err, scale, skip = self._err[:K], self._scale[:K], self._skip[:K]
-        heads, tails = self._heads[: K * m], self._tails[: K * m]
+        e, v = K * m, K * (m + 2 * n)  # where the vertex kinds and the split kinds start
+        size = K * self._width
+        err, scale, keep = self._err[:size], self._scale[:size], self._keep[:size]
+        f0, b0, p0 = before[:, :m], before[:, m : 2 * m], before[:, 2 * m : 3 * m]
+        p1 = after[:, 2 * m : 3 * m]
         # scales: expected p, expected f/b vertex flows (conservation), then
         # the stepped f/b vertex flows (split)
-        expected = scale[:, :m]
+        expected = scale[:e].reshape(K, m)
+        conserved = scale[e:v].reshape(2, K, n)
+        vertex = scale[v:].reshape(2, K, n)
+        np.copyto(vertex, after[:, 3 * m :].reshape(K, 2, n).transpose(1, 0, 2))
         np.add(p0, f0, out=expected)
         expected += b0
         expected *= self.cfg.delta
@@ -508,47 +528,50 @@ class InvariantObserver:
         # aggregation, and for backward aggregation where its out-sums take
         # the bincount branch (``GraphArrays.out_by_bincount``); elsewhere the
         # engine sums out-edges by ``reduceat``
-        arr_f = np.bincount(heads, weights=f0.ravel(), minlength=K * n)
-        arr_b = np.bincount(tails, weights=b0.ravel(), minlength=K * n)
-        np.multiply(ga.surv, arr_f.reshape(K, n), out=scale[:, m : m + n])
-        np.multiply(ga.surv, arr_b.reshape(K, n), out=scale[:, m + n : m + 2 * n])
+        np.multiply(ga.surv, self._sums(self._reach, before[:, : 2 * m]), out=conserved)
         if self.scale != 1.0:
-            scale[:, : m + 2 * n] *= self.scale
-        vertex = scale[:, m + 2 * n :]
+            scale[:v] *= self.scale
         # residuals
-        np.subtract(p1, expected, out=err[:, :m])
-        np.subtract(vertex, scale[:, m : m + 2 * n], out=err[:, m : m + 2 * n])
-        out_sum = np.bincount(tails, weights=f1.ravel(), minlength=K * n)
-        in_sum = np.bincount(heads, weights=b1.ravel(), minlength=K * n)
-        np.subtract(out_sum.reshape(K, n), vertex[:, :n], out=err[:, m + 2 * n : m + 3 * n])
-        np.subtract(in_sum.reshape(K, n), vertex[:, n:], out=err[:, m + 3 * n :])
+        np.subtract(p1, expected, out=err[:e].reshape(K, m))
+        residual = err[e:].reshape(2, 2, K, n)
+        np.subtract(vertex, conserved, out=residual[0])
+        np.subtract(self._sums(self._leave, after[:, : 2 * m]), vertex, out=residual[1])
         # flushed entries are not compared: zero pheromone always, zero
         # vertex flow in conservation when a flush threshold is set
-        np.equal(p1, 0.0, out=skip[:, :m])
+        np.not_equal(p1, 0.0, out=keep[:e].reshape(K, m))
+        kept = keep[e:].reshape(4, K, n)
+        np.copyto(kept, self._checked)
         if self.cfg.underflow_threshold > 0.0:
-            np.equal(vertex, 0.0, out=skip[:, m : m + 2 * n])
-        skip |= self._never
-        np.copyto(err, 0.0, where=skip)
+            kept[:2] &= np.not_equal(vertex, 0.0, out=self._bad[e:v].reshape(2, K, n))
         # one tolerance test over all five residuals of every pair
-        tol = np.multiply(scale, self.rel_tol, out=self._tol[:K])
+        tol = np.multiply(scale, self.rel_tol, out=self._tol[:size])
         np.maximum(tol, self._tol_floor, out=tol)
-        bad = np.greater(np.abs(err, out=self._abs[:K]), tol, out=self._bad[:K])
-        hit = bad.any(axis=1)
+        bad = np.greater(np.abs(err, out=self._abs[:size]), tol, out=self._bad[:size])
+        bad &= keep
+        if not bad.any():
+            self._last = []
+            return
+        hit = bad[:e].reshape(K, m).any(axis=1)
+        hit |= bad[e:].reshape(4, K, n).any(axis=(0, 2))
         records: List[InvariantViolation] = []
         for k in np.flatnonzero(hit).tolist():
-            records = self._worst(ts[k], k)
+            records = self._worst(ts[k], k, K)
             self._violations.extend(records)
         self._last = records if hit[-1] else []
 
-    def _worst(self, t: int, k: int) -> List[InvariantViolation]:
-        """The worst entry of every kind with a violation in row ``k``."""
+    def _worst(self, t: int, k: int, K: int) -> List[InvariantViolation]:
+        """The worst entry of every kind with a violation in pair ``k`` of
+        the K checked."""
         b = self._bounds
-        bad, err, abs_, scale = self._bad[k], self._err[k], self._abs[k], self._scale[k]
+        bad, err, abs_, scale, keep = self._bad, self._err, self._abs, self._scale, self._keep
         out = []
         for j, kind in enumerate(self.KINDS):
-            lo, hi = b[j], b[j + 1]
+            size = b[j + 1] - b[j]
+            lo = K * b[j] + k * size
+            hi = lo + size
             if bad[lo:hi].any():
-                rel = abs_[lo:hi] / np.maximum(scale[lo:hi], 1e-30)
+                # an entry not compared has no error
+                rel = np.where(keep[lo:hi], abs_[lo:hi], 0.0) / np.maximum(scale[lo:hi], 1e-30)
                 i = int(np.argmax(rel))
                 out.append(InvariantViolation(t, kind, i, float(err[lo + i])))
         return out

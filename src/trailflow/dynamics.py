@@ -24,12 +24,28 @@ states of the proof configurations from a pheromone and a flow fraction per
 branch: each interior vertex holds the flow its edge carries, and the state
 is split-consistent when the fractions are the rule's split of the
 pheromones. Perturbed states (``equilibria.perturb``) need not be.
+
+Layout and kernels. A state's five arrays are views of one float64 buffer,
+``[f_edge | b_edge | p | f_vertex | b_vertex]`` (``SystemState.buf``):
+``[p | f_vertex | b_vertex]`` takes the rescale, the finiteness test and
+the flush in one call each, ``[f_edge | b_edge]`` is what aggregation
+reads and the split writes, and ``[f_edge | b_edge | p]`` is all that a
+step reads. Forward flow splits over out-edges and backward flow over
+in-edges by the same rule, so on graphs that sum out-edges by
+``np.bincount`` (``GraphArrays.out_by_bincount``: sparse, not sorted by
+tail) both directions go through one kernel call per phase: one bincount
+aggregates ``[f_edge | b_edge]``, and one set of totals, divisions and
+gathers splits ``[f_vertex | b_vertex]`` (``GraphArrays.pair``). Graphs
+summed by ``reduceat`` (sorted by tail, or dense) keep one kernel per
+direction, writing into the buffer's halves: there a joint bincount would
+cost more than it saves. Every float is the one the per-direction kernels
+give.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -138,6 +154,16 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 
 
+# the fields of a state in the order of its buffer
+_ARRAYS = ("f_edge", "b_edge", "p", "f_vertex", "b_vertex")
+
+
+def _cut(buf: np.ndarray, m: int, n: int) -> Tuple[np.ndarray, ...]:
+    """The views of ``buf`` = ``[f_edge | b_edge | p | f_vertex | b_vertex]``
+    for m edges and n vertices, in that order."""
+    return buf[:m], buf[m : 2 * m], buf[2 * m : 3 * m], buf[3 * m : 3 * m + n], buf[3 * m + n :]
+
+
 @dataclass
 class SystemState:
     """Pheromone and flow state at one time index.
@@ -148,6 +174,12 @@ class SystemState:
     destination (forward) and source (backward). ``injected_f``/``injected_b``
     are the amounts injected when this state was created (in stored units,
     which matters under rescaling).
+
+    The five arrays are views of one float64 buffer, ``buf``, laid out as
+    ``[f_edge | b_edge | p | f_vertex | b_vertex]``, so a kernel can treat
+    both flow directions, or everything ``step`` reads, as one array.
+    ``copy`` copies the buffer and ``dataclasses.replace`` shares it. A state
+    built from other arrays gets a buffer of its own, filled from them.
     """
 
     t: int
@@ -163,38 +195,71 @@ class SystemState:
     underflow_flushes: int = 0
     zero_split_events: int = 0
     warnings: Tuple[str, ...] = ()
+    # (buf, *the five views in buffer order) when the arrays are those views
+    _layout: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lay = self._layout
+        if (
+            lay is not None
+            and lay[1] is self.f_edge
+            and lay[2] is self.b_edge
+            and lay[3] is self.p
+            and lay[4] is self.f_vertex
+            and lay[5] is self.b_vertex
+        ):
+            self.buf = lay[0]
+            return
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in _ARRAYS]
+        m, n = arrays[0].size, arrays[3].size
+        if [a.shape for a in arrays] != [(m,)] * 3 + [(n,)] * 2:
+            raise ValueError("a state needs three edge arrays of one length and two vertex arrays")
+        self._own(np.concatenate(arrays), m, n)
+
+    def _own(self, buf: np.ndarray, m: int, n: int) -> None:
+        views = _cut(buf, m, n)
+        self.f_edge, self.b_edge, self.p, self.f_vertex, self.b_vertex = views
+        self._layout = (buf, *views)
+        self.buf = buf
 
     def copy(self) -> "SystemState":
-        return replace(
-            self,
-            p=self.p.copy(),
-            f_edge=self.f_edge.copy(),
-            b_edge=self.b_edge.copy(),
-            f_vertex=self.f_vertex.copy(),
-            b_vertex=self.b_vertex.copy(),
-        )
+        out = replace(self)
+        out._own(self.buf.copy(), self.f_edge.size, self.f_vertex.size)
+        return out
+
+    # pickling (and so ``copy.deepcopy``) stores the buffer once and cuts the
+    # views again, which copying each view on its own would not share
+    def __getstate__(self) -> dict:
+        state = {k: v for k, v in self.__dict__.items() if k not in _ARRAYS + ("_layout",)}
+        state["_sizes"] = (self.f_edge.size, self.f_vertex.size)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        m, n = state.pop("_sizes")
+        self.__dict__.update(state)
+        self._own(self.buf, m, n)
 
 
 PheromoneInit = Union[float, Sequence[float], Mapping[Tuple[int, int], float]]
 
 
-def _resolve_pheromone(graph: DirectedGraph, init: PheromoneInit) -> np.ndarray:
-    m = graph.n_edges
+def _resolve_pheromone(graph: DirectedGraph, init: PheromoneInit, p: np.ndarray) -> None:
+    """Fill ``p``, a new state's zeroed pheromone, from ``init``."""
     if isinstance(init, Mapping):
-        p = np.zeros(m)
         for (u, v), val in init.items():
             p[graph.edge_id(u, v)] = float(val)
     elif isinstance(init, (int, float)):
-        p = np.full(m, float(init))
+        p.fill(float(init))
     else:
-        p = np.asarray(init, dtype=float).copy()
-        if p.shape != (m,):
-            raise ConfigError(f"pheromone array must have length {m}")
+        values = np.asarray(init, dtype=float)
+        if values.shape != p.shape:
+            raise ConfigError(f"pheromone array must have length {p.size}")
+        p[:] = values
     if np.any(p < 0.0):
         raise ConfigError("initial pheromone must be non-negative")
     if not np.all(np.isfinite(p)):
         raise ConfigError("initial pheromone must be finite")
-    return p
 
 
 def init_state(
@@ -205,16 +270,16 @@ def init_state(
     strict: bool = False,
 ) -> SystemState:
     """t=0 state: injected flow at s/d only, edge flows from one split."""
-    p = _resolve_pheromone(graph, pheromone_init)
     ga = graph.arrays
-    fv = np.zeros(ga.n)
-    bv = np.zeros(ga.n)
+    buf = np.zeros(3 * ga.m + 2 * ga.n)
+    layout = (buf, *_cut(buf, ga.m, ga.n))
+    fe, be, p, fv, bv = layout[1:]
+    _resolve_pheromone(graph, pheromone_init, p)
     f0 = schedule.forward_at(0)
     b0 = schedule.backward_at(0)
     fv[ga.source] = f0
     bv[ga.destination] = b0
-    f_edge, zf = _split(ga, rule, p, fv, forward=True)
-    b_edge, zb = _split(ga, rule, p, bv, forward=False)
+    zeros = _split(ga, rule, layout)
     warnings: List[str] = []
     if strict:
         target = min_leakage_path(graph)
@@ -227,16 +292,8 @@ def init_state(
                     )
                     break
     return SystemState(
-        t=0,
-        p=p,
-        f_edge=f_edge,
-        b_edge=b_edge,
-        f_vertex=fv,
-        b_vertex=bv,
-        injected_f=f0,
-        injected_b=b0,
-        zero_split_events=zf + zb,
-        warnings=tuple(warnings),
+        0, p, fe, be, fv, bv, injected_f=f0, injected_b=b0, zero_split_events=zeros,
+        warnings=tuple(warnings), _layout=layout,
     )
 
 
@@ -253,8 +310,9 @@ def branch_state(
     products the flow has passed (``branch_survivals``). Each interior
     vertex holds the flow its edge passes on, s holds f0 and d holds b0."""
     g = two_path.graph
-    p, fe, be = np.zeros(g.n_edges), np.zeros(g.n_edges), np.zeros(g.n_edges)
-    fv, bv = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
+    buf = np.zeros(3 * g.n_edges + 2 * g.n_vertices)
+    layout = (buf, *_cut(buf, g.n_edges, g.n_vertices))
+    fe, be, p, fv, bv = layout[1:]
     for branch, (pheromone, fraction) in (("top", top), ("bottom", bottom)):
         eids = two_path.path_eids(branch)
         prefix, suffix = two_path.branch_survivals(branch)
@@ -264,9 +322,7 @@ def branch_state(
         inner = list(getattr(two_path, branch).vertices[1:-1])
         fv[inner], bv[inner] = fe[eids[1:]], be[eids[:-1]]
     fv[g.source], bv[g.destination] = f0, b0
-    return SystemState(
-        t=0, p=p, f_edge=fe, b_edge=be, f_vertex=fv, b_vertex=bv, injected_f=f0, injected_b=b0
-    )
+    return SystemState(0, p, fe, be, fv, bv, injected_f=f0, injected_b=b0, _layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +333,41 @@ def branch_state(
 def _split(
     ga: GraphArrays,
     rule: DecisionRule,
-    p: np.ndarray,
-    vertex_flow: np.ndarray,
-    forward: bool,
+    layout: Tuple[np.ndarray, ...],
     bounded: bool = False,
-) -> Tuple[np.ndarray, int]:
-    if rule.is_linear:
-        return _split_linear(ga, p, vertex_flow, forward, bounded)
-    return _split_general(ga, rule, p, vertex_flow, forward)
+) -> int:
+    """Split the vertex flows of a state buffer against its pheromone into
+    its edge flows; ``layout`` is the buffer and its five views (``_cut``).
+    Returns the number of zero-total splits. The general rule, and the
+    linear rule on graphs that sum out-edges by ``np.bincount``, split both
+    directions in one pass over ``[f_edge | b_edge]`` (``GraphArrays.pair``).
+    Graphs that sum out-edges by ``reduceat`` (tail-sorted or dense) split
+    one direction at a time (``_split_linear``)."""
+    buf, fe, be, p, fv, bv = layout
+    m2 = 2 * ga.m
+    if not rule.is_linear:
+        buf[:m2] = buf[ga.pair.src_at]
+        out_s, in_d = ga.two_path_branches()
+        zeros = _branch_split(rule, p, fe, fv.item(ga.source), *out_s)
+        return zeros + _branch_split(rule, p, be, bv.item(ga.destination), *in_d)
+    if ga.out_by_bincount:
+        # the groups are the 2n vertex flows; one with no edge to split over
+        # gets a total of 1.0, which keeps the fast path's test whole
+        pair = ga.pair
+        weights = np.concatenate((p, p, pair.dead_ones))
+        totals = np.bincount(pair.total_bins, weights, pair.halves[1][1])
+        return _split_groups(
+            weights[:m2],
+            totals,
+            buf[m2 + ga.m :],
+            pair.src,
+            pair.halves,
+            pair.degrees,
+            bounded,
+            buf[:m2],
+        )
+    zeros = _split_linear(ga, p, fv, True, bounded, fe)[1]
+    return zeros + _split_linear(ga, p, bv, False, bounded, be)[1]
 
 
 def _vertex_totals(
@@ -319,6 +402,12 @@ _RATIO_SCALE = 2.0**-32
 # after a flush at threshold h, a state whose values sum below h * this
 # cannot hold a ratio flow/total near overflow (see ``step``)
 _BOUNDED_SUM = 2.0**1020
+# from this many edge flows on, the split gathers its ratios straight into
+# the state buffer and multiplies there: a temporary (a gather or
+# ``np.repeat``) would add a pass over memory that no longer fits in cache,
+# and its memory; on fewer edges ``np.take``'s fixed price is the larger
+# cost (README "Performance")
+_TAKE_MIN_EDGES = 2048
 
 
 def _split_linear(
@@ -327,69 +416,100 @@ def _split_linear(
     vertex_flow: np.ndarray,
     forward: bool,
     bounded: bool = False,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
-    """Each edge's pheromone times its vertex's ratio flow/total: one
-    division per vertex and one gather per edge. ``bounded`` says that no
-    ratio can overflow, so the fast path needs only positive totals."""
+    """One direction of the linear split, into ``out`` (a new array by
+    default). On graphs sorted by tail the forward ratios are laid out by
+    ``np.repeat`` over the out-degrees where ``_split_groups`` takes a
+    temporary, which costs less than the gather by slot. Returns the edge
+    flows and the number of zero-total splits."""
     slot, verts, totals = _vertex_totals(ga, p, forward)
-    flow = vertex_flow[verts]
-    fast = bounded and np.count_nonzero(totals) == totals.size
-    if not fast:
+    eflow = np.empty(ga.m) if out is None else out
+    zeros = _split_groups(
+        p,
+        totals,
+        vertex_flow[verts],
+        slot,
+        ((0, totals.size),),
+        ga.out_len if forward else ga.in_len,
+        bounded,
+        eflow,
+        ga.out_len if forward and ga.tail_sorted else None,
+    )
+    return eflow, zeros
+
+
+def _split_groups(
+    p: np.ndarray,
+    totals: np.ndarray,
+    flow: np.ndarray,
+    slot: np.ndarray,
+    halves: Tuple[Tuple[int, int], ...],
+    sizes: np.ndarray,
+    bounded: bool,
+    out: np.ndarray,
+    repeat: Optional[np.ndarray] = None,
+) -> int:
+    """The linear split over groups of edges into ``out``: edge e carries
+    ``p[e] * (flow / totals)[slot[e]]``, one division per group and one
+    gather per edge: by ``slot`` straight into ``out`` from
+    ``_TAKE_MIN_EDGES`` edge flows on, below that into a temporary, or by
+    ``np.repeat`` over the group sizes when ``repeat`` holds them (the edges
+    lying in group order). ``halves`` are the group ranges of the
+    directions split and ``sizes`` the groups' edge counts.
+    ``bounded`` says that no ratio can overflow, so a direction whose totals
+    are all positive takes the ratio form throughout. Returns the number of
+    groups with flow and a zero total, which split evenly."""
+    if bounded and np.count_nonzero(totals) == totals.size:
+        exact = None
+    else:
         exact = flow * _RATIO_SCALE < totals
-        fast = np.count_nonzero(exact) == exact.size
-    if fast:
-        return _scaled_by_vertex(ga, p, flow / totals, slot, forward), 0
-    # a zero total means no pheromone on any edge of that vertex, so a ratio
-    # of 0 sends its edges nothing; only positive flow needs the fix below
-    ratio = np.divide(flow, totals, out=np.zeros_like(flow), where=exact)
-    eflow = _scaled_by_vertex(ga, p, ratio, slot, forward)
+        if bounded:
+            for lo, hi in halves:
+                if np.count_nonzero(totals[lo:hi]) == hi - lo:
+                    exact[lo:hi] = True
+        if np.count_nonzero(exact) == exact.size:
+            exact = None
+    if exact is None:
+        ratio = flow / totals
+    else:
+        # a zero total means no pheromone on any edge of that group, so a
+        # ratio of 0 sends its edges nothing; only positive flow needs the
+        # fix below
+        ratio = np.divide(flow, totals, out=np.zeros_like(flow), where=exact)
+    if out.size >= _TAKE_MIN_EDGES:
+        np.take(ratio, slot, out=out, mode="wrap")
+        np.multiply(out, p, out)
+    else:
+        np.multiply(np.repeat(ratio, repeat) if repeat is not None else ratio[slot], p, out)
+    if exact is None:
+        return 0
     fix = ~exact & (flow > 0.0)
     if not fix.any():
-        return eflow, 0
+        return 0
     # per edge: flow * (p / total), or with no pheromone to follow an even split
     e = np.flatnonzero(fix[slot])
     s = slot[e]
     total = totals[s]
     empty = total == 0.0
     share = np.divide(p[e], total, out=np.zeros_like(total), where=~empty)
-    deg = ga.out_deg if forward else ga.in_deg
-    share[empty] = 1.0 / deg[verts[s[empty]]]
-    eflow[e] = flow[s] * share
-    return eflow, int(np.count_nonzero(fix & (totals == 0.0)))
+    share[empty] = 1.0 / sizes[s[empty]]
+    out[e] = flow[s] * share
+    return int(np.count_nonzero(fix & (totals == 0.0)))
 
 
-def _scaled_by_vertex(
-    ga: GraphArrays, p: np.ndarray, ratio: np.ndarray, slot: np.ndarray, forward: bool
-) -> np.ndarray:
-    """Each edge's pheromone times its vertex's ratio. On tail-sorted graphs
-    the forward ratios are laid out by ``np.repeat`` over the out-degrees,
-    which costs less than the gather by slot."""
-    eflow = np.repeat(ratio, ga.out_len) if forward and ga.tail_sorted else ratio[slot]
-    eflow *= p
-    return eflow
-
-
-def _split_general(
-    ga: GraphArrays,
-    rule: DecisionRule,
-    p: np.ndarray,
-    vertex_flow: np.ndarray,
-    forward: bool,
-) -> Tuple[np.ndarray, int]:
-    # on two parallel paths every vertex but the source (forward) or the
-    # destination (backward) passes its flow on along its single edge; the
-    # branch point is split in Python floats, which on four edges cost less
-    # than numpy scalars
-    out_s, in_d = ga.two_path_branches()
-    if forward:
-        eflow, amount, (e1, e2) = vertex_flow[ga.tails], vertex_flow.item(ga.source), out_s
-    else:
-        eflow, amount, (e1, e2) = vertex_flow[ga.heads], vertex_flow.item(ga.destination), in_d
+def _branch_split(
+    rule: DecisionRule, p: np.ndarray, eflow: np.ndarray, amount: float, e1: int, e2: int
+) -> int:
+    """Split ``amount`` over the branch edges e1 and e2 by the general rule,
+    into ``eflow``; returns 1 for a positive amount over a zero total (split
+    evenly), else 0. Python floats, which on four edges cost less than numpy
+    scalars."""
     p1, p2 = p.item(e1), p.item(e2)
     total = p1 + p2
     if total <= 0.0:
         eflow[e1] = eflow[e2] = 0.5 * amount
-        return eflow, int(amount > 0.0)
+        return int(amount > 0.0)
     if p1 <= p2:
         e_min, e_oth, x = e1, e2, p1 / total
     else:
@@ -397,7 +517,7 @@ def _split_general(
     g = float(rule.rule_fn.fn(clamp_unit_half(x)))
     eflow[e_min] = amount * g
     eflow[e_oth] = amount * (1.0 - g)
-    return eflow, 0
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +549,30 @@ def step(
     t1 = state.t + 1
     m, n, s, d = ga.m, ga.n, ga.source, ga.destination
 
-    # p, f_vertex and b_vertex are disjoint slices of one buffer, so the
-    # rescale, the flush and the finiteness test each make one numpy call; on
+    # the new state's buffer (``SystemState``) and its views, as ``_cut``
+    # makes them: its stored part [p | f_vertex | b_vertex] takes the
+    # rescale, the flush and the finiteness test in one numpy call each. On
     # small graphs each call costs its fixed price, so ufuncs take ``out``
     # positionally and scalars go through ``item`` and plain stores
-    buf = np.empty(m + 2 * n)
-    p, fv, bv = buf[:m], buf[m : m + n], buf[m + n :]
+    m2, m3 = 2 * m, 3 * m
+    buf = np.empty(m3 + 2 * n)
+    fe, be, p, fv, bv = buf[:m], buf[m:m2], buf[m2:m3], buf[m3 : m3 + n], buf[m3 + n :]
+    layout = buf, fe, be, p, fv, bv
+    stored = buf[m2:]
 
     # (a) pheromone update from the flows that traversed edges at time t
     np.add(state.p, state.f_edge, p)
     np.add(p, state.b_edge, p)
     np.multiply(p, cfg.delta, p)
 
-    # (b) aggregation with leakage; delivered flow exits
-    np.multiply(ga.surv, np.bincount(ga.heads, state.f_edge, n), fv)
-    np.multiply(ga.surv, ga.tail_sums(state.b_edge), bv)
+    # (b) aggregation with leakage; delivered flow exits. Where out-edges are
+    # summed by np.bincount one bincount over [f_edge | b_edge] sums both
+    # directions, each bin in edge order from 0.0 as a bincount of one does
+    if ga.out_by_bincount:
+        np.multiply(ga.pair_surv, np.bincount(ga.pair.agg_bins, state.buf[:m2], 2 * n), buf[m3:])
+    else:
+        np.multiply(ga.surv, np.bincount(ga.head_bins, state.f_edge, n), fv)
+        np.multiply(ga.surv, ga.tail_sums(state.b_edge), bv)
     delivered_f = state.delivered_forward + fv.item(d)
     delivered_b = state.delivered_backward + bv.item(s)
     fv[d] = 0.0
@@ -451,7 +580,7 @@ def step(
 
     # (e'/c) rescale before injection so fresh flow enters at base magnitude
     if cfg.rescale_mode == RESCALE_BY_SOURCE:
-        np.multiply(buf, 1.0 / schedule.alpha, buf)
+        np.multiply(stored, 1.0 / schedule.alpha, stored)
         inj_f, inj_b = schedule.f0, schedule.b0
     else:
         inj_f = schedule.forward_at(t1)
@@ -460,25 +589,24 @@ def step(
     bv[d] = bv.item(d) + inj_b
 
     # tested before the flush, which would zero a -inf as an underflow
-    total = float(np.add.reduce(buf))
+    total = float(np.add.reduce(stored))
     if not math.isfinite(total):
         raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
 
-    flushes = _flush(buf, cfg.underflow_threshold)
+    flushes = _flush(stored, cfg.underflow_threshold)
     # after the flush every positive pheromone total is at least the
     # threshold and no vertex flow exceeds ``total`` (all values are >= 0),
     # so every ratio flow/total is below _BOUNDED_SUM when this holds
     bounded = total < cfg.underflow_threshold * _BOUNDED_SUM
 
     # (d) split the new vertex flows against p(t+1)
-    f_edge, zf = _split(ga, rule, p, fv, True, bounded)
-    b_edge, zb = _split(ga, rule, p, bv, False, bounded)
+    zeros = _split(ga, rule, layout, bounded)
 
     return SystemState(
         t1,
         p,
-        f_edge,
-        b_edge,
+        fe,
+        be,
         fv,
         bv,
         delivered_f,
@@ -486,8 +614,9 @@ def step(
         inj_f,
         inj_b,
         state.underflow_flushes + flushes,
-        state.zero_split_events + zf + zb,
+        state.zero_split_events + zeros,
         state.warnings,
+        layout,
     )
 
 
@@ -499,13 +628,28 @@ def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
     return "non-finite total (overflow)"
 
 
+# ``_flush`` by buffer size (README "Performance"): up to the first bound
+# (two-path graphs) it tests the entries as Python floats, below numpy's
+# fixed price for its calls; up to the second it reads x as its own mask of
+# x != 0.0, one call fewer; above that numpy's bool-to-float cast in that
+# form costs more than a second compare
+_FLUSH_IN_PYTHON_MAX = 32
+_FLUSH_ONE_MASK_MAX = 2048
+
+
 def _flush(x: np.ndarray, threshold: float) -> int:
     """Zero, in place, every nonzero entry of ``x`` below ``threshold``
-    (negative values included); returns how many were zeroed."""
+    (negative values included; -0.0 stays as it is); returns how many were
+    zeroed."""
     if threshold <= 0.0:
         return 0
+    if x.size <= _FLUSH_IN_PYTHON_MAX:
+        low = [i for i, v in enumerate(x.tolist()) if v < threshold and v != 0.0]
+        if low:
+            x[low] = 0.0
+        return len(low)
     mask = x < threshold
-    np.logical_and(mask, x, mask)  # one mask: x is read as x != 0.0
+    np.logical_and(mask, x if x.size <= _FLUSH_ONE_MASK_MAX else np.not_equal(x, 0.0), mask)
     count = int(np.count_nonzero(mask))
     if count:
         x[mask] = 0.0
@@ -541,28 +685,26 @@ class RunTrace:
     t_stationary: Optional[int] = None  # where stepping stopped on a repeated state
 
 
-_STEP_INPUTS = ("p", "f_edge", "b_edge")  # what ``step`` reads, besides ``t``
-
-
 class _RepeatGate:
-    """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
-    byte (so -0.0 does not match 0.0), at O(1) cost while the state changes:
-    one entry is first compared as floats, a test that every repeat passes.
-    When the bytes differ, the entry that changed most becomes the one
-    compared first."""
+    """Whether ``cur`` repeats ``prev``: the same ``[f_edge | b_edge | p]``
+    of their buffers, all that ``step`` reads besides ``t``, byte for byte
+    (so -0.0 does not match 0.0). The test costs O(1) while the state
+    changes: one entry is first compared as floats, a test that every
+    repeat passes. When the bytes differ, the entry that changed most
+    becomes the one compared first."""
 
-    probe = ("p", 0)
+    probe = 0
 
     def __call__(self, cur: SystemState, prev: SystemState) -> bool:
-        name, i = self.probe
-        a = getattr(cur, name)
-        if a.size and a.item(i) != getattr(prev, name).item(i):
+        a, b = cur.buf, prev.buf
+        i = self.probe
+        k = 3 * cur.f_edge.size
+        if k and a.item(i) != b.item(i):
             return False
-        for name in _STEP_INPUTS:
-            a, b = getattr(cur, name), getattr(prev, name)
-            if a.tobytes() != b.tobytes():
-                self.probe = (name, int(np.argmax(np.abs(a - b))))
-                return False
+        a, b = a[:k], b[:k]
+        if a.tobytes() != b.tobytes():
+            self.probe = int(np.argmax(np.abs(a - b)))
+            return False
         return True
 
 

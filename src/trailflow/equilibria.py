@@ -105,13 +105,14 @@ def verify_equilibrium(
     repeated tail of a stationary run adds nothing."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    refs = state.p.tolist() + state.f_edge.tolist() + state.b_edge.tolist()
+    # [f_edge | b_edge | p] of a state's buffer (``SystemState``)
+    k3 = 3 * two_path.graph.n_edges
+    refs = state.buf[:k3].tolist()
     drift = [0.0]
 
     def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
         if prev is not None and prev is not st:
-            values = st.p.tolist() + st.f_edge.tolist() + st.b_edge.tolist()
-            drift[0] = max(drift[0], _max_abs_diff(values, refs))
+            drift[0] = max(drift[0], _max_abs_diff(st.buf[:k3].tolist(), refs))
 
     # k steps whatever the config says about convergence
     cfg = replace(cfg, epsilon_convergence=None)
@@ -186,7 +187,9 @@ def stability_experiment(
         raise ValueError("T_max must be >= 0")
     eq = equilibrium_state(two_path, rule, r, f_s, b_d, delta)
     state = perturb(eq, eps, seed) if eps > 0.0 else eq
-    flow_refs = eq.f_edge.tolist() + eq.b_edge.tolist()
+    # [f_edge | b_edge] of a state's buffer (``SystemState``)
+    k2 = 2 * two_path.graph.n_edges
+    flow_refs = eq.buf[:k2].tolist()
     levels = BranchLevelObserver(two_path, "top").levels
     devs: List[float] = []  # the deviation at every t from 0 to T_max
 
@@ -196,8 +199,7 @@ def stability_experiment(
             return
         level_s, level_d = levels(st.p)
         dev = max(abs(level_s - r), abs(level_d - r))
-        flows = st.f_edge.tolist() + st.b_edge.tolist()
-        devs.append(max(dev, _max_abs_diff(flows, flow_refs)))
+        devs.append(max(dev, _max_abs_diff(st.buf[:k2].tolist(), flow_refs)))
 
     if T_max:
         decision, sched = DecisionRule.general(rule), FlowSchedule.constant(f_s, b_d)

@@ -4,13 +4,12 @@ Vertices are integers ``0 .. n_vertices-1``. Edges are ordered pairs with a
 stable integer id equal to their position in the edge list. A graph stores
 its edges as two validated int64 arrays, ``tails`` and ``heads``; the
 generators build those arrays directly, and validation runs in numpy.
-Graphs are immutable after construction, and nothing may write to those
-arrays (they are not flagged read-only because ``np.bincount`` copies a
-read-only input on every call). Derived structures are built lazily from
-the arrays and cached: the flat arrays of the flow engine (``arrays``),
-whose CSR grouping is the graph's only adjacency, and the ``edges`` tuple
-with its edge-id lookup. ``with_leakage`` shares the edge structure of the
-graph it copies.
+Graphs are immutable after construction: those arrays, like the leakage,
+are flagged read-only. Derived structures are built lazily from the arrays
+and cached: the flat arrays of the flow engine (``arrays``), whose CSR
+grouping is the graph's only adjacency, and the ``edges`` tuple with its
+edge-id lookup. ``with_leakage`` shares the edge structure of the graph it
+copies.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -29,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,6 +136,9 @@ class DirectedGraph:
         self.source = int(source)
         self.destination = int(destination)
         self.tails, self.heads = _edge_arrays(edges, self.n_vertices)
+        # shared by ``with_leakage`` copies and read once by ``GraphArrays``
+        self.tails.setflags(write=False)
+        self.heads.setflags(write=False)
 
         lk = np.zeros(self.n_vertices)
         if leakage is not None:
@@ -286,6 +288,23 @@ def _chain_pairs(vertices: Sequence[int]) -> np.ndarray:
 _BINCOUNT_MAX_DEGREE = 16
 
 
+class PairIndex(NamedTuple):
+    """Index arrays of the kernels that treat both flow directions in one
+    call, over a state buffer ``[f_edge | b_edge | p | f_vertex | b_vertex]``
+    (``dynamics.SystemState``). Edge flow i (of ``[f_edge | b_edge]``) is
+    forward edge i for i < m and backward edge i - m after; vertex flow j
+    (of ``[f_vertex | b_vertex]``) is forward vertex j for j < n and
+    backward vertex j - n after."""
+
+    agg_bins: np.ndarray  # vertex flow each edge flow adds to: head, then tail + n
+    src: np.ndarray  # vertex flow each edge flow splits from: tail, then head + n
+    total_bins: np.ndarray  # ``src``, then the vertex flows with no edge to split over
+    dead_ones: np.ndarray  # 1.0 for each of those
+    degrees: np.ndarray  # edges each vertex flow splits over
+    halves: Tuple[Tuple[int, int], Tuple[int, int]]  # the forward and backward vertex flows
+    src_at: np.ndarray  # ``src`` as indices into the state buffer
+
+
 class GraphArrays:
     """Flat numpy views of a graph used by the flow engine."""
 
@@ -296,7 +315,7 @@ class GraphArrays:
         self.heads = g.heads
         self.out_deg = np.bincount(self.tails, minlength=self.n).astype(np.int64)
         self.in_deg = np.bincount(self.heads, minlength=self.n).astype(np.int64)
-        self.surv = 1.0 - np.asarray(g.leakage, dtype=float)
+        self._set_survival(g.leakage)
         self.source = g.source
         self.destination = g.destination
         # CSR grouping: the edges of vertex v are ``out_eids[out_ptr[v]:out_ptr[v+1]]``
@@ -322,16 +341,44 @@ class GraphArrays:
         self.with_out = np.flatnonzero(self.out_deg)
         self.with_in = np.flatnonzero(self.in_deg)
         self.out_len = self.out_deg[self.with_out]  # out-degrees of ``with_out``
+        self.in_len = self.in_deg[self.with_in]  # in-degrees of ``with_in``
         self.out_slot = (np.cumsum(self.out_deg > 0) - 1)[self.tails]
         self.in_slot = (np.cumsum(self.in_deg > 0) - 1)[self.heads]
+        # each edge's tail and head as writable index arrays: np.bincount
+        # copies a read-only one on every call. Where every vertex has
+        # out-edges (in-edges) the slots are the vertex ids and serve as is
+        self.tail_bins = self.out_slot if self.with_out.size == self.n else self.tails.copy()
+        self.head_bins = self.in_slot if self.with_in.size == self.n else self.heads.copy()
         self._seg_starts = self.out_ptr[self.with_out]
         self._branches: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
+
+    def _set_survival(self, leakage: np.ndarray) -> None:
+        self.surv = 1.0 - np.asarray(leakage, dtype=float)
+        self.pair_surv = np.concatenate((self.surv, self.surv))  # over [f_vertex | b_vertex]
 
     def for_graph(self, g: DirectedGraph) -> "GraphArrays":
         """These arrays for ``g``, a copy of their graph with other leakage."""
         ga = copy.copy(self)
-        ga.surv = 1.0 - g.leakage
+        ga._set_survival(g.leakage)
         return ga
+
+    @cached_property
+    def pair(self) -> PairIndex:
+        """The index arrays of the kernels that treat both flow directions
+        in one call (built on first use)."""
+        m, n = self.m, self.n
+        src = np.concatenate((self.tails, self.heads + n))
+        degrees = np.concatenate((self.out_deg, self.in_deg))
+        dead = np.flatnonzero(degrees == 0)
+        return PairIndex(
+            agg_bins=np.concatenate((self.head_bins, self.tail_bins + n)),
+            src=src,
+            total_bins=np.concatenate((src, dead)),
+            dead_ones=np.ones(dead.size),
+            degrees=degrees,
+            halves=((0, n), (n, 2 * n)),
+            src_at=src + 3 * m,
+        )
 
     def out_sums(self, x: np.ndarray) -> np.ndarray:
         """Sums of the edge values ``x`` over the out-edges of each vertex
@@ -344,7 +391,7 @@ class GraphArrays:
         """Per-vertex sums of the edge values ``x`` over each vertex's
         out-edges (0 at vertices without out-edges)."""
         if self.out_by_bincount:
-            return np.bincount(self.tails, x, self.n)
+            return np.bincount(self.tail_bins, x, self.n)
         sums = np.zeros(self.n)
         sums[self.with_out] = self.out_sums(x)
         return sums

@@ -2,9 +2,10 @@
 generators' edge lists written as loops, per-vertex edge lists and sorted
 successors read from a graph's edge tuple, a dict-based reference
 implementation of the update step (kept deliberately separate from the
-engine's vectorized path),
-a byte-for-byte repeat test of a state's step inputs,
-a degree-scan general split, a stability run's deviation in its original
+engine's vectorized path), the engine's step as it was when every phase ran
+once per flow direction on separate arrays, a byte-for-byte repeat test of
+a state's step inputs, the engine's split of both directions, a
+degree-scan general split, a stability run's deviation in its original
 form, a bincount-based linear split, step and normalized levels plus a
 greedy convergence walk over full level arrays, the graphs that exercise the
 engine's segment sums, a per-kind invariant observer, a brute-force
@@ -19,7 +20,14 @@ from dataclasses import replace
 import numpy as np
 
 from trailflow.analysis import InvariantViolation
-from trailflow.dynamics import _STEP_INPUTS, RESCALE_BY_SOURCE
+from trailflow.dynamics import (
+    _BOUNDED_SUM,
+    _RATIO_SCALE,
+    RESCALE_BY_SOURCE,
+    EngineAbort,
+    SystemState,
+    _split,
+)
 from trailflow.graph import (
     DirectedGraph,
     GraphError,
@@ -118,7 +126,7 @@ def reference_planted_edges(edges, chain):
     return list(edges) + [e for e in zip(chain[:-1], chain[1:]) if e not in present]
 
 
-def reference_step(graph, p, fe, be, delta, schedule, t):
+def equation_step(graph, p, fe, be, delta, schedule, t):
     """One synchronous update on plain dicts, straight from the equations.
 
     Returns (p', fe', be', fv', bv', delivered_f, delivered_b) where flows
@@ -158,10 +166,133 @@ def reference_step(graph, p, fe, be, delta, schedule, t):
     return newp, nfe, nbe, fv, bv, delivered_f, delivered_b
 
 
+def reference_step(state, graph, rule, schedule, cfg):
+    """``dynamics.step`` as it was before states shared one buffer: every
+    phase once per flow direction, on separately allocated arrays. The
+    engine's step must give the same floats, byte for byte."""
+    ga = graph.arrays
+    t1 = state.t + 1
+    m, n, s, d = ga.m, ga.n, ga.source, ga.destination
+    buf = np.empty(m + 2 * n)
+    p, fv, bv = buf[:m], buf[m : m + n], buf[m + n :]
+    np.add(state.p, state.f_edge, p)
+    np.add(p, state.b_edge, p)
+    np.multiply(p, cfg.delta, p)
+    np.multiply(ga.surv, np.bincount(ga.heads, state.f_edge, n), fv)
+    np.multiply(ga.surv, ga.tail_sums(state.b_edge), bv)
+    delivered_f = state.delivered_forward + fv.item(d)
+    delivered_b = state.delivered_backward + bv.item(s)
+    fv[d] = 0.0
+    bv[s] = 0.0
+    if cfg.rescale_mode == RESCALE_BY_SOURCE:
+        np.multiply(buf, 1.0 / schedule.alpha, buf)
+        inj_f, inj_b = schedule.f0, schedule.b0
+    else:
+        inj_f = schedule.forward_at(t1)
+        inj_b = schedule.backward_at(t1)
+    fv[s] = fv.item(s) + inj_f
+    bv[d] = bv.item(d) + inj_b
+    total = float(np.add.reduce(buf))
+    if not math.isfinite(total):
+        named = (("pheromone", p), ("forward vertex flow", fv), ("backward vertex flow", bv))
+        for name, arr in named:
+            bad = np.nonzero(~np.isfinite(arr))[0]
+            if bad.size:
+                raise EngineAbort(t1, f"non-finite {name} at index {int(bad[0])}")
+        raise EngineAbort(t1, "non-finite total (overflow)")
+    flushes = 0
+    if cfg.underflow_threshold > 0.0:
+        mask = buf < cfg.underflow_threshold
+        np.logical_and(mask, buf, mask)
+        flushes = int(np.count_nonzero(mask))
+        if flushes:
+            buf[mask] = 0.0
+    bounded = total < cfg.underflow_threshold * _BOUNDED_SUM
+    if rule.is_linear:
+        f_edge, zf = _reference_split_linear(ga, p, fv, True, bounded)
+        b_edge, zb = _reference_split_linear(ga, p, bv, False, bounded)
+    else:
+        f_edge, zf = _reference_split_general(ga, rule, p, fv, True)
+        b_edge, zb = _reference_split_general(ga, rule, p, bv, False)
+    return SystemState(
+        t1,
+        p,
+        f_edge,
+        b_edge,
+        fv,
+        bv,
+        delivered_f,
+        delivered_b,
+        inj_f,
+        inj_b,
+        state.underflow_flushes + flushes,
+        state.zero_split_events + zf + zb,
+        state.warnings,
+    )
+
+
+def _reference_split_linear(ga, p, vertex_flow, forward, bounded):
+    if forward:
+        slot, verts, totals = ga.out_slot, ga.with_out, ga.out_sums(p)
+    else:
+        slot, verts = ga.in_slot, ga.with_in
+        totals = np.bincount(ga.in_slot, weights=p, minlength=ga.with_in.size)
+    flow = vertex_flow[verts]
+
+    def scaled(ratio):
+        eflow = np.repeat(ratio, ga.out_len) if forward and ga.tail_sorted else ratio[slot]
+        eflow *= p
+        return eflow
+
+    fast = bounded and np.count_nonzero(totals) == totals.size
+    if not fast:
+        exact = flow * _RATIO_SCALE < totals
+        fast = np.count_nonzero(exact) == exact.size
+    if fast:
+        return scaled(flow / totals), 0
+    ratio = np.divide(flow, totals, out=np.zeros_like(flow), where=exact)
+    eflow = scaled(ratio)
+    fix = ~exact & (flow > 0.0)
+    if not fix.any():
+        return eflow, 0
+    e = np.flatnonzero(fix[slot])
+    s = slot[e]
+    total = totals[s]
+    empty = total == 0.0
+    share = np.divide(p[e], total, out=np.zeros_like(total), where=~empty)
+    deg = ga.out_deg if forward else ga.in_deg
+    share[empty] = 1.0 / deg[verts[s[empty]]]
+    eflow[e] = flow[s] * share
+    return eflow, int(np.count_nonzero(fix & (totals == 0.0)))
+
+
+def _reference_split_general(ga, rule, p, vertex_flow, forward):
+    out_s, in_d = ga.two_path_branches()
+    if forward:
+        eflow, amount, (e1, e2) = vertex_flow[ga.tails], vertex_flow.item(ga.source), out_s
+    else:
+        eflow, amount, (e1, e2) = vertex_flow[ga.heads], vertex_flow.item(ga.destination), in_d
+    p1, p2 = p.item(e1), p.item(e2)
+    total = p1 + p2
+    if total <= 0.0:
+        eflow[e1] = eflow[e2] = 0.5 * amount
+        return eflow, int(amount > 0.0)
+    if p1 <= p2:
+        e_min, e_oth, x = e1, e2, p1 / total
+    else:
+        e_min, e_oth, x = e2, e1, p2 / total
+    g = float(rule.rule_fn.fn(clamp_unit_half(x)))
+    eflow[e_min] = amount * g
+    eflow[e_oth] = amount * (1.0 - g)
+    return eflow, 0
+
+
 def repeats(cur, prev):
     """Whether ``cur`` holds ``prev``'s pheromone and edge flows byte for
     byte (so -0.0 does not match 0.0): what ``step`` reads, besides ``t``."""
-    return all(getattr(cur, a).tobytes() == getattr(prev, a).tobytes() for a in _STEP_INPUTS)
+    return all(
+        getattr(cur, a).tobytes() == getattr(prev, a).tobytes() for a in ("p", "f_edge", "b_edge")
+    )
 
 
 def bincount_split(ga, p, vertex_flow, forward):
@@ -175,6 +306,14 @@ def bincount_split(ga, p, vertex_flow, forward):
     frac[zero] = 1.0 / deg[group[zero]]
     zero_events = int(np.count_nonzero((totals == 0.0) & (deg > 0) & (vertex_flow > 0.0)))
     return vertex_flow[group] * frac, zero_events
+
+
+def engine_split(ga, rule, p, f_vertex, b_vertex):
+    """The engine's split (``dynamics._split``) of the vertex flows of both
+    directions against ``p``: (f_edge, b_edge, zero-split count)."""
+    st = SystemState(0, p, np.zeros(ga.m), np.zeros(ga.m), f_vertex, b_vertex)
+    zeros = _split(ga, rule, st._layout)
+    return st.f_edge, st.b_edge, zeros
 
 
 def reference_general_split(graph, rule, p, vertex_flow, forward):

@@ -15,8 +15,9 @@ from trailflow.dynamics import (
     FlowSchedule,
     RESCALE_BY_SOURCE,
     SystemState,
+    _FLUSH_IN_PYTHON_MAX,
+    _FLUSH_ONE_MASK_MAX,
     _flush,
-    _split_general,
     _split_linear,
     branch_state,
     init_state,
@@ -44,9 +45,10 @@ from helpers import (
     bincount_levels,
     bincount_split,
     bincount_step,
+    engine_split,
+    equation_step,
     kernel_graphs,
     reference_general_split,
-    reference_step,
     repeats,
 )
 
@@ -203,7 +205,7 @@ def test_step_matches_reference_implementation():
         be = {e: float(st.b_edge[g.edge_id(*e)]) for e in g.edges}
         for t in range(20):
             st = step(st, g, LIN, sched, cfg)
-            p, fe, be, fv, bv, df, db = reference_step(g, p, fe, be, delta, sched, t)
+            p, fe, be, fv, bv, df, db = equation_step(g, p, fe, be, delta, sched, t)
             for e in g.edges:
                 eid = g.edge_id(*e)
                 for got, want in (
@@ -447,11 +449,12 @@ def test_general_split_matches_degree_scan_reference(m, n, leaky, rule):
     idle_ends[[g.source, g.destination]] = 0.0
     for p in pheromones:
         for vflow in (flows, idle_ends):
-            for forward in (True, False):
-                got, z_got = _split_general(ga, decision, p, vflow, forward)
-                want, z_want = reference_general_split(g, decision, p, vflow, forward)
-                assert got.tobytes() == want.tobytes()
-                assert z_got == z_want
+            got_f, got_b, z_got = engine_split(ga, decision, p, vflow, vflow)
+            want_f, z_f = reference_general_split(g, decision, p, vflow, True)
+            want_b, z_b = reference_general_split(g, decision, p, vflow, False)
+            assert got_f.tobytes() == want_f.tobytes()
+            assert got_b.tobytes() == want_b.tobytes()
+            assert z_got == z_f + z_b
 
 
 # -- segment-sum kernel vs a bincount reference -----------------------------------
@@ -689,6 +692,22 @@ def test_flush_underflow():
     np.testing.assert_array_equal(kept, x)
     assert _flush(x, 1e-300) == 2
     np.testing.assert_array_equal(x, [0.0, 0.0, 0.0, 1.0, 1e-300, math.nan])
+
+
+@pytest.mark.parametrize(
+    "size",
+    [12, _FLUSH_IN_PYTHON_MAX, _FLUSH_IN_PYTHON_MAX + 1, _FLUSH_ONE_MASK_MAX + 1, 102_000],
+)
+def test_flush_zeroes_negatives_and_leaves_negative_zero(size):
+    """Each form of the flush, by buffer size: sub-threshold and negative
+    entries become 0.0 and are counted; -0.0 keeps its bytes and is not
+    counted; NaN is neither."""
+    x = np.ones(size)
+    x[:7] = [1e-310, -1e-3, -0.0, 0.0, 1e-300, -math.inf, math.nan]
+    want = x.copy()
+    want[[0, 1, 5]] = 0.0
+    assert _flush(x, 1e-300) == 3
+    assert x.tobytes() == want.tobytes()
 
 
 def test_long_exponential_run_flushes_losing_branch():

@@ -183,6 +183,23 @@ def test_with_leakage_shares_edges_and_rebuilds_survival():
     assert two_path_structure(g2) is None
 
 
+def test_edge_and_leakage_arrays_are_read_only():
+    """The arrays a graph shares with its ``with_leakage`` copies, and from
+    which ``GraphArrays`` derives its grouping once, refuse writes."""
+    g = gen_gnp(30, 0.2, 5)
+    g2 = g.with_leakage(np.full(30, 0.25))
+    for arr in (g.tails, g.heads, g.leakage, g2.tails, g2.heads, g2.leakage):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        g.tails[:] = g.heads
+    # the engine's bincount bins stay writable (a read-only one is copied on
+    # every call)
+    ga = g.arrays
+    assert ga.tail_bins.flags.writeable and ga.head_bins.flags.writeable
+    assert ga.tail_bins.tolist() == g.tails.tolist() and ga.head_bins.tolist() == g.heads.tolist()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 def test_generators_match_reference_edges(seed):
     """Every generator and planting helper lists the reference loops' edge

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailflow.dynamics import _split_general, _split_linear
+from trailflow.dynamics import _split_linear
 from trailflow.graph import DirectedGraph, build_two_path
 from trailflow.rules import (
     DecisionRule,
@@ -21,6 +21,8 @@ from trailflow.rules import (
     table_rule,
     validate_rule,
 )
+
+from helpers import engine_split
 
 
 # -- linear split -------------------------------------------------------------
@@ -77,7 +79,7 @@ def _branch_split(rule, p_top, p_bottom):
     p[TP22.s_bottom_eid] = p_bottom
     vflow = np.zeros(ga.n)
     vflow[TP22.graph.source] = 1.0
-    eflow, _ = _split_general(ga, DecisionRule.general(rule), p, vflow, forward=True)
+    eflow, _, _ = engine_split(ga, DecisionRule.general(rule), p, vflow, np.zeros(ga.n))
     return float(eflow[TP22.s_top_eid]), float(eflow[TP22.s_bottom_eid])
 
 
