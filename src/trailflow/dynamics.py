@@ -180,6 +180,12 @@ class SystemState:
     both flow directions, or everything ``step`` reads, as one array.
     ``copy`` copies the buffer and ``dataclasses.replace`` shares it. A state
     built from other arrays gets a buffer of its own, filled from them.
+
+    Change an array by writing into it, or make a new state with
+    ``dataclasses.replace(state, p=...)``, which then gets a buffer of its
+    own. Assigning to one of the five attributes is not supported: the
+    buffer, which ``step``, the repeat test and the observers read, would
+    not follow, and nothing checks for it on each step.
     """
 
     t: int
@@ -403,10 +409,9 @@ _RATIO_SCALE = 2.0**-32
 # cannot hold a ratio flow/total near overflow (see ``step``)
 _BOUNDED_SUM = 2.0**1020
 # from this many edge flows on, the split gathers its ratios straight into
-# the state buffer and multiplies there: a temporary (a gather or
-# ``np.repeat``) would add a pass over memory that no longer fits in cache,
-# and its memory; on fewer edges ``np.take``'s fixed price is the larger
-# cost (README "Performance")
+# the state buffer and multiplies there: a temporary gather would add a pass
+# over memory that no longer fits in cache, and its memory; on fewer edges
+# ``np.take``'s fixed price is the larger cost (README "Performance")
 _TAKE_MIN_EDGES = 2048
 
 
@@ -419,10 +424,7 @@ def _split_linear(
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """One direction of the linear split, into ``out`` (a new array by
-    default). On graphs sorted by tail the forward ratios are laid out by
-    ``np.repeat`` over the out-degrees where ``_split_groups`` takes a
-    temporary, which costs less than the gather by slot. Returns the edge
-    flows and the number of zero-total splits."""
+    default). Returns the edge flows and the number of zero-total splits."""
     slot, verts, totals = _vertex_totals(ga, p, forward)
     eflow = np.empty(ga.m) if out is None else out
     zeros = _split_groups(
@@ -434,7 +436,6 @@ def _split_linear(
         ga.out_len if forward else ga.in_len,
         bounded,
         eflow,
-        ga.out_len if forward and ga.tail_sorted else None,
     )
     return eflow, zeros
 
@@ -448,15 +449,13 @@ def _split_groups(
     sizes: np.ndarray,
     bounded: bool,
     out: np.ndarray,
-    repeat: Optional[np.ndarray] = None,
 ) -> int:
     """The linear split over groups of edges into ``out``: edge e carries
     ``p[e] * (flow / totals)[slot[e]]``, one division per group and one
-    gather per edge: by ``slot`` straight into ``out`` from
-    ``_TAKE_MIN_EDGES`` edge flows on, below that into a temporary, or by
-    ``np.repeat`` over the group sizes when ``repeat`` holds them (the edges
-    lying in group order). ``halves`` are the group ranges of the
-    directions split and ``sizes`` the groups' edge counts.
+    gather per edge by ``slot``: straight into ``out`` from
+    ``_TAKE_MIN_EDGES`` edge flows on, below that into a temporary.
+    ``halves`` are the group ranges of the directions split and ``sizes``
+    the groups' edge counts.
     ``bounded`` says that no ratio can overflow, so a direction whose totals
     are all positive takes the ratio form throughout. Returns the number of
     groups with flow and a zero total, which split evenly."""
@@ -481,7 +480,7 @@ def _split_groups(
         np.take(ratio, slot, out=out, mode="wrap")
         np.multiply(out, p, out)
     else:
-        np.multiply(np.repeat(ratio, repeat) if repeat is not None else ratio[slot], p, out)
+        np.multiply(ratio[slot], p, out)
     if exact is None:
         return 0
     fix = ~exact & (flow > 0.0)
@@ -630,9 +629,11 @@ def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
 
 # ``_flush`` by buffer size (README "Performance"): up to the first bound
 # (two-path graphs) it tests the entries as Python floats, below numpy's
-# fixed price for its calls; up to the second it reads x as its own mask of
-# x != 0.0, one call fewer; above that numpy's bool-to-float cast in that
-# form costs more than a second compare
+# fixed price for its calls; up to the second (the planted grid) it reads x
+# as its own mask of x != 0.0, one call fewer; above that numpy's
+# bool-to-float cast in that form costs more than a second compare. Timed
+# in one process, the Python test and the one-mask form cross between 32
+# and 64 entries, the two mask forms between 2048 and 4096 (BENCH_18.json)
 _FLUSH_IN_PYTHON_MAX = 32
 _FLUSH_ONE_MASK_MAX = 2048
 

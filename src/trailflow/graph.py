@@ -306,7 +306,14 @@ class PairIndex(NamedTuple):
 
 
 class GraphArrays:
-    """Flat numpy views of a graph used by the flow engine."""
+    """Flat numpy views of a graph used by the flow engine.
+
+    The index arrays here (the CSR grouping, the slots, ``tail_bins``,
+    ``head_bins`` and ``pair``) must not be written: they are derived once
+    from the graph's edges, and the copies ``for_graph`` makes for
+    ``with_leakage`` share them. Unlike ``DirectedGraph.tails`` and
+    ``heads`` they are left writable, because ``np.bincount`` copies a
+    read-only index array on every call."""
 
     def __init__(self, g: DirectedGraph) -> None:
         self.n = g.n_vertices
@@ -326,8 +333,7 @@ class GraphArrays:
         self.in_eids = np.argsort(self.heads, kind="stable")
         self.in_ptr = np.concatenate(([0], np.cumsum(self.in_deg)))
         # tail-sorted input (every generator but the two-path builder and the
-        # planting helpers) needs no gather before the segment sums, and the
-        # forward split lays its ratios out by ``np.repeat`` over ``out_len``
+        # planting helpers) needs no gather before the segment sums
         self.tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
         self._by_tail = slice(None) if self.tail_sorted else self.out_eids
         # the one choice of how a vertex's out-edges are summed, read by

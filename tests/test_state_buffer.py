@@ -282,6 +282,27 @@ def test_replace_shares_the_buffer_and_copies_do_not():
     assert swapped.f_edge.tobytes() == st.f_edge.tobytes()
 
 
+@pytest.mark.parametrize("case", range(len(kernel_graphs())))
+def test_state_with_a_replaced_array_steps_whole(case):
+    # ``replace`` is the supported way to swap an array (``SystemState``):
+    # the new state's buffer holds it, so every kernel branch of step, the
+    # repeat test and the observer read the same floats as its fields
+    g, p0 = kernel_graphs()[case]
+    sched = FlowSchedule.constant(1.0, 0.5)
+    cfg = EngineConfig(0.5)
+    st = step(init_state(g, p0, sched), g, LIN, sched, cfg)
+    rng = np.random.default_rng(case)
+    for name in ("f_edge", "b_edge", "p"):
+        swapped = replace(st, **{name: rng.uniform(0.0, 2.0, g.n_edges)})
+        _assert_views_of_own_buffer(swapped)
+        assert _same_step(swapped, g, LIN, sched, cfg) is not None
+        assert not _RepeatGate()(swapped, st)
+        obs = InvariantObserver(g, cfg, sched)
+        obs(swapped.t, swapped, st)
+        assert obs.violations
+    assert _RepeatGate()(st.copy(), st)
+
+
 def test_hand_built_state_owns_a_buffer_filled_from_its_arrays():
     p, fe, be = np.ones(5), np.full(5, 0.5), np.full(5, 0.25)
     fv, bv = np.arange(4.0), np.arange(4.0, 8.0)
