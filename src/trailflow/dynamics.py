@@ -40,6 +40,12 @@ summed by ``reduceat`` (sorted by tail, or dense) keep one kernel per
 direction, writing into the buffer's halves: there a joint bincount would
 cost more than it saves. Every float is the one the per-direction kernels
 give.
+
+A state keeps the joint views ``[p | f_vertex | b_vertex]``,
+``[f_edge | b_edge]`` and ``[f_vertex | b_vertex]`` with its five, all cut
+once per buffer (``_cut``), and ``run`` steps into two states of its own
+in turn (``step``'s ``into``), so a step inside a run allocates no buffer,
+cuts no view and builds no ``SystemState``.
 """
 
 from __future__ import annotations
@@ -159,9 +165,15 @@ _ARRAYS = ("f_edge", "b_edge", "p", "f_vertex", "b_vertex")
 
 
 def _cut(buf: np.ndarray, m: int, n: int) -> Tuple[np.ndarray, ...]:
-    """The views of ``buf`` = ``[f_edge | b_edge | p | f_vertex | b_vertex]``
-    for m edges and n vertices, in that order."""
-    return buf[:m], buf[m : 2 * m], buf[2 * m : 3 * m], buf[3 * m : 3 * m + n], buf[3 * m + n :]
+    """The layout of ``buf`` = ``[f_edge | b_edge | p | f_vertex | b_vertex]``
+    for m edges and n vertices: ``buf``, the five views in that order, then
+    the joint views ``[p | f_vertex | b_vertex]``, ``[f_edge | b_edge]`` and
+    ``[f_vertex | b_vertex]``."""
+    m2, m3 = 2 * m, 3 * m
+    return (
+        buf, buf[:m], buf[m:m2], buf[m2:m3], buf[m3 : m3 + n], buf[m3 + n :],
+        buf[m2:], buf[:m2], buf[m3:],
+    )
 
 
 @dataclass
@@ -177,9 +189,18 @@ class SystemState:
 
     The five arrays are views of one float64 buffer, ``buf``, laid out as
     ``[f_edge | b_edge | p | f_vertex | b_vertex]``, so a kernel can treat
-    both flow directions, or everything ``step`` reads, as one array.
-    ``copy`` copies the buffer and ``dataclasses.replace`` shares it. A state
-    built from other arrays gets a buffer of its own, filled from them.
+    both flow directions, or everything ``step`` reads, as one array. The
+    state also keeps the joint views ``step`` and ``_split`` work on,
+    ``[p | f_vertex | b_vertex]``, ``[f_edge | b_edge]`` and
+    ``[f_vertex | b_vertex]``, cut once with the five (``_cut``), so a step
+    slices nothing. ``copy`` copies the buffer and ``dataclasses.replace``
+    shares it. A state built from other arrays gets a buffer of its own,
+    filled from them.
+
+    ``run`` owns two states and steps each into the other's predecessor
+    (``step``'s ``into``): a step inside a run writes the buffer and the
+    scalar fields of a state it made two steps before, and allocates
+    nothing. The caller's initial state is never written.
 
     Change an array by writing into it, or make a new state with
     ``dataclasses.replace(state, p=...)``, which then gets a buffer of its
@@ -201,7 +222,7 @@ class SystemState:
     underflow_flushes: int = 0
     zero_split_events: int = 0
     warnings: Tuple[str, ...] = ()
-    # (buf, *the five views in buffer order) when the arrays are those views
+    # ``_cut(buf, m, n)`` when the arrays are the views it cuts
     _layout: Optional[Tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -223,9 +244,9 @@ class SystemState:
         self._own(np.concatenate(arrays), m, n)
 
     def _own(self, buf: np.ndarray, m: int, n: int) -> None:
-        views = _cut(buf, m, n)
-        self.f_edge, self.b_edge, self.p, self.f_vertex, self.b_vertex = views
-        self._layout = (buf, *views)
+        layout = _cut(buf, m, n)
+        self.f_edge, self.b_edge, self.p, self.f_vertex, self.b_vertex = layout[1:6]
+        self._layout = layout
         self.buf = buf
 
     def copy(self) -> "SystemState":
@@ -277,9 +298,8 @@ def init_state(
 ) -> SystemState:
     """t=0 state: injected flow at s/d only, edge flows from one split."""
     ga = graph.arrays
-    buf = np.zeros(3 * ga.m + 2 * ga.n)
-    layout = (buf, *_cut(buf, ga.m, ga.n))
-    fe, be, p, fv, bv = layout[1:]
+    layout = _cut(np.zeros(3 * ga.m + 2 * ga.n), ga.m, ga.n)
+    fe, be, p, fv, bv = layout[1:6]
     _resolve_pheromone(graph, pheromone_init, p)
     f0 = schedule.forward_at(0)
     b0 = schedule.backward_at(0)
@@ -316,9 +336,8 @@ def branch_state(
     products the flow has passed (``branch_survivals``). Each interior
     vertex holds the flow its edge passes on, s holds f0 and d holds b0."""
     g = two_path.graph
-    buf = np.zeros(3 * g.n_edges + 2 * g.n_vertices)
-    layout = (buf, *_cut(buf, g.n_edges, g.n_vertices))
-    fe, be, p, fv, bv = layout[1:]
+    layout = _cut(np.zeros(3 * g.n_edges + 2 * g.n_vertices), g.n_edges, g.n_vertices)
+    fe, be, p, fv, bv = layout[1:6]
     for branch, (pheromone, fraction) in (("top", top), ("bottom", bottom)):
         eids = two_path.path_eids(branch)
         prefix, suffix = two_path.branch_survivals(branch)
@@ -343,16 +362,15 @@ def _split(
     bounded: bool = False,
 ) -> int:
     """Split the vertex flows of a state buffer against its pheromone into
-    its edge flows; ``layout`` is the buffer and its five views (``_cut``).
+    its edge flows; ``layout`` is the buffer and its views (``_cut``).
     Returns the number of zero-total splits. The general rule, and the
     linear rule on graphs that sum out-edges by ``np.bincount``, split both
     directions in one pass over ``[f_edge | b_edge]`` (``GraphArrays.pair``).
     Graphs that sum out-edges by ``reduceat`` (tail-sorted or dense) split
     one direction at a time (``_split_linear``)."""
-    buf, fe, be, p, fv, bv = layout
-    m2 = 2 * ga.m
+    _, fe, be, p, fv, bv, _, flows, vflows = layout
     if not rule.is_linear:
-        buf[:m2] = buf[ga.pair.src_at]
+        flows[...] = vflows[ga.pair.src]
         out_s, in_d = ga.two_path_branches()
         zeros = _branch_split(rule, p, fe, fv.item(ga.source), *out_s)
         return zeros + _branch_split(rule, p, be, bv.item(ga.destination), *in_d)
@@ -363,14 +381,14 @@ def _split(
         weights = np.concatenate((p, p, pair.dead_ones))
         totals = np.bincount(pair.total_bins, weights, pair.halves[1][1])
         return _split_groups(
-            weights[:m2],
+            weights[: flows.size],
             totals,
-            buf[m2 + ga.m :],
+            vflows,
             pair.src,
             pair.halves,
             pair.degrees,
             bounded,
-            buf[:m2],
+            flows,
         )
     zeros = _split_linear(ga, p, fv, True, bounded, fe)[1]
     return zeros + _split_linear(ga, p, bv, False, bounded, be)[1]
@@ -524,9 +542,26 @@ def _branch_split(
 # ---------------------------------------------------------------------------
 
 
+def _check_size(state: SystemState, ga: GraphArrays) -> int:
+    """The buffer size of a state on ``ga``'s graph; raises ConfigError when
+    ``state`` has another."""
+    size = 3 * ga.m + 2 * ga.n
+    if state.buf.size != size:
+        raise ConfigError(
+            f"state has {state.buf.size} values, but a state on a graph with {ga.m} "
+            f"edges and {ga.n} vertices has {size}"
+        )
+    return size
+
+
 def validate_run_setup(
-    graph: DirectedGraph, rule: DecisionRule, schedule: FlowSchedule, cfg: EngineConfig
+    state: SystemState,
+    graph: DirectedGraph,
+    rule: DecisionRule,
+    schedule: FlowSchedule,
+    cfg: EngineConfig,
 ) -> None:
+    _check_size(state, graph.arrays)
     if cfg.rescale_mode == RESCALE_BY_SOURCE:
         if not rule.is_linear:
             raise ConfigError("rescaling requires the linear rule (scale invariance)")
@@ -542,22 +577,34 @@ def step(
     rule: DecisionRule,
     schedule: FlowSchedule,
     cfg: EngineConfig,
+    into: Optional[SystemState] = None,
 ) -> SystemState:
-    """One synchronous update; returns the state at t+1."""
+    """One synchronous update; returns the state at t+1.
+
+    With ``into``, a state on the same graph that shares no buffer with
+    ``state``, the new state is written into it, buffer and scalar fields,
+    and ``into`` is returned: nothing is allocated and no view is cut. After
+    an abort ``into`` holds a partly written buffer. Without it the new
+    state gets a buffer of its own."""
     ga = graph.arrays
     t1 = state.t + 1
-    m, n, s, d = ga.m, ga.n, ga.source, ga.destination
+    size = _check_size(state, ga)
+    if into is None:
+        layout = _cut(np.empty(size), ga.m, ga.n)
+    else:
+        if into.buf.size != size:
+            raise ConfigError(f"into has {into.buf.size} values, but the state has {size}")
+        if into.buf is state.buf:
+            raise ConfigError("into shares the buffer of the state it steps from")
+        layout = into._layout
+    s, d = ga.source, ga.destination
 
-    # the new state's buffer (``SystemState``) and its views, as ``_cut``
-    # makes them: its stored part [p | f_vertex | b_vertex] takes the
-    # rescale, the flush and the finiteness test in one numpy call each. On
-    # small graphs each call costs its fixed price, so ufuncs take ``out``
-    # positionally and scalars go through ``item`` and plain stores
-    m2, m3 = 2 * m, 3 * m
-    buf = np.empty(m3 + 2 * n)
-    fe, be, p, fv, bv = buf[:m], buf[m:m2], buf[m2:m3], buf[m3 : m3 + n], buf[m3 + n :]
-    layout = buf, fe, be, p, fv, bv
-    stored = buf[m2:]
+    # the new state's buffer and its views (``_cut``): its stored part
+    # [p | f_vertex | b_vertex] takes the rescale, the flush and the
+    # finiteness test in one numpy call each. On small graphs each call
+    # costs its fixed price, so ufuncs take ``out`` positionally and scalars
+    # go through ``item`` and plain stores
+    _, fe, be, p, fv, bv, stored, _, vflows = layout
 
     # (a) pheromone update from the flows that traversed edges at time t
     np.add(state.p, state.f_edge, p)
@@ -568,9 +615,10 @@ def step(
     # summed by np.bincount one bincount over [f_edge | b_edge] sums both
     # directions, each bin in edge order from 0.0 as a bincount of one does
     if ga.out_by_bincount:
-        np.multiply(ga.pair_surv, np.bincount(ga.pair.agg_bins, state.buf[:m2], 2 * n), buf[m3:])
+        edge_flows = state._layout[7]  # the state's [f_edge | b_edge]
+        np.multiply(ga.pair_surv, np.bincount(ga.pair.agg_bins, edge_flows, 2 * ga.n), vflows)
     else:
-        np.multiply(ga.surv, np.bincount(ga.head_bins, state.f_edge, n), fv)
+        np.multiply(ga.surv, np.bincount(ga.head_bins, state.f_edge, ga.n), fv)
         np.multiply(ga.surv, ga.tail_sums(state.b_edge), bv)
     delivered_f = state.delivered_forward + fv.item(d)
     delivered_b = state.delivered_backward + bv.item(s)
@@ -601,22 +649,32 @@ def step(
     # (d) split the new vertex flows against p(t+1)
     zeros = _split(ga, rule, layout, bounded)
 
-    return SystemState(
-        t1,
-        p,
-        fe,
-        be,
-        fv,
-        bv,
-        delivered_f,
-        delivered_b,
-        inj_f,
-        inj_b,
-        state.underflow_flushes + flushes,
-        state.zero_split_events + zeros,
-        state.warnings,
-        layout,
-    )
+    if into is None:
+        return SystemState(
+            t1,
+            p,
+            fe,
+            be,
+            fv,
+            bv,
+            delivered_f,
+            delivered_b,
+            inj_f,
+            inj_b,
+            state.underflow_flushes + flushes,
+            state.zero_split_events + zeros,
+            state.warnings,
+            layout,
+        )
+    into.t = t1
+    into.delivered_forward = delivered_f
+    into.delivered_backward = delivered_b
+    into.injected_f = inj_f
+    into.injected_b = inj_b
+    into.underflow_flushes = state.underflow_flushes + flushes
+    into.zero_split_events = state.zero_split_events + zeros
+    into.warnings = state.warnings
+    return into
 
 
 def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
@@ -669,8 +727,10 @@ CONVERGENCE_CHECK_INTERVAL = 16
 # stationary stop (see ``run``) the call is obs(t, s, s) on the repeated state
 # s, so ``prev is state`` means nothing changed and the time is ``t``, not s.t.
 # An observer may defer work until its results are read (``InvariantObserver``
-# checks blocks of stepped pairs); it copies what it keeps of a state, so the
-# caller may write to a state once the calls that pass it have returned
+# checks blocks of stepped pairs), but it must copy what it keeps of a state
+# (``state.copy()``, or the values it needs): ``run`` steps into the state
+# objects it passes two steps later, so a kept reference or view would
+# change under the observer. The caller's initial state is never written
 Observer = Callable[[int, SystemState, Optional[SystemState]], None]
 
 
@@ -750,10 +810,14 @@ def run(
     too. The run still ends as stepping would end it. The observers see the
     repeated state for every remaining t, one convergence check on it stands
     for the next one stepping would make, and ``_hold`` gives the final
-    state."""
+    state.
+
+    The run allocates two states and from then on steps into the state of
+    two steps back (``step``'s ``into``), so an observer must copy what it
+    keeps (see ``Observer``). ``state`` itself is never written."""
     if T < 1:
         raise ConfigError("T must be >= 1")
-    validate_run_setup(graph, rule, schedule, cfg)
+    validate_run_setup(state, graph, rule, schedule, cfg)
     from .analysis import detect_convergence
 
     trace = RunTrace(warnings=state.warnings)
@@ -762,16 +826,19 @@ def run(
     eps = cfg.epsilon_convergence
     gate = _RepeatGate() if schedule.kind == "constant" else None
     path = None
-    cur = state
+    # the run owns the states it steps into: from the third step on, each
+    # step writes the state from two steps back, which no observer holds
+    cur, spare = state, None
     for i in range(1, T + 1):
         try:
-            nxt = step(cur, graph, rule, schedule, cfg)
+            nxt = step(cur, graph, rule, schedule, cfg, spare)
         except EngineAbort as exc:
             trace.stop_reason = "aborted"
             trace.failure = exc.detail
             trace.failure_t = exc.t
             break
         prev, cur = cur, nxt
+        spare = None if prev is state else prev
         for obs in observers:
             obs(cur.t, cur, prev)
         if eps is not None and (i % CONVERGENCE_CHECK_INTERVAL == 0 or i == T):

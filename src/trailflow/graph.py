@@ -302,7 +302,6 @@ class PairIndex(NamedTuple):
     dead_ones: np.ndarray  # 1.0 for each of those
     degrees: np.ndarray  # edges each vertex flow splits over
     halves: Tuple[Tuple[int, int], Tuple[int, int]]  # the forward and backward vertex flows
-    src_at: np.ndarray  # ``src`` as indices into the state buffer
 
 
 class GraphArrays:
@@ -336,12 +335,15 @@ class GraphArrays:
         # planting helpers) needs no gather before the segment sums
         self.tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
         self._by_tail = slice(None) if self.tail_sorted else self.out_eids
+        # more than _BINCOUNT_MAX_DEGREE edges per vertex (G(1000, .1)):
+        # ``detect_convergence`` keeps numpy's max over such segments
+        self.dense = self.m > _BINCOUNT_MAX_DEGREE * self.n
         # the one choice of how a vertex's out-edges are summed, read by
         # ``out_sums``, ``tail_sums`` and ``detect_convergence``: np.bincount
         # (left to right from 0.0, in edge-id order) on sparse graphs not
         # sorted by tail, where the gather before ``reduceat`` and its cost
         # per segment dominate; ``reduceat`` over the CSR segments otherwise
-        self.out_by_bincount = not self.tail_sorted and self.m <= _BINCOUNT_MAX_DEGREE * self.n
+        self.out_by_bincount = not self.tail_sorted and not self.dense
         # the vertices with out-edges / in-edges, and each edge's index into
         # them by its tail / head: the slots of the per-vertex split totals
         self.with_out = np.flatnonzero(self.out_deg)
@@ -372,7 +374,7 @@ class GraphArrays:
     def pair(self) -> PairIndex:
         """The index arrays of the kernels that treat both flow directions
         in one call (built on first use)."""
-        m, n = self.m, self.n
+        n = self.n
         src = np.concatenate((self.tails, self.heads + n))
         degrees = np.concatenate((self.out_deg, self.in_deg))
         dead = np.flatnonzero(degrees == 0)
@@ -383,7 +385,6 @@ class GraphArrays:
             dead_ones=np.ones(dead.size),
             degrees=degrees,
             halves=((0, n), (n, 2 * n)),
-            src_at=src + 3 * m,
         )
 
     def out_sums(self, x: np.ndarray) -> np.ndarray:

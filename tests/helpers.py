@@ -7,7 +7,8 @@ once per flow direction on separate arrays, a byte-for-byte repeat test of
 a state's step inputs, the engine's split of both directions, a
 degree-scan general split, a stability run's deviation in its original
 form, a bincount-based linear split, step and normalized levels plus a
-greedy convergence walk over full level arrays, the graphs that exercise the
+greedy convergence walk over full level arrays, ``run`` stepped to its
+horizon without the stationary stop, the graphs that exercise the
 engine's segment sums, a per-kind invariant observer, a brute-force
 min-leakage path enumerator with sound pruning, and an enumerator of every
 simple s->d path."""
@@ -19,14 +20,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from trailflow.analysis import InvariantViolation
+from trailflow.analysis import InvariantViolation, detect_convergence
 from trailflow.dynamics import (
     _BOUNDED_SUM,
     _RATIO_SCALE,
+    CONVERGENCE_CHECK_INTERVAL,
     RESCALE_BY_SOURCE,
     EngineAbort,
     SystemState,
     _split,
+    step,
 )
 from trailflow.graph import (
     DirectedGraph,
@@ -418,6 +421,27 @@ def bincount_step(state, graph, schedule, delta):
     fe, zf = bincount_split(ga, p, fv, True)
     be, zb = bincount_split(ga, p, bv, False)
     return p, fe, be, fv, bv, zf + zb
+
+
+def step_to_horizon(state, graph, rule, schedule, cfg, T, observers):
+    """``run`` without the stationary stop: every step is taken. Returns the
+    final state, the converged path and the first t whose state repeats its
+    predecessor."""
+    eps = cfg.epsilon_convergence
+    for obs in observers:
+        obs(state.t, state, None)
+    cur, first_repeat = state, None
+    for i in range(T):
+        prev, cur = cur, step(cur, graph, rule, schedule, cfg)
+        for obs in observers:
+            obs(cur.t, cur, prev)
+        if first_repeat is None and repeats(cur, prev):
+            first_repeat = cur.t
+        if eps is not None and ((i + 1) % CONVERGENCE_CHECK_INTERVAL == 0 or i == T - 1):
+            path = detect_convergence(cur, graph, eps)
+            if path is not None:
+                return cur, path, first_repeat
+    return cur, None, first_repeat
 
 
 def kernel_graphs():

@@ -164,6 +164,43 @@ def test_detect_convergence_reads_the_out_sum_kernel():
     assert detect_convergence(st, by_reduceat, eps) is None
 
 
+def test_detect_convergence_on_a_dense_graph():
+    """The dense kernel graph, where the walk keeps numpy's max and tie
+    search: the source's edges to a and b tie at 1/2 and the walk takes the
+    lower head. Each leads on to d with full levels; d's other in-edges hold
+    2**-53 each, which summed left to right in edge order after a's 1.0
+    leave the in-total at 1.0, so at a bar of 1.0 the edge a->d passes."""
+    g, _ = kernel_graphs()[5]
+    ga = g.arrays
+    assert ga.dense and not ga.out_by_bincount
+    s, d = ga.source, ga.destination
+    into_d = sorted(u for u, v in g.edges if v == d)
+    a, b = [u for u in into_d if g.has_edge(s, u)][:2]
+    sched = FlowSchedule.constant(1, 1)
+    eps = 1e-17  # 1 - eps rounds to 1.0
+    tiny = 2.0**-53
+    p = np.zeros(g.n_edges)
+    for u in into_d:
+        if u not in (s, a, b):
+            p[g.edge_id(u, d)] = tiny
+    p[[g.edge_id(s, a), g.edge_id(a, d)]] = 1.0
+    fwd, bwd = bincount_levels(ga, p)
+    assert bwd[g.edge_id(a, d)] == 1.0
+    st = init_state(g, p, sched)
+    assert detect_convergence(st, g, eps).vertices == (s, a, d)
+    assert detect_convergence(st, g, eps) == reference_walk(g, fwd, bwd, eps)
+    # pairwise summation, as np.add.reduce takes it, gives more than 1.0
+    assert np.add.reduce(p[ga.in_eids[ga.in_ptr[d] : ga.in_ptr[d + 1]]]) > 1.0
+    # a tie at the source: the lower head, whichever edge comes first
+    p = np.zeros(g.n_edges)
+    p[[g.edge_id(s, a), g.edge_id(s, b), g.edge_id(a, d), g.edge_id(b, d)]] = 1.0
+    fwd, bwd = bincount_levels(ga, p)
+    st = init_state(g, p, sched)
+    assert detect_convergence(st, g, 0.6).vertices == (s, a, d)
+    assert detect_convergence(st, g, 0.6) == reference_walk(g, fwd, bwd, 0.6)
+    assert detect_convergence(st, g, 0.4) is None
+
+
 def test_detect_convergence_tie_and_zero_total():
     # s's two out-edges tie at 1/2; the walk takes the lower head, 1
     g = DirectedGraph(4, [(0, 2), (0, 1), (2, 3), (1, 3)], 0, 3)

@@ -7,7 +7,6 @@ import pytest
 
 from trailflow.adversarial import AT_LEAST, FlowBoundObserver, leakage_counterexample
 from trailflow.dynamics import (
-    CONVERGENCE_CHECK_INTERVAL,
     ConfigError,
     DecisionRule,
     EngineAbort,
@@ -35,7 +34,6 @@ from trailflow.graph import (
 from trailflow.analysis import (
     BranchLevelObserver,
     InvariantObserver,
-    detect_convergence,
     normalized_levels,
 )
 from trailflow.equilibria import equilibrium_state
@@ -49,7 +47,7 @@ from helpers import (
     equation_step,
     kernel_graphs,
     reference_general_split,
-    repeats,
+    step_to_horizon,
 )
 
 LIN = DecisionRule.linear()
@@ -765,27 +763,6 @@ def _records(obs):
     return obs.violations if hasattr(obs, "violations") else obs.rows
 
 
-def _step_to_horizon(state, graph, rule, schedule, cfg, T, observers):
-    """``run`` without the stationary stop: every step is taken. Returns the
-    final state, the converged path and the first t whose state repeats its
-    predecessor."""
-    eps = cfg.epsilon_convergence
-    for obs in observers:
-        obs(state.t, state, None)
-    cur, first_repeat = state, None
-    for i in range(T):
-        prev, cur = cur, step(cur, graph, rule, schedule, cfg)
-        for obs in observers:
-            obs(cur.t, cur, prev)
-        if first_repeat is None and repeats(cur, prev):
-            first_repeat = cur.t
-        if eps is not None and ((i + 1) % CONVERGENCE_CHECK_INTERVAL == 0 or i == T - 1):
-            path = detect_convergence(cur, graph, eps)
-            if path is not None:
-                return cur, path, first_repeat
-    return cur, None, first_repeat
-
-
 def _a5_case():
     tp = two_path_23()
     cx = leakage_counterexample(
@@ -864,7 +841,7 @@ def test_run_stationary_stop_matches_stepping_to_horizon(case, stationary, conve
     state, graph, rule, sched, cfg, T, observers = case()
     obs_run, obs_ref = observers(), observers()
     trace = run(state, graph, rule, sched, cfg, T, obs_run)
-    want, want_path, first_repeat = _step_to_horizon(state, graph, rule, sched, cfg, T, obs_ref)
+    want, want_path, first_repeat = step_to_horizon(state, graph, rule, sched, cfg, T, obs_ref)
     assert trace.t_stationary == first_repeat
     assert (trace.t_stationary is not None) == stationary
     assert trace.converged_path == want_path

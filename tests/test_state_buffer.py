@@ -1,6 +1,8 @@
 """One buffer per state: ``dynamics.step`` against the engine's step as it
 was before states shared a buffer (``helpers.reference_step``), byte for
-byte, and the ownership of a state's buffer by every way of making one."""
+byte, the ownership of a state's buffer by every way of making one, and the
+states ``run`` owns: ``step(..., into=u)`` against ``step(...)``, the
+caller's state left as it was, and the checks on a state's size."""
 
 import copy
 import math
@@ -13,6 +15,7 @@ import pytest
 from trailflow.analysis import InvariantObserver
 from trailflow.dynamics import (
     RESCALE_BY_SOURCE,
+    ConfigError,
     DecisionRule,
     EngineAbort,
     EngineConfig,
@@ -21,6 +24,7 @@ from trailflow.dynamics import (
     _RepeatGate,
     branch_state,
     init_state,
+    run,
     step,
 )
 from trailflow.equilibria import equilibrium_state, perturb
@@ -35,7 +39,7 @@ from trailflow.graph import (
 )
 from trailflow.rules import power_rule, sine_rule
 
-from helpers import kernel_graphs, reference_step
+from helpers import kernel_graphs, reference_step, step_to_horizon
 
 LIN = DecisionRule.linear()
 FIELDS = ("f_edge", "b_edge", "p", "f_vertex", "b_vertex")  # in buffer order
@@ -339,3 +343,226 @@ def test_write_through_a_copy_reaches_what_step_reads_and_not_the_original():
         clean = InvariantObserver(g, cfg, sched)
         clean(st1.t, st1, st0)
         assert obs.violations and not clean.violations
+
+
+# -- stepping into a state ------------------------------------------------------
+
+
+def _junk(state):
+    """A state of ``state``'s size whose buffer is all NaN and whose scalar
+    fields hold values no step gives: a step into it must write everything."""
+    out = state.copy()
+    out.buf.fill(math.nan)
+    out.t = out.underflow_flushes = out.zero_split_events = -1
+    out.delivered_forward = out.delivered_backward = math.nan
+    out.injected_f = out.injected_b = math.nan
+    out.warnings = ("junk",)
+    return out
+
+
+def _assert_same_state(got, want):
+    assert got.buf.tobytes() == want.buf.tobytes()
+    for name in SCALARS:
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    assert (got.t, got.underflow_flushes, got.zero_split_events, got.warnings) == (
+        want.t, want.underflow_flushes, want.zero_split_events, want.warnings
+    )
+
+
+def _same_into(state, graph, rule, schedule, cfg):
+    """``step`` into a junk state and into a new one from ``state``: the
+    same bytes and scalars, or the same abort. Returns the stepped state, or
+    None after an abort."""
+    into = _junk(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = step(state, graph, rule, schedule, cfg)
+        except EngineAbort as exc:
+            with pytest.raises(EngineAbort) as got:
+                step(state, graph, rule, schedule, cfg, into=into)
+            assert (got.value.t, got.value.detail) == (exc.t, exc.detail)
+            return None
+        got = step(state, graph, rule, schedule, cfg, into=into)
+    assert got is into
+    _assert_views_of_own_buffer(got)
+    _assert_same_state(got, want)
+    return want
+
+
+def _kernel_graph_case(case):
+    g, p0 = kernel_graphs()[case]
+    sched = FlowSchedule.constant(1.0, 0.5)
+    return init_state(g, p0, sched), g, LIN, sched, EngineConfig(0.5), 30
+
+
+INTO_CASES = {
+    **{f"kernel-graph-{i}": (lambda i=i: _kernel_graph_case(i)) for i in range(len(kernel_graphs()))},
+    **{name: CASES[name] for name in CASES if name.startswith("two-path-")},
+    "planted-grid-growth": _planted_growth,
+    "subnormal-totals": _subnormal,
+    "small-totals-large-flows": _small_totals,
+    "zero-total": _zero_total,
+}
+
+
+@pytest.mark.parametrize("case", list(INTO_CASES))
+def test_step_into_matches_step_bytewise(case):
+    state, graph, rule, sched, cfg, steps = INTO_CASES[case]()
+    for _ in range(steps):
+        state = _same_into(state, graph, rule, sched, cfg)
+    assert state.t == steps
+
+
+@pytest.mark.parametrize(
+    "field, index, value",
+    [("p", 0, math.nan), ("p", 0, -math.inf), ("f_edge", 3, -math.inf), ("f_edge", [1, 3], 1e308)],
+)
+def test_step_into_aborts_as_step(field, index, value):
+    g = DirectedGraph(4, BUFFER_EDGES, 0, 3)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    st = init_state(g, 1.0, sched)
+    getattr(st, field)[index] = value
+    assert _same_into(st, g, LIN, sched, EngineConfig(0.5)) is None
+
+
+# -- run owns the states it steps into ------------------------------------------
+
+
+def _scalars(state):
+    return (state.t, state.underflow_flushes, state.zero_split_events, state.warnings) + tuple(
+        getattr(state, name).hex() for name in SCALARS
+    )
+
+
+def _stop_horizon():
+    tp = build_two_path(2, 3, [0.1], [0.2, 0.3])
+    sched = FlowSchedule.linear(1.0, 1.0, 0.5)
+    return init_state(tp.graph, 1.0, sched), tp.graph, LIN, sched, EngineConfig(0.5), 40
+
+
+def _stop_converged():
+    tp = build_two_path(2, 3, [0.1], [0.2, 0.3])
+    sched = FlowSchedule.constant(1.0, 1.0)
+    cfg = EngineConfig(0.5, epsilon_convergence=0.05)
+    return init_state(tp.graph, 1.0, sched), tp.graph, LIN, sched, cfg, 3000
+
+
+def _stop_stationary():
+    # the state repeats its predecessor at t = 991
+    tp = build_two_path(2, 2, [0.0], [0.0])
+    st = perturb(equilibrium_state(tp, power_rule(2), 0.0, 1.0, 1.0, 0.5), 0.01, 1)
+    rule = DecisionRule.general(power_rule(2))
+    return st, tp.graph, rule, FlowSchedule.constant(1.0, 1.0), EngineConfig(0.5), 2000
+
+
+def _flushed_stationary():
+    # a threshold above the vertex flows: the state repeats at t = 2
+    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
+    sched = FlowSchedule.constant(1.0, 1.0)
+    cfg = EngineConfig(0.5, underflow_threshold=0.9)
+    return init_state(tp.graph, 1.0, sched), tp.graph, LIN, sched, cfg, 300
+
+
+def _stop_aborted():
+    # the injections overflow the stored total at t = 4, after the run has
+    # stepped into a state of its own
+    tp = build_two_path(2, 3, [0.1], [0.2, 0.0])
+    sched = FlowSchedule.linear(1.0, 1.0, 1e307)
+    return init_state(tp.graph, 1.0, sched), tp.graph, LIN, sched, EngineConfig(0.5), 50
+
+
+STOPS = {
+    "horizon": _stop_horizon,
+    "converged": _stop_converged,
+    "stationary": _stop_stationary,
+    "aborted": _stop_aborted,
+}
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_run_leaves_its_initial_state_as_it_was(stop):
+    state, graph, rule, sched, cfg, T = STOPS[stop]()
+    buf, scalars = state.buf.tobytes(), _scalars(state)
+    with np.errstate(over="ignore"):
+        trace = run(state, graph, rule, sched, cfg, T)
+    assert trace.stop_reason == ("horizon" if stop == "stationary" else stop)
+    assert (trace.t_stationary is not None) == (stop == "stationary")
+    assert (trace.t_stationary or trace.final_state.t) > 2
+    assert state.buf.tobytes() == buf and _scalars(state) == scalars
+    assert not np.shares_memory(trace.final_state.buf, state.buf)
+
+
+class _CopyRecorder:
+    """Keeps a copy of every state it is shown, and the state object too."""
+
+    def __init__(self):
+        self.rows = []
+        self.kept = []
+
+    def __call__(self, t, state, prev):
+        self.rows.append((t, prev is None, state.copy()))
+        self.kept.append(state)
+
+
+@pytest.mark.parametrize("stop", ["horizon", "converged", "stationary", "flushed-stationary"])
+def test_observer_copies_record_what_stepping_gives(stop):
+    cases = {**STOPS, "flushed-stationary": _flushed_stationary}
+    state, graph, rule, sched, cfg, T = cases[stop]()
+    got, want = _CopyRecorder(), _CopyRecorder()
+    trace = run(state, graph, rule, sched, cfg, T, [got])
+    final, _, _ = step_to_horizon(state, graph, rule, sched, cfg, T, [want])
+    assert len(got.rows) == len(want.rows) == final.t + 1
+    stationary = trace.t_stationary
+    for (t, first, a), (t_want, first_want, b) in zip(got.rows, want.rows):
+        assert (t, first) == (t_want, first_want)
+        assert a.buf.tobytes() == b.buf.tobytes(), t
+        if stationary is None or t <= stationary:
+            _assert_same_state(a, b)
+    # the objects themselves are the run's own and are stepped into again
+    # two steps later: what an observer keeps without copying changes
+    assert got.kept[0] is state
+    assert len({id(s) for s in got.kept[1:]}) == 2
+    if (stationary or trace.final_state.t) > 2:
+        assert got.kept[1].t != 1
+
+
+# -- a state must fit the graph ---------------------------------------------------
+
+
+def _mismatch():
+    four = DirectedGraph(4, [(0, 1), (1, 3), (0, 2), (2, 3)], 0, 3)
+    three = DirectedGraph(3, [(0, 1), (1, 2), (0, 2), (2, 1)], 0, 2)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    return init_state(four, 1.0, sched), three, sched
+
+
+def test_run_rejects_a_state_of_another_graph():
+    st, other, sched = _mismatch()
+    before = st.buf.tobytes()
+    calls = []
+    with pytest.raises(ConfigError, match=r"state has 20 values.* 4 edges and 3 vertices has 18"):
+        run(st, other, LIN, sched, EngineConfig(0.5), 10, [lambda *a: calls.append(a)])
+    assert not calls and st.buf.tobytes() == before
+    with pytest.raises(ConfigError, match="has 18"):
+        step(st, other, LIN, sched, EngineConfig(0.5))
+    # another edge count fails the same way, not inside a numpy kernel
+    g5 = DirectedGraph(4, BUFFER_EDGES, 0, 3)
+    with pytest.raises(ConfigError, match=r"state has 20 values.* 5 edges and 4 vertices has 23"):
+        run(st, g5, LIN, sched, EngineConfig(0.5), 10)
+
+
+def test_step_rejects_an_unfit_or_shared_into():
+    g = DirectedGraph(4, BUFFER_EDGES, 0, 3)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    cfg = EngineConfig(0.5)
+    st = init_state(g, 1.0, sched)
+    small, _, _ = _mismatch()
+    with pytest.raises(ConfigError, match="into has 20 values, but the state has 23"):
+        step(st, g, LIN, sched, cfg, into=small)
+    before = st.buf.tobytes()
+    for shared in (st, replace(st), replace(st, t=5)):
+        with pytest.raises(ConfigError, match="shares the buffer"):
+            step(st, g, LIN, sched, cfg, into=shared)
+    assert st.buf.tobytes() == before
+    # a copy is a buffer of its own
+    assert step(st, g, LIN, sched, cfg, into=st.copy()).t == 1
