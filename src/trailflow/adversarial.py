@@ -467,9 +467,9 @@ def unidirectional_swap_demo(
 
     def one(p1: float, p2: float) -> Tuple[Optional[str], bool, Optional[Path]]:
         g = two_path.graph
-        p = {edge: other_pheromone for edge in g.edges}
-        p[g.edges[two_path.s_top_eid]] = p1
-        p[g.edges[two_path.s_bottom_eid]] = p2
+        p = np.full(g.n_edges, float(other_pheromone))
+        p[two_path.s_top_eid] = p1
+        p[two_path.s_bottom_eid] = p2
         schedule = FlowSchedule.constant(f0, 0.0)
         from .dynamics import init_state
 

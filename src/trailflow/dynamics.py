@@ -274,8 +274,7 @@ PheromoneInit = Union[float, Sequence[float], Mapping[Tuple[int, int], float]]
 def _resolve_pheromone(graph: DirectedGraph, init: PheromoneInit, p: np.ndarray) -> None:
     """Fill ``p``, a new state's zeroed pheromone, from ``init``."""
     if isinstance(init, Mapping):
-        for (u, v), val in init.items():
-            p[graph.edge_id(u, v)] = float(val)
+        p[graph.edge_ids(list(init))] = [float(val) for val in init.values()]
     elif isinstance(init, (int, float)):
         p.fill(float(init))
     else:
@@ -310,13 +309,14 @@ def init_state(
     if strict:
         target = min_leakage_path(graph)
         if target is not None:
-            for u, v in target.edge_pairs():
-                if p[graph.edge_id(u, v)] <= 0.0:
-                    warnings.append(
-                        f"zero initial pheromone on min-leakage path edge ({u},{v}); "
-                        "convergence guarantees assume positive values there"
-                    )
-                    break
+            hops = target.edge_pairs()
+            zero = p[graph.edge_ids(hops)] <= 0.0
+            if zero.any():
+                u, v = hops[int(np.argmax(zero))]
+                warnings.append(
+                    f"zero initial pheromone on min-leakage path edge ({u},{v}); "
+                    "convergence guarantees assume positive values there"
+                )
     return SystemState(
         0, p, fe, be, fv, bv, injected_f=f0, injected_b=b0, zero_split_events=zeros,
         warnings=tuple(warnings), _layout=layout,
@@ -590,13 +590,13 @@ def step(
     t1 = state.t + 1
     size = _check_size(state, ga)
     if into is None:
-        layout = _cut(np.empty(size), ga.m, ga.n)
-    else:
-        if into.buf.size != size:
-            raise ConfigError(f"into has {into.buf.size} values, but the state has {size}")
-        if into.buf is state.buf:
-            raise ConfigError("into shares the buffer of the state it steps from")
-        layout = into._layout
+        fresh = _cut(np.empty(size), ga.m, ga.n)
+        into = SystemState(t1, fresh[3], fresh[1], fresh[2], fresh[4], fresh[5], _layout=fresh)
+    elif into.buf.size != size:
+        raise ConfigError(f"into has {into.buf.size} values, but the state has {size}")
+    elif into.buf is state.buf:
+        raise ConfigError("into shares the buffer of the state it steps from")
+    layout = into._layout
     s, d = ga.source, ga.destination
 
     # the new state's buffer and its views (``_cut``): its stored part
@@ -649,23 +649,6 @@ def step(
     # (d) split the new vertex flows against p(t+1)
     zeros = _split(ga, rule, layout, bounded)
 
-    if into is None:
-        return SystemState(
-            t1,
-            p,
-            fe,
-            be,
-            fv,
-            bv,
-            delivered_f,
-            delivered_b,
-            inj_f,
-            inj_b,
-            state.underflow_flushes + flushes,
-            state.zero_split_events + zeros,
-            state.warnings,
-            layout,
-        )
     into.t = t1
     into.delivered_forward = delivered_f
     into.delivered_backward = delivered_b

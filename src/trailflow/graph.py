@@ -7,9 +7,9 @@ generators build those arrays directly, and validation runs in numpy.
 Graphs are immutable after construction: those arrays, like the leakage,
 are flagged read-only. Derived structures are built lazily from the arrays
 and cached: the flat arrays of the flow engine (``arrays``), whose CSR
-grouping is the graph's only adjacency, and the ``edges`` tuple with its
-edge-id lookup. ``with_leakage`` shares the edge structure of the graph it
-copies.
+grouping is the graph's only adjacency, and the sorted edge keys
+``u*n + v`` that ``edge_ids`` searches. ``with_leakage`` shares the edge
+structure of the graph it copies.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import copy
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,17 +62,25 @@ def _vertex_index(v, n_vertices: int) -> int:
     return int(v)
 
 
-def _edge_arrays(
-    edges: Union[Sequence[Tuple[int, int]], np.ndarray], n_vertices: int
-) -> Tuple[np.ndarray, np.ndarray]:
+Pairs = Union[Sequence[Tuple[int, int]], np.ndarray]
+
+
+def _pair_array(pairs: Pairs) -> np.ndarray:
+    """``pairs`` ((u, v) pairs or a (k, 2) integer array) as a (k, 2) int64
+    array."""
+    uv = np.asarray(pairs, dtype=np.int64)
+    if uv.size == 0:
+        uv = uv.reshape(0, 2)
+    if uv.ndim != 2 or uv.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    return uv
+
+
+def _edge_arrays(edges: Pairs, n_vertices: int) -> Tuple[np.ndarray, np.ndarray]:
     """The int64 (tails, heads) of ``edges`` ((u, v) pairs or an (m, 2)
     array). Raises GraphError for the first edge, in input order, that has
     an endpoint out of range, is a self-loop or repeats an earlier edge."""
-    pairs = np.asarray(edges, dtype=np.int64)
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise GraphError("edges must be (u, v) pairs")
+    pairs = _pair_array(edges)
     tails, heads = pairs[:, 0].copy(), pairs[:, 1].copy()
     bad = (tails < 0) | (tails >= n_vertices) | (heads < 0) | (heads >= n_vertices)
     bad |= tails == heads
@@ -111,6 +118,27 @@ def _leakage_array(
     return lk
 
 
+class _EdgeKeys:
+    """The table ``DirectedGraph.edge_ids`` searches, built on first use and
+    shared by ``with_leakage`` copies: the edge keys ``u*n + v`` in
+    increasing order, closed by ``n*n``, which no pair in range reaches, and
+    the edge ids in that order (None when the keys already increase in
+    edge-id order, as in every G(n, p), banded and grid graph)."""
+
+    def __init__(self, tails: np.ndarray, heads: np.ndarray, n: int) -> None:
+        self._edges = (tails, heads, n)
+
+    @cached_property
+    def table(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        tails, heads, n = self._edges
+        keys = tails * n + heads
+        order = None
+        if not np.all(keys[1:] > keys[:-1]):
+            order = np.argsort(keys)
+            keys = keys[order]
+        return np.append(keys, n * n), order
+
+
 class DirectedGraph:
     """Immutable directed graph with designated source/destination and
     per-vertex leakage in [0, 1]."""
@@ -118,7 +146,7 @@ class DirectedGraph:
     def __init__(
         self,
         n_vertices: int,
-        edges: Union[Sequence[Tuple[int, int]], np.ndarray],
+        edges: Pairs,
         source: int,
         destination: int,
         leakage: Optional[Union[Sequence[float], Mapping[int, float]]] = None,
@@ -147,6 +175,7 @@ class DirectedGraph:
         if lk[self.source] != 0.0 or lk[self.destination] != 0.0:
             raise GraphError("leakage at source and destination must be 0")
         self._arrays: Optional[GraphArrays] = None
+        self._keys = _EdgeKeys(self.tails, self.heads, self.n_vertices)
 
     def _set_leakage(self, lk: np.ndarray) -> None:
         # NaN fails both comparisons, so it is rejected here too
@@ -161,23 +190,31 @@ class DirectedGraph:
     def n_edges(self) -> int:
         return len(self.tails)
 
-    @cached_property
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """The (u, v) pairs in edge-id order, as Python ints."""
-        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
-
-    @cached_property
-    def _edge_ids(self) -> Dict[Tuple[int, int], int]:
-        return {e: eid for eid, e in enumerate(self.edges)}
+    def edge_ids(self, pairs: Pairs) -> np.ndarray:
+        """The int64 ids of the edges ``pairs`` names ((u, v) pairs or a
+        (k, 2) integer array), found by a binary search of the sorted edge
+        keys ``u*n + v``. Raises GraphError for the first pair, in input
+        order, with a vertex out of range, checked before any key is formed
+        (on n = 5 the pair (0, 7) has the key of (1, 2)), and then for the
+        first pair that is not an edge."""
+        uv = _pair_array(pairs)
+        n = self.n_vertices
+        out = (uv < 0) | (uv >= n)
+        if out.any():
+            u, v = uv[int(np.argmax(out.any(axis=1)))].tolist()
+            raise GraphError(f"pair ({u},{v}) has a vertex out of range 0..{n - 1}")
+        keys = uv[:, 0] * n + uv[:, 1]
+        table, order = self._keys.table
+        pos = np.searchsorted(table, keys)
+        missing = table[pos] != keys
+        if missing.any():
+            u, v = uv[int(np.argmax(missing))].tolist()
+            raise GraphError(f"no edge ({u},{v})")
+        return pos if order is None else order[pos]
 
     def edge_id(self, u: int, v: int) -> int:
-        try:
-            return self._edge_ids[(u, v)]
-        except KeyError:
-            raise GraphError(f"no edge ({u},{v})") from None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_ids
+        """The id of edge (u, v): ``edge_ids`` of one pair."""
+        return int(self.edge_ids(((u, v),))[0])
 
     def with_leakage(
         self, leakage: Union[Sequence[float], Mapping[int, float]]
@@ -204,34 +241,7 @@ class DirectedGraph:
             self._arrays = GraphArrays(self)
         return self._arrays
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": self.n_vertices,
-            "edges": [[u, v] for (u, v) in self.edges],
-            "source": self.source,
-            "destination": self.destination,
-            "leakage": {str(v): float(l) for v, l in enumerate(self.leakage) if l != 0.0},
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "DirectedGraph":
-        leak = {int(k): float(v) for k, v in doc.get("leakage", {}).items()}
-        return cls(
-            int(doc["vertices"]),
-            [tuple(e) for e in doc["edges"]],
-            int(doc["source"]),
-            int(doc["destination"]),
-            leak,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DirectedGraph":
-        return cls.from_json_dict(json.loads(text))
+    # -- export ------------------------------------------------------------
 
     def to_dot(
         self,
@@ -257,7 +267,7 @@ class DirectedGraph:
         wmax = 0.0
         if edge_weights is not None:
             wmax = max((float(w) for w in edge_weights), default=0.0)
-        for eid, (u, v) in enumerate(self.edges):
+        for eid, (u, v) in enumerate(zip(self.tails.tolist(), self.heads.tolist())):
             if edge_weights is None:
                 lines.append(f"  {u} -> {v};")
                 continue
@@ -444,34 +454,40 @@ class TwoPathGraph:
         """Potential window, the longer of the two path lengths."""
         return max(self.m, self.n)
 
-    # branch edge ids at the source and destination
-    @property
-    def s_top_eid(self) -> int:
-        return self.graph.edge_id(self.top.vertices[0], self.top.vertices[1])
+    @cached_property
+    def _eids(self) -> dict:
+        """Each branch's edge ids in path order, looked up once."""
+        eids = self.graph.edge_ids(self.top.edge_pairs() + self.bottom.edge_pairs()).tolist()
+        return {"top": eids[: self.m], "bottom": eids[self.m :]}
 
-    @property
-    def s_bottom_eid(self) -> int:
-        return self.graph.edge_id(self.bottom.vertices[0], self.bottom.vertices[1])
-
-    @property
-    def d_top_eid(self) -> int:
-        return self.graph.edge_id(self.top.vertices[-2], self.top.vertices[-1])
-
-    @property
-    def d_bottom_eid(self) -> int:
-        return self.graph.edge_id(self.bottom.vertices[-2], self.bottom.vertices[-1])
+    def path_eids(self, branch: str) -> List[int]:
+        """Edge ids of a branch ('top' or 'bottom') in path order."""
+        try:
+            return list(self._eids[branch])
+        except KeyError:
+            raise ValueError(f"unknown branch {branch!r}") from None
 
     def branch_eids(self, branch: str) -> Tuple[int, int]:
         """(s-side, d-side) edge ids of a branch ('top' or 'bottom')."""
-        if branch == "top":
-            return self.s_top_eid, self.d_top_eid
-        if branch == "bottom":
-            return self.s_bottom_eid, self.d_bottom_eid
-        raise ValueError(f"unknown branch {branch!r}")
+        eids = self.path_eids(branch)
+        return eids[0], eids[-1]
 
-    def path_eids(self, branch: str) -> List[int]:
-        path = self.top if branch == "top" else self.bottom
-        return [self.graph.edge_id(u, v) for u, v in path.edge_pairs()]
+    # branch edge ids at the source and destination
+    @property
+    def s_top_eid(self) -> int:
+        return self._eids["top"][0]
+
+    @property
+    def s_bottom_eid(self) -> int:
+        return self._eids["bottom"][0]
+
+    @property
+    def d_top_eid(self) -> int:
+        return self._eids["top"][-1]
+
+    @property
+    def d_bottom_eid(self) -> int:
+        return self._eids["bottom"][-1]
 
     def branch_survivals(self, branch: str) -> Tuple[np.ndarray, np.ndarray]:
         """(prefix, suffix) survival products per edge of a branch: prefix[i]
@@ -683,9 +699,7 @@ def validate_path(graph: DirectedGraph, path: Path) -> None:
         raise GraphError("path must start at the source and end at the destination")
     if len(set(vs)) != len(vs):
         raise GraphError("path repeats a vertex")
-    for u, v in path.edge_pairs():
-        if not graph.has_edge(u, v):
-            raise GraphError(f"path uses missing edge ({u},{v})")
+    graph.edge_ids(path.edge_pairs())  # raises for a hop that is not an edge
 
 
 def path_leakage(graph: DirectedGraph, path: Path) -> float:

@@ -414,14 +414,12 @@ class TimeseriesRecorder:
         if t % self.interval:
             return
         levels = normalized_levels(state, self.graph)
-        for eid, (u, v) in enumerate(self.graph.edges):
-            self.rows.append(
-                [
-                    t, eid, u, v,
-                    float(state.p[eid]), float(state.f_edge[eid]), float(state.b_edge[eid]),
-                    float(levels.fwd[eid]), float(levels.bwd[eid]),
-                ]
-            )
+        columns = (
+            self.graph.tails, self.graph.heads, state.p, state.f_edge, state.b_edge,
+            levels.fwd, levels.bwd,
+        )
+        for eid, row in enumerate(zip(*(a.tolist() for a in columns))):
+            self.rows.append([t, eid, *row])
 
 
 class SummaryRecorder:

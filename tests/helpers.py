@@ -1,8 +1,8 @@
 """Independent test oracles: the per-edge graph constructor loop and the
-generators' edge lists written as loops, per-vertex edge lists and sorted
-successors read from a graph's edge tuple, a dict-based reference
-implementation of the update step (kept deliberately separate from the
-engine's vectorized path), the engine's step as it was when every phase ran
+generators' edge lists written as loops, a graph's edge pairs read from
+its arrays, per-vertex edge lists and sorted successors read from them, a
+dict-based reference implementation of the update step (kept deliberately
+separate from the engine's vectorized path), the engine's step as it was when every phase ran
 once per flow direction on separate arrays, a byte-for-byte repeat test of
 a state's step inputs, the engine's split of both directions, a
 degree-scan general split, a stability run's deviation in its original
@@ -48,8 +48,8 @@ from trailflow.rules import clamp_unit_half
 class ReferenceGraph:
     """Edge validation and indexing as one loop over the edges: the same
     GraphError for the first bad edge in input order, then the edge tuple,
-    the edge-id dict, the per-vertex out/in edge ids and the tails/heads
-    arrays read from the edge tuples. It offers what ``GraphArrays`` reads,
+    the edge-id dict, the tails/heads arrays read from the edge tuples and
+    the per-vertex out/in edge ids. It offers what ``GraphArrays`` reads,
     so ``GraphArrays(ReferenceGraph(...))`` gives the reference flat
     arrays."""
 
@@ -70,26 +70,33 @@ class ReferenceGraph:
         self.edges = tuple(clean)
         self.edge_ids = edge_ids
         self.n_edges = len(clean)
-        self.out, self.inc = edge_lists(self)
         self.tails = np.fromiter((u for u, _ in self.edges), dtype=np.int64, count=self.n_edges)
         self.heads = np.fromiter((v for _, v in self.edges), dtype=np.int64, count=self.n_edges)
+        self.out, self.inc = edge_lists(self)
         self.leakage = np.zeros(n_vertices) if leakage is None else np.asarray(leakage, float)
+
+
+def edge_tuple(graph):
+    """A graph's (u, v) pairs in edge-id order, as Python ints, read from
+    its ``tails`` and ``heads``."""
+    return tuple(zip(graph.tails.tolist(), graph.heads.tolist()))
 
 
 def edge_lists(graph):
     """Each vertex's out-edge ids and in-edge ids, in edge-id order, read
-    from ``graph.edges`` with one loop."""
+    from ``edge_tuple(graph)`` with one loop."""
     out = [[] for _ in range(graph.n_vertices)]
     inc = [[] for _ in range(graph.n_vertices)]
-    for eid, (u, v) in enumerate(graph.edges):
+    for eid, (u, v) in enumerate(edge_tuple(graph)):
         out[u].append(eid)
         inc[v].append(eid)
     return out, inc
 
 
 def successors(graph):
-    """Each vertex's out-neighbours in increasing order, from ``graph.edges``."""
-    return [sorted(graph.edges[e][1] for e in es) for es in edge_lists(graph)[0]]
+    """Each vertex's out-neighbours in increasing order, from ``edge_tuple(graph)``."""
+    edges = edge_tuple(graph)
+    return [sorted(edges[e][1] for e in es) for es in edge_lists(graph)[0]]
 
 
 def reference_gnp_edges(n, p, seed, band=None):
@@ -135,7 +142,7 @@ def equation_step(graph, p, fe, be, delta, schedule, t):
     Returns (p', fe', be', fv', bv', delivered_f, delivered_b) where flows
     keyed by (u, v) and vertex amounts keyed by vertex id.
     """
-    edges = graph.edges
+    edges = edge_tuple(graph)
     newp = {e: delta * (p[e] + fe[e] + be[e]) for e in edges}
     fv = {}
     bv = {}
@@ -384,6 +391,7 @@ def reference_walk(graph, fwd, bwd, epsilon):
     below 1 - epsilon or a revisit."""
     bar = 1.0 - epsilon
     out = edge_lists(graph)[0]
+    heads = graph.heads.tolist()
     seq = [graph.source]
     cur = graph.source
     while cur != graph.destination:
@@ -395,12 +403,12 @@ def reference_walk(graph, fwd, bwd, epsilon):
             if (
                 best_eid is None
                 or f > fwd[best_eid]
-                or (f == fwd[best_eid] and graph.edges[eid][1] < graph.edges[best_eid][1])
+                or (f == fwd[best_eid] and heads[eid] < heads[best_eid])
             ):
                 best_eid = eid
         if best_eid is None or not (fwd[best_eid] >= bar and bwd[best_eid] >= bar):
             return None
-        nxt = graph.edges[best_eid][1]
+        nxt = heads[best_eid]
         if nxt in seq:
             return None
         seq.append(nxt)

@@ -38,14 +38,20 @@ from trailflow.graph import (
     shortest_path,
 )
 
-from helpers import ReferenceInvariantObserver, bincount_levels, kernel_graphs, reference_walk
+from helpers import (
+    ReferenceInvariantObserver,
+    bincount_levels,
+    edge_tuple,
+    kernel_graphs,
+    reference_walk,
+)
 
 LIN = DecisionRule.linear()
 
 
 def make_state(tp, p_values):
     g = tp.graph
-    st = init_state(g, {e: v for e, v in zip(g.edges, p_values)}, FlowSchedule.constant(1, 1))
+    st = init_state(g, {e: v for e, v in zip(edge_tuple(g), p_values)}, FlowSchedule.constant(1, 1))
     return st
 
 
@@ -174,8 +180,9 @@ def test_detect_convergence_on_a_dense_graph():
     ga = g.arrays
     assert ga.dense and not ga.out_by_bincount
     s, d = ga.source, ga.destination
-    into_d = sorted(u for u, v in g.edges if v == d)
-    a, b = [u for u in into_d if g.has_edge(s, u)][:2]
+    edges = set(edge_tuple(g))
+    into_d = sorted(u for u, v in edges if v == d)
+    a, b = [u for u in into_d if (s, u) in edges][:2]
     sched = FlowSchedule.constant(1, 1)
     eps = 1e-17  # 1 - eps rounds to 1.0
     tiny = 2.0**-53
@@ -487,7 +494,7 @@ def test_invariant_observer_rows_it_skips_and_flags():
     # a flushed pheromone or vertex flow is not compared with its recurrence
     # or conservation value, but the split still sees the missing vertex flow
     assert violations("p", 5, "zero") == []
-    v = int(graph.edges[5][1])
+    v = int(graph.heads[5])
     assert cur.f_vertex[v] > 0.0
     assert violations("f_vertex", v, "zero") == [("split_f", v)]
     assert violations("p", 5, 1e-9) == [("recurrence", 5)]
@@ -573,7 +580,7 @@ def test_invariant_observer_repeated_state_after_violating_and_clean_pairs(rows)
     last = pairs[-1][1]
     calls = _chain(pairs)
     calls.append((last.t + 1, last, last))  # after a clean pair
-    v = int(graph.edges[7][1])
+    v = int(graph.heads[7])
     bad = step(last, graph, LIN, schedule, cfg)
     _fault(bad, "f_vertex", v, 1e-6)
     nxt = step(bad, graph, LIN, schedule, cfg)

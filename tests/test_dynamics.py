@@ -43,6 +43,7 @@ from helpers import (
     bincount_levels,
     bincount_split,
     bincount_step,
+    edge_tuple,
     engine_split,
     equation_step,
     kernel_graphs,
@@ -142,8 +143,9 @@ def test_init_uniform_in_range():
 
 def test_init_strict_warns_on_zero_target_pheromone():
     tp = two_path_23(leak_top=0.0, leak2=0.1)
-    p = {e: 1.0 for e in tp.graph.edges}
-    p[tp.graph.edges[tp.s_top_eid]] = 0.0  # zero on the min-leakage path
+    edges = edge_tuple(tp.graph)
+    p = {e: 1.0 for e in edges}
+    p[edges[tp.s_top_eid]] = 0.0  # zero on the min-leakage path
     st = init_state(tp.graph, p, FlowSchedule.constant(1, 1), strict=True)
     assert st.warnings and "zero initial pheromone" in st.warnings[0]
     with pytest.raises(ConfigError):
@@ -198,14 +200,15 @@ def test_step_matches_reference_implementation():
         delta = float(rng.uniform(0.1, 0.9))
         cfg = EngineConfig(delta=delta, underflow_threshold=0.0)
         st = init_state(g, np.random.default_rng(seed).uniform(0.1, 1.0, g.n_edges), sched)
-        p = {e: float(st.p[g.edge_id(*e)]) for e in g.edges}
-        fe = {e: float(st.f_edge[g.edge_id(*e)]) for e in g.edges}
-        be = {e: float(st.b_edge[g.edge_id(*e)]) for e in g.edges}
+        edges = edge_tuple(g)
+        eids = g.edge_ids(edges).tolist()
+        p = {e: float(st.p[eid]) for e, eid in zip(edges, eids)}
+        fe = {e: float(st.f_edge[eid]) for e, eid in zip(edges, eids)}
+        be = {e: float(st.b_edge[eid]) for e, eid in zip(edges, eids)}
         for t in range(20):
             st = step(st, g, LIN, sched, cfg)
             p, fe, be, fv, bv, df, db = equation_step(g, p, fe, be, delta, sched, t)
-            for e in g.edges:
-                eid = g.edge_id(*e)
+            for e, eid in zip(edges, eids):
                 for got, want in (
                     (st.p[eid], p[e]),
                     (st.f_edge[eid], fe[e]),
@@ -511,7 +514,7 @@ def _flowless_state(g, p0, sched):
     n = g.n_vertices
     fv, bv = np.zeros(n), np.zeros(n)
     fv[g.source], bv[g.destination] = sched.f0, sched.b0
-    p = np.array([p0[e] for e in g.edges])
+    p = np.array([p0[e] for e in edge_tuple(g)])
     zero = np.zeros(g.n_edges)
     return SystemState(0, p, zero, zero.copy(), fv, bv, injected_f=sched.f0, injected_b=sched.b0)
 
@@ -543,7 +546,7 @@ def test_step_large_flow_over_small_total_matches_bincount_reference():
     state's values sum far above what bounds every ratio, so those vertices
     still split per edge, and flow / total (2.5e309) never overflows."""
     g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
-    p0 = {e: 4e-300 for e in g.edges}
+    p0 = {e: 4e-300 for e in edge_tuple(g)}
     sched = FlowSchedule.constant(1e10, 1e10)
     st = step(_flowless_state(g, p0, sched), g, LIN, sched, EngineConfig(delta=0.5))
     assert st.underflow_flushes == 0

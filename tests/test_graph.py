@@ -26,12 +26,15 @@ from trailflow.graph import (
     plant_path,
     shortest_path,
     two_path_structure,
+    validate_path,
 )
 from trailflow.rules import DecisionRule, power_rule
 
 from helpers import (
     ReferenceGraph,
     brute_force_min_leakage,
+    edge_tuple,
+    kernel_graphs,
     simple_paths,
     reference_gnp_edges,
     reference_grid_edges,
@@ -67,7 +70,7 @@ def test_basic_invariants():
 def test_adjacency_transpose_consistency():
     g = gen_gnp(30, 0.2, 11)
     ga = g.arrays
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, (u, v) in enumerate(edge_tuple(g)):
         assert eid in _segment(ga.out_eids, ga.out_ptr, u)
         assert eid in _segment(ga.in_eids, ga.in_ptr, v)
     assert ga.out_ptr[-1] == ga.in_ptr[-1] == g.n_edges
@@ -87,7 +90,7 @@ def test_leakage_mapping_rejects_out_of_range_vertex():
     g = gen_gnp(10, 0.4, 2)
     for bad in (-2, 10):
         with pytest.raises(GraphError):
-            DirectedGraph(10, g.edges, 0, 9, {bad: 0.5})
+            DirectedGraph(10, edge_tuple(g), 0, 9, {bad: 0.5})
         with pytest.raises(GraphError):
             g.with_leakage({bad: 0.5})
 
@@ -111,8 +114,7 @@ def _built(cls, n, edges):
 
 
 def _assert_matches_reference(g, ref):
-    assert g.edges == ref.edges
-    assert all(type(x) is int for e in g.edges for x in e)
+    assert edge_tuple(g) == ref.edges
     ga = g.arrays
     for v in range(ref.n_vertices):
         assert _segment(ga.out_eids, ga.out_ptr, v) == ref.out[v]
@@ -178,7 +180,7 @@ def test_with_leakage_shares_edges_and_rebuilds_survival():
     assert g2.arrays.out_eids is ga.out_eids
     assert g2.arrays.surv[1] == 0.75 and ga.surv[1] == 1.0
     assert g.leakage[1] == 0.0
-    ref = ReferenceGraph(30, g.edges, 0, 29, g2.leakage)
+    ref = ReferenceGraph(30, edge_tuple(g), 0, 29, g2.leakage)
     _assert_matches_reference(g2, ref)
     assert two_path_structure(g2) is None
 
@@ -200,26 +202,80 @@ def test_edge_and_leakage_arrays_are_read_only():
     assert ga.tail_bins.tolist() == g.tails.tolist() and ga.head_bins.tolist() == g.heads.tolist()
 
 
+# -- edge lookup ----------------------------------------------------------------
+
+ALIAS_GRAPH = DirectedGraph(5, [(0, 1), (1, 2), (0, 2), (2, 4)], 0, 4)
+
+
+@pytest.mark.parametrize("pair", [(0, 7), (1, -3)])
+def test_edge_lookup_rejects_a_vertex_out_of_range(pair):
+    """On n = 5, (0, 7) has the key u*n + v of edge (1, 2) and (1, -3) that
+    of edge (0, 2): the range is checked before a key is formed."""
+    g = ALIAS_GRAPH
+    with pytest.raises(GraphError, match="out of range"):
+        g.edge_id(*pair)
+    with pytest.raises(GraphError, match="out of range"):
+        g.edge_ids([(0, 1), pair])
+    with pytest.raises(GraphError, match="out of range"):
+        validate_path(g, Path((0, *pair[1:], 4)))
+
+
+def test_edge_ids_are_edge_positions():
+    """Every edge of every kernel graph, looked up as a sequence of pairs,
+    as an (m, 2) array and one pair at a time, has its position as id."""
+    for g, _ in kernel_graphs():
+        pairs = edge_tuple(g)
+        ids = np.arange(g.n_edges)
+        assert np.array_equal(g.edge_ids(pairs), ids)
+        assert np.array_equal(g.edge_ids(np.column_stack([g.tails, g.heads])), ids)
+        assert [g.edge_id(u, v) for u, v in pairs] == ids.tolist()
+        assert np.array_equal(g.edge_ids(pairs[::-1]), ids[::-1])
+
+
+def test_edge_lookup_names_the_first_missing_pair():
+    g = ALIAS_GRAPH
+    with pytest.raises(GraphError, match=r"no edge \(1,0\)"):
+        g.edge_id(1, 0)
+    with pytest.raises(GraphError, match=r"no edge \(3,4\)"):
+        g.edge_ids([(0, 1), (3, 4), (4, 0)])
+    with pytest.raises(GraphError, match=r"no edge \(1,4\)"):
+        validate_path(g, Path((0, 1, 4)))
+    assert g.edge_ids([]).shape == (0,)
+
+
+def test_edge_key_table_is_lazy_and_shared():
+    """The key table is built on the first lookup, once for a graph and
+    its ``with_leakage`` copies, and skips the sort when the keys already
+    increase."""
+    g = gen_gnp(30, 0.2, 5)
+    g2 = g.with_leakage(np.full(30, 0.25))
+    assert "table" not in vars(g._keys)
+    assert g2.edge_id(int(g.tails[3]), int(g.heads[3])) == 3
+    assert g2._keys is g._keys and g._keys.table[1] is None
+    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
+    assert tp.graph._keys.table[1] is not None  # the bottom chain starts below the top's keys
+    assert tp.path_eids("bottom") == [2, 3, 4]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 def test_generators_match_reference_edges(seed):
     """Every generator and planting helper lists the reference loops' edge
     tuples, in their order."""
-    assert gen_gnp(40, 0.1, seed).edges == tuple(reference_gnp_edges(40, 0.1, seed))
-    assert gen_gnp(12, 1.0, seed).edges == tuple(reference_gnp_edges(12, 1.0, seed))
+    assert edge_tuple(gen_gnp(40, 0.1, seed)) == tuple(reference_gnp_edges(40, 0.1, seed))
+    assert edge_tuple(gen_gnp(12, 1.0, seed)) == tuple(reference_gnp_edges(12, 1.0, seed))
     banded = gen_banded_gnp(60, 0.5, 5, seed)
-    assert banded.edges == tuple(reference_gnp_edges(60, 0.5, seed, band=5))
+    assert edge_tuple(banded) == tuple(reference_gnp_edges(60, 0.5, seed, band=5))
     rows, cols = 2 + seed % 5, 2 + seed % 3
-    assert gen_grid(rows, cols).edges == tuple(reference_grid_edges(rows, cols))
+    assert edge_tuple(gen_grid(rows, cols)) == tuple(reference_grid_edges(rows, cols))
     m, n = 2 + seed % 3, 2 + seed % 4
-    assert build_two_path(m, n, [0.0] * (m - 1), [0.0] * (n - 1)).graph.edges == tuple(
-        reference_two_path_edges(m, n)
-    )
+    two_path = build_two_path(m, n, [0.0] * (m - 1), [0.0] * (n - 1)).graph
+    assert edge_tuple(two_path) == tuple(reference_two_path_edges(m, n))
     g, planted = plant_path(gen_grid(rows + 3, cols + 3), 4)
     base = reference_grid_edges(rows + 3, cols + 3)
-    assert g.edges == tuple(reference_planted_edges(base, planted.vertices))
+    assert edge_tuple(g) == tuple(reference_planted_edges(base, planted.vertices))
     g, ladder = plant_band_ladder(banded, 5)
     base = reference_gnp_edges(60, 0.5, seed, band=5)
-    assert g.edges == tuple(reference_planted_edges(base, ladder.vertices))
+    assert edge_tuple(g) == tuple(reference_planted_edges(base, ladder.vertices))
 
 
 # -- two-path builder --------------------------------------------------------
@@ -294,24 +350,25 @@ def test_gnp_expectation_over_seeds():
 
 def test_gnp_extremes():
     g = gen_gnp(2, 1.0, 0)
-    assert set(g.edges) == {(0, 1), (1, 0)}
+    assert set(edge_tuple(g)) == {(0, 1), (1, 0)}
     assert gen_gnp(5, 0.0, 7).n_edges == 0
     with pytest.raises(GraphError):
         gen_gnp(1, 0.5, 0)
 
 
 def test_gnp_reproducible():
-    assert gen_gnp(50, 0.1, 123).edges == gen_gnp(50, 0.1, 123).edges
+    assert edge_tuple(gen_gnp(50, 0.1, 123)) == edge_tuple(gen_gnp(50, 0.1, 123))
 
 
 def test_banded_gnp_band():
     g = gen_banded_gnp(100, 0.5, 10, 1)
-    assert not g.has_edge(0, 99)
-    assert all(abs(u - v) <= 10 for u, v in g.edges)
+    with pytest.raises(GraphError, match=r"no edge \(0,99\)"):
+        g.edge_id(0, 99)
+    assert all(abs(u - v) <= 10 for u, v in edge_tuple(g))
     g2 = gen_banded_gnp(10, 1.0, 1, 0)
-    assert set(g2.edges) == {(i, i + 1) for i in range(9)} | {(i + 1, i) for i in range(9)}
+    assert set(edge_tuple(g2)) == {(i, i + 1) for i in range(9)} | {(i + 1, i) for i in range(9)}
     g3 = gen_banded_gnp(1000, 0.5, 40, 3)
-    assert all(abs(u - v) <= 40 for u, v in g3.edges)
+    assert all(abs(u - v) <= 40 for u, v in edge_tuple(g3))
 
 
 def test_grid_counts_and_shortest():
@@ -402,8 +459,7 @@ def test_plant_band_ladder_pattern():
     # 1-based pattern (1,k+1),(k+1,2(k+1)),... stored 0-based
     assert ladder.vertices[:3] == (0, 10, 21)
     assert ladder.vertices[-1] == 99
-    for u, v in ladder.edge_pairs():
-        assert g2.has_edge(u, v)
+    g2.edge_ids(ladder.edge_pairs())  # raises for a hop that is not an edge
 
 
 # -- oracles -----------------------------------------------------------------
@@ -508,16 +564,7 @@ def test_oracles_match_path_enumeration_with_ties():
     assert min(kinds.values()) >= 10, kinds
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def test_json_round_trip():
-    tp = build_two_path(2, 3, [0.03], [0.05, 0.0])
-    g = tp.graph
-    g2 = DirectedGraph.from_json(g.to_json())
-    assert g2.edges == g.edges
-    assert g2.source == g.source and g2.destination == g.destination
-    assert np.allclose(g2.leakage, g.leakage)
+# -- export ------------------------------------------------------------------
 
 
 def test_dot_export():

@@ -39,7 +39,7 @@ from trailflow.graph import (
 )
 from trailflow.rules import power_rule, sine_rule
 
-from helpers import kernel_graphs, reference_step, step_to_horizon
+from helpers import edge_tuple, kernel_graphs, reference_step, step_to_horizon
 
 LIN = DecisionRule.linear()
 FIELDS = ("f_edge", "b_edge", "p", "f_vertex", "b_vertex")  # in buffer order
@@ -126,7 +126,7 @@ def _flowless(g, p0, sched):
     fv, bv = np.zeros(g.n_vertices), np.zeros(g.n_vertices)
     fv[g.source], bv[g.destination] = sched.f0, sched.b0
     zero = np.zeros(g.n_edges)
-    p = np.array([p0[e] for e in g.edges])
+    p = np.array([p0[e] for e in edge_tuple(g)])
     return SystemState(0, p, zero, zero, fv, bv, injected_f=sched.f0, injected_b=sched.b0)
 
 
@@ -142,7 +142,7 @@ def _subnormal():
 def _small_totals():
     g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], 0, 3)
     sched = FlowSchedule.constant(1e10, 1e10)
-    return _flowless(g, {e: 4e-300 for e in g.edges}, sched), g, LIN, sched, EngineConfig(0.5), 20
+    return _flowless(g, {e: 4e-300 for e in edge_tuple(g)}, sched), g, LIN, sched, EngineConfig(0.5), 20
 
 
 def _zero_total():
