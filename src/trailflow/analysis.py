@@ -93,20 +93,17 @@ def detect_convergence(
     such chain reaches d.
 
     Only the chain's vertices are read: the out-edges of each chain vertex
-    and the in-edges of the head it picks. The totals are summed the way
-    ``normalized_levels`` sums them, so the levels compared are the same
-    floats: an out-total as ``GraphArrays.out_sums`` sums it (left to right
-    from 0.0, as ``np.bincount`` does, or by ``reduceat``), an in-total left
-    to right in edge order. On graphs with a few edges per vertex the walk
-    works in Python floats; on dense ones (``GraphArrays.dense``: about 100
-    edges per vertex on G(1000, .1)) it keeps numpy's division, max and tie
-    search, which there cost less than a list of levels."""
+    and the in-edges of the head it picks, as Python floats. The totals are
+    summed the way ``normalized_levels`` sums them, so the levels compared
+    are the same floats: an out-total as ``GraphArrays.out_sums`` sums it
+    (left to right from 0.0, as ``np.bincount`` does, or by ``reduceat``),
+    an in-total left to right in edge order."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     ga = graph.arrays
     p, heads, out_eids, in_eids = state.p, ga.heads, ga.out_eids, ga.in_eids
     out_ptr, in_ptr = ga.out_ptr, ga.in_ptr
-    by_bincount, dense = ga.out_by_bincount, ga.dense
+    by_bincount = ga.out_by_bincount
     bar = 1.0 - epsilon
     seq = [ga.source]
     seen = {ga.source}
@@ -114,7 +111,7 @@ def detect_convergence(
     while cur != ga.destination:
         lo, hi = out_ptr.item(cur), out_ptr.item(cur + 1)
         p_out = p[out_eids[lo:hi]]
-        vals = None if dense else p_out.tolist()
+        vals = p_out.tolist()
         if by_bincount:
             total = _sum_in_order(vals, 0.0)
         else:
@@ -122,32 +119,18 @@ def detect_convergence(
         # a zero total leaves every level NaN: no edge to follow
         if not total > 0.0:
             return None
+        fwd = [x / total for x in vals]
+        best = max(fwd)
+        if not best >= bar:
+            return None
         # ties go to the lowest head
-        if dense:
-            fwd = p_out / total
-            best = fwd.max()
-            if not best >= bar:
-                return None
-            tied = np.flatnonzero(fwd == best)
-            k = tied.item(0) if tied.size == 1 else tied.item(np.argmin(heads[out_eids[lo + tied]]))
-            p_k = p_out.item(k)
-        else:
-            fwd = [x / total for x in vals]
-            best = max(fwd)
-            if not best >= bar:
-                return None
-            k = fwd.index(best)
-            if fwd.count(best) > 1:
-                k = min((heads.item(out_eids.item(lo + j)), j) for j, f in enumerate(fwd) if f == best)[1]
-            p_k = vals[k]
+        k = fwd.index(best)
+        if fwd.count(best) > 1:
+            k = min((heads.item(out_eids.item(lo + j)), j) for j, f in enumerate(fwd) if f == best)[1]
         nxt = heads.item(out_eids.item(lo + k))
-        p_in = p[in_eids[in_ptr.item(nxt) : in_ptr.item(nxt + 1)]]
-        if dense:
-            in_total = np.cumsum(p_in).item(-1)
-        else:
-            in_vals = p_in.tolist()
-            in_total = _sum_in_order(in_vals[1:], in_vals[0])
-        if not p_k / in_total >= bar or nxt in seen:
+        in_vals = p[in_eids[in_ptr.item(nxt) : in_ptr.item(nxt + 1)]].tolist()
+        in_total = _sum_in_order(in_vals[1:], in_vals[0])
+        if not vals[k] / in_total >= bar or nxt in seen:
             return None
         seq.append(nxt)
         seen.add(nxt)

@@ -46,6 +46,12 @@ A state keeps the joint views ``[p | f_vertex | b_vertex]``,
 once per buffer (``_cut``), and ``run`` steps into two states of its own
 in turn (``step``'s ``into``), so a step inside a run allocates no buffer,
 cuts no view and builds no ``SystemState``.
+
+Forms chosen by size or structure stay where they change floats (the
+out-sum kernel, which also picks the joint kernels, and the split's
+``bounded`` path) or where a workload of the benchmark runs slower without
+them (the flush in Python floats on two-path graphs); ``BENCH_21.json``
+measures each, and those deleted for saving nothing end to end.
 """
 
 from __future__ import annotations
@@ -390,8 +396,8 @@ def _split(
             bounded,
             flows,
         )
-    zeros = _split_linear(ga, p, fv, True, bounded, fe)[1]
-    return zeros + _split_linear(ga, p, bv, False, bounded, be)[1]
+    zeros = _split_linear(ga, p, fv, True, bounded, fe)
+    return zeros + _split_linear(ga, p, bv, False, bounded, be)
 
 
 def _vertex_totals(
@@ -426,11 +432,6 @@ _RATIO_SCALE = 2.0**-32
 # after a flush at threshold h, a state whose values sum below h * this
 # cannot hold a ratio flow/total near overflow (see ``step``)
 _BOUNDED_SUM = 2.0**1020
-# from this many edge flows on, the split gathers its ratios straight into
-# the state buffer and multiplies there: a temporary gather would add a pass
-# over memory that no longer fits in cache, and its memory; on fewer edges
-# ``np.take``'s fixed price is the larger cost (README "Performance")
-_TAKE_MIN_EDGES = 2048
 
 
 def _split_linear(
@@ -438,14 +439,13 @@ def _split_linear(
     p: np.ndarray,
     vertex_flow: np.ndarray,
     forward: bool,
-    bounded: bool = False,
-    out: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int]:
-    """One direction of the linear split, into ``out`` (a new array by
-    default). Returns the edge flows and the number of zero-total splits."""
+    bounded: bool,
+    out: np.ndarray,
+) -> int:
+    """One direction of the linear split, into ``out``. Returns the number
+    of zero-total splits."""
     slot, verts, totals = _vertex_totals(ga, p, forward)
-    eflow = np.empty(ga.m) if out is None else out
-    zeros = _split_groups(
+    return _split_groups(
         p,
         totals,
         vertex_flow[verts],
@@ -453,9 +453,8 @@ def _split_linear(
         ((0, totals.size),),
         ga.out_len if forward else ga.in_len,
         bounded,
-        eflow,
+        out,
     )
-    return eflow, zeros
 
 
 def _split_groups(
@@ -470,13 +469,14 @@ def _split_groups(
 ) -> int:
     """The linear split over groups of edges into ``out``: edge e carries
     ``p[e] * (flow / totals)[slot[e]]``, one division per group and one
-    gather per edge by ``slot``: straight into ``out`` from
-    ``_TAKE_MIN_EDGES`` edge flows on, below that into a temporary.
-    ``halves`` are the group ranges of the directions split and ``sizes``
-    the groups' edge counts.
-    ``bounded`` says that no ratio can overflow, so a direction whose totals
-    are all positive takes the ratio form throughout. Returns the number of
-    groups with flow and a zero total, which split evenly."""
+    gather per edge by ``slot`` into ``out``. ``halves`` are the group
+    ranges of the directions split and ``sizes`` the groups' edge counts.
+    A group whose ratio could overflow (a zero total among them) splits per
+    edge as ``flow * (p / total)``. ``bounded`` says that no ratio can
+    overflow, so a direction whose totals are all positive takes the ratio
+    form throughout; that is not float-identical to the per-group test once
+    a ratio passes 2**32. Returns the number of groups with flow and a zero
+    total, which split evenly."""
     if bounded and np.count_nonzero(totals) == totals.size:
         exact = None
     else:
@@ -494,11 +494,10 @@ def _split_groups(
         # ratio of 0 sends its edges nothing; only positive flow needs the
         # fix below
         ratio = np.divide(flow, totals, out=np.zeros_like(flow), where=exact)
-    if out.size >= _TAKE_MIN_EDGES:
-        np.take(ratio, slot, out=out, mode="wrap")
-        np.multiply(out, p, out)
-    else:
-        np.multiply(ratio[slot], p, out)
+    # the array method with positional arguments costs least at every size:
+    # a temporary gather adds a pass over memory, keywords add parsing
+    ratio.take(slot, None, out, "wrap")
+    np.multiply(out, p, out)
     if exact is None:
         return 0
     fix = ~exact & (flow > 0.0)
@@ -668,15 +667,9 @@ def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
     return "non-finite total (overflow)"
 
 
-# ``_flush`` by buffer size (README "Performance"): up to the first bound
-# (two-path graphs) it tests the entries as Python floats, below numpy's
-# fixed price for its calls; up to the second (the planted grid) it reads x
-# as its own mask of x != 0.0, one call fewer; above that numpy's
-# bool-to-float cast in that form costs more than a second compare. Timed
-# in one process, the Python test and the one-mask form cross between 32
-# and 64 entries, the two mask forms between 2048 and 4096 (BENCH_18.json)
+# up to this many entries (two-path graphs) ``_flush`` tests them as Python
+# floats, below the fixed price of the numpy calls (BENCH_21.json)
 _FLUSH_IN_PYTHON_MAX = 32
-_FLUSH_ONE_MASK_MAX = 2048
 
 
 def _flush(x: np.ndarray, threshold: float) -> int:
@@ -691,7 +684,7 @@ def _flush(x: np.ndarray, threshold: float) -> int:
             x[low] = 0.0
         return len(low)
     mask = x < threshold
-    np.logical_and(mask, x if x.size <= _FLUSH_ONE_MASK_MAX else np.not_equal(x, 0.0), mask)
+    np.logical_and(mask, np.not_equal(x, 0.0), mask)
     count = int(np.count_nonzero(mask))
     if count:
         x[mask] = 0.0

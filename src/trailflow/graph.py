@@ -345,15 +345,12 @@ class GraphArrays:
         # planting helpers) needs no gather before the segment sums
         self.tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
         self._by_tail = slice(None) if self.tail_sorted else self.out_eids
-        # more than _BINCOUNT_MAX_DEGREE edges per vertex (G(1000, .1)):
-        # ``detect_convergence`` keeps numpy's max over such segments
-        self.dense = self.m > _BINCOUNT_MAX_DEGREE * self.n
         # the one choice of how a vertex's out-edges are summed, read by
         # ``out_sums``, ``tail_sums`` and ``detect_convergence``: np.bincount
         # (left to right from 0.0, in edge-id order) on sparse graphs not
         # sorted by tail, where the gather before ``reduceat`` and its cost
         # per segment dominate; ``reduceat`` over the CSR segments otherwise
-        self.out_by_bincount = not self.tail_sorted and not self.dense
+        self.out_by_bincount = not self.tail_sorted and self.m <= _BINCOUNT_MAX_DEGREE * self.n
         # the vertices with out-edges / in-edges, and each edge's index into
         # them by its tail / head: the slots of the per-vertex split totals
         self.with_out = np.flatnonzero(self.out_deg)

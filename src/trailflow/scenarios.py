@@ -403,12 +403,19 @@ def _materialize(cfg: dict) -> Materialized:
 
 
 class TimeseriesRecorder:
-    """Writes the per-edge time series every ``interval`` steps."""
+    """Writes the per-edge time series every ``interval`` steps to the CSV
+    file ``path`` as each snapshot is taken, so a run holds one snapshot's
+    rows at a time, not all of them until it ends; an OSError on the file
+    is a ScenarioError naming ``where`` (``output_errors``)."""
 
-    def __init__(self, graph: DirectedGraph, interval: int) -> None:
+    def __init__(self, graph: DirectedGraph, interval: int, path: str, where: str) -> None:
         self.graph = graph
         self.interval = interval
-        self.rows: List[list] = []
+        self.where = where
+        with output_errors(where):
+            self._fh = open(path, "w", newline="")
+            self._writer = csv.writer(self._fh)
+            self._writer.writerow(TIMESERIES_COLUMNS)
 
     def __call__(self, t, state, prev) -> None:
         if t % self.interval:
@@ -418,8 +425,14 @@ class TimeseriesRecorder:
             self.graph.tails, self.graph.heads, state.p, state.f_edge, state.b_edge,
             levels.fwd, levels.bwd,
         )
-        for eid, row in enumerate(zip(*(a.tolist() for a in columns))):
-            self.rows.append([t, eid, *row])
+        with output_errors(self.where):
+            self._writer.writerows(
+                [t, eid, *row] for eid, row in enumerate(zip(*(a.tolist() for a in columns)))
+            )
+
+    def close(self) -> None:
+        with output_errors(self.where):
+            self._fh.close()
 
 
 class SummaryRecorder:
@@ -494,12 +507,18 @@ def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioR
             os.makedirs(out_dir, exist_ok=True)
     timeseries = summary = None
     if out_dir and outputs["csv"]:
-        timeseries = TimeseriesRecorder(graph, outputs["snapshot_interval"])
+        timeseries = TimeseriesRecorder(
+            graph, outputs["snapshot_interval"], os.path.join(out_dir, "timeseries.csv"), where
+        )
         summary = SummaryRecorder(potential)
         observers.extend([timeseries, summary])
 
     t0 = time.perf_counter()
-    trace = run(state, graph, mat.rule, mat.schedule, mat.engine, cfg["steps"], observers)
+    try:
+        trace = run(state, graph, mat.rule, mat.schedule, mat.engine, cfg["steps"], observers)
+    finally:
+        if timeseries is not None:
+            timeseries.close()
     runtime = time.perf_counter() - t0
 
     result = ScenarioResult(
@@ -518,19 +537,14 @@ def run_scenario(scenario: Scenario, out_dir: Optional[str] = None) -> ScenarioR
     )
     if out_dir:
         with output_errors(where):
-            _write_artifacts(result, timeseries, summary, outputs)
+            _write_artifacts(result, summary, outputs)
     return result
 
 
-def _write_artifacts(result, timeseries, summary, outputs) -> None:
+def _write_artifacts(result, summary, outputs) -> None:
     jp = lambda *parts: os.path.join(result.out_dir, *parts)
     with open(jp("scenario.json"), "w") as fh:
         fh.write(result.scenario.serialize())
-    if timeseries is not None:
-        with open(jp("timeseries.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TIMESERIES_COLUMNS)
-            w.writerows(timeseries.rows)
     if summary is not None:
         path_id = str(result.trace.converged_path) if result.trace.converged_path else ""
         if result.trace.converged_t is not None:

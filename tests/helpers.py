@@ -29,6 +29,7 @@ from trailflow.dynamics import (
     EngineAbort,
     SystemState,
     _split,
+    _split_linear,
     step,
 )
 from trailflow.graph import (
@@ -324,6 +325,13 @@ def engine_split(ga, rule, p, f_vertex, b_vertex):
     st = SystemState(0, p, np.zeros(ga.m), np.zeros(ga.m), f_vertex, b_vertex)
     zeros = _split(ga, rule, st._layout)
     return st.f_edge, st.b_edge, zeros
+
+
+def linear_split(ga, p, vertex_flow, forward, bounded=False):
+    """The engine's linear split (``dynamics._split_linear``) of one
+    direction's vertex flows against ``p``: (edge flows, zero-split count)."""
+    eflow = np.empty(ga.m)
+    return eflow, _split_linear(ga, p, vertex_flow, forward, bounded, eflow)
 
 
 def reference_general_split(graph, rule, p, vertex_flow, forward):

@@ -171,14 +171,15 @@ def test_detect_convergence_reads_the_out_sum_kernel():
 
 
 def test_detect_convergence_on_a_dense_graph():
-    """The dense kernel graph, where the walk keeps numpy's max and tie
-    search: the source's edges to a and b tie at 1/2 and the walk takes the
-    lower head. Each leads on to d with full levels; d's other in-edges hold
-    2**-53 each, which summed left to right in edge order after a's 1.0
-    leave the in-total at 1.0, so at a bar of 1.0 the edge a->d passes."""
+    """The dense kernel graph (more than 16 edges per vertex, so out-sums
+    go by ``reduceat``): the source's edges to a and b tie at 1/2 and the
+    walk takes the lower head. Each leads on to d with full levels; d's
+    other in-edges hold 2**-53 each, which summed left to right in edge
+    order after a's 1.0 leave the in-total at 1.0, so at a bar of 1.0 the
+    edge a->d passes."""
     g, _ = kernel_graphs()[5]
     ga = g.arrays
-    assert ga.dense and not ga.out_by_bincount
+    assert ga.m > 16 * ga.n and not ga.out_by_bincount
     s, d = ga.source, ga.destination
     edges = set(edge_tuple(g))
     into_d = sorted(u for u, v in edges if v == d)

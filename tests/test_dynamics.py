@@ -1,4 +1,3 @@
-import copy
 import math
 import warnings
 
@@ -15,9 +14,7 @@ from trailflow.dynamics import (
     RESCALE_BY_SOURCE,
     SystemState,
     _FLUSH_IN_PYTHON_MAX,
-    _FLUSH_ONE_MASK_MAX,
     _flush,
-    _split_linear,
     branch_state,
     init_state,
     run,
@@ -40,6 +37,7 @@ from trailflow.equilibria import equilibrium_state
 from trailflow.rules import linear_rule, power_rule, sine_rule
 
 from helpers import (
+    _reference_split_linear,
     bincount_levels,
     bincount_split,
     bincount_step,
@@ -47,6 +45,7 @@ from helpers import (
     engine_split,
     equation_step,
     kernel_graphs,
+    linear_split,
     reference_general_split,
     step_to_horizon,
 )
@@ -468,7 +467,7 @@ def test_linear_split_matches_bincount_reference():
         p = p0 * rng.uniform(0.5, 2.0, g.n_edges)
         vflow = rng.uniform(0.0, 1.0, ga.n)
         for forward in (True, False):
-            got, z_got = _split_linear(ga, p, vflow, forward)
+            got, z_got = linear_split(ga, p, vflow, forward)
             want, z_want = bincount_split(ga, p, vflow, forward)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
             assert z_got == z_want
@@ -498,14 +497,14 @@ def test_zero_total_split_counts_match_bincount_reference():
     g, p0 = kernel_graphs()[-1]
     ga = g.arrays
     vflow = np.array([1.0, 0.5, 0.0, 0.0])
-    got, z_got = _split_linear(ga, p0, vflow, True)
+    got, z_got = linear_split(ga, p0, vflow, True)
     want, z_want = bincount_split(ga, p0, vflow, True)
     np.testing.assert_array_equal(got, want)
     assert z_got == z_want == 1
     # vertex 1 splits its flow evenly over its two out-edges
     assert got[g.edge_id(1, 3)] == got[g.edge_id(1, 2)] == 0.25
     vflow[1] = 0.0
-    assert _split_linear(ga, p0, vflow, True)[1] == bincount_split(ga, p0, vflow, True)[1] == 0
+    assert linear_split(ga, p0, vflow, True)[1] == bincount_split(ga, p0, vflow, True)[1] == 0
 
 
 def _flowless_state(g, p0, sched):
@@ -569,7 +568,7 @@ def test_zero_total_vertices_match_bincount_reference():
     vflow = rng.uniform(0.1, 1.0, ga.n)
     vflow[empty[::2]] = 0.0
     for forward in (True, False):
-        got, z_got = _split_linear(ga, p, vflow, forward)
+        got, z_got = linear_split(ga, p, vflow, forward)
         want, z_want = bincount_split(ga, p, vflow, forward)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         deg = ga.out_deg if forward else ga.in_deg
@@ -582,17 +581,14 @@ def test_zero_total_vertices_match_bincount_reference():
 
 
 def test_forward_repeat_split_equals_gather_form():
-    """On a tail-sorted G(n, p) the forward split lays out each vertex's
-    ratio with ``np.repeat``; it gives the gather form's floats bit for bit,
-    on the fast path and with zero-total vertices, with and without flow.
-    The copy takes the gather layout and keeps the out-sum kernel, so both
-    split the same totals."""
+    """On a tail-sorted G(n, p) the reference split lays out each vertex's
+    ratio with ``np.repeat`` (``helpers._reference_split_linear``); the
+    engine's forward split, which gathers by slot, gives its floats bit for
+    bit, on the fast path and with zero-total vertices, with and without
+    flow."""
     g = gen_gnp(80, 0.1, 6)
     ga = g.arrays
     assert ga.tail_sorted and not ga.out_by_bincount
-    gather = copy.copy(ga)
-    gather.tail_sorted = False
-    assert not gather.out_by_bincount
     rng = np.random.default_rng(6)
     p = rng.uniform(0.1, 1.0, ga.m)
     vflow = rng.uniform(0.1, 1.0, ga.n)
@@ -603,11 +599,11 @@ def test_forward_repeat_split_equals_gather_form():
     vflow_idle[empty[::2]] = 0.0
     for pher, flow in ((p, vflow), (empty_p, vflow), (empty_p, vflow_idle)):
         for bounded in (False, True):
-            got, z_got = _split_linear(ga, pher, flow, True, bounded)
-            want, z_want = _split_linear(gather, pher, flow, True, bounded)
+            got, z_got = linear_split(ga, pher, flow, True, bounded)
+            want, z_want = _reference_split_linear(ga, pher, flow, True, bounded)
             assert got.tobytes() == want.tobytes()
             assert z_got == z_want
-    assert _split_linear(ga, empty_p, vflow, True)[1] == np.count_nonzero(ga.out_deg[empty])
+    assert linear_split(ga, empty_p, vflow, True)[1] == np.count_nonzero(ga.out_deg[empty])
 
 
 def test_linear_split_fast_path_sets_no_error_state(monkeypatch):
@@ -697,12 +693,13 @@ def test_flush_underflow():
 
 @pytest.mark.parametrize(
     "size",
-    [12, _FLUSH_IN_PYTHON_MAX, _FLUSH_IN_PYTHON_MAX + 1, _FLUSH_ONE_MASK_MAX + 1, 102_000],
+    [12, _FLUSH_IN_PYTHON_MAX, _FLUSH_IN_PYTHON_MAX + 1, 800, 102_000],
 )
 def test_flush_zeroes_negatives_and_leaves_negative_zero(size):
-    """Each form of the flush, by buffer size: sub-threshold and negative
-    entries become 0.0 and are counted; -0.0 keeps its bytes and is not
-    counted; NaN is neither."""
+    """Both forms of the flush, at two-path sizes, on both sides of the
+    bound between the forms, and at grid and G(1000, .1) sizes:
+    sub-threshold and negative entries become 0.0 and are counted; -0.0
+    keeps its bytes and is not counted; NaN is neither."""
     x = np.ones(size)
     x[:7] = [1e-310, -1e-3, -0.0, 0.0, 1e-300, -math.inf, math.nan]
     want = x.copy()

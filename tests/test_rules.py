@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailflow.dynamics import _split_linear
 from trailflow.graph import DirectedGraph, build_two_path
 from trailflow.rules import (
     DecisionRule,
@@ -22,7 +21,7 @@ from trailflow.rules import (
     validate_rule,
 )
 
-from helpers import engine_split
+from helpers import engine_split, linear_split
 
 
 # -- linear split -------------------------------------------------------------
@@ -38,7 +37,7 @@ def _source_split(ps):
     p[:k] = ps
     vflow = np.zeros(ga.n)
     vflow[0] = 1.0
-    eflow, zero = _split_linear(ga, p, vflow, forward=True)
+    eflow, zero = linear_split(ga, p, vflow, forward=True)
     return eflow[:k].tolist(), zero
 
 

@@ -1,17 +1,21 @@
 import csv
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from trailflow import scenarios
-from trailflow.analysis import InvariantObserver
+from trailflow.analysis import TIMESERIES_COLUMNS, InvariantObserver, normalized_levels
 from trailflow.cli import main
-from trailflow.graph import count_shortest_paths, shortest_path
+from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, init_state, run
+from trailflow.graph import count_shortest_paths, gen_gnp, shortest_path
 from trailflow.scenarios import (
     Scenario,
     ScenarioError,
+    TimeseriesRecorder,
     parse_scenario,
     run_batch,
     run_scenario,
@@ -249,6 +253,43 @@ def test_run_scenario_artifacts(tmp_path):
 
     dot = open(tmp_path / "final_state.dot").read()
     assert "digraph" in dot and 'color="green"' in dot
+
+
+def test_timeseries_streams_snapshots(tmp_path):
+    """The recorder writes each snapshot as it is taken: recording five
+    snapshots of a G(300, .1) peaks within a fifth of one snapshot's memory
+    above recording one, and the file holds the bytes of every row written
+    at the end."""
+    g = gen_gnp(300, 0.1, 4)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    states = []
+    keep = lambda t, state, prev: states.append(state.copy())  # noqa: E731
+    run(init_state(g, 1.0, sched), g, DecisionRule.linear(), sched, EngineConfig(0.5), 4, [keep])
+
+    def record(interval):
+        path = str(tmp_path / f"every{interval}.csv")
+        rec = TimeseriesRecorder(g, interval, path, "--out-dir")
+        tracemalloc.start()
+        for state in states:
+            rec(state.t, state, None)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rec.close()
+        return path, peak
+
+    _, one = record(100)
+    path, five = record(1)
+    assert five < 1.2 * one
+    want = io.StringIO(newline="")
+    w = csv.writer(want)
+    w.writerow(TIMESERIES_COLUMNS)
+    for st in states:
+        levels = normalized_levels(st, g)
+        columns = (g.tails, g.heads, st.p, st.f_edge, st.b_edge, levels.fwd, levels.bwd)
+        for eid, row in enumerate(zip(*(a.tolist() for a in columns))):
+            w.writerow([st.t, eid, *row])
+    with open(path, newline="") as fh:
+        assert fh.read() == want.getvalue()
 
 
 def test_run_scenario_converged_chain_is_thickest(tmp_path):
