@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from operator import sub
+from itertools import chain, repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import BranchLevelObserver
 # ``step`` is not called here; perfbench/tracing.py patches the name on
 # this module, so it stays importable
 from .dynamics import (  # noqa: F401
     DecisionRule,
     EngineConfig,
     FlowSchedule,
+    Observer,
     RunTrace,
     SystemState,
     branch_state,
@@ -85,11 +85,25 @@ def equilibrium_state(
     return branch_state(two_path, f_s, b_d, top, bottom)
 
 
-def _max_abs_diff(values: List[float], refs: List[float]) -> float:
-    """max |values[i] - refs[i]| in Python floats: for finite values the
-    floats of ``np.max(np.abs(a - b))``, without numpy's fixed price per call
-    on arrays of a few entries."""
-    return max(map(abs, map(sub, values, refs)))
+def _state_recorder() -> Tuple[Observer, List[bytes]]:
+    """An observer that copies the buffer of each state a run shows it, and
+    the list it appends the copies to; ``_recorded`` reads them back. The
+    repeated state that a stationary run shows for every remaining t (``prev
+    is state``) is copied once, when it is first stepped to."""
+    rows: List[bytes] = []
+    append = rows.append
+
+    def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
+        if prev is not st:
+            # the whole buffer: one call, without cutting [f_edge | b_edge | p]
+            append(st.buf.tobytes())
+
+    return observe, rows
+
+
+def _recorded(rows: List[bytes], m: int) -> np.ndarray:
+    """The recorded states' ``[f_edge | b_edge | p]``, one row per state."""
+    return np.frombuffer(b"".join(rows)).reshape(len(rows), -1)[:, : 3 * m]
 
 
 def verify_equilibrium(
@@ -101,23 +115,18 @@ def verify_equilibrium(
     k: int,
 ) -> float:
     """Run k steps; the maximum absolute deviation of any pheromone or edge
-    flow from its initial value. The drift is a running maximum, so the
-    repeated tail of a stationary run adds nothing."""
+    flow from its initial value, over the stepped states. The run records
+    each state it steps to, and one numpy pass over them gives the drift
+    after the run; the repeated tail of a stationary run adds nothing."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # [f_edge | b_edge | p] of a state's buffer (``SystemState``)
-    k3 = 3 * two_path.graph.n_edges
-    refs = state.buf[:k3].tolist()
-    drift = [0.0]
-
-    def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
-        if prev is not None and prev is not st:
-            drift[0] = max(drift[0], _max_abs_diff(st.buf[:k3].tolist(), refs))
-
+    m = two_path.graph.n_edges
+    observe, rows = _state_recorder()
     # k steps whatever the config says about convergence
     cfg = replace(cfg, epsilon_convergence=None)
     run(state, two_path.graph, DecisionRule.general(rule), schedule, cfg, k, [observe])
-    return drift[0]
+    stepped = _recorded(rows, m)[1:]  # row 0 is ``state`` itself
+    return float(np.max(np.abs(stepped - state.buf[: 3 * m]), initial=0.0))
 
 
 def perturb(state: SystemState, magnitude: float, seed: int) -> SystemState:
@@ -137,6 +146,30 @@ def perturb(state: SystemState, magnitude: float, seed: int) -> SystemState:
     if clamped:
         out.warnings = out.warnings + (f"perturbation clamped {clamped} values at 0",)
     return out
+
+
+def _deviations(
+    states: np.ndarray, two_path: TwoPathGraph, r: float, flow_refs: np.ndarray
+) -> np.ndarray:
+    """Each state's deviation from the equilibrium at r, for rows of
+    ``[f_edge | b_edge | p]``: the larger of the top branch's source- and
+    destination-side normalized levels' distances from r (a level is NaN
+    where both branch-point pheromones are 0), or the largest edge-flow
+    distance from ``flow_refs`` when that is larger. Each float, NaN
+    included, is the one that ``BranchLevelObserver.levels`` and Python's
+    ``max`` in that order give state by state."""
+    m = two_path.graph.n_edges
+    p = states[:, 2 * m :]
+    (s_top, d_top), (s_bot, d_bot) = two_path.branch_eids("top"), two_path.branch_eids("bottom")
+    top = p[:, [s_top, d_top]]
+    total = top + p[:, [s_bot, d_bot]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = np.where(total > 0.0, top / total, np.nan)
+    dist_s, dist_d = np.abs(levels - r).T
+    flows = np.max(np.abs(states[:, : 2 * m] - flow_refs), axis=1)
+    # Python's max(a, b) keeps a unless b > a: a NaN a stays, a NaN b loses
+    dev = np.where(dist_d > dist_s, dist_d, dist_s)
+    return np.where(flows > dev, flows, dev)
 
 
 @dataclass
@@ -175,10 +208,12 @@ def stability_experiment(
     branch normalized levels and edge flows are within ``eps_target`` of the
     equilibrium, and whether they stay there through T_max.
 
-    The schedule is constant, so the run stops stepping at ``t_stationary``,
-    the first state that repeats its predecessor (see ``run``); every later
-    deviation is that state's, and the report holds the floats that
-    stepping to T_max gives."""
+    The run records each state it steps to, and one numpy pass over them
+    gives every deviation after the run (``_deviations``). The schedule is
+    constant, so the run stops stepping at ``t_stationary``, the first state
+    that repeats its predecessor (see ``run``); every later deviation is that
+    state's, and the report and the series hold the floats that stepping to
+    T_max gives: T_max + 1 rows, the held tail repeating the last."""
     if not (0.0 <= eps < np.inf):
         raise ValueError("perturbation eps must be finite and >= 0")
     if not eps_target >= 0.0:
@@ -187,35 +222,31 @@ def stability_experiment(
         raise ValueError("T_max must be >= 0")
     eq = equilibrium_state(two_path, rule, r, f_s, b_d, delta)
     state = perturb(eq, eps, seed) if eps > 0.0 else eq
-    # [f_edge | b_edge] of a state's buffer (``SystemState``)
-    k2 = 2 * two_path.graph.n_edges
-    flow_refs = eq.buf[:k2].tolist()
-    levels = BranchLevelObserver(two_path, "top").levels
-    devs: List[float] = []  # the deviation at every t from 0 to T_max
-
-    def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
-        if prev is st:  # the repeated state of a stationary run
-            devs.append(devs[-1])
-            return
-        level_s, level_d = levels(st.p)
-        dev = max(abs(level_s - r), abs(level_d - r))
-        devs.append(max(dev, _max_abs_diff(st.buf[:k2].tolist(), flow_refs)))
-
+    m = two_path.graph.n_edges
+    observe, rows = _state_recorder()
     if T_max:
         decision, sched = DecisionRule.general(rule), FlowSchedule.constant(f_s, b_d)
         trace = run(state, two_path.graph, decision, sched, EngineConfig(delta), T_max, [observe])
     else:  # ``run`` takes at least one step
         observe(0, state, None)
         trace = RunTrace(warnings=state.warnings)
-    t_converged = next((t for t, dev in enumerate(devs) if dev <= eps_target), None)
-    after = devs[t_converged + 1 :] if t_converged is not None else []
-    # a running maximum from 0.0, as the deviations arrive
-    max_after = max((0.0, *after))
+    devs = _deviations(_recorded(rows, m), two_path, r, eq.buf[: 2 * m])
+    hits = np.flatnonzero(devs <= eps_target)
+    t_converged = int(hits[0]) if hits.size else None
+    max_after = 0.0
+    if t_converged is not None:
+        # Python's max from 0.0, which never takes a NaN. The held tail adds
+        # nothing: the first repeated state has its predecessor's deviation,
+        # so t_converged comes before it and the slice holds that deviation
+        max_after = float(np.fmax.reduce(devs[t_converged + 1 :], initial=0.0))
     if series_path:
+        series = devs.tolist()
+        # a stationary run's observers saw its last state at every later t
+        held = T_max + 1 - len(series) if trace.t_stationary is not None else 0
         with open(series_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "deviation"])
-            w.writerows(enumerate(devs))
+            w.writerows(enumerate(chain(series, repeat(series[-1], held))))
     return StabilityReport(
         rule=rule.name,
         r=r,

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ def test_stability_report_series(tmp_path):
     assert doc["held_until_Tmax"] is True
 
 
+# seeds 0-4 of the three experiments of the benchmark's two-path-regimes
+# workload; seed 3 of power 2 is the "power2" case
+SEEDED_CASES = [
+    (name, rule, seed)
+    for name, rule in (
+        ("power2", power_rule(2)), ("power0.5", power_rule(0.5)), ("sine0.05", sine_rule(0.05))
+    )
+    for seed in range(5)
+    if (name, seed) != ("power2", 3)
+]
+NAN_LEVEL_EPS, NAN_LEVEL_SEED = 2.5, 22
+
+
 def _stable_case(rule):
     rep = stable_fixed_points(rule)
     r = rep.stable_points[0]
@@ -264,10 +278,15 @@ def _brute_force_stability(rule, r, eps, eps_target, T, seed):
         # T_max ends before the state repeats
         (*_stable_case(sine_rule(0.05)), 1e-3, 60, 7, False),
         (sine_rule(0.05), 0.5, 0.02, 1e-3, 100, 2, False),
+        # eps 2.5 clamps both source-side pheromones of power 2's r = 0 to 0
+        # first at seed 22 (seeds from 0): the t = 0 levels are NaN
+        (power_rule(2), 0.0, NAN_LEVEL_EPS, 1e-3, 2000, NAN_LEVEL_SEED, True),
+        *[(*_stable_case(rule), 1e-3, 2000, seed, True) for _, rule, seed in SEEDED_CASES],
     ],
     ids=[
         "power2", "power0.5", "sine0.05", "sine0.05-unstable", "eps-target-0",
-        "sine0.05-short", "sine0.05-unstable-short",
+        "sine0.05-short", "sine0.05-unstable-short", "power2-nan-level",
+        *[f"{name}-seed{seed}" for name, _, seed in SEEDED_CASES],
     ],
 )
 def test_stability_experiment_replays_brute_force(
@@ -278,6 +297,10 @@ def test_stability_experiment_replays_brute_force(
     path = tmp_path / "series.csv"
     out = stability_experiment(rule, r, eps, eps_target, T, TP, seed=seed, series_path=str(path))
     want = _brute_force_stability(rule, r, eps, eps_target, T, seed)
+    if (eps, seed) == (NAN_LEVEL_EPS, NAN_LEVEL_SEED):
+        st = perturb(equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5), eps, seed)
+        assert st.p[TP.s_top_eid] == st.p[TP.s_bottom_eid] == 0.0
+        assert want["rows"][0] == (0, "nan")
     assert (out.t_stationary is not None) == stationary
     got = {
         "t_converged": out.t_converged,
@@ -308,6 +331,24 @@ def test_stability_experiment_stops_stepping_at_t_stationary(monkeypatch):
     assert out.t_stationary is not None
     assert len(calls) <= out.t_stationary + 1
     assert out.held_until_Tmax and out.T_max == 10_000
+
+
+def test_stability_experiment_memory_does_not_grow_with_T_max():
+    """Without a series file a stability run keeps the states it steps to,
+    not one deviation per t: the power-2 run, stationary near t = 1000,
+    peaks within 200 KB at T_max = 100,000 of its peak at T_max = 2,000."""
+    rule, r, eps = _stable_case(power_rule(2))
+
+    def peak(T):
+        tracemalloc.start()
+        out = stability_experiment(rule, r, eps, 1e-3, T, TP, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert out.t_stationary is not None and out.held_until_Tmax
+        return peak
+
+    peak(2000)  # lazy set-up
+    assert peak(100_000) - peak(2000) <= 200_000
 
 
 def test_repeats_compares_bytes_not_floats():
