@@ -154,8 +154,9 @@ class PotentialTrace:
     """Branch pheromone ratios and their windowed minimum.
 
     ``r_min[i]`` (for the state at time i, recording from t=0) is the
-    minimum of the last ``window`` samples of both ratios; NaN while the
-    window is not yet full.
+    minimum of the last ``window`` samples of both ratios, NaN samples
+    excluded; NaN while the window is not yet full or when every sample in
+    it is NaN.
     """
 
     window: int
@@ -175,12 +176,8 @@ def update_potential(
     if len(trace.r_s) < L:
         trace.r_min.append(math.nan)
         return trace
-    lo = math.inf
-    for series in (trace.r_s, trace.r_d):
-        for x in series[-L:]:
-            if not math.isnan(x) and x < lo:
-                lo = x
-    trace.r_min.append(lo if lo is not math.inf else math.nan)
+    samples = [x for series in (trace.r_s, trace.r_d) for x in series[-L:] if not math.isnan(x)]
+    trace.r_min.append(min(samples) if samples else math.nan)
     return trace
 
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -274,14 +274,13 @@ class SystemState:
         self._own(self.buf, m, n)
 
 
-PheromoneInit = Union[float, Sequence[float], Mapping[Tuple[int, int], float]]
+PheromoneInit = Union[float, Sequence[float]]
 
 
-def _resolve_pheromone(graph: DirectedGraph, init: PheromoneInit, p: np.ndarray) -> None:
-    """Fill ``p``, a new state's zeroed pheromone, from ``init``."""
-    if isinstance(init, Mapping):
-        p[graph.edge_ids(list(init))] = [float(val) for val in init.values()]
-    elif isinstance(init, (int, float)):
+def _resolve_pheromone(init: PheromoneInit, p: np.ndarray) -> None:
+    """Fill ``p``, a new state's zeroed pheromone, from ``init``: one value
+    for every edge, or one per edge in edge-id order."""
+    if isinstance(init, (int, float)):
         p.fill(float(init))
     else:
         values = np.asarray(init, dtype=float)
@@ -305,7 +304,7 @@ def init_state(
     ga = graph.arrays
     layout = _cut(np.zeros(3 * ga.m + 2 * ga.n), ga.m, ga.n)
     fe, be, p, fv, bv = layout[1:6]
-    _resolve_pheromone(graph, pheromone_init, p)
+    _resolve_pheromone(pheromone_init, p)
     f0 = schedule.forward_at(0)
     b0 = schedule.backward_at(0)
     fv[ga.source] = f0
@@ -369,17 +368,24 @@ def _split(
 ) -> int:
     """Split the vertex flows of a state buffer against its pheromone into
     its edge flows; ``layout`` is the buffer and its views (``_cut``).
-    Returns the number of zero-total splits. The general rule, and the
-    linear rule on graphs that sum out-edges by ``np.bincount``, split both
-    directions in one pass over ``[f_edge | b_edge]`` (``GraphArrays.pair``).
-    Graphs that sum out-edges by ``reduceat`` (tail-sorted or dense) split
-    one direction at a time (``_split_linear``)."""
+    Returns the number of zero-total splits. The general rule passes each
+    vertex flow on along its one edge with one gather over ``[f_edge |
+    b_edge]`` (``GraphArrays.pair``), then splits the flow of each vertex
+    with two edges (``GraphArrays.branches``, forward first) by
+    ``_branch_split``. The linear rule on graphs that sum out-edges by
+    ``np.bincount`` splits both directions in one pass; graphs that sum
+    out-edges by ``reduceat`` (tail-sorted or dense) split one direction at
+    a time (``_split_linear``)."""
     _, fe, be, p, fv, bv, _, flows, vflows = layout
     if not rule.is_linear:
         flows[...] = vflows[ga.pair.src]
-        out_s, in_d = ga.two_path_branches()
-        zeros = _branch_split(rule, p, fe, fv.item(ga.source), *out_s)
-        return zeros + _branch_split(rule, p, be, bv.item(ga.destination), *in_d)
+        forward, backward = ga.branches
+        zeros = 0
+        for v, e1, e2 in forward:
+            zeros += _branch_split(rule, p, fe, fv.item(v), e1, e2)
+        for v, e1, e2 in backward:
+            zeros += _branch_split(rule, p, be, bv.item(v), e1, e2)
+        return zeros
     if ga.out_by_bincount:
         # the groups are the 2n vertex flows; one with no edge to split over
         # gets a total of 1.0, which keeps the fast path's test whole
@@ -517,10 +523,11 @@ def _split_groups(
 def _branch_split(
     rule: DecisionRule, p: np.ndarray, eflow: np.ndarray, amount: float, e1: int, e2: int
 ) -> int:
-    """Split ``amount`` over the branch edges e1 and e2 by the general rule,
-    into ``eflow``; returns 1 for a positive amount over a zero total (split
-    evenly), else 0. Python floats, which on four edges cost less than numpy
-    scalars."""
+    """Split ``amount``, the flow of a vertex with two edges e1 and e2, by
+    the general rule into ``eflow``: the edge with the smaller normalized
+    level gets g of that level, the other the rest. Returns 1 for a positive
+    amount over a zero total (split evenly), else 0. Python floats, which on
+    two edges cost less than numpy scalars."""
     p1, p2 = p.item(e1), p.item(e2)
     total = p1 + p2
     if total <= 0.0:
@@ -567,7 +574,7 @@ def validate_run_setup(
         if schedule.kind != "exponential":
             raise ConfigError("rescaling applies to exponential schedules only")
     if not rule.is_linear:
-        graph.arrays.two_path_branches()  # raises off two-path graphs
+        graph.arrays.branches  # raises on a vertex with more than two edges
 
 
 def step(

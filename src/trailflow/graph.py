@@ -365,7 +365,6 @@ class GraphArrays:
         self.tail_bins = self.out_slot if self.with_out.size == self.n else self.tails.copy()
         self.head_bins = self.in_slot if self.with_in.size == self.n else self.heads.copy()
         self._seg_starts = self.out_ptr[self.with_out]
-        self._branches: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
 
     def _set_survival(self, leakage: np.ndarray) -> None:
         self.surv = 1.0 - np.asarray(leakage, dtype=float)
@@ -410,18 +409,35 @@ class GraphArrays:
         sums[self.with_out] = self.out_sums(x)
         return sums
 
-    def two_path_branches(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """The source's two out-edges and the destination's two in-edges,
-        each pair in edge-id order: the only branch points of the general
-        (two-branch) rule. Raises GraphError off two-parallel-path graphs."""
-        if self._branches is None:
-            if _two_paths(self) is None:
-                raise GraphError("general decision rules apply only to two-parallel-path graphs")
-            s, d = self.source, self.destination
-            out_s = self.out_eids[self.out_ptr[s] : self.out_ptr[s + 1]]
-            in_d = self.in_eids[self.in_ptr[d] : self.in_ptr[d + 1]]
-            self._branches = ((int(out_s[0]), int(out_s[1])), (int(in_d[0]), int(in_d[1])))
-        return self._branches
+    @cached_property
+    def branches(self) -> Tuple[Tuple[Branch, ...], Tuple[Branch, ...]]:
+        """The branch points of the general (two-branch) rule, forward then
+        backward: each vertex with two out-edges, and each with two
+        in-edges, as (vertex, e1, e2) with its edges in edge-id order.
+        Raises GraphError naming the first vertex with more than two."""
+        return (
+            _branch_table(self.out_eids, self.out_ptr, self.out_deg, "out"),
+            _branch_table(self.in_eids, self.in_ptr, self.in_deg, "in"),
+        )
+
+
+Branch = Tuple[int, int, int]  # (vertex, e1, e2), e1 < e2
+
+
+def _branch_table(
+    eids: np.ndarray, ptr: np.ndarray, deg: np.ndarray, side: str
+) -> Tuple[Branch, ...]:
+    """The vertices of degree 2 of a CSR grouping, each with its two edges."""
+    over = np.flatnonzero(deg > 2)
+    if over.size:
+        v = int(over[0])
+        raise GraphError(
+            f"general decision rules split over at most two edges, "
+            f"but vertex {v} has {side}-degree {int(deg[v])}"
+        )
+    verts = np.flatnonzero(deg == 2)
+    starts = ptr[verts]
+    return tuple(zip(verts.tolist(), eids[starts].tolist(), eids[starts + 1].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -552,42 +568,6 @@ def build_two_path_survival(m: int, n: int, surv_top: float, surv_bottom: float)
     lt = 1.0 - surv_top ** (1.0 / (m - 1))
     lb = 1.0 - surv_bottom ** (1.0 / (n - 1))
     return build_two_path(m, n, [lt] * (m - 1), [lb] * (n - 1))
-
-
-def two_path_structure(graph: DirectedGraph) -> Optional[Tuple[Path, Path]]:
-    """Decompose ``graph`` into two parallel s->d paths, or None.
-
-    Requires: s has out-degree 2 / in-degree 0, d has in-degree 2 /
-    out-degree 0, every other vertex has in-degree 1 and out-degree 1, each
-    path has an interior vertex, and the two paths cover every vertex.
-    """
-    return _two_paths(graph.arrays)
-
-
-def _two_paths(ga: GraphArrays) -> Optional[Tuple[Path, Path]]:
-    """``two_path_structure`` read from a graph's arrays alone, which hold
-    no reference back to the graph."""
-    s, d = ga.source, ga.destination
-    want_out, want_in = np.ones(ga.n, dtype=np.int64), np.ones(ga.n, dtype=np.int64)
-    want_out[[s, d]] = 2, 0
-    want_in[[s, d]] = 0, 2
-    if not (np.array_equal(ga.out_deg, want_out) and np.array_equal(ga.in_deg, want_in)):
-        return None
-    # every interior vertex has one predecessor, so a walk from s never
-    # repeats a vertex and the two walks share none: each ends at d
-    succ, ptr = _adjacency(ga, forward=True)
-    paths = []
-    for v in sorted(succ[ptr[s] : ptr[s + 1]]):
-        seq = [s]
-        while v != d:
-            seq.append(v)
-            v = succ[ptr[v]]
-        seq.append(d)
-        paths.append(seq)
-    pa, pb = paths
-    if len(pa) < 3 or len(pb) < 3 or len(pa) + len(pb) - 2 != ga.n:
-        return None
-    return Path(tuple(pa)), Path(tuple(pb))
 
 
 # ---------------------------------------------------------------------------

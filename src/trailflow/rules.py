@@ -4,10 +4,11 @@ Two families:
 
 * the linear rule, valid on any graph: flow divides in proportion to the
   pheromone on the candidate edges;
-* the general family, valid only on two-parallel-path graphs: a monotone
-  function g on [0, 1/2] with g(0)=0 and g(1/2)=1/2 receives the smaller of
-  the two normalized pheromone levels at a branch point and returns the flow
-  fraction for that minimum edge.
+* the general family, valid on graphs whose in- and out-degrees are at most
+  2: a vertex with one candidate edge passes its flow on, and at a vertex
+  with two a monotone function g on [0, 1/2] with g(0)=0 and g(1/2)=1/2
+  receives the smaller of the two normalized pheromone levels and returns
+  the flow fraction for that minimum edge.
 
 This module also analyzes the one-dimensional map g: its fixed points
 (g(x) = x), the subset that are stable under the flow dynamics (g crosses

@@ -262,8 +262,6 @@ def parse_scenario(doc) -> Scenario:
     graph_kind = cfg["graph"]["kind"]
     if graph_kind == "two_path" and cfg["leakage"]["kind"] != "zero":
         raise ScenarioError("leakage: two_path graphs carry leakage in graph.leak_top/leak_bottom")
-    if cfg["rule"]["kind"] != "linear" and graph_kind != "two_path":
-        raise ScenarioError("rule.kind: general rules require a two_path graph")
     if "potential" in cfg["monitors"] and graph_kind != "two_path":
         raise ScenarioError("monitors: potential requires a two_path graph")
     if (cfg["plant"] or {}).get("kind") == "band_ladder" and graph_kind != "banded_gnp":
@@ -365,6 +363,10 @@ def _materialize(cfg: dict) -> Materialized:
         if bad:
             raise ScenarioError(f"rule: invalid rule function ({bad[0].detail})")
         rule = DecisionRule.general(rule_fn)
+        try:
+            graph.arrays.branches
+        except GraphError as exc:
+            raise ScenarioError(f"rule.kind: {exc}") from None
 
     schedule = FlowSchedule(**cfg["schedule"])
 

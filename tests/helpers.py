@@ -223,8 +223,8 @@ def reference_step(state, graph, rule, schedule, cfg):
         f_edge, zf = _reference_split_linear(ga, p, fv, True, bounded)
         b_edge, zb = _reference_split_linear(ga, p, bv, False, bounded)
     else:
-        f_edge, zf = _reference_split_general(ga, rule, p, fv, True)
-        b_edge, zb = _reference_split_general(ga, rule, p, bv, False)
+        f_edge, zf = reference_general_split(graph, rule, p, fv, True)
+        b_edge, zb = reference_general_split(graph, rule, p, bv, False)
     return SystemState(
         t1,
         p,
@@ -275,27 +275,6 @@ def _reference_split_linear(ga, p, vertex_flow, forward, bounded):
     share[empty] = 1.0 / deg[verts[s[empty]]]
     eflow[e] = flow[s] * share
     return eflow, int(np.count_nonzero(fix & (totals == 0.0)))
-
-
-def _reference_split_general(ga, rule, p, vertex_flow, forward):
-    out_s, in_d = ga.two_path_branches()
-    if forward:
-        eflow, amount, (e1, e2) = vertex_flow[ga.tails], vertex_flow.item(ga.source), out_s
-    else:
-        eflow, amount, (e1, e2) = vertex_flow[ga.heads], vertex_flow.item(ga.destination), in_d
-    p1, p2 = p.item(e1), p.item(e2)
-    total = p1 + p2
-    if total <= 0.0:
-        eflow[e1] = eflow[e2] = 0.5 * amount
-        return eflow, int(amount > 0.0)
-    if p1 <= p2:
-        e_min, e_oth, x = e1, e2, p1 / total
-    else:
-        e_min, e_oth, x = e2, e1, p2 / total
-    g = float(rule.rule_fn.fn(clamp_unit_half(x)))
-    eflow[e_min] = amount * g
-    eflow[e_oth] = amount * (1.0 - g)
-    return eflow, 0
 
 
 def repeats(cur, prev):

@@ -35,8 +35,6 @@ from trailflow.rules import (
     sine_rule,
 )
 
-from helpers import edge_tuple
-
 TP23 = build_two_path(2, 3, [0.0], [0.0, 0.0])
 LIN = DecisionRule.linear()
 
@@ -240,10 +238,8 @@ def test_unidirectional_source_trajectory_independent_of_downstream():
     tp_b = build_two_path(4, 7, [0.3, 0.1, 0.5], [0.2] * 6)
     series = []
     for tp in (tp_a, tp_b):
-        edges = edge_tuple(tp.graph)
-        p = {e: 1.0 for e in edges}
-        p[edges[tp.s_top_eid]] = 1.7
-        p[edges[tp.s_bottom_eid]] = 0.6
+        p = np.ones(tp.graph.n_edges)
+        p[[tp.s_top_eid, tp.s_bottom_eid]] = 1.7, 0.6
         st = init_state(tp.graph, p, sched)
         track = []
         for _ in range(60):

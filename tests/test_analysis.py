@@ -50,9 +50,8 @@ LIN = DecisionRule.linear()
 
 
 def make_state(tp, p_values):
-    g = tp.graph
-    st = init_state(g, {e: v for e, v in zip(edge_tuple(g), p_values)}, FlowSchedule.constant(1, 1))
-    return st
+    """A t=0 state on ``tp`` with ``p_values``, one per edge in edge-id order."""
+    return init_state(tp.graph, p_values, FlowSchedule.constant(1, 1))
 
 
 # -- normalized levels ---------------------------------------------------------
@@ -251,6 +250,23 @@ def test_update_potential_constant_ratio():
     for _ in range(5):
         update_potential(trace, st, tp)
     assert trace.r_min[-1] == 2.0
+
+
+def test_update_potential_all_infinite_window_is_infinite():
+    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
+    # no pheromone on the bottom branch at either end: r_s = r_d = +inf
+    st = make_state(tp, [1.0, 1.0, 0.0, 1.0, 0.0])
+    trace = PotentialTrace(window=2)
+    for _ in range(3):
+        update_potential(trace, st, tp)
+    assert trace.r_s[-1] == trace.r_d[-1] == math.inf
+    assert math.isnan(trace.r_min[0])
+    assert trace.r_min[1:] == [math.inf, math.inf]
+    # and with no pheromone on any branch edge every sample is 0/0: NaN
+    nan_trace = PotentialTrace(window=2)
+    for _ in range(3):
+        update_potential(nan_trace, make_state(tp, [0.0, 0.0, 0.0, 1.0, 0.0]), tp)
+    assert all(math.isnan(x) for x in nan_trace.r_min)
 
 
 # -- theorem constants ------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_schedule_rejects_non_finite(make):
 
 
 @pytest.mark.parametrize(
-    "init", [math.nan, math.inf, [1.0, math.inf, 1.0, 1.0, 1.0], {(0, 1): math.nan}]
+    "init", [math.nan, math.inf, [1.0, math.inf, 1.0, 1.0, 1.0], [math.nan, 1.0, 1.0, 1.0, 1.0]]
 )
 def test_init_state_rejects_non_finite_pheromone(init):
     """Rejected before the first split, which warned on NaN."""
@@ -142,9 +142,8 @@ def test_init_uniform_in_range():
 
 def test_init_strict_warns_on_zero_target_pheromone():
     tp = two_path_23(leak_top=0.0, leak2=0.1)
-    edges = edge_tuple(tp.graph)
-    p = {e: 1.0 for e in edges}
-    p[edges[tp.s_top_eid]] = 0.0  # zero on the min-leakage path
+    p = np.ones(tp.graph.n_edges)
+    p[tp.s_top_eid] = 0.0  # zero on the min-leakage path
     st = init_state(tp.graph, p, FlowSchedule.constant(1, 1), strict=True)
     assert st.warnings and "zero initial pheromone" in st.warnings[0]
     with pytest.raises(ConfigError):
@@ -426,6 +425,25 @@ def test_general_rule_requires_two_path():
         )
     with pytest.raises(GraphError):
         init_state(g, 1.0, sched, DecisionRule.general(power_rule(2)))
+
+
+@pytest.mark.parametrize(
+    "edges, named",
+    [
+        # vertex 1 branches three ways (and 4 gathers three in-edges)
+        ([(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)], "vertex 1 has out-degree 3"),
+        # every out-degree is at most 2, but 3 gathers three in-edges
+        ([(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (4, 3), (3, 5)], "vertex 3 has in-degree 3"),
+    ],
+)
+def test_general_rule_names_a_vertex_with_three_edges(edges, named):
+    g = DirectedGraph(max(max(e) for e in edges) + 1, edges, 0, edges[-1][1])
+    sched = FlowSchedule.constant(1.0, 1.0)
+    rule = DecisionRule.general(power_rule(2))
+    with pytest.raises(GraphError, match=named):
+        init_state(g, 1.0, sched, rule)
+    with pytest.raises(GraphError, match=named):
+        run(init_state(g, 1.0, sched), g, rule, sched, EngineConfig(delta=0.5), 5)
 
 
 @pytest.mark.parametrize("rule", [power_rule(2), power_rule(0.5), sine_rule(0.05)])

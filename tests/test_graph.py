@@ -25,7 +25,6 @@ from trailflow.graph import (
     plant_band_ladder,
     plant_path,
     shortest_path,
-    two_path_structure,
     validate_path,
 )
 from trailflow.rules import DecisionRule, power_rule
@@ -122,7 +121,7 @@ def _assert_matches_reference(g, ref):
     assert {e: g.edge_id(*e) for e in ref.edges} == ref.edge_ids
     got, want = vars(g.arrays), vars(GraphArrays(ref))
     assert got.keys() == want.keys()
-    for name in want.keys() - {"_branches"}:
+    for name in want:
         if isinstance(want[name], np.ndarray):
             assert got[name].dtype == want[name].dtype, name
             assert np.array_equal(got[name], want[name]), name
@@ -182,7 +181,6 @@ def test_with_leakage_shares_edges_and_rebuilds_survival():
     assert g.leakage[1] == 0.0
     ref = ReferenceGraph(30, edge_tuple(g), 0, 29, g2.leakage)
     _assert_matches_reference(g2, ref)
-    assert two_path_structure(g2) is None
 
 
 def test_edge_and_leakage_arrays_are_read_only():
@@ -308,27 +306,6 @@ def test_build_two_path_errors():
         build_two_path(2, 3, [1.0], [0.0, 0.0])  # leakage out of range
     with pytest.raises(GraphError):
         build_two_path(1, 3, [], [0.0, 0.0])  # no interior vertex
-
-
-def test_two_path_structure_roundtrip():
-    tp = build_two_path(3, 4, [0.1, 0.2], [0.0, 0.0, 0.3])
-    got = two_path_structure(tp.graph)
-    assert got is not None
-    assert set(got) == {tp.top, tp.bottom}
-    assert two_path_structure(gen_grid(3, 3)) is None
-
-
-def test_two_path_structure_rejects_uncovered_vertices():
-    # two paths 0-1-4 and 0-2-3-4 beside a 2-cycle 5<->6 that passes every
-    # degree check: the walks from s miss two vertices
-    edges = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)]
-    assert two_path_structure(DirectedGraph(5, edges, 0, 4)) is not None
-    g = DirectedGraph(7, edges + [(5, 6), (6, 5)], 0, 4)
-    assert two_path_structure(g) is None
-    schedule = FlowSchedule.constant(1.0, 1.0)
-    rule = DecisionRule.general(power_rule(2))
-    with pytest.raises(GraphError, match="two-parallel-path"):
-        run(init_state(g, 1.0, schedule), g, rule, schedule, EngineConfig(delta=0.5), 10)
 
 
 def test_build_two_path_survival_products():

@@ -211,6 +211,12 @@ def test_serialize_golden(case):
             "monitors",
         ),
         ({"seed": 1, "graph": {"kind": "grid", "rows": 3, "cols": 3}, "delta": 1.5}, "delta"),
+        # planting gives the source a third out-edge
+        (
+            {"seed": 1, "graph": GRID33, "plant": {"length": 2},
+             "rule": {"kind": "power", "k": 2}},
+            "rule.kind",
+        ),
     ],
 )
 def test_parse_errors_name_offending_key(doc, fragment):
@@ -340,6 +346,22 @@ def test_run_scenario_general_rule_two_path():
     }
     res = run_scenario(parse_scenario(doc))
     assert res.trace.stop_reason in ("converged", "horizon")
+
+
+def test_run_scenario_general_rule_on_a_grid():
+    # every grid vertex has at most two out- and in-edges, so the general
+    # rule splits at each vertex with two and passes flow on at the others
+    doc = {
+        "seed": 2,
+        "graph": {"kind": "grid", "rows": 10, "cols": 10},
+        "rule": {"kind": "power", "k": 2},
+        "delta": 0.5,
+        "steps": 500,
+        "monitors": ["invariants"],
+    }
+    res = run_scenario(parse_scenario(doc))
+    assert res.invariant_violations == 0
+    assert res.exit_code == 0
 
 
 # -- batches -----------------------------------------------------------------------

@@ -85,6 +85,23 @@ def _two_path_general(m, n, rule):
     return init_state(tp.graph, p0, sched, rule), tp.graph, rule, sched, EngineConfig(0.5), 200
 
 
+def _two_paths_beside_a_cycle():
+    # two paths 0-1-4 and 0-2-3-4 beside a 2-cycle 5<->6 that no flow reaches
+    edges = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4), (5, 6), (6, 5)]
+    return DirectedGraph(7, edges, 0, 4)
+
+
+def _per_vertex_general(g, rule, bare=None):
+    """A general-rule run on ``g``, whose vertices have at most two edges
+    each way. The out-edges of vertex ``bare`` start with no pheromone, so
+    its first forward flow splits over a zero total."""
+    sched = FlowSchedule.constant(1.0, 0.7)
+    p0 = np.random.default_rng(g.n_edges).uniform(0.2, 1.0, g.n_edges)
+    if bare is not None:
+        p0[g.tails == bare] = 0.0
+    return init_state(g, p0, sched, rule), g, rule, sched, EngineConfig(0.5), 60
+
+
 def _swap():
     tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
     g = tp.graph
@@ -159,6 +176,17 @@ CASES = {
         for m, n in ((2, 2), (2, 3))
         for rule in (power_rule(2), power_rule(0.5), sine_rule(0.05))
     },
+    **{
+        f"general-{name}-{rule.name}": (lambda graph=graph, bare=bare, rule=rule: (
+            _per_vertex_general(graph(), DecisionRule.general(rule), bare)
+        ))
+        for name, graph, bare in (
+            ("grid-4x5", lambda: gen_grid(4, 5), 1),
+            ("grid-10x10", lambda: gen_grid(10, 10), 1),
+            ("two-paths-beside-a-cycle", _two_paths_beside_a_cycle, None),
+        )
+        for rule in (power_rule(2), power_rule(0.5), sine_rule(0.05))
+    },
     "unidirectional-swap": _swap,
     "planted-grid-growth": _planted_growth,
     "banded-ladder": _ladder,
@@ -176,7 +204,7 @@ def test_step_matches_reference_step_bytewise(case):
     assert final.t == steps
     if case == "planted-grid-growth":
         assert final.underflow_flushes > 0
-    if case == "zero-total":
+    if case == "zero-total" or case.startswith("general-grid-"):
         assert final.zero_split_events > 0
 
 
