@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import BranchLevelObserver, detect_convergence
+from .analysis import _PROOF_SLACK, BranchLevelObserver, detect_convergence
 from .dynamics import (
     ConfigError,
     DecisionRule,
@@ -33,7 +33,7 @@ from .dynamics import (
     run,
 )
 from .graph import Path, TwoPathGraph, build_two_path_survival
-from .rules import RuleError, RuleFunction, RuleLinearAtResolution, _eval_grid
+from .rules import DEFAULT_GRID, RuleError, RuleFunction, RuleLinearAtResolution, _eval_grid
 
 CASE_BELOW = "below_diagonal"  # g(r+s) < r+s on (0, eps]
 CASE_ABOVE = "above_diagonal"  # g(r+s) > r+s on (0, eps]
@@ -51,10 +51,11 @@ class Nonlinearity:
     case: str
 
 
-def find_nonlinearity(rule: RuleFunction, grid: int = 4097) -> Nonlinearity:
-    """Interior point r with the largest |g(r) - r|, together with the
-    largest grid-certified eps (r + eps < 1/2) over which g - id keeps the
-    sign it has at r."""
+def find_nonlinearity(rule: RuleFunction) -> Nonlinearity:
+    """Interior point r with the largest |g(r) - r| on the ``DEFAULT_GRID``
+    grid, together with the largest grid-certified eps (r + eps < 1/2) over
+    which g - id keeps the sign it has at r."""
+    grid = DEFAULT_GRID
     xs = np.linspace(0.0, 0.5, grid)
     h = _eval_grid(rule, xs) - xs
     interior = slice(1, grid - 1)
@@ -277,10 +278,10 @@ class FlowBoundObserver:
     On the watched branch (level bound q) every forward flow is compared
     against schedule(t - age) * q * survival-prefix and every backward flow
     against the suffix version; the other branch carries the complementary
-    (1-q) lower/upper bounds. Injection before t=0 is treated as the t=0
-    value. Under a constant schedule no bound depends on t, so on a
-    repeated state (``prev is state``) the last call's records repeat with
-    the new t.
+    (1-q) lower/upper bounds, each with relative slack ``_PROOF_SLACK``.
+    Injection before t=0 is treated as the t=0 value. Under a constant
+    schedule no bound depends on t, so on a repeated state
+    (``prev is state``) the last call's records repeat with the new t.
     """
 
     def __init__(
@@ -290,10 +291,8 @@ class FlowBoundObserver:
         watch_branch: str,
         bound: float,
         direction: str,
-        slack: float = 1e-9,
     ) -> None:
         self.schedule = schedule
-        self.slack = slack
         self.spec = []  # (eid, fwd_age, bwd_age, prefix, suffix, level, upper?)
         for branch in ("top", "bottom"):
             watched = branch == watch_branch
@@ -320,28 +319,27 @@ class FlowBoundObserver:
             bb = sched.backward_at(max(0, t - bage)) * level * suf
             f, b = float(fe[eid]), float(be[eid])
             if upper:
-                if f > fb * (1.0 + self.slack) or b > bb * (1.0 + self.slack):
+                if f > fb * (1.0 + _PROOF_SLACK) or b > bb * (1.0 + _PROOF_SLACK):
                     found.append((t, eid, f, fb))
             else:
-                if f < fb * (1.0 - self.slack) or b < bb * (1.0 - self.slack):
+                if f < fb * (1.0 - _PROOF_SLACK) or b < bb * (1.0 - _PROOF_SLACK):
                     found.append((t, eid, f, fb))
         self._last = found
         self.violations.extend(found)
 
 
 class TargetConvergenceWatcher:
-    """Sparse check that the dynamics never epsilon-converge to a target
-    path."""
+    """Sparse check, every 100th step, that the dynamics never
+    epsilon-converge to a target path."""
 
-    def __init__(self, graph, target: Path, epsilon: float, every: int = 100) -> None:
+    def __init__(self, graph, target: Path, epsilon: float) -> None:
         self.graph = graph
         self.target = target
         self.epsilon = epsilon
-        self.every = max(1, every)
         self.seen_at: Optional[int] = None
 
     def __call__(self, t, state, prev) -> None:
-        if self.seen_at is None and t % self.every == 0:
+        if self.seen_at is None and t % 100 == 0:
             path = detect_convergence(state, self.graph, self.epsilon)
             if path is not None and path == self.target:
                 self.seen_at = t
@@ -364,16 +362,16 @@ def verify_nonconvergence(
     levels: BranchLevelObserver,
     bound: float,
     direction: str,
-    slack: float = 1e-9,
     *,
     target_convergence_at: Optional[int] = None,
     flow_bound_violations: int = 0,
 ) -> NonconvergenceReport:
-    """Check the branch level bound at both graph ends over the recorded
-    steps (<= for AT_MOST, >= for AT_LEAST). A NaN level compares false,
-    so it never violates. The report is ok only if, besides, the run never
-    converged to the target and broke no edge-flow bound."""
-    limit = bound + slack if direction == AT_MOST else bound - slack
+    """Check the branch level bound, with slack ``_PROOF_SLACK``, at both
+    graph ends over the recorded steps (<= for AT_MOST, >= for AT_LEAST).
+    A NaN level compares false, so it never violates. The report is ok only
+    if, besides, the run never converged to the target and broke no
+    edge-flow bound."""
+    limit = bound + _PROOF_SLACK if direction == AT_MOST else bound - _PROOF_SLACK
     bad = (lambda v: v > limit) if direction == AT_MOST else (lambda v: v < limit)
     pairs = enumerate(zip(levels.norm_s, levels.norm_d))
     first_t, first_v = next(((t, v) for t, pair in pairs for v in pair if bad(v)), (None, None))
@@ -395,7 +393,6 @@ def run_counterexample(
     T: int,
     delta: float = 0.5,
     epsilon: float = 0.01,
-    check_every: int = 100,
 ) -> Tuple[NonconvergenceReport, RunTrace, BranchLevelObserver]:
     """Run a constructed counterexample for T steps and verify its bound
     invariant plus non-convergence to the top (min-leakage / shortest)
@@ -406,7 +403,7 @@ def run_counterexample(
     bound, direction = cx.config.bound, cx.direction
     obs = BranchLevelObserver(cx.two_path, cx.watch_branch)
     flows = FlowBoundObserver(cx.two_path, cx.schedule, cx.watch_branch, bound, direction)
-    watcher = TargetConvergenceWatcher(graph, cx.two_path.top, epsilon, check_every)
+    watcher = TargetConvergenceWatcher(graph, cx.two_path.top, epsilon)
     trace = run(cx.state, graph, rule, cx.schedule, cfg, T, observers=[obs, flows, watcher])
     report = verify_nonconvergence(
         obs, bound, direction,
@@ -465,11 +462,13 @@ def unidirectional_swap_demo(
     source-edge normalized level stays above 1/2.
     """
 
+    s_top, s_bottom = two_path.branch_eids("top")[0], two_path.branch_eids("bottom")[0]
+
     def one(p1: float, p2: float) -> Tuple[Optional[str], bool, Optional[Path]]:
         g = two_path.graph
         p = np.full(g.n_edges, float(other_pheromone))
-        p[two_path.s_top_eid] = p1
-        p[two_path.s_bottom_eid] = p2
+        p[s_top] = p1
+        p[s_bottom] = p2
         schedule = FlowSchedule.constant(f0, 0.0)
         from .dynamics import init_state
 
@@ -510,7 +509,9 @@ def swap_demo_batch(
     delta: float = 0.5,
 ) -> Tuple[List[SwapDemoReport], float]:
     """Seeded non-degenerate initial pheromone pairs; returns the reports and
-    the flip rate."""
+    the flip rate. Raises ConfigError unless n_seeds >= 1."""
+    if n_seeds < 1:
+        raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
     reports = []
     flips = 0
     for i in range(n_seeds):

@@ -26,6 +26,10 @@ SUMMARY_COLUMNS = ["t", "r_min", "f_s", "b_d", "converged_path_id"]
 
 _FIRST = np.zeros(1, dtype=np.intp)  # reduceat index of a single segment
 
+# the proof checks' slack: a bound holds when the value is within this of it
+# (relative for flows and ratio growth, absolute for pheromone and levels)
+_PROOF_SLACK = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # Normalized pheromone
@@ -170,8 +174,10 @@ def update_potential(
 ) -> PotentialTrace:
     """Push the current branch ratios and recompute the window minimum."""
     p = state.p
-    trace.r_s.append(ratio(float(p[two_path.s_top_eid]), float(p[two_path.s_bottom_eid])))
-    trace.r_d.append(ratio(float(p[two_path.d_top_eid]), float(p[two_path.d_bottom_eid])))
+    s_top, d_top = two_path.branch_eids("top")
+    s_bottom, d_bottom = two_path.branch_eids("bottom")
+    trace.r_s.append(ratio(float(p[s_top]), float(p[s_bottom])))
+    trace.r_d.append(ratio(float(p[d_top]), float(p[d_bottom])))
     L = trace.window
     if len(trace.r_s) < L:
         trace.r_min.append(math.nan)
@@ -261,13 +267,13 @@ def theorem_constants(
 
 
 class PheromoneBoundObserver:
-    """Per-step bound monitor; uses the amounts actually injected at each
-    step so it stays correct under rescaling."""
+    """Per-step check, from T1 on, of the pheromone bound
+    max p <= 2 (f + b) / (1 - delta) + ``_PROOF_SLACK``; uses the amounts
+    actually injected at each step so it stays correct under rescaling."""
 
-    def __init__(self, delta: float, T1: float, slack: float = 1e-9) -> None:
+    def __init__(self, delta: float, T1: float) -> None:
         self.delta = delta
         self.T1 = T1
-        self.slack = slack
         self.violations: List[Tuple[int, int, float, float]] = []
 
     def __call__(self, t, state, prev) -> None:
@@ -275,7 +281,7 @@ class PheromoneBoundObserver:
             return
         bound = 2.0 * (state.injected_f + state.injected_b) / (1.0 - self.delta)
         worst = float(state.p.max())
-        if worst > bound + self.slack:
+        if worst > bound + _PROOF_SLACK:
             self.violations.append((t, int(np.argmax(state.p)), worst, bound))
 
 
@@ -288,9 +294,9 @@ class GrowthViolation:
 
 
 def sweep_potential_monotone(
-    trace: PotentialTrace, t_min: Optional[int] = None, rel_tol: float = 1e-12
+    trace: PotentialTrace, t_min: Optional[int] = None
 ) -> List[GrowthViolation]:
-    """All monotonicity violations r_min(t+1) < r_min(t)(1 - rel_tol) for
+    """All monotonicity violations r_min(t+1) < r_min(t)(1 - 1e-12) for
     t >= t_min (default: the window length)."""
     L = trace.window
     start = L if t_min is None else t_min
@@ -300,17 +306,15 @@ def sweep_potential_monotone(
         a, b = r[t], r[t + 1]
         if math.isnan(a) or math.isnan(b):
             continue
-        if b < a * (1.0 - rel_tol):
+        if b < a * (1.0 - 1e-12):
             out.append(GrowthViolation(t, "monotonic", b, a))
     return out
 
 
 def sweep_potential_growth(
-    trace: PotentialTrace,
-    constants: TheoremConstants,
-    slack: float = 1e-9,
+    trace: PotentialTrace, constants: TheoremConstants
 ) -> List[GrowthViolation]:
-    """All growth violations r_min(t+L) < gamma_l r_min(t)(1 - slack) for
+    """All growth violations r_min(t+L) < gamma_l r_min(t)(1 - 1e-9) for
     t >= T1 + L."""
     L = trace.window
     start = int(math.ceil(constants.T1)) + L
@@ -322,7 +326,7 @@ def sweep_potential_growth(
             continue
         if math.isinf(a) and math.isinf(b):
             continue
-        if b < constants.gamma_l * a * (1.0 - slack):
+        if b < constants.gamma_l * a * (1.0 - _PROOF_SLACK):
             out.append(GrowthViolation(t, "growth", b, constants.gamma_l * a))
     return out
 

@@ -212,10 +212,6 @@ class DirectedGraph:
             raise GraphError(f"no edge ({u},{v})")
         return pos if order is None else order[pos]
 
-    def edge_id(self, u: int, v: int) -> int:
-        """The id of edge (u, v): ``edge_ids`` of one pair."""
-        return int(self.edge_ids(((u, v),))[0])
-
     def with_leakage(
         self, leakage: Union[Sequence[float], Mapping[int, float]]
     ) -> "DirectedGraph":
@@ -243,15 +239,11 @@ class DirectedGraph:
 
     # -- export ------------------------------------------------------------
 
-    def to_dot(
-        self,
-        edge_weights: Optional[Sequence[float]] = None,
-        name: str = "flow",
-        max_penwidth: float = 6.0,
-    ) -> str:
-        """DOT export; optional per-edge weights scale pen widths (weights are
-        drawn green), vertex size shrinks with leakage."""
-        lines = [f"digraph {name} {{"]
+    def to_dot(self, edge_weights: Optional[Sequence[float]] = None) -> str:
+        """DOT export of the digraph ``flow``; optional per-edge weights scale
+        pen widths up to 6.5 (weights are drawn green), vertex size shrinks
+        with leakage."""
+        lines = ["digraph flow {"]
         for v in range(self.n_vertices):
             size = 0.25 + 0.55 * (1.0 - float(self.leakage[v]))
             attrs = [f'width="{size:.3f}"', f'height="{size:.3f}"', "fixedsize=true"]
@@ -272,7 +264,7 @@ class DirectedGraph:
                 lines.append(f"  {u} -> {v};")
                 continue
             w = float(edge_weights[eid])
-            pen = 0.5 + (max_penwidth * w / wmax if wmax > 0 else 0.0)
+            pen = 0.5 + (6.0 * w / wmax if wmax > 0 else 0.0)
             color = "green" if w > 0 else "gray"
             lines.append(
                 f'  {u} -> {v} [penwidth="{pen:.3f}", color="{color}", weight_value="{w:.6g}"];'
@@ -485,23 +477,6 @@ class TwoPathGraph:
         eids = self.path_eids(branch)
         return eids[0], eids[-1]
 
-    # branch edge ids at the source and destination
-    @property
-    def s_top_eid(self) -> int:
-        return self._eids["top"][0]
-
-    @property
-    def s_bottom_eid(self) -> int:
-        return self._eids["bottom"][0]
-
-    @property
-    def d_top_eid(self) -> int:
-        return self._eids["top"][-1]
-
-    @property
-    def d_bottom_eid(self) -> int:
-        return self._eids["bottom"][-1]
-
     def branch_survivals(self, branch: str) -> Tuple[np.ndarray, np.ndarray]:
         """(prefix, suffix) survival products per edge of a branch: prefix[i]
         over the vertices forward flow on edge i has passed from s, suffix[i]
@@ -575,10 +550,9 @@ def build_two_path_survival(m: int, n: int, surv_top: float, surv_bottom: float)
 # ---------------------------------------------------------------------------
 
 
-def gen_gnp(n: int, p: float, seed: int) -> DirectedGraph:
-    """Directed G(n, p): each ordered pair (i, j), i != j, is an edge with
-    probability p. Vertex 0 is the source, vertex n-1 the destination.
-    Leakage starts at 0 and is assigned separately."""
+def _gnp_matrix(n: int, p: float, seed: int) -> np.ndarray:
+    """The (n, n) adjacency matrix of a directed G(n, p) draw: each ordered
+    pair (i, j), i != j, is an edge with probability p."""
     if n < 2:
         raise GraphError("n must be >= 2")
     if not (0.0 <= p <= 1.0):
@@ -586,21 +560,22 @@ def gen_gnp(n: int, p: float, seed: int) -> DirectedGraph:
     rng = np.random.default_rng(seed)
     mat = rng.random((n, n)) < p
     np.fill_diagonal(mat, False)
-    return DirectedGraph(n, np.argwhere(mat), 0, n - 1)
+    return mat
+
+
+def gen_gnp(n: int, p: float, seed: int) -> DirectedGraph:
+    """Directed G(n, p). Vertex 0 is the source, vertex n-1 the destination.
+    Leakage starts at 0 and is assigned separately."""
+    return DirectedGraph(n, np.argwhere(_gnp_matrix(n, p, seed)), 0, n - 1)
 
 
 def gen_banded_gnp(n: int, p: float, k: int, seed: int) -> DirectedGraph:
     """G(n, p) restricted to pairs with |i - j| <= k, forcing long routes."""
-    if n < 2:
-        raise GraphError("n must be >= 2")
     if k < 1:
         raise GraphError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    mat = rng.random((n, n)) < p
-    np.fill_diagonal(mat, False)
+    mat = _gnp_matrix(n, p, seed)
     idx = np.arange(n)
-    band = np.abs(idx[:, None] - idx[None, :]) <= k
-    mat &= band
+    mat &= np.abs(idx[:, None] - idx[None, :]) <= k
     return DirectedGraph(n, np.argwhere(mat), 0, n - 1)
 
 

@@ -49,9 +49,6 @@ class RuleFunction:
     def __call__(self, x):
         return self.fn(x)
 
-    def config_dict(self) -> dict:
-        return dict(self.config)
-
 
 @dataclass(frozen=True)
 class DecisionRule:
@@ -86,8 +83,8 @@ def linear_rule() -> RuleFunction:
 
 def power_rule(k: float) -> RuleFunction:
     """g(x) = 2^(k-1) x^k; k=2 gives 2x^2, k=1/2 gives sqrt(x/2)."""
-    if k <= 0:
-        raise RuleError("power exponent must be positive")
+    if not 0.0 < k < math.inf:
+        raise RuleError("power exponent must be finite and positive")
     coef = 2.0 ** (k - 1.0)
 
     def fn(x):
@@ -98,6 +95,8 @@ def power_rule(k: float) -> RuleFunction:
 
 def sine_rule(a: float) -> RuleFunction:
     """g(x) = x + a sin(4 pi x); monotone for |a| <= 1/(4 pi)."""
+    if not math.isfinite(a):
+        raise RuleError("sine amplitude must be finite")
 
     def fn(x):
         return x + a * np.sin(4.0 * math.pi * x)
@@ -111,6 +110,8 @@ def table_rule(xs: Sequence[float], ys: Sequence[float]) -> RuleFunction:
     ys = [float(y) for y in ys]
     if len(xs) != len(ys) or len(xs) < 2:
         raise RuleError("table rule needs matching xs/ys with at least 2 points")
+    if not all(map(math.isfinite, xs + ys)):
+        raise RuleError("table xs and ys must be finite")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise RuleError("table xs must be strictly increasing")
     if xs[0] != 0.0 or xs[-1] != 0.5:
@@ -210,16 +211,17 @@ class RuleViolation:
 
 
 def validate_rule(rule: RuleFunction, grid: Optional[int] = None) -> List[RuleViolation]:
-    """Check the family invariants on the validation grid; empty list = ok."""
+    """Check the family invariants on the validation grid; empty list = ok.
+    Each test is written so that a value it cannot compare (NaN) fails it."""
     g = grid or rule.validation_grid
     xs = np.linspace(0.0, 0.5, g)
     ys = _eval_grid(rule, xs)
     violations: List[RuleViolation] = []
-    if abs(ys[0]) > _ENDPOINT_TOL:
+    if not abs(ys[0]) <= _ENDPOINT_TOL:
         violations.append(RuleViolation("endpoint", 0.0, f"g(0)={ys[0]!r} != 0"))
-    if abs(ys[-1] - 0.5) > _ENDPOINT_TOL:
+    if not abs(ys[-1] - 0.5) <= _ENDPOINT_TOL:
         violations.append(RuleViolation("endpoint", 0.5, f"g(1/2)={ys[-1]!r} != 1/2"))
-    bad = np.nonzero(ys[:-1] > ys[1:] + _ENDPOINT_TOL)[0]
+    bad = np.nonzero(~(ys[:-1] <= ys[1:] + _ENDPOINT_TOL))[0]
     if bad.size:
         i = int(bad[0])
         violations.append(
@@ -229,7 +231,7 @@ def validate_rule(rule: RuleFunction, grid: Optional[int] = None) -> List[RuleVi
                 f"g({xs[i]:.6g})={ys[i]:.6g} > g({xs[i + 1]:.6g})={ys[i + 1]:.6g}",
             )
         )
-    out = np.nonzero((ys < -_ENDPOINT_TOL) | (ys > 1.0 + _ENDPOINT_TOL))[0]
+    out = np.nonzero(~((ys >= -_ENDPOINT_TOL) & (ys <= 1.0 + _ENDPOINT_TOL)))[0]
     if out.size:
         i = int(out[0])
         violations.append(RuleViolation("range", float(xs[i]), f"g={ys[i]!r} outside [0,1]"))
@@ -277,6 +279,11 @@ def fixed_points(
 ) -> FixedPointScan:
     """Sign-scan of g(x)-x plus bisection on each sign change; grid points
     with |g-x| <= tol included; 0 and 1/2 always included."""
+    return _scan(rule, grid, tol)[0]
+
+
+def _scan(rule: RuleFunction, grid: int, tol: float) -> Tuple[FixedPointScan, np.ndarray]:
+    """``fixed_points`` and the g(x)-x on the grid it scanned."""
     if grid < 64:
         raise RuleError("fixed-point grid must have at least 64 samples")
     xs = np.linspace(0.0, 0.5, grid)
@@ -284,7 +291,7 @@ def fixed_points(
     within = np.abs(h) <= tol
     frac = float(np.mean(within))
     if frac >= 0.99:
-        return FixedPointScan((), True, frac)
+        return FixedPointScan((), True, frac), h
 
     pts: List[float] = [0.0, 0.5]
     pts.extend(float(x) for x in xs[within])
@@ -299,7 +306,7 @@ def fixed_points(
     for x in pts:
         if not dedup or x - dedup[-1] > tol:
             dedup.append(x)
-    return FixedPointScan(tuple(dedup), False, frac)
+    return FixedPointScan(tuple(dedup), False, frac), h
 
 
 def _bisect(h: Callable[[float], float], a: float, b: float, ha: float, tol: float) -> float:
@@ -322,11 +329,9 @@ def stable_fixed_points(
     g(x) > x on a punctured left neighborhood and g(x) < x on a punctured
     right neighborhood (one-sided at the domain endpoints). The estimated
     neighborhood radius r_eps is the largest grid-resolvable one."""
-    scan = fixed_points(rule, grid, tol)
+    scan, h = _scan(rule, grid, tol)
     if scan.identically_fixed:
         return FixedPointReport((), (), {}, identically_fixed=True)
-    xs = np.linspace(0.0, 0.5, grid)
-    h = _eval_grid(rule, xs) - xs
     step = 0.5 / (grid - 1)
 
     stable: List[float] = []
@@ -359,20 +364,14 @@ def stable_fixed_points(
     return FixedPointReport(scan.points, tuple(stable), margins, False)
 
 
-def stability_margin(
-    rule: RuleFunction,
-    r: float,
-    eps_inner: float,
-    r_eps: float,
-    samples: int = 1025,
-) -> float:
-    """c_{g,r,eps''} = min over eps'' <= x <= r_eps of
+def stability_margin(rule: RuleFunction, r: float, eps_inner: float, r_eps: float) -> float:
+    """c_{g,r,eps''} = min over eps'' <= x <= r_eps (1025 samples) of
     min(g(r-x)-(r-x), (r+x)-g(r+x)), each side counted only where it stays
     inside [0, 1/2]. Positive for a stable point; <= 0 signals the point is
     not stable at this resolution."""
     if not (0.0 < eps_inner <= r_eps):
         raise RuleError("need 0 < eps_inner <= r_eps")
-    xs = np.linspace(eps_inner, r_eps, samples)
+    xs = np.linspace(eps_inner, r_eps, 1025)
     best = math.inf
     for x in xs:
         vals = []

@@ -77,7 +77,7 @@ def test_leakage_counterexample_constants():
     assert cx.two_path.surv_bottom == pytest.approx(0.95)
     # initial state: watched branch level exactly r+eps, flows rule-consistent
     p = cx.state.p
-    s_top, s_bot = cx.two_path.s_top_eid, cx.two_path.s_bottom_eid
+    s_top, s_bot = cx.two_path.branch_eids("top")[0], cx.two_path.branch_eids("bottom")[0]
     assert p[s_top] / (p[s_top] + p[s_bot]) == pytest.approx(0.35)
     g_at_bound = 2 * 0.35**2
     assert cx.state.f_edge[s_top] == pytest.approx(g_at_bound)
@@ -229,6 +229,12 @@ def test_swap_batch_full_flip_rate():
     assert all(not r.degenerate for r in reports)
 
 
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_swap_batch_needs_a_seed(n_seeds):
+    with pytest.raises(ConfigError, match="n_seeds must be >= 1"):
+        swap_demo_batch(TP23, LIN, n_seeds)
+
+
 def test_unidirectional_source_trajectory_independent_of_downstream():
     """With backward injection 0, the source-edge pheromone trajectory only
     depends on the source edges' own history."""
@@ -238,12 +244,13 @@ def test_unidirectional_source_trajectory_independent_of_downstream():
     tp_b = build_two_path(4, 7, [0.3, 0.1, 0.5], [0.2] * 6)
     series = []
     for tp in (tp_a, tp_b):
+        s_top, s_bot = tp.branch_eids("top")[0], tp.branch_eids("bottom")[0]
         p = np.ones(tp.graph.n_edges)
-        p[[tp.s_top_eid, tp.s_bottom_eid]] = 1.7, 0.6
+        p[[s_top, s_bot]] = 1.7, 0.6
         st = init_state(tp.graph, p, sched)
         track = []
         for _ in range(60):
             st = step(st, tp.graph, LIN, sched, cfg)
-            track.append((float(st.p[tp.s_top_eid]), float(st.p[tp.s_bottom_eid])))
+            track.append((float(st.p[s_top]), float(st.p[s_bot])))
         series.append(track)
     assert series[0] == series[1]

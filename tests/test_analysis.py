@@ -62,8 +62,8 @@ def test_normalized_levels_arithmetic():
     # edge order: top chain first, then bottom chain
     st = make_state(tp, [3.0, 1.0, 1.0, 1.0, 1.0])
     lv = normalized_levels(st, tp.graph)
-    assert lv.fwd[tp.s_top_eid] == pytest.approx(0.75)
-    assert lv.fwd[tp.s_bottom_eid] == pytest.approx(0.25)
+    assert lv.fwd[tp.branch_eids("top")[0]] == pytest.approx(0.75)
+    assert lv.fwd[tp.branch_eids("bottom")[0]] == pytest.approx(0.25)
     # degree-1 vertex: its edge normalizes to 1 in the forward direction
     assert lv.fwd[tp.path_eids("bottom")[1]] == 1.0
     # per-vertex sums equal 1
@@ -132,7 +132,7 @@ def test_detect_convergence_matches_reference_walk():
     hits = 0
     for g, _ in kernel_graphs():
         path = shortest_path(g)
-        on_path = [g.edge_id(u, v) for u, v in zip(path.vertices, path.vertices[1:])]
+        on_path = g.edge_ids(path.edge_pairs())
         for boost in (0.0, 1.0, 4.0, 100.0):
             p = rng.integers(0, 3, g.n_edges).astype(float)
             p[on_path] += boost
@@ -187,12 +187,11 @@ def test_detect_convergence_on_a_dense_graph():
     eps = 1e-17  # 1 - eps rounds to 1.0
     tiny = 2.0**-53
     p = np.zeros(g.n_edges)
-    for u in into_d:
-        if u not in (s, a, b):
-            p[g.edge_id(u, d)] = tiny
-    p[[g.edge_id(s, a), g.edge_id(a, d)]] = 1.0
+    p[g.edge_ids([(u, d) for u in into_d if u not in (s, a, b)])] = tiny
+    s_a, a_d = g.edge_ids([(s, a), (a, d)])
+    p[[s_a, a_d]] = 1.0
     fwd, bwd = bincount_levels(ga, p)
-    assert bwd[g.edge_id(a, d)] == 1.0
+    assert bwd[a_d] == 1.0
     st = init_state(g, p, sched)
     assert detect_convergence(st, g, eps).vertices == (s, a, d)
     assert detect_convergence(st, g, eps) == reference_walk(g, fwd, bwd, eps)
@@ -200,7 +199,7 @@ def test_detect_convergence_on_a_dense_graph():
     assert np.add.reduce(p[ga.in_eids[ga.in_ptr[d] : ga.in_ptr[d + 1]]]) > 1.0
     # a tie at the source: the lower head, whichever edge comes first
     p = np.zeros(g.n_edges)
-    p[[g.edge_id(s, a), g.edge_id(s, b), g.edge_id(a, d), g.edge_id(b, d)]] = 1.0
+    p[g.edge_ids([(s, a), (s, b), (a, d), (b, d)])] = 1.0
     fwd, bwd = bincount_levels(ga, p)
     st = init_state(g, p, sched)
     assert detect_convergence(st, g, 0.6).vertices == (s, a, d)
@@ -217,7 +216,7 @@ def test_detect_convergence_tie_and_zero_total():
     # vertex 1 is reached with full levels but its out-edges carry nothing
     g = DirectedGraph(4, [(0, 1), (0, 2), (1, 3), (1, 2), (2, 3)], 0, 3)
     st = init_state(g, np.array([1.0, 0.0, 0.0, 0.0, 1.0]), FlowSchedule.constant(1, 1))
-    assert math.isnan(normalized_levels(st, g).fwd[g.edge_id(1, 3)])
+    assert math.isnan(normalized_levels(st, g).fwd[g.edge_ids([(1, 3)])[0]])
     assert detect_convergence(st, g, 0.01) is None
 
 

@@ -126,10 +126,11 @@ def test_engine_config_validation():
 def test_init_symmetric_split():
     tp = two_path_23()
     st = init_state(tp.graph, 1.0, FlowSchedule.constant(1.0, 1.0))
-    assert st.f_edge[tp.s_top_eid] == pytest.approx(0.5)
-    assert st.f_edge[tp.s_bottom_eid] == pytest.approx(0.5)
-    assert st.b_edge[tp.d_top_eid] == pytest.approx(0.5)
-    assert st.b_edge[tp.d_bottom_eid] == pytest.approx(0.5)
+    (s_top, d_top), (s_bottom, d_bottom) = tp.branch_eids("top"), tp.branch_eids("bottom")
+    assert st.f_edge[s_top] == pytest.approx(0.5)
+    assert st.f_edge[s_bottom] == pytest.approx(0.5)
+    assert st.b_edge[d_top] == pytest.approx(0.5)
+    assert st.b_edge[d_bottom] == pytest.approx(0.5)
     assert st.t == 0
 
 
@@ -143,7 +144,7 @@ def test_init_uniform_in_range():
 def test_init_strict_warns_on_zero_target_pheromone():
     tp = two_path_23(leak_top=0.0, leak2=0.1)
     p = np.ones(tp.graph.n_edges)
-    p[tp.s_top_eid] = 0.0  # zero on the min-leakage path
+    p[tp.branch_eids("top")[0]] = 0.0  # zero on the min-leakage path
     st = init_state(tp.graph, p, FlowSchedule.constant(1, 1), strict=True)
     assert st.warnings and "zero initial pheromone" in st.warnings[0]
     with pytest.raises(ConfigError):
@@ -159,7 +160,7 @@ def test_step_one_step_hand_value():
     st = init_state(tp.graph, 1.0, sched)
     st1 = step(st, tp.graph, LIN, sched, EngineConfig(delta=0.5))
     # delta * (p + f + b) = 0.5 * (1 + 0.5 + 0)
-    assert st1.p[tp.s_top_eid] == pytest.approx(0.75)
+    assert st1.p[tp.branch_eids("top")[0]] == pytest.approx(0.75)
     assert st1.t == 1
 
 
@@ -180,7 +181,7 @@ def test_step_absorbing_interior_blocks_flow():
     cfg = EngineConfig(delta=0.5)
     for _ in range(6):
         st = step(st, g, LIN, sched, cfg)
-    assert st.f_edge[g.edge_id(1, 2)] == 0.0
+    assert st.f_edge[g.edge_ids([(1, 2)])[0]] == 0.0
     assert st.delivered_forward == 0.0
 
 
@@ -262,8 +263,9 @@ def test_zero_total_pheromone_splits_uniformly_and_flags():
     sched = FlowSchedule.constant(1.0, 1.0)
     st = init_state(tp.graph, 0.0, sched)
     # degenerate config: all-zero pheromone at the branch points
-    assert st.f_edge[tp.s_top_eid] == pytest.approx(0.5)
-    assert st.f_edge[tp.s_bottom_eid] == pytest.approx(0.5)
+    s_top, s_bottom = tp.branch_eids("top")[0], tp.branch_eids("bottom")[0]
+    assert st.f_edge[s_top] == pytest.approx(0.5)
+    assert st.f_edge[s_bottom] == pytest.approx(0.5)
     assert st.zero_split_events >= 2  # forward at s and backward at d
 
 
@@ -457,8 +459,8 @@ def test_general_split_matches_degree_scan_reference(m, n, leaky, rule):
     base = rng.uniform(0.1, 1.0, ga.m)
     pheromones = [base]
     # zero pheromone on one branch edge, then on both branch edges of an end
-    for zeroed in ([tp.s_top_eid], [tp.d_bottom_eid], [tp.s_top_eid, tp.s_bottom_eid],
-                   [tp.d_top_eid, tp.d_bottom_eid]):
+    (s_top, d_top), (s_bottom, d_bottom) = tp.branch_eids("top"), tp.branch_eids("bottom")
+    for zeroed in ([s_top], [d_bottom], [s_top, s_bottom], [d_top, d_bottom]):
         p = base.copy()
         p[zeroed] = 0.0
         pheromones.append(p)
@@ -520,7 +522,7 @@ def test_zero_total_split_counts_match_bincount_reference():
     np.testing.assert_array_equal(got, want)
     assert z_got == z_want == 1
     # vertex 1 splits its flow evenly over its two out-edges
-    assert got[g.edge_id(1, 3)] == got[g.edge_id(1, 2)] == 0.25
+    assert got[g.edge_ids([(1, 3), (1, 2)])].tolist() == [0.25, 0.25]
     vflow[1] = 0.0
     assert linear_split(ga, p0, vflow, True)[1] == bincount_split(ga, p0, vflow, True)[1] == 0
 
@@ -547,12 +549,13 @@ def test_step_through_subnormal_total_matches_bincount_reference():
     sched = FlowSchedule.constant(1.0, 1.0)
     cfg = EngineConfig(delta=0.5, underflow_threshold=0.0)
     st = step(_flowless_state(g, p0, sched), g, LIN, sched, cfg)
-    assert 0.0 < st.p[g.edge_id(0, 1)] < np.finfo(float).tiny
+    s_1, one_d = g.edge_ids([(0, 1), (1, 3)])
+    assert 0.0 < st.p[s_1] < np.finfo(float).tiny
     for got, vflow, forward in ((st.f_edge, st.f_vertex, True), (st.b_edge, st.b_vertex, False)):
         want, zeros = bincount_split(ga, st.p, vflow, forward)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
         assert zeros == 0
-    assert st.f_edge[g.edge_id(0, 1)] == st.b_edge[g.edge_id(1, 3)] == 0.75
+    assert st.f_edge[s_1] == st.b_edge[one_d] == 0.75
     assert st.zero_split_events == 0
     st = step(st, g, LIN, sched, cfg)
     assert np.isfinite(st.f_edge).all() and np.isfinite(st.b_edge).all()
@@ -566,11 +569,12 @@ def test_step_large_flow_over_small_total_matches_bincount_reference():
     p0 = {e: 4e-300 for e in edge_tuple(g)}
     sched = FlowSchedule.constant(1e10, 1e10)
     st = step(_flowless_state(g, p0, sched), g, LIN, sched, EngineConfig(delta=0.5))
+    s_1, one_d = g.edge_ids([(0, 1), (1, 3)])
     assert st.underflow_flushes == 0
     for got, vflow, forward in ((st.f_edge, st.f_vertex, True), (st.b_edge, st.b_vertex, False)):
         want, _ = bincount_split(g.arrays, st.p, vflow, forward)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    assert st.f_edge[g.edge_id(0, 1)] == st.b_edge[g.edge_id(1, 3)] == 5e9
+    assert st.f_edge[s_1] == st.b_edge[one_d] == 5e9
 
 
 def test_zero_total_vertices_match_bincount_reference():
@@ -733,9 +737,9 @@ def test_long_exponential_run_flushes_losing_branch():
     st = init_state(tp.graph, 1.0, sched)
     for _ in range(11_000):
         st = step(st, tp.graph, LIN, sched, cfg)
-    assert st.p[tp.s_bottom_eid] == 0.0  # flushed to exactly zero
+    assert st.p[tp.branch_eids("bottom")[0]] == 0.0  # flushed to exactly zero
     assert st.underflow_flushes > 0
-    assert st.p[tp.s_top_eid] > 0.0
+    assert st.p[tp.branch_eids("top")[0]] > 0.0
 
 
 # -- run loop ---------------------------------------------------------------------

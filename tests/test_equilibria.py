@@ -86,7 +86,7 @@ def test_equilibria_are_fixed_points_of_the_dynamics():
 def test_perturbed_unstable_point_drifts():
     rule = sine_rule(0.05)
     st = equilibrium_state(TP, rule, 0.5, 1.0, 1.0, 0.5)  # 0.5 not in S_g
-    st.p[TP.s_top_eid] += 0.1
+    st.p[TP.branch_eids("top")[0]] += 0.1
     drift = verify_equilibrium(st, TP, rule, SCHED, CFG, 400)
     assert drift > 0.3  # walks away instead of returning
 
@@ -225,7 +225,7 @@ def _per_array_drifts(st, tp, rule, ks):
 
 def test_verify_equilibrium_drift_matches_per_array_maxima():
     kicked = equilibrium_state(TP, sine_rule(0.05), 0.5, 1.0, 1.0, 0.5)
-    kicked.p[TP.s_top_eid] += 0.1
+    kicked.p[TP.branch_eids("top")[0]] += 0.1
     cases = [(kicked, TP, sine_rule(0.05))]
     for rule, r, eps in (_stable_case(power_rule(3)), _stable_case(sine_rule(0.1))):
         cases.append((perturb(equilibrium_state(TP35, rule, r, 1.0, 1.0, 0.5), eps, 5), TP35, rule))
@@ -299,7 +299,8 @@ def test_stability_experiment_replays_brute_force(
     want = _brute_force_stability(rule, r, eps, eps_target, T, seed)
     if (eps, seed) == (NAN_LEVEL_EPS, NAN_LEVEL_SEED):
         st = perturb(equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5), eps, seed)
-        assert st.p[TP.s_top_eid] == st.p[TP.s_bottom_eid] == 0.0
+        s_top, s_bottom = TP.branch_eids("top")[0], TP.branch_eids("bottom")[0]
+        assert st.p[s_top] == st.p[s_bottom] == 0.0
         assert want["rows"][0] == (0, "nan")
     assert (out.t_stationary is not None) == stationary
     got = {

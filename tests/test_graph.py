@@ -118,7 +118,7 @@ def _assert_matches_reference(g, ref):
     for v in range(ref.n_vertices):
         assert _segment(ga.out_eids, ga.out_ptr, v) == ref.out[v]
         assert _segment(ga.in_eids, ga.in_ptr, v) == ref.inc[v]
-    assert {e: g.edge_id(*e) for e in ref.edges} == ref.edge_ids
+    assert dict(zip(ref.edges, g.edge_ids(ref.edges).tolist())) == ref.edge_ids
     got, want = vars(g.arrays), vars(GraphArrays(ref))
     assert got.keys() == want.keys()
     for name in want:
@@ -211,7 +211,7 @@ def test_edge_lookup_rejects_a_vertex_out_of_range(pair):
     of edge (0, 2): the range is checked before a key is formed."""
     g = ALIAS_GRAPH
     with pytest.raises(GraphError, match="out of range"):
-        g.edge_id(*pair)
+        g.edge_ids([pair])
     with pytest.raises(GraphError, match="out of range"):
         g.edge_ids([(0, 1), pair])
     with pytest.raises(GraphError, match="out of range"):
@@ -226,14 +226,14 @@ def test_edge_ids_are_edge_positions():
         ids = np.arange(g.n_edges)
         assert np.array_equal(g.edge_ids(pairs), ids)
         assert np.array_equal(g.edge_ids(np.column_stack([g.tails, g.heads])), ids)
-        assert [g.edge_id(u, v) for u, v in pairs] == ids.tolist()
+        assert [int(g.edge_ids([pair])[0]) for pair in pairs] == ids.tolist()
         assert np.array_equal(g.edge_ids(pairs[::-1]), ids[::-1])
 
 
 def test_edge_lookup_names_the_first_missing_pair():
     g = ALIAS_GRAPH
     with pytest.raises(GraphError, match=r"no edge \(1,0\)"):
-        g.edge_id(1, 0)
+        g.edge_ids([(1, 0)])
     with pytest.raises(GraphError, match=r"no edge \(3,4\)"):
         g.edge_ids([(0, 1), (3, 4), (4, 0)])
     with pytest.raises(GraphError, match=r"no edge \(1,4\)"):
@@ -248,7 +248,7 @@ def test_edge_key_table_is_lazy_and_shared():
     g = gen_gnp(30, 0.2, 5)
     g2 = g.with_leakage(np.full(30, 0.25))
     assert "table" not in vars(g._keys)
-    assert g2.edge_id(int(g.tails[3]), int(g.heads[3])) == 3
+    assert g2.edge_ids([(int(g.tails[3]), int(g.heads[3]))]).tolist() == [3]
     assert g2._keys is g._keys and g._keys.table[1] is None
     tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
     assert tp.graph._keys.table[1] is not None  # the bottom chain starts below the top's keys
@@ -340,12 +340,23 @@ def test_gnp_reproducible():
 def test_banded_gnp_band():
     g = gen_banded_gnp(100, 0.5, 10, 1)
     with pytest.raises(GraphError, match=r"no edge \(0,99\)"):
-        g.edge_id(0, 99)
+        g.edge_ids([(0, 99)])
     assert all(abs(u - v) <= 10 for u, v in edge_tuple(g))
     g2 = gen_banded_gnp(10, 1.0, 1, 0)
     assert set(edge_tuple(g2)) == {(i, i + 1) for i in range(9)} | {(i + 1, i) for i in range(9)}
     g3 = gen_banded_gnp(1000, 0.5, 40, 3)
     assert all(abs(u - v) <= 40 for u, v in edge_tuple(g3))
+
+
+@pytest.mark.parametrize("n,p,k,seed", [(30, 0.2, 3, 0), (100, 0.5, 10, 1), (60, 1.0, 2, 7)])
+def test_banded_gnp_is_the_band_of_gnp(n, p, k, seed):
+    """The banded draw keeps the edges of the same seed's G(n, p) within
+    the band, and checks p as G(n, p) does."""
+    band = tuple((u, v) for u, v in edge_tuple(gen_gnp(n, p, seed)) if abs(u - v) <= k)
+    assert edge_tuple(gen_banded_gnp(n, p, k, seed)) == band
+    for bad in (1.5, -0.2, math.nan):
+        with pytest.raises(GraphError, match=r"p must lie in \[0, 1\]"):
+            gen_banded_gnp(n, bad, k, seed)
 
 
 def test_grid_counts_and_shortest():

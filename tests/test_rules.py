@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from trailflow.graph import DirectedGraph, build_two_path
 from trailflow.rules import (
+    DEFAULT_GRID,
     DecisionRule,
     RuleError,
+    RuleFunction,
     clamp_unit_half,
     fixed_points,
     linear_rule,
@@ -73,13 +75,14 @@ def _branch_split(rule, p_top, p_bottom):
     """The engine's split of one unit of flow at the source over the two
     branch edges under a general rule; (top flow, bottom flow)."""
     ga = TP22.graph.arrays
+    s_top, s_bottom = TP22.branch_eids("top")[0], TP22.branch_eids("bottom")[0]
     p = np.ones(ga.m)
-    p[TP22.s_top_eid] = p_top
-    p[TP22.s_bottom_eid] = p_bottom
+    p[s_top] = p_top
+    p[s_bottom] = p_bottom
     vflow = np.zeros(ga.n)
     vflow[TP22.graph.source] = 1.0
     eflow, _, _ = engine_split(ga, DecisionRule.general(rule), p, vflow, np.zeros(ga.n))
-    return float(eflow[TP22.s_top_eid]), float(eflow[TP22.s_bottom_eid])
+    return float(eflow[s_top]), float(eflow[s_bottom])
 
 
 def test_general_split_examples():
@@ -122,11 +125,29 @@ def test_general_split_fractions_sum_exactly(x):
 def test_validate_rule_ok_and_violations():
     assert validate_rule(linear_rule()) == []
     assert validate_rule(sine_rule(0.05)) == []  # derivative 1 - 0.2 pi > 0
-    from trailflow.rules import RuleFunction
-
     bad = RuleFunction("dec", lambda x: 0.5 - x)
     kinds = {v.kind for v in validate_rule(bad)}
     assert "monotonicity" in kinds and "endpoint" in kinds
+
+
+@pytest.mark.parametrize(
+    "fn,kinds",
+    [
+        (lambda x: x * math.nan, ["endpoint", "endpoint", "monotonicity", "range"]),
+        (lambda x: np.where(x > 0.3, math.nan, x), ["endpoint", "monotonicity", "range"]),
+        (lambda x: np.where((0.2 < x) & (x < 0.3), math.nan, x), ["monotonicity", "range"]),
+    ],
+    ids=["everywhere", "right-part", "interior"],
+)
+def test_validate_rule_reports_nan(fn, kinds):
+    """A g that is NaN on all of [0, 1/2] or on part of it fails every test
+    that reads a NaN value, at the first grid point that does."""
+    found = validate_rule(RuleFunction("nan", fn))
+    assert [v.kind for v in found] == kinds
+    xs = np.linspace(0.0, 0.5, DEFAULT_GRID)
+    i = next(i for i, x in enumerate(xs) if math.isnan(fn(x)))
+    assert found[-1].x == xs[i]  # range: the first NaN value
+    assert found[-2].x == xs[max(i - 1, 0)]  # monotonicity: the pair that reaches it
 
 
 def test_table_rule_validation():
@@ -134,6 +155,18 @@ def test_table_rule_validation():
         table_rule([0.0, 0.4], [0.0, 0.4])  # must span [0, 0.5]
     with pytest.raises(RuleError):
         table_rule([0.0, 0.3, 0.2, 0.5], [0.0, 0.1, 0.2, 0.5])  # not increasing
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rule_constructors_reject_non_finite_parameters(bad):
+    with pytest.raises(RuleError, match="finite"):
+        power_rule(bad)
+    with pytest.raises(RuleError, match="finite"):
+        sine_rule(bad)
+    with pytest.raises(RuleError, match="finite"):
+        table_rule([0.0, 0.25, 0.5], [0.0, bad, 0.5])
+    with pytest.raises(RuleError, match="finite"):
+        table_rule([0.0, bad, 0.5], [0.0, 0.25, 0.5])
 
 
 def test_rule_from_config_round_trip():
@@ -144,7 +177,7 @@ def test_rule_from_config_round_trip():
         {"kind": "table", "xs": [0.0, 0.25, 0.5], "ys": [0.0, 0.2, 0.5]},
     ):
         rule = rule_from_config(cfg)
-        again = rule_from_config(rule.config_dict())
+        again = rule_from_config(dict(rule.config))
         assert again.config == rule.config
     with pytest.raises(RuleError):
         rule_from_config({"kind": "nope"})
@@ -218,6 +251,21 @@ def test_stable_points_subset_and_sign_pattern():
                     continue
                 diff = float(rule.fn(float(x))) - float(x)
                 assert math.copysign(1.0, diff) == math.copysign(1.0, r - x)
+
+
+def test_stable_fixed_points_evaluates_the_grid_once():
+    """The fixed-point scan and the crossing scan read one evaluation of g on
+    the grid; the report is the one of the uncounted rule."""
+    for base in (power_rule(2), power_rule(0.5), sine_rule(0.05)):
+        grids = []
+
+        def fn(x, base=base):
+            if np.ndim(x):
+                grids.append(np.size(x))
+            return base.fn(x)
+
+        assert stable_fixed_points(RuleFunction("counted", fn)) == stable_fixed_points(base)
+        assert grids == [DEFAULT_GRID]
 
 
 def test_stability_margin_values():

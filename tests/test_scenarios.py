@@ -217,6 +217,15 @@ def test_serialize_golden(case):
              "rule": {"kind": "power", "k": 2}},
             "rule.kind",
         ),
+        # the banded draw checks p as G(n, p) does
+        (
+            {"seed": 1, "graph": {"kind": "banded_gnp", "n": 30, "p": 1.5, "k": 3}},
+            "graph: p must lie in [0, 1]",
+        ),
+        (
+            {"seed": 1, "graph": {"kind": "banded_gnp", "n": 30, "p": -0.2, "k": 3}},
+            "graph: p must lie in [0, 1]",
+        ),
     ],
 )
 def test_parse_errors_name_offending_key(doc, fragment):
@@ -303,7 +312,7 @@ def test_run_scenario_converged_chain_is_thickest(tmp_path):
     res = run_scenario(s, out_dir=str(tmp_path))
     st = res.trace.final_state
     weights = st.f_edge + st.b_edge
-    top_eids = [res.graph.edge_id(u, v) for u, v in res.trace.converged_path.edge_pairs()]
+    top_eids = res.graph.edge_ids(res.trace.converged_path.edge_pairs()).tolist()
     other = [e for e in range(res.graph.n_edges) if e not in top_eids]
     assert min(weights[e] for e in top_eids) > max(weights[e] for e in other)
 

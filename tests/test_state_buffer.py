@@ -106,7 +106,7 @@ def _swap():
     tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
     g = tp.graph
     p = np.ones(g.n_edges)
-    p[[tp.s_top_eid, tp.s_bottom_eid]] = 0.3, 1.7
+    p[[tp.branch_eids("top")[0], tp.branch_eids("bottom")[0]]] = 0.3, 1.7
     sched = FlowSchedule.constant(1.0, 0.0)
     return init_state(g, p, sched), g, LIN, sched, EngineConfig(0.5), 200
 
