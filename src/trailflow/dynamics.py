@@ -28,7 +28,8 @@ pheromones. Perturbed states (``equilibria.perturb``) need not be.
 Layout and kernels. A state's five arrays are views of one float64 buffer,
 ``[f_edge | b_edge | p | f_vertex | b_vertex]`` (``SystemState.buf``):
 ``[p | f_vertex | b_vertex]`` takes the rescale, the finiteness test and
-the flush in one call each, ``[f_edge | b_edge]`` is what aggregation
+the flush in one call each (on two-path graphs one ``tolist`` read serves
+the test and the flush), ``[f_edge | b_edge]`` is what aggregation
 reads and the split writes, and ``[f_edge | b_edge | p]`` is all that a
 step reads. Forward flow splits over out-edges and backward flow over
 in-edges by the same rule, so on graphs that sum out-edges by
@@ -50,13 +51,15 @@ cuts no view and builds no ``SystemState``.
 Forms chosen by size or structure stay where they change floats (the
 out-sum kernel, which also picks the joint kernels, and the split's
 ``bounded`` path) or where a workload of the benchmark runs slower without
-them (the flush in Python floats on two-path graphs); ``BENCH_21.json``
-measures each, and those deleted for saving nothing end to end.
+them (the finiteness test and the flush in Python floats on two-path
+graphs); ``BENCH_21.json`` and ``BENCH_25.json`` measure each, and those
+deleted for saving nothing end to end.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -378,13 +381,14 @@ def _split(
     a time (``_split_linear``)."""
     _, fe, be, p, fv, bv, _, flows, vflows = layout
     if not rule.is_linear:
-        flows[...] = vflows[ga.pair.src]
+        vflows.take(ga.pair.src, None, flows, "wrap")
+        fn, p_list = rule.rule_fn.fn, p.tolist()
         forward, backward = ga.branches
         zeros = 0
         for v, e1, e2 in forward:
-            zeros += _branch_split(rule, p, fe, fv.item(v), e1, e2)
+            zeros += _branch_split(fn, p_list, fe, fv.item(v), e1, e2)
         for v, e1, e2 in backward:
-            zeros += _branch_split(rule, p, be, bv.item(v), e1, e2)
+            zeros += _branch_split(fn, p_list, be, bv.item(v), e1, e2)
         return zeros
     if ga.out_by_bincount:
         # the groups are the 2n vertex flows; one with no edge to split over
@@ -521,14 +525,20 @@ def _split_groups(
 
 
 def _branch_split(
-    rule: DecisionRule, p: np.ndarray, eflow: np.ndarray, amount: float, e1: int, e2: int
+    fn: Callable[[float], float],
+    p: List[float],
+    eflow: np.ndarray,
+    amount: float,
+    e1: int,
+    e2: int,
 ) -> int:
     """Split ``amount``, the flow of a vertex with two edges e1 and e2, by
-    the general rule into ``eflow``: the edge with the smaller normalized
-    level gets g of that level, the other the rest. Returns 1 for a positive
-    amount over a zero total (split evenly), else 0. Python floats, which on
-    two edges cost less than numpy scalars."""
-    p1, p2 = p.item(e1), p.item(e2)
+    the rule's g (``fn``) into ``eflow``: the edge with the smaller
+    normalized level gets g of that level, the other the rest. ``p`` is the
+    pheromone as a list. Returns 1 for a positive amount over a zero total
+    (split evenly), else 0. Python floats, which on two edges cost less than
+    numpy scalars."""
+    p1, p2 = p[e1], p[e2]
     total = p1 + p2
     if total <= 0.0:
         eflow[e1] = eflow[e2] = 0.5 * amount
@@ -537,7 +547,7 @@ def _branch_split(
         e_min, e_oth, x = e1, e2, p1 / total
     else:
         e_min, e_oth, x = e2, e1, p2 / total
-    g = float(rule.rule_fn.fn(clamp_unit_half(x)))
+    g = float(fn(clamp_unit_half(x)))
     eflow[e_min] = amount * g
     eflow[e_oth] = amount * (1.0 - g)
     return 0
@@ -607,9 +617,10 @@ def step(
 
     # the new state's buffer and its views (``_cut``): its stored part
     # [p | f_vertex | b_vertex] takes the rescale, the flush and the
-    # finiteness test in one numpy call each. On small graphs each call
-    # costs its fixed price, so ufuncs take ``out`` positionally and scalars
-    # go through ``item`` and plain stores
+    # finiteness test in one numpy call each, or in one ``tolist`` read on
+    # two-path graphs. On small graphs each call costs its fixed price, so
+    # ufuncs take ``out`` positionally and scalars go through ``item`` and
+    # plain stores
     _, fe, be, p, fv, bv, stored, _, vflows = layout
 
     # (a) pheromone update from the flows that traversed edges at time t
@@ -641,16 +652,28 @@ def step(
     fv[s] = fv.item(s) + inj_f
     bv[d] = bv.item(d) + inj_b
 
-    # tested before the flush, which would zero a -inf as an underflow
-    total = float(np.add.reduce(stored))
-    if not math.isfinite(total):
-        raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
-
-    flushes = _flush(stored, cfg.underflow_threshold)
-    # after the flush every positive pheromone total is at least the
-    # threshold and no vertex flow exceeds ``total`` (all values are >= 0),
-    # so every ratio flow/total is below _BOUNDED_SUM when this holds
-    bounded = total < cfg.underflow_threshold * _BOUNDED_SUM
+    # finiteness is tested before the flush, which would zero a -inf as an
+    # underflow. After the flush every positive pheromone total is at least
+    # the threshold and no vertex flow exceeds the total of the stored values
+    # (all >= 0), so every ratio flow/total is below _BOUNDED_SUM when that
+    # total is below ``bound``. Up to _FLUSH_IN_PYTHON_MAX entries one
+    # ``tolist`` serves the test, ``bounded`` and the flush: non-negative
+    # values whose Python sum is below ``limit`` have a numpy total that is
+    # finite and below ``bound`` (``_SUM_MARGIN``). Every other buffer (NaN,
+    # inf, a negative, a zero threshold, a total near the bound) is tested on
+    # numpy's total, as a large one is
+    threshold = cfg.underflow_threshold
+    bound = threshold * _BOUNDED_SUM
+    limit = (bound if bound < _FLOAT_MAX else _FLOAT_MAX) * _SUM_MARGIN
+    vals = stored.tolist() if stored.size <= _FLUSH_IN_PYTHON_MAX else None
+    if vals is not None and 0.0 <= min(vals) and sum(vals) < limit:
+        bounded = True
+    else:
+        total = float(np.add.reduce(stored))
+        if not math.isfinite(total):
+            raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
+        bounded = total < bound
+    flushes = _flush(stored, threshold, vals)
 
     # (d) split the new vertex flows against p(t+1)
     zeros = _split(ga, rule, layout, bounded)
@@ -674,19 +697,30 @@ def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
     return "non-finite total (overflow)"
 
 
-# up to this many entries (two-path graphs) ``_flush`` tests them as Python
-# floats, below the fixed price of the numpy calls (BENCH_21.json)
+# up to this many entries (two-path graphs) ``step`` reads its stored values
+# once as Python floats for the finiteness test and ``_flush`` tests them as
+# Python floats, below the fixed price of the numpy calls (BENCH_21.json,
+# BENCH_25.json)
 _FLUSH_IN_PYTHON_MAX = 32
+# sums of up to _FLUSH_IN_PYTHON_MAX finite non-negative floats, added in any
+# order (left to right, numpy's pairwise, Python's ``sum``), lie within a
+# factor 1 +- 2**-46 of each other: a Python sum below this share of a bound
+# (and of the largest float) puts numpy's total below that bound, and finite
+_SUM_MARGIN = 1.0 - 2.0**-40
+_FLOAT_MAX = sys.float_info.max
 
 
-def _flush(x: np.ndarray, threshold: float) -> int:
+def _flush(x: np.ndarray, threshold: float, vals: Optional[List[float]] = None) -> int:
     """Zero, in place, every nonzero entry of ``x`` below ``threshold``
     (negative values included; -0.0 stays as it is); returns how many were
-    zeroed."""
+    zeroed. Up to _FLUSH_IN_PYTHON_MAX entries the test runs on Python
+    floats: ``vals``, ``x.tolist()`` when the caller has read it already."""
     if threshold <= 0.0:
         return 0
     if x.size <= _FLUSH_IN_PYTHON_MAX:
-        low = [i for i, v in enumerate(x.tolist()) if v < threshold and v != 0.0]
+        if vals is None:
+            vals = x.tolist()
+        low = [i for i, v in enumerate(vals) if v < threshold and v != 0.0]
         if low:
             x[low] = 0.0
         return len(low)
@@ -709,6 +743,9 @@ CONVERGENCE_CHECK_INTERVAL = 16
 # prev_state=None on the initial state, then once for every later t. After a
 # stationary stop (see ``run``) the call is obs(t, s, s) on the repeated state
 # s, so ``prev is state`` means nothing changed and the time is ``t``, not s.t.
+# An observer with a true attribute ``skips_repeats`` is not called for those
+# held t at all (the stability runs' state recorder); the others are, in
+# their order.
 # An observer may defer work until its results are read (``InvariantObserver``
 # checks blocks of stepped pairs), but it must copy what it keeps of a state
 # (``state.copy()``, or the values it needs): ``run`` steps into the state
@@ -791,7 +828,8 @@ def run(
     (``_RepeatGate``), at ``t_stationary``: ``step`` reads only those arrays
     and ``t``, so every later state would repeat it
     too. The run still ends as stepping would end it. The observers see the
-    repeated state for every remaining t, one convergence check on it stands
+    repeated state for every remaining t (but those that set
+    ``skips_repeats``, see ``Observer``), one convergence check on it stands
     for the next one stepping would make, and ``_hold`` gives the final
     state.
 
@@ -835,8 +873,9 @@ def run(
                 path = detect_convergence(cur, graph, eps)
                 if path is not None:
                     k = min(k, CONVERGENCE_CHECK_INTERVAL - i % CONVERGENCE_CHECK_INTERVAL)
+            held = [obs for obs in observers if not getattr(obs, "skips_repeats", False)]
             for t in range(cur.t + 1, cur.t + k + 1):
-                for obs in observers:
+                for obs in held:
                     obs(t, cur, cur)
             if k:
                 cur = _hold(cur, k, graph, rule, schedule, cfg)

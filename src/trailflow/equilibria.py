@@ -87,17 +87,18 @@ def equilibrium_state(
 
 def _state_recorder() -> Tuple[Observer, List[bytes]]:
     """An observer that copies the buffer of each state a run shows it, and
-    the list it appends the copies to; ``_recorded`` reads them back. The
-    repeated state that a stationary run shows for every remaining t (``prev
-    is state``) is copied once, when it is first stepped to."""
+    the list it appends the copies to; ``_recorded`` reads them back. It
+    sets ``skips_repeats``, so a stationary run does not call it for the
+    held t after its repeated state, which is copied once, when it is first
+    stepped to."""
     rows: List[bytes] = []
     append = rows.append
 
     def observe(t: int, st: SystemState, prev: Optional[SystemState]) -> None:
-        if prev is not st:
-            # the whole buffer: one call, without cutting [f_edge | b_edge | p]
-            append(st.buf.tobytes())
+        # the whole buffer: one call, without cutting [f_edge | b_edge | p]
+        append(st.buf.tobytes())
 
+    observe.skips_repeats = True
     return observe, rows
 
 

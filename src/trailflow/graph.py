@@ -485,22 +485,6 @@ class TwoPathGraph:
         surv = 1.0 - self.graph.leakage[list(path.vertices)]
         return np.cumprod(surv[:-1]), np.cumprod(surv[:0:-1])[::-1]
 
-    @property
-    def leak_top(self) -> float:
-        return path_leakage(self.graph, self.top)
-
-    @property
-    def leak_bottom(self) -> float:
-        return path_leakage(self.graph, self.bottom)
-
-    @property
-    def surv_top(self) -> float:
-        return 1.0 - self.leak_top
-
-    @property
-    def surv_bottom(self) -> float:
-        return 1.0 - self.leak_bottom
-
 
 def build_two_path(
     m: int,

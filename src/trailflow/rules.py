@@ -85,7 +85,10 @@ def power_rule(k: float) -> RuleFunction:
     """g(x) = 2^(k-1) x^k; k=2 gives 2x^2, k=1/2 gives sqrt(x/2)."""
     if not 0.0 < k < math.inf:
         raise RuleError("power exponent must be finite and positive")
-    coef = 2.0 ** (k - 1.0)
+    try:
+        coef = 2.0 ** (k - 1.0)
+    except OverflowError:
+        raise RuleError(f"power exponent {k:g} too large: 2^(k-1) overflows") from None
 
     def fn(x):
         return coef * x**k

@@ -61,6 +61,7 @@ from trailflow.graph import (
     build_two_path_survival,
     gen_gnp,
     min_leakage_path,
+    path_leakage,
 )
 from trailflow.rules import fixed_points, power_rule, sine_rule, stable_fixed_points
 from trailflow.scenarios import batch_jobs, run_batch
@@ -82,7 +83,8 @@ def fixed_flow_leakage_setup():
     sched = FlowSchedule.constant(1.0, 1.0)
     cfg = EngineConfig(delta=0.5, epsilon_convergence=0.01)
     state = init_state(tp.graph, 1.0, sched, strict=True)
-    constants = theorem_constants(1.0, 1.0, 0.5, tp.surv_top, tp.surv_bottom, 1.0)
+    surv_top, surv_bottom = (1.0 - path_leakage(tp.graph, p) for p in (tp.top, tp.bottom))
+    constants = theorem_constants(1.0, 1.0, 0.5, surv_top, surv_bottom, 1.0)
     return tp, sched, cfg, state, constants
 
 

@@ -25,7 +25,7 @@ from trailflow.dynamics import (
     run,
     step,
 )
-from trailflow.graph import build_two_path
+from trailflow.graph import build_two_path, path_leakage
 from trailflow.rules import (
     RuleError,
     RuleFunction,
@@ -73,8 +73,9 @@ def test_leakage_counterexample_constants():
     assert "1.02625" in cx.config.constraint
     assert cx.watch_branch == "top" and cx.direction == AT_MOST
     # survival products realized on the rebuilt graph
-    assert cx.two_path.surv_top == pytest.approx(0.97)
-    assert cx.two_path.surv_bottom == pytest.approx(0.95)
+    tp = cx.two_path
+    assert 1.0 - path_leakage(tp.graph, tp.top) == pytest.approx(0.97)
+    assert 1.0 - path_leakage(tp.graph, tp.bottom) == pytest.approx(0.95)
     # initial state: watched branch level exactly r+eps, flows rule-consistent
     p = cx.state.p
     s_top, s_bot = cx.two_path.branch_eids("top")[0], cx.two_path.branch_eids("bottom")[0]
@@ -98,7 +99,8 @@ def test_leakage_counterexample_case_above():
     assert cx.config.case == CASE_ABOVE
     assert cx.watch_branch == "bottom" and cx.direction == AT_LEAST
     assert "beta/alpha >=" in cx.config.constraint
-    assert cx.two_path.surv_bottom < cx.two_path.surv_top
+    tp = cx.two_path
+    assert 1.0 - path_leakage(tp.graph, tp.bottom) < 1.0 - path_leakage(tp.graph, tp.top)
 
 
 @pytest.mark.parametrize("rule", [power_rule(2), power_rule(0.5), sine_rule(0.05)])

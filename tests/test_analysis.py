@@ -34,6 +34,7 @@ from trailflow.graph import (
     build_two_path_survival,
     gen_gnp,
     gen_grid,
+    path_leakage,
     plant_path,
     shortest_path,
 )
@@ -364,7 +365,8 @@ def test_fixed_flow_distinct_leakage_potential_checks():
     pot = PotentialObserver(tp)
     trace = run(st, tp.graph, LIN, sched, cfg, 50_000, observers=[pot])
     assert trace.converged_path == tp.top
-    tc = theorem_constants(1.0, 1.0, 0.5, tp.surv_top, tp.surv_bottom, 1.0)
+    surv_top, surv_bottom = (1.0 - path_leakage(tp.graph, p) for p in (tp.top, tp.bottom))
+    tc = theorem_constants(1.0, 1.0, 0.5, surv_top, surv_bottom, 1.0)
     assert sweep_potential_monotone(pot.trace) == []
     assert sweep_potential_growth(pot.trace, tc) == []
 

@@ -1,8 +1,9 @@
 """Settings that no caller changes are constants of the code, not
 parameters, and no public accessor repeats another one: a lookup of one
 edge is ``DirectedGraph.edge_ids`` of one pair, a branch point's edge is
-``TwoPathGraph.branch_eids``, and a rule's config form is
-``dict(rule.config)``."""
+``TwoPathGraph.branch_eids``, a rule's config form is
+``dict(rule.config)``, and a branch's leakage is
+``path_leakage(tp.graph, tp.top)`` (its survival one minus that)."""
 
 import inspect
 
@@ -31,6 +32,10 @@ REPEATED_ACCESSORS = [
     (graph.TwoPathGraph, "d_top_eid"),
     (graph.TwoPathGraph, "d_bottom_eid"),
     (rules.RuleFunction, "config_dict"),
+    (graph.TwoPathGraph, "leak_top"),
+    (graph.TwoPathGraph, "leak_bottom"),
+    (graph.TwoPathGraph, "surv_top"),
+    (graph.TwoPathGraph, "surv_bottom"),
 ]
 
 

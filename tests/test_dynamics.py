@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -902,6 +903,28 @@ def test_run_stationary_stop_repeats_flow_bound_records():
     assert last
     for t in (ts + 1, T):
         assert [v[1:] for v in obs.violations if v[0] == t] == last
+
+
+def test_run_does_not_call_a_skips_repeats_observer_for_held_t():
+    """After the stop an observer that sets ``skips_repeats`` gets no call,
+    while the A5 case's mis-configured ``InvariantObserver`` beside it keeps
+    one record set, the last stepped pair's, per held t."""
+    state, graph, rule, sched, cfg, T, observers = _a5_case()
+    seen = []
+
+    def skipping(t, st, prev):
+        seen.append(t)
+
+    skipping.skips_repeats = True
+    inv = observers()[-1]
+    trace = run(state, graph, rule, sched, cfg, T, [skipping, inv])
+    ts = trace.t_stationary
+    assert ts is not None and ts < T
+    assert seen == list(range(ts + 1))
+    last = [replace(v, t=None) for v in inv.violations if v.t == ts]
+    assert last
+    for t in range(ts + 1, T + 1):
+        assert [replace(v, t=None) for v in inv.violations if v.t == t] == last
 
 
 def test_branch_state_carries_flows_through_survivals():

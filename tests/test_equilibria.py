@@ -317,6 +317,29 @@ def test_stability_experiment_replays_brute_force(
     assert out.to_json_dict()["t_stationary"] == out.t_stationary
 
 
+@pytest.mark.parametrize(
+    "rule, seed", [(power_rule(2), 3), (power_rule(0.5), 5), (sine_rule(0.05), 7)]
+)
+def test_stability_experiment_long_horizon_holds_the_last_row(tmp_path, rule, seed):
+    """At T_max 100,000 the report and the series are those of T_max 2000
+    (which ``test_stability_experiment_replays_brute_force`` replays against
+    stepping at these seeds), the last row repeated to T_max."""
+    rule, r, eps = _stable_case(rule)
+    short_path, long_path = tmp_path / "short.csv", tmp_path / "long.csv"
+    short = stability_experiment(rule, r, eps, 1e-3, 2000, TP, seed=seed, series_path=str(short_path))
+    long = stability_experiment(rule, r, eps, 1e-3, 100_000, TP, seed=seed, series_path=str(long_path))
+    assert short.t_stationary is not None
+    assert {**long.to_json_dict(), "T_max": 0, "max_drift_series_path": None} == {
+        **short.to_json_dict(), "T_max": 0, "max_drift_series_path": None
+    }
+    assert long.max_dev_after_convergence.hex() == short.max_dev_after_convergence.hex()
+    short_rows = short_path.read_text().splitlines()
+    long_rows = long_path.read_text().splitlines()
+    assert len(long_rows) == 100_002 and long_rows[:2002] == short_rows
+    last = short_rows[-1].split(",")[1]
+    assert all(row == f"{t},{last}" for t, row in enumerate(long_rows[2002:], 2001))
+
+
 def test_stability_experiment_stops_stepping_at_t_stationary(monkeypatch):
     import trailflow.dynamics as dynamics
 

@@ -283,20 +283,20 @@ def test_build_two_path_hand_values():
     tp = build_two_path(2, 3, [0.03], [0.05, 0.0])
     assert tp.graph.n_vertices == 5
     assert tp.graph.n_edges == 5
-    assert tp.leak_top == pytest.approx(0.03)
-    assert tp.leak_bottom == pytest.approx(1 - (1 - 0.05) * (1 - 0.0))
+    assert path_leakage(tp.graph, tp.top) == pytest.approx(0.03)
+    assert path_leakage(tp.graph, tp.bottom) == pytest.approx(1 - (1 - 0.05) * (1 - 0.0))
 
 
 def test_build_two_path_zero_leakage():
     tp = build_two_path(2, 2, [0.0], [0.0])
-    assert tp.leak_top == 0.0
-    assert tp.leak_bottom == 0.0
+    assert path_leakage(tp.graph, tp.top) == 0.0
+    assert path_leakage(tp.graph, tp.bottom) == 0.0
 
 
 def test_build_two_path_heavy_leakage():
     tp = build_two_path(2, 3, [0.5], [0.5, 0.5])
-    assert tp.leak_top == pytest.approx(0.5)
-    assert tp.leak_bottom == pytest.approx(0.75)
+    assert path_leakage(tp.graph, tp.top) == pytest.approx(0.5)
+    assert path_leakage(tp.graph, tp.bottom) == pytest.approx(0.75)
 
 
 def test_build_two_path_errors():
@@ -310,8 +310,8 @@ def test_build_two_path_errors():
 
 def test_build_two_path_survival_products():
     tp = build_two_path_survival(4, 5, 0.9, 0.8)
-    assert tp.surv_top == pytest.approx(0.9)
-    assert tp.surv_bottom == pytest.approx(0.8)
+    assert 1.0 - path_leakage(tp.graph, tp.top) == pytest.approx(0.9)
+    assert 1.0 - path_leakage(tp.graph, tp.bottom) == pytest.approx(0.8)
 
 
 # -- generators --------------------------------------------------------------

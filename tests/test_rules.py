@@ -169,6 +169,16 @@ def test_rule_constructors_reject_non_finite_parameters(bad):
         table_rule([0.0, bad, 0.5], [0.0, 0.25, 0.5])
 
 
+def test_power_rule_rejects_an_exponent_whose_coefficient_overflows():
+    """2 ** (k - 1) overflows from k = 1025 on: a RuleError, not an
+    OverflowError. Below that the coefficient is the same float."""
+    for k in (1025.0, 2000.0):
+        with pytest.raises(RuleError, match="too large"):
+            power_rule(k)
+    for k in (0.5, 2.0, 1024.5):
+        assert power_rule(k).fn(0.3) == 2.0 ** (k - 1.0) * 0.3**k
+
+
 def test_rule_from_config_round_trip():
     for cfg in (
         {"kind": "linear"},

@@ -610,6 +610,7 @@ BAD_ARGS = [
     (["batch", "--config", "scenario.json", "--workers", "2"], "--workers"),
     (["analyze-rule", "--rule", "[1]"], "rule must be an object"),
     (["analyze-rule", "--rule", POWER2, "--grid", "0"], "--grid"),
+    (["analyze-rule", "--rule", '{"kind":"power","k":2000}'], "too large"),
 ]
 
 

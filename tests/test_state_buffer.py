@@ -246,6 +246,106 @@ def test_step_flushes_as_reference_step():
         assert out.underflow_flushes == (6 if threshold else 0)
 
 
+# The stored part of a step on the 2x3 linear graph (m = 5, n = 5) has 15
+# entries: p(t+1) = (p + f_edge + b_edge) / 2 per edge, then f_vertex with
+# f0 at s (index 5) and f_edge[e0], f_edge[e2] at vertices 1 and 2 (indices
+# 6, 7), then b_vertex. numpy sums the first eight pairwise,
+# ((p0+p1)+(p2+p3)) + ((p4+fv0)+(fv1+fv2)), where Python's ``sum`` goes left
+# to right: two flows that each vanish beside fv0, but not together, put
+# numpy's total one step above Python's.
+BOUND = 1e-300 * 2.0**1020  # the default threshold times _BOUNDED_SUM
+HALF_ULP_MAX = 2.0**970  # half the spacing of floats at sys.float_info.max
+BIG = 2.0**61 * BOUND  # beside it the bound is less than half an ulp
+
+
+def _fused(f0, threshold=1e-300, flows=(0.0, 0.0), edits=()):
+    """A state on the 2x3 linear graph whose step stores f0 at s, ``flows``
+    at vertices 1 and 2 (half of each in p of e0 and e2) and 1e-290 of
+    pheromone on the other edges; ``edits`` are (field, edge, value) writes
+    into the state at t."""
+    g = build_two_path(2, 3, [0.0], [0.0, 0.0]).graph
+    p = np.full(5, 2e-290)
+    p[[0, 2]] = 0.0
+    zero = np.zeros(5)
+    st = SystemState(0, p, zero, zero, zero, zero, injected_f=f0)
+    st.f_edge[[0, 2]] = flows
+    for name, e, value in edits:
+        getattr(st, name)[e] = value
+    sched = FlowSchedule.constant(f0, 0.0)
+    return st, g, LIN, sched, EngineConfig(0.5, underflow_threshold=threshold)
+
+
+def _rounds_up(half_ulp):
+    # two flows below a half ulp of fv0: each alone rounds away beside it,
+    # the two together round it up by one ulp
+    return (0.7 * half_ulp, 0.8 * half_ulp)
+
+
+FUSED = {
+    # one ulp below the bound: Python's sum is below it, numpy's total is at
+    # it, so the split is not ``bounded`` (the flow of s over its pheromone
+    # passes 2**32, where the two split forms differ)
+    "sum-one-ulp-below-bound": lambda: _fused(
+        np.nextafter(BOUND, 0.0), flows=_rounds_up(np.spacing(BOUND) / 2)
+    ),
+    "total-well-below-bound": lambda: _fused(BOUND * (1.0 - 2.0**-30), flows=(1e-3, 2e-3)),
+    "total-just-above-bound": lambda: _fused(np.nextafter(BOUND, math.inf), flows=(1e-3, 2e-3)),
+    # a threshold whose bound overflows: Python's sum stays at the largest
+    # float, numpy's total overflows, and the step aborts
+    "sum-at-float-max": lambda: _fused(
+        np.finfo(float).max, threshold=1e10, flows=_rounds_up(HALF_ULP_MAX)
+    ),
+    "negative-zero": lambda: _fused(
+        1.0, flows=(0.3, 0.7), edits=[(name, 1, -0.0) for name in ("p", "f_edge", "b_edge")]
+    ),
+    # p of e2 and e3 cancel: Python's sum loses p of e0, at the bound, to
+    # them, numpy's total keeps it; the negative p of e2 is flushed
+    "negative": lambda: _fused(
+        1.0, flows=(0.1, 0.7), edits=[("p", 0, 2.5 * BOUND), ("p", 2, -BIG), ("p", 3, BIG)]
+    ),
+    "nan": lambda: _fused(1.0, flows=(0.3, 0.7), edits=[("p", 3, math.nan)]),
+    "inf": lambda: _fused(1.0, flows=(0.3, 0.7), edits=[("p", 3, math.inf)]),
+    "minus-inf": lambda: _fused(1.0, flows=(0.3, 0.7), edits=[("p", 3, -math.inf)]),
+    "nan-flow": lambda: _fused(1.0, flows=(math.nan, 0.7)),
+    "threshold-zero": lambda: _fused(1.0, threshold=0.0, flows=(0.3, 0.7), edits=[("p", 1, 1e-310)]),
+}
+FUSED_ABORTS = {"sum-at-float-max", "nan", "inf", "minus-inf", "nan-flow"}
+
+
+def _stored(st, sched):
+    """The stored part [p | f_vertex | b_vertex] that a step of ``st`` on
+    the 2x3 graph makes before its finiteness test, written out."""
+    p = (st.p + st.f_edge + st.b_edge) * 0.5
+    fv = np.zeros(5)
+    fv[[0, 1, 2, 3]] = sched.f0, st.f_edge[0], st.f_edge[2], st.f_edge[3]
+    bv = np.zeros(5)
+    bv[[1, 2, 3, 4]] = st.b_edge[1], st.b_edge[3], st.b_edge[4], sched.b0
+    return np.concatenate((p, fv, bv))
+
+
+@pytest.mark.parametrize("case", list(FUSED))
+def test_small_buffer_step_matches_reference_step_bytewise(case):
+    """The small-buffer step, which reads its stored values once as Python
+    floats for the finiteness test, ``bounded`` and the flush, gives the
+    floats, counters and aborts of numpy's total, at the edges of its test."""
+    st, g, rule, sched, cfg = FUSED[case]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = _stored(st, sched)
+        py_sum, total = sum(stored.tolist()), float(np.add.reduce(stored))
+    out = _same_step(st, g, rule, sched, cfg)
+    assert (out is None) == (case in FUSED_ABORTS)
+    # what each case is built to show
+    if case == "sum-one-ulp-below-bound":
+        assert py_sum < BOUND <= total
+    elif case == "sum-at-float-max":
+        assert py_sum == np.finfo(float).max and total == math.inf
+    elif case == "negative":
+        assert py_sum < 3.0 and total >= BOUND
+        assert out.underflow_flushes == 1 and out.p[2] == 0.0
+    elif case == "negative-zero":
+        assert out.underflow_flushes == 0 and out.p[1].hex() == "-0x0.0p+0"
+
+
 # -- buffer ownership ---------------------------------------------------------
 
 
