@@ -99,7 +99,7 @@ def detect_convergence(
     Only the chain's vertices are read: the out-edges of each chain vertex
     and the in-edges of the head it picks, as Python floats. The totals are
     summed the way ``normalized_levels`` sums them, so the levels compared
-    are the same floats: an out-total as ``GraphArrays.out_sums`` sums it
+    are the same floats: an out-total as ``GraphArrays.tail_sums`` sums it
     (left to right from 0.0, as ``np.bincount`` does, or by ``reduceat``),
     an in-total left to right in edge order."""
     if not (0.0 < epsilon < 1.0):

@@ -193,7 +193,7 @@ def _cmd_analyze_rule(args) -> int:
     if args.out:
         with output_errors("--out"), open(args.out, "w") as fh:
             fh.write(text)
-    return EXIT_OK
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _cmd_counterexample(args) -> int:
@@ -347,9 +347,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except (ScenarioError, ConfigError, RuleError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -39,8 +39,9 @@ aggregates ``[f_edge | b_edge]``, and one set of totals, divisions and
 gathers splits ``[f_vertex | b_vertex]`` (``GraphArrays.pair``). Graphs
 summed by ``reduceat`` (sorted by tail, or dense) keep one kernel per
 direction, writing into the buffer's halves: there a joint bincount would
-cost more than it saves. Every float is the one the per-direction kernels
-give.
+cost more than it saves. Both forms total every vertex flow, 1.0 where it
+has no edge to split over, and the joint form gives every float that the
+per-direction one gives.
 
 A state keeps the joint views ``[p | f_vertex | b_vertex]``,
 ``[f_edge | b_edge]`` and ``[f_vertex | b_vertex]`` with its five, all cut
@@ -375,10 +376,12 @@ def _split(
     vertex flow on along its one edge with one gather over ``[f_edge |
     b_edge]`` (``GraphArrays.pair``), then splits the flow of each vertex
     with two edges (``GraphArrays.branches``, forward first) by
-    ``_branch_split``. The linear rule on graphs that sum out-edges by
-    ``np.bincount`` splits both directions in one pass; graphs that sum
-    out-edges by ``reduceat`` (tail-sorted or dense) split one direction at
-    a time (``_split_linear``)."""
+    ``_branch_split``. The linear rule totals the pheromone at every vertex
+    flow, 1.0 where it has no edge to split over, and splits by
+    ``_split_groups``: on graphs that sum out-edges by ``np.bincount`` both
+    directions in one pass over the 2n vertex flows (``GraphArrays.pair``),
+    on graphs that sum them by ``reduceat`` (tail-sorted or dense) one
+    direction at a time over the n vertices (``_direction_totals``)."""
     _, fe, be, p, fv, bv, _, flows, vflows = layout
     if not rule.is_linear:
         vflows.take(ga.pair.src, None, flows, "wrap")
@@ -391,46 +394,42 @@ def _split(
             zeros += _branch_split(fn, p_list, be, bv.item(v), e1, e2)
         return zeros
     if ga.out_by_bincount:
-        # the groups are the 2n vertex flows; one with no edge to split over
-        # gets a total of 1.0, which keeps the fast path's test whole
         pair = ga.pair
-        weights = np.concatenate((p, p, pair.dead_ones))
-        totals = np.bincount(pair.total_bins, weights, pair.halves[1][1])
+        pp = np.concatenate((p, p))
+        totals = np.bincount(pair.src, pp, 2 * ga.n)
+        totals[pair.dead] = 1.0  # as in ``_direction_totals``
         return _split_groups(
-            weights[: flows.size],
-            totals,
-            vflows,
-            pair.src,
-            pair.halves,
-            pair.degrees,
-            bounded,
-            flows,
+            pp, totals, vflows, pair.src, pair.halves, pair.degrees, bounded, flows
         )
-    zeros = _split_linear(ga, p, fv, True, bounded, fe)
-    return zeros + _split_linear(ga, p, bv, False, bounded, be)
+    whole = ((0, ga.n),)
+    fwd, bwd = _direction_totals(ga, p, True), _direction_totals(ga, p, False)
+    zeros = _split_groups(p, fwd, fv, ga.tail_bins, whole, ga.out_deg, bounded, fe)
+    return zeros + _split_groups(p, bwd, bv, ga.head_bins, whole, ga.in_deg, bounded, be)
 
 
-def _vertex_totals(
-    ga: GraphArrays, p: np.ndarray, forward: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The linear split's groups: each edge's slot, the vertex of each slot
-    and its pheromone total, over the vertices with out-edges (forward) or
-    in-edges (backward)."""
+def _direction_totals(ga: GraphArrays, p: np.ndarray, forward: bool) -> np.ndarray:
+    """The pheromone total on the out-edges (forward) or in-edges
+    (backward) of each vertex, and 1.0 at a vertex with none. No edge reads
+    that 1.0, and ``_split_groups`` never takes it for a zero total, so its
+    all-positive test holds wherever every total an edge reads is positive."""
     if forward:
-        return ga.out_slot, ga.with_out, ga.out_sums(p)
-    totals = np.bincount(ga.in_slot, weights=p, minlength=ga.with_in.size)
-    return ga.in_slot, ga.with_in, totals
+        totals, dead = ga.tail_sums(p), ga.no_out
+    else:
+        totals, dead = np.bincount(ga.head_bins, p, ga.n), ga.no_in
+    totals[dead] = 1.0
+    return totals
 
 
 def split_fraction(ga: GraphArrays, p: np.ndarray, forward: bool) -> np.ndarray:
     """The linear rule's share of each edge: its pheromone over the total on
     the out-edges of its tail (forward) or the in-edges of its head
     (backward); NaN where that total is 0."""
-    slot, _, totals = _vertex_totals(ga, p, forward)
+    totals = _direction_totals(ga, p, forward)
+    bins = ga.tail_bins if forward else ga.head_bins
     if np.count_nonzero(totals) == totals.size:
-        return p / totals[slot]
+        return p / totals[bins]
     with np.errstate(invalid="ignore"):
-        return p / totals[slot]
+        return p / totals[bins]
 
 
 # flow * _RATIO_SCALE < total keeps the ratio flow/total below 2**32 and
@@ -442,29 +441,6 @@ _RATIO_SCALE = 2.0**-32
 # after a flush at threshold h, a state whose values sum below h * this
 # cannot hold a ratio flow/total near overflow (see ``step``)
 _BOUNDED_SUM = 2.0**1020
-
-
-def _split_linear(
-    ga: GraphArrays,
-    p: np.ndarray,
-    vertex_flow: np.ndarray,
-    forward: bool,
-    bounded: bool,
-    out: np.ndarray,
-) -> int:
-    """One direction of the linear split, into ``out``. Returns the number
-    of zero-total splits."""
-    slot, verts, totals = _vertex_totals(ga, p, forward)
-    return _split_groups(
-        p,
-        totals,
-        vertex_flow[verts],
-        slot,
-        ((0, totals.size),),
-        ga.out_len if forward else ga.in_len,
-        bounded,
-        out,
-    )
 
 
 def _split_groups(

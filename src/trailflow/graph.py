@@ -300,8 +300,7 @@ class PairIndex(NamedTuple):
 
     agg_bins: np.ndarray  # vertex flow each edge flow adds to: head, then tail + n
     src: np.ndarray  # vertex flow each edge flow splits from: tail, then head + n
-    total_bins: np.ndarray  # ``src``, then the vertex flows with no edge to split over
-    dead_ones: np.ndarray  # 1.0 for each of those
+    dead: np.ndarray  # the vertex flows with no edge to split over
     degrees: np.ndarray  # edges each vertex flow splits over
     halves: Tuple[Tuple[int, int], Tuple[int, int]]  # the forward and backward vertex flows
 
@@ -309,10 +308,10 @@ class PairIndex(NamedTuple):
 class GraphArrays:
     """Flat numpy views of a graph used by the flow engine.
 
-    The index arrays here (the CSR grouping, the slots, ``tail_bins``,
-    ``head_bins`` and ``pair``) must not be written: they are derived once
-    from the graph's edges, and the copies ``for_graph`` makes for
-    ``with_leakage`` share them. Unlike ``DirectedGraph.tails`` and
+    The index arrays here (the CSR grouping, ``tail_bins``, ``head_bins``,
+    ``no_out``, ``no_in`` and ``pair``) must not be written: they are
+    derived once from the graph's edges, and the copies ``for_graph`` makes
+    for ``with_leakage`` share them. Unlike ``DirectedGraph.tails`` and
     ``heads`` they are left writable, because ``np.bincount`` copies a
     read-only index array on every call."""
 
@@ -338,25 +337,22 @@ class GraphArrays:
         self.tail_sorted = bool(np.all(self.tails[1:] >= self.tails[:-1]))
         self._by_tail = slice(None) if self.tail_sorted else self.out_eids
         # the one choice of how a vertex's out-edges are summed, read by
-        # ``out_sums``, ``tail_sums`` and ``detect_convergence``: np.bincount
-        # (left to right from 0.0, in edge-id order) on sparse graphs not
-        # sorted by tail, where the gather before ``reduceat`` and its cost
-        # per segment dominate; ``reduceat`` over the CSR segments otherwise
+        # ``tail_sums`` and ``detect_convergence``: np.bincount (left to
+        # right from 0.0, in edge-id order) on sparse graphs not sorted by
+        # tail, where the gather before ``reduceat`` and its cost per
+        # segment dominate; ``reduceat`` over the CSR segments otherwise
         self.out_by_bincount = not self.tail_sorted and self.m <= _BINCOUNT_MAX_DEGREE * self.n
-        # the vertices with out-edges / in-edges, and each edge's index into
-        # them by its tail / head: the slots of the per-vertex split totals
-        self.with_out = np.flatnonzero(self.out_deg)
-        self.with_in = np.flatnonzero(self.in_deg)
-        self.out_len = self.out_deg[self.with_out]  # out-degrees of ``with_out``
-        self.in_len = self.in_deg[self.with_in]  # in-degrees of ``with_in``
-        self.out_slot = (np.cumsum(self.out_deg > 0) - 1)[self.tails]
-        self.in_slot = (np.cumsum(self.in_deg > 0) - 1)[self.heads]
         # each edge's tail and head as writable index arrays: np.bincount
-        # copies a read-only one on every call. Where every vertex has
-        # out-edges (in-edges) the slots are the vertex ids and serve as is
-        self.tail_bins = self.out_slot if self.with_out.size == self.n else self.tails.copy()
-        self.head_bins = self.in_slot if self.with_in.size == self.n else self.heads.copy()
+        # copies a read-only one on every call
+        self.tail_bins = self.tails.copy()
+        self.head_bins = self.heads.copy()
+        # the vertices with out-edges, whose segments ``reduceat`` sums, and
+        # those with no out-edges / no in-edges: the linear split sets their
+        # totals to 1.0
+        self.with_out = np.flatnonzero(self.out_deg)
         self._seg_starts = self.out_ptr[self.with_out]
+        self.no_out = np.flatnonzero(self.out_deg == 0)
+        self.no_in = np.flatnonzero(self.in_deg == 0)
 
     def _set_survival(self, leakage: np.ndarray) -> None:
         self.surv = 1.0 - np.asarray(leakage, dtype=float)
@@ -373,24 +369,13 @@ class GraphArrays:
         """The index arrays of the kernels that treat both flow directions
         in one call (built on first use)."""
         n = self.n
-        src = np.concatenate((self.tails, self.heads + n))
-        degrees = np.concatenate((self.out_deg, self.in_deg))
-        dead = np.flatnonzero(degrees == 0)
         return PairIndex(
             agg_bins=np.concatenate((self.head_bins, self.tail_bins + n)),
-            src=src,
-            total_bins=np.concatenate((src, dead)),
-            dead_ones=np.ones(dead.size),
-            degrees=degrees,
+            src=np.concatenate((self.tails, self.heads + n)),
+            dead=np.concatenate((self.no_out, self.no_in + n)),
+            degrees=np.concatenate((self.out_deg, self.in_deg)),
             halves=((0, n), (n, 2 * n)),
         )
-
-    def out_sums(self, x: np.ndarray) -> np.ndarray:
-        """Sums of the edge values ``x`` over the out-edges of each vertex
-        in ``with_out``."""
-        if self.out_by_bincount:
-            return np.bincount(self.out_slot, x, self.with_out.size)
-        return np.add.reduceat(x[self._by_tail], self._seg_starts)
 
     def tail_sums(self, x: np.ndarray) -> np.ndarray:
         """Per-vertex sums of the edge values ``x`` over each vertex's
@@ -398,7 +383,7 @@ class GraphArrays:
         if self.out_by_bincount:
             return np.bincount(self.tail_bins, x, self.n)
         sums = np.zeros(self.n)
-        sums[self.with_out] = self.out_sums(x)
+        sums[self.with_out] = np.add.reduceat(x[self._by_tail], self._seg_starts)
         return sums
 
     @cached_property

@@ -259,9 +259,6 @@ class FixedPointScan:
     identically_fixed: bool
     frac_within_tol: float
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 @dataclass(frozen=True)
 class StabilityMarginInfo:
@@ -349,10 +346,6 @@ def stable_fixed_points(
             il, ir = idx - i, idx + i
             left_ok = (not has_left) or (il >= 0 and h[il] > 0.0)
             right_ok = (not has_right) or (ir < grid and h[ir] < 0.0)
-            if has_left and il < 0:
-                left_ok = False
-            if has_right and ir >= grid:
-                right_ok = False
             if left_ok and right_ok:
                 ok_steps = i
                 i += 1

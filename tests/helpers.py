@@ -28,8 +28,9 @@ from trailflow.dynamics import (
     RESCALE_BY_SOURCE,
     EngineAbort,
     SystemState,
+    _direction_totals,
     _split,
-    _split_linear,
+    _split_groups,
     step,
 )
 from trailflow.graph import (
@@ -243,15 +244,16 @@ def reference_step(state, graph, rule, schedule, cfg):
 
 
 def _reference_split_linear(ga, p, vertex_flow, forward, bounded):
-    if forward:
-        slot, verts, totals = ga.out_slot, ga.with_out, ga.out_sums(p)
-    else:
-        slot, verts = ga.in_slot, ga.with_in
-        totals = np.bincount(ga.in_slot, weights=p, minlength=ga.with_in.size)
+    """The linear split of one direction over the vertices with edges only:
+    each edge's slot is its tail's (head's) index among them."""
+    deg = ga.out_deg if forward else ga.in_deg
+    verts = np.flatnonzero(deg)
+    slot = (np.cumsum(deg > 0) - 1)[ga.tails if forward else ga.heads]
+    totals = ga.tail_sums(p)[verts] if forward else np.bincount(slot, p, verts.size)
     flow = vertex_flow[verts]
 
     def scaled(ratio):
-        eflow = np.repeat(ratio, ga.out_len) if forward and ga.tail_sorted else ratio[slot]
+        eflow = np.repeat(ratio, deg[verts]) if forward and ga.tail_sorted else ratio[slot]
         eflow *= p
         return eflow
 
@@ -271,7 +273,6 @@ def _reference_split_linear(ga, p, vertex_flow, forward, bounded):
     total = totals[s]
     empty = total == 0.0
     share = np.divide(p[e], total, out=np.zeros_like(total), where=~empty)
-    deg = ga.out_deg if forward else ga.in_deg
     share[empty] = 1.0 / deg[verts[s[empty]]]
     eflow[e] = flow[s] * share
     return eflow, int(np.count_nonzero(fix & (totals == 0.0)))
@@ -307,10 +308,14 @@ def engine_split(ga, rule, p, f_vertex, b_vertex):
 
 
 def linear_split(ga, p, vertex_flow, forward, bounded=False):
-    """The engine's linear split (``dynamics._split_linear``) of one
-    direction's vertex flows against ``p``: (edge flows, zero-split count)."""
+    """The engine's linear split of one direction's vertex flows against
+    ``p``, as ``dynamics._split`` makes it on graphs summed by ``reduceat``:
+    (edge flows, zero-split count)."""
     eflow = np.empty(ga.m)
-    return eflow, _split_linear(ga, p, vertex_flow, forward, bounded, eflow)
+    totals = _direction_totals(ga, p, forward)
+    bins, deg = (ga.tail_bins, ga.out_deg) if forward else (ga.head_bins, ga.in_deg)
+    zeros = _split_groups(p, totals, vertex_flow, bins, ((0, ga.n),), deg, bounded, eflow)
+    return eflow, zeros
 
 
 def reference_general_split(graph, rule, p, vertex_flow, forward):

@@ -2,8 +2,10 @@
 parameters, and no public accessor repeats another one: a lookup of one
 edge is ``DirectedGraph.edge_ids`` of one pair, a branch point's edge is
 ``TwoPathGraph.branch_eids``, a rule's config form is
-``dict(rule.config)``, and a branch's leakage is
-``path_leakage(tp.graph, tp.top)`` (its survival one minus that)."""
+``dict(rule.config)``, a branch's leakage is
+``path_leakage(tp.graph, tp.top)`` (its survival one minus that), the
+out-edge sums are ``GraphArrays.tail_sums`` and a scan's fixed points are
+``FixedPointScan.points``."""
 
 import inspect
 
@@ -36,6 +38,8 @@ REPEATED_ACCESSORS = [
     (graph.TwoPathGraph, "leak_bottom"),
     (graph.TwoPathGraph, "surv_top"),
     (graph.TwoPathGraph, "surv_bottom"),
+    (graph.GraphArrays, "out_sums"),
+    (rules.FixedPointScan, "__iter__"),
 ]
 
 

@@ -604,29 +604,37 @@ def test_zero_total_vertices_match_bincount_reference():
 
 
 def test_forward_repeat_split_equals_gather_form():
-    """On a tail-sorted G(n, p) the reference split lays out each vertex's
-    ratio with ``np.repeat`` (``helpers._reference_split_linear``); the
-    engine's forward split, which gathers by slot, gives its floats bit for
-    bit, on the fast path and with zero-total vertices, with and without
-    flow."""
-    g = gen_gnp(80, 0.1, 6)
-    ga = g.arrays
-    assert ga.tail_sorted and not ga.out_by_bincount
-    rng = np.random.default_rng(6)
-    p = rng.uniform(0.1, 1.0, ga.m)
-    vflow = rng.uniform(0.1, 1.0, ga.n)
-    empty_p = p.copy()
-    empty = np.arange(1, 80, 3)
-    empty_p[np.isin(ga.tails, empty)] = 0.0
-    vflow_idle = vflow.copy()
-    vflow_idle[empty[::2]] = 0.0
-    for pher, flow in ((p, vflow), (empty_p, vflow), (empty_p, vflow_idle)):
-        for bounded in (False, True):
-            got, z_got = linear_split(ga, pher, flow, True, bounded)
-            want, z_want = _reference_split_linear(ga, pher, flow, True, bounded)
-            assert got.tobytes() == want.tobytes()
-            assert z_got == z_want
-    assert linear_split(ga, empty_p, vflow, True)[1] == np.count_nonzero(ga.out_deg[empty])
+    """On tail-sorted G(n, p) graphs the reference split groups only the
+    vertices with edges and lays out each forward ratio with ``np.repeat``
+    (``helpers._reference_split_linear``); the engine's split of either
+    direction, which totals every vertex (1.0 at one with no edge to split
+    over) and gathers by tail or head, gives its floats bit for bit, on the
+    fast path and with zero-total vertices, with and without flow.
+    G(80, .03) has vertices with no out-edges and vertices with no in-edges;
+    a flow of 1e300 on those fails the ratio test, which no edge reads."""
+    for g in (gen_gnp(80, 0.1, 6), gen_gnp(80, 0.03, 6)):
+        ga = g.arrays
+        assert ga.tail_sorted and not ga.out_by_bincount
+        rng = np.random.default_rng(6)
+        p = rng.uniform(0.1, 1.0, ga.m)
+        vflow = rng.uniform(0.1, 1.0, ga.n)
+        empty = np.arange(1, 80, 3)
+        for forward, ends, deg in ((True, ga.tails, ga.out_deg), (False, ga.heads, ga.in_deg)):
+            empty_p = p.copy()
+            empty_p[np.isin(ends, empty)] = 0.0
+            vflow_idle = vflow.copy()
+            vflow_idle[empty[::2]] = 0.0
+            vflow_dead = vflow.copy()
+            vflow_dead[deg == 0] = 1e300
+            cases = ((p, vflow), (empty_p, vflow), (empty_p, vflow_idle), (p, vflow_dead))
+            for pher, flow in cases:
+                for bounded in (False, True):
+                    got, z_got = linear_split(ga, pher, flow, forward, bounded)
+                    want, z_want = _reference_split_linear(ga, pher, flow, forward, bounded)
+                    assert got.tobytes() == want.tobytes()
+                    assert z_got == z_want
+            assert linear_split(ga, empty_p, vflow, forward)[1] == np.count_nonzero(deg[empty])
+    assert ga.no_out.size and ga.no_in.size
 
 
 def test_linear_split_fast_path_sets_no_error_state(monkeypatch):

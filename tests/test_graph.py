@@ -405,7 +405,6 @@ def test_out_sum_kernel_choice(make, bincount):
         want = np.zeros(ga.n)
         want[ga.with_out] = np.add.reduceat(x[ga.out_eids], ga.out_ptr[ga.with_out])
     assert ga.tail_sums(x).tobytes() == want.tobytes()
-    assert ga.out_sums(x).tobytes() == want[ga.with_out].tobytes()
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 5)])
@@ -423,7 +422,6 @@ def test_out_sum_kernels_agree_on_two_paths(m, n):
         x = rng.choice(values, ga.m) * rng.uniform(0.5, 1.0, ga.m)
         x[rng.random(ga.m) < 0.3] = 0.0
         assert ga.tail_sums(x).tobytes() == by_reduceat.tail_sums(x).tobytes()
-        assert ga.out_sums(x).tobytes() == by_reduceat.out_sums(x).tobytes()
 
 
 # -- planting ----------------------------------------------------------------

@@ -236,6 +236,22 @@ def test_fixed_points_residuals_within_tol():
             assert abs(float(rule.fn(r)) - r) <= 1e-9
 
 
+def test_fixed_point_off_the_grid_is_bisected():
+    """g(x) = x at 0.15 lies between grid points 1228 and 1229 of the
+    4097-point grid (0.15 is 1228.8 steps), so the scan finds it by one
+    bisection of the sign change; g crosses the diagonal upward there, so
+    only 0 and 1/2 are stable."""
+    rule = table_rule([0.0, 0.1, 0.2, 0.5], [0.0, 0.05, 0.25, 0.5])
+    assert validate_rule(rule) == []
+    points = fixed_points(rule).points
+    assert len(points) == 3 and (points[0], points[-1]) == (0.0, 0.5)
+    assert abs(points[1] - 0.15) <= 1e-10
+    assert points[1] != 0.15  # a midpoint of the bisection, not a grid point
+    rep = stable_fixed_points(rule)
+    assert rep.fixed_points == points
+    assert rep.stable_points == (0.0, 0.5)
+
+
 # -- stability ----------------------------------------------------------------
 
 

@@ -756,6 +756,19 @@ def test_cli_analyze_rule(capsys):
     assert doc["stable_points"] == [0.0]
 
 
+def test_cli_analyze_rule_outside_the_family_exits_1(capsys, tmp_path):
+    """A rule that fails validation is a failed verification: exit 1, with
+    the report printed and written as for a valid rule."""
+    out = tmp_path / "report.json"
+    rule = '{"kind":"sine","a":0.2}'
+    assert main(["analyze-rule", "--rule", rule, "--out", str(out)]) == 1
+    text, err = capsys.readouterr()
+    doc = json.loads(text)
+    assert doc["rule"] == "sine(0.2)" and doc["valid"] is False
+    assert doc["violations"] == ["g(0.157593)=0.341051 > g(0.157715)=0.341051"]
+    assert json.loads(out.read_text()) == doc and err == ""
+
+
 def test_cli_counterexample(capsys):
     code = main(
         ["counterexample", "--rule", '{"kind":"power","k":2}', "--kind", "leakage",
@@ -804,3 +817,21 @@ def test_cli_swap_demo(capsys):
     assert main(["swap-demo", "--seeds", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["flip_rate"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ([], {"base_branch": "top", "swapped_branch": "bottom", "flipped": True, "degenerate": False}),
+        (
+            ["--p-top", "1", "--p-bottom", "1"],
+            {"base_branch": None, "swapped_branch": None, "flipped": False, "degenerate": True},
+        ),
+    ],
+    ids=["flips", "degenerate"],
+)
+def test_cli_swap_demo_single_pair(argv, want, capsys):
+    """Without ``--seeds`` the demo runs the one pheromone pair and its swap;
+    a flip and a tie (nothing to swap) both exit 0."""
+    assert main(["swap-demo", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {"mode": "single", **want}
