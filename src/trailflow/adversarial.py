@@ -128,10 +128,10 @@ def _case_constants(rule: RuleFunction, r: float, eps: float, case: str) -> Tupl
 def _resolve_nonlinearity(
     rule: RuleFunction, r: Optional[float], eps: Optional[float]
 ) -> Nonlinearity:
-    found = find_nonlinearity(rule)
     if r is None:
         if eps is not None:
             raise RuleError("explicit eps requires explicit r")
+        found = find_nonlinearity(rule)
         # half the certified extent: the margin constant degenerates as
         # r+eps approaches the next diagonal crossing
         return Nonlinearity(found.r, found.eps / 2.0, found.case)

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import RESCALE_BY_SOURCE, FlowSchedule, SystemState, split_fraction
+from .dynamics import RESCALE_BY_SOURCE, FlowSchedule, SystemState, _direction_totals
 from .graph import DirectedGraph, Path, TwoPathGraph
 
 
@@ -46,19 +46,26 @@ class NormalizedLevels:
 
 
 def normalized_levels(state: "SystemState", graph: DirectedGraph) -> NormalizedLevels:
-    ga = graph.arrays
-    fwd = split_fraction(ga, state.p, forward=True)
-    bwd = split_fraction(ga, state.p, forward=False)
-    return NormalizedLevels(fwd=fwd, bwd=bwd)
+    """The linear rule's share of each edge: its pheromone over the total on
+    the out-edges of its tail (forward) or the in-edges of its head
+    (backward), the totals the split reads (``_direction_totals``); NaN
+    where that total is 0."""
+    ga, p = graph.arrays, state.p
+    fwd = _direction_totals(ga, p, True)[ga.tail_bins]
+    bwd = _direction_totals(ga, p, False)[ga.head_bins]
+    if np.count_nonzero(fwd) == fwd.size and np.count_nonzero(bwd) == bwd.size:
+        return NormalizedLevels(p / fwd, p / bwd)
+    with np.errstate(invalid="ignore"):
+        return NormalizedLevels(p / fwd, p / bwd)
 
 
 class BranchLevelObserver:
     """Records a two-path branch's normalized level at the source side
     (forward: its first edge over both out-edges of s) and at the
     destination side (backward: its last edge over both in-edges of d) every
-    step; NaN where both edges carry no pheromone. ``levels`` computes both
-    in Python floats from the four branch-point pheromones: on two-path
-    graphs that costs about a quarter of ``split_fraction``'s two calls."""
+    step; NaN where both edges carry no pheromone. Both are computed in
+    Python floats from the four branch-point pheromones: on two-path graphs
+    that costs about a quarter of ``normalized_levels``."""
 
     def __init__(self, two_path: TwoPathGraph, branch: str) -> None:
         other = "bottom" if branch == "top" else "top"
@@ -67,18 +74,13 @@ class BranchLevelObserver:
         self.norm_s: List[float] = []
         self.norm_d: List[float] = []
 
-    def levels(self, p: np.ndarray) -> Tuple[float, float]:
-        """The branch's (source-side, destination-side) levels in ``p``."""
-        item = p.item
+    def __call__(self, t, state, prev) -> None:
+        item = state.p.item
         ps, pd = item(self.s_eid), item(self.d_eid)
         ts = ps + item(self.s_other)
         td = pd + item(self.d_other)
-        return (ps / ts if ts > 0 else math.nan, pd / td if td > 0 else math.nan)
-
-    def __call__(self, t, state, prev) -> None:
-        level_s, level_d = self.levels(state.p)
-        self.norm_s.append(level_s)
-        self.norm_d.append(level_d)
+        self.norm_s.append(ps / ts if ts > 0 else math.nan)
+        self.norm_d.append(pd / td if td > 0 else math.nan)
 
 
 def _sum_in_order(values: List[float], total: float) -> float:

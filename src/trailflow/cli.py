@@ -235,6 +235,9 @@ def _cmd_counterexample(args) -> int:
         with output_errors("--out-dir"):
             with open(os.path.join(args.out_dir, "counterexample.json"), "w") as fh:
                 fh.write(text)
+    if trace.failure:
+        print(f"engine abort at t={trace.failure_t}: {trace.failure}", file=sys.stderr)
+        return EXIT_ABORT
     control_ok = control.converged_path == cx.two_path.top
     return EXIT_OK if report.ok and control_ok else EXIT_VIOLATION
 

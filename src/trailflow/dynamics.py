@@ -411,25 +411,14 @@ def _direction_totals(ga: GraphArrays, p: np.ndarray, forward: bool) -> np.ndarr
     """The pheromone total on the out-edges (forward) or in-edges
     (backward) of each vertex, and 1.0 at a vertex with none. No edge reads
     that 1.0, and ``_split_groups`` never takes it for a zero total, so its
-    all-positive test holds wherever every total an edge reads is positive."""
+    all-positive test holds wherever every total an edge reads is positive.
+    ``analysis.normalized_levels`` divides by the same totals."""
     if forward:
         totals, dead = ga.tail_sums(p), ga.no_out
     else:
         totals, dead = np.bincount(ga.head_bins, p, ga.n), ga.no_in
     totals[dead] = 1.0
     return totals
-
-
-def split_fraction(ga: GraphArrays, p: np.ndarray, forward: bool) -> np.ndarray:
-    """The linear rule's share of each edge: its pheromone over the total on
-    the out-edges of its tail (forward) or the in-edges of its head
-    (backward); NaN where that total is 0."""
-    totals = _direction_totals(ga, p, forward)
-    bins = ga.tail_bins if forward else ga.head_bins
-    if np.count_nonzero(totals) == totals.size:
-        return p / totals[bins]
-    with np.errstate(invalid="ignore"):
-        return p / totals[bins]
 
 
 # flow * _RATIO_SCALE < total keeps the ratio flow/total below 2**32 and

@@ -42,28 +42,6 @@ class EquilibriumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EquilibriumSpec:
-    """Closed-form equilibrium values for a fixed point r."""
-
-    r: float
-    f_s: float
-    b_d: float
-    delta: float
-
-    @property
-    def pheromone_scale(self) -> float:
-        return self.delta / (1.0 - self.delta) * (self.f_s + self.b_d)
-
-    @property
-    def pheromone_top(self) -> float:
-        return self.pheromone_scale * self.r
-
-    @property
-    def pheromone_bottom(self) -> float:
-        return self.pheromone_scale * (1.0 - self.r)
-
-
 def equilibrium_state(
     two_path: TwoPathGraph,
     rule: RuleFunction,
@@ -80,8 +58,8 @@ def equilibrium_state(
         raise EquilibriumError("r must lie in [0, 1/2]")
     if abs(float(rule.fn(r)) - r) > 1e-10:
         raise EquilibriumError(f"r={r} is not a fixed point of the rule")
-    spec = EquilibriumSpec(r=r, f_s=f_s, b_d=b_d, delta=delta)
-    top, bottom = (spec.pheromone_top, r), (spec.pheromone_bottom, 1.0 - r)
+    scale = delta / (1.0 - delta) * (f_s + b_d)
+    top, bottom = (scale * r, r), (scale * (1.0 - r), 1.0 - r)
     return branch_state(two_path, f_s, b_d, top, bottom)
 
 
@@ -157,8 +135,8 @@ def _deviations(
     destination-side normalized levels' distances from r (a level is NaN
     where both branch-point pheromones are 0), or the largest edge-flow
     distance from ``flow_refs`` when that is larger. Each float, NaN
-    included, is the one that ``BranchLevelObserver.levels`` and Python's
-    ``max`` in that order give state by state."""
+    included, is the one that ``BranchLevelObserver`` and Python's ``max``
+    in that order give state by state."""
     m = two_path.graph.n_edges
     p = states[:, 2 * m :]
     (s_top, d_top), (s_bot, d_bot) = two_path.branch_eids("top"), two_path.branch_eids("bottom")

@@ -46,9 +46,6 @@ class RuleFunction:
     config: tuple = ()
     validation_grid: int = DEFAULT_GRID
 
-    def __call__(self, x):
-        return self.fn(x)
-
 
 @dataclass(frozen=True)
 class DecisionRule:
@@ -247,20 +244,6 @@ def validate_rule(rule: RuleFunction, grid: Optional[int] = None) -> List[RuleVi
 
 
 @dataclass(frozen=True)
-class FixedPointScan:
-    """Fixed points of g on [0, 1/2].
-
-    When the rule is the identity at grid resolution (|g-x| <= tol on at
-    least 99% of samples) the scan reports that flag instead of a point
-    list.
-    """
-
-    points: Tuple[float, ...]
-    identically_fixed: bool
-    frac_within_tol: float
-
-
-@dataclass(frozen=True)
 class StabilityMarginInfo:
     r_eps: float
     gap: float
@@ -274,24 +257,21 @@ class FixedPointReport:
     identically_fixed: bool = False
 
 
-def fixed_points(
-    rule: RuleFunction, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
-) -> FixedPointScan:
-    """Sign-scan of g(x)-x plus bisection on each sign change; grid points
-    with |g-x| <= tol included; 0 and 1/2 always included."""
-    return _scan(rule, grid, tol)[0]
-
-
-def _scan(rule: RuleFunction, grid: int, tol: float) -> Tuple[FixedPointScan, np.ndarray]:
-    """``fixed_points`` and the g(x)-x on the grid it scanned."""
+def _scan(
+    rule: RuleFunction, grid: int, tol: float
+) -> Tuple[Optional[Tuple[float, ...]], np.ndarray]:
+    """The fixed points of g on [0, 1/2] and g(x)-x on the grid scanned: a
+    sign-scan of g(x)-x plus bisection on each sign change, grid points with
+    |g-x| <= tol included, 0 and 1/2 always included. The points are None
+    when the rule is the identity at grid resolution (|g-x| <= tol on at
+    least 99% of samples)."""
     if grid < 64:
         raise RuleError("fixed-point grid must have at least 64 samples")
     xs = np.linspace(0.0, 0.5, grid)
     h = _eval_grid(rule, xs) - xs
     within = np.abs(h) <= tol
-    frac = float(np.mean(within))
-    if frac >= 0.99:
-        return FixedPointScan((), True, frac), h
+    if float(np.mean(within)) >= 0.99:
+        return None, h
 
     pts: List[float] = [0.0, 0.5]
     pts.extend(float(x) for x in xs[within])
@@ -306,7 +286,7 @@ def _scan(rule: RuleFunction, grid: int, tol: float) -> Tuple[FixedPointScan, np
     for x in pts:
         if not dedup or x - dedup[-1] > tol:
             dedup.append(x)
-    return FixedPointScan(tuple(dedup), False, frac), h
+    return tuple(dedup), h
 
 
 def _bisect(h: Callable[[float], float], a: float, b: float, ha: float, tol: float) -> float:
@@ -325,18 +305,19 @@ def _bisect(h: Callable[[float], float], a: float, b: float, ha: float, tol: flo
 def stable_fixed_points(
     rule: RuleFunction, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL
 ) -> FixedPointReport:
-    """Classify each fixed point by the local crossing of the diagonal:
-    g(x) > x on a punctured left neighborhood and g(x) < x on a punctured
-    right neighborhood (one-sided at the domain endpoints). The estimated
-    neighborhood radius r_eps is the largest grid-resolvable one."""
-    scan, h = _scan(rule, grid, tol)
-    if scan.identically_fixed:
+    """The fixed points of g (``_scan``), each classified by the local
+    crossing of the diagonal: g(x) > x on a punctured left neighborhood and
+    g(x) < x on a punctured right neighborhood (one-sided at the domain
+    endpoints). The estimated neighborhood radius r_eps is the largest
+    grid-resolvable one."""
+    points, h = _scan(rule, grid, tol)
+    if points is None:
         return FixedPointReport((), (), {}, identically_fixed=True)
     step = 0.5 / (grid - 1)
 
     stable: List[float] = []
     margins: Dict[float, StabilityMarginInfo] = {}
-    for r in scan.points:
+    for r in points:
         idx = int(round(r / step))
         has_left = r > step / 2
         has_right = r < 0.5 - step / 2
@@ -357,7 +338,7 @@ def stable_fixed_points(
             if gap > 0.0:
                 stable.append(r)
                 margins[r] = StabilityMarginInfo(r_eps=r_eps, gap=gap)
-    return FixedPointReport(scan.points, tuple(stable), margins, False)
+    return FixedPointReport(points, tuple(stable), margins, False)
 
 
 def stability_margin(rule: RuleFunction, r: float, eps_inner: float, r_eps: float) -> float:

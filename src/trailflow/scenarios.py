@@ -259,6 +259,11 @@ def parse_scenario(doc) -> Scenario:
             raise ScenarioError(f"config is not valid JSON: {exc}") from None
     cfg = _section("", _SCENARIO)(doc)
 
+    for where in ("init", "leakage"):
+        sec = cfg[where]
+        if sec["kind"] == "uniform" and not sec["low"] <= sec["high"]:
+            raise ScenarioError(f"{where}.high: must be >= {where}.low, got {sec['high']!r}")
+
     graph_kind = cfg["graph"]["kind"]
     if graph_kind == "two_path" and cfg["leakage"]["kind"] != "zero":
         raise ScenarioError("leakage: two_path graphs carry leakage in graph.leak_top/leak_bottom")

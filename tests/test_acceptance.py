@@ -63,7 +63,7 @@ from trailflow.graph import (
     min_leakage_path,
     path_leakage,
 )
-from trailflow.rules import fixed_points, power_rule, sine_rule, stable_fixed_points
+from trailflow.rules import power_rule, sine_rule, stable_fixed_points
 from trailflow.scenarios import batch_jobs, run_batch
 
 from helpers import brute_force_min_leakage
@@ -156,7 +156,7 @@ def test_A4_equilibria_and_stability():
     cfg = EngineConfig(delta=0.5)
     drift_summary = []
     for rule in A4_RULES:
-        for r in fixed_points(rule).points:
+        for r in stable_fixed_points(rule).fixed_points:
             st = equilibrium_state(tp, rule, r, 1.0, 1.0, 0.5)
             drift = verify_equilibrium(st, tp, rule, sched, cfg, 100)
             assert drift <= 1e-12, f"{rule.name} r={r}: drift {drift:.2e}"

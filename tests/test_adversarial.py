@@ -33,6 +33,7 @@ from trailflow.rules import (
     linear_rule,
     power_rule,
     sine_rule,
+    table_rule,
 )
 
 TP23 = build_two_path(2, 3, [0.0], [0.0, 0.0])
@@ -184,6 +185,28 @@ def test_counterexamples_reject_nonpositive_eps(eps):
         leakage_counterexample(power_rule(2), TP23, 1.0, 1.0, r=0.25, eps=eps)
     with pytest.raises(RuleError, match="eps > 0"):
         flow_counterexample(power_rule(2), TP23, 1.0, r=0.25, eps=eps)
+
+
+def test_explicit_r_and_eps_skip_the_automatic_search():
+    """g > x on (0.1, 0.15], but the largest gap sits at 0.25 with no grid
+    point right of it on the same side: the search rejects the rule, while
+    an explicit r and eps build both counterexamples. Given r and eps, the
+    linear rule is still rejected, for its zero gap at r + eps."""
+    rule = table_rule([0.0, 0.25, 0.2501, 0.5], [0.0, 0.25005, 0.25005, 0.5])
+    with pytest.raises(RuleError, match="no grid-certified sign-consistent interval"):
+        find_nonlinearity(rule)
+    with pytest.raises(RuleError, match="no grid-certified sign-consistent interval"):
+        leakage_counterexample(rule, TP23, 1.0, 1.0)
+    for cx in (
+        leakage_counterexample(rule, TP23, 1.0, 1.0, r=0.1, eps=0.05),
+        flow_counterexample(rule, TP23, 1.0, r=0.1, eps=0.05),
+    ):
+        assert (cx.config.r, cx.config.eps, cx.config.case) == (0.1, 0.05, CASE_ABOVE)
+        assert cx.config.c_eps > 0.0
+    with pytest.raises(RuleError, match="gap at r\\+eps is not positive"):
+        leakage_counterexample(linear_rule(), TP23, 1.0, 1.0, r=0.1, eps=0.05)
+    with pytest.raises(RuleError, match="gap at r\\+eps is not positive"):
+        flow_counterexample(linear_rule(), TP23, 1.0, r=0.1, eps=0.05)
 
 
 # -- bound verification ----------------------------------------------------------------

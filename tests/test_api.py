@@ -4,14 +4,18 @@ edge is ``DirectedGraph.edge_ids`` of one pair, a branch point's edge is
 ``TwoPathGraph.branch_eids``, a rule's config form is
 ``dict(rule.config)``, a branch's leakage is
 ``path_leakage(tp.graph, tp.top)`` (its survival one minus that), the
-out-edge sums are ``GraphArrays.tail_sums`` and a scan's fixed points are
-``FixedPointScan.points``."""
+out-edge sums are ``GraphArrays.tail_sums``, a rule's fixed points are
+``stable_fixed_points(rule).fixed_points`` (``.identically_fixed`` when g
+is the identity at grid resolution), the closed-form equilibrium is
+``equilibrium_state``, the linear rule's edge shares are
+``normalized_levels``, a branch observer's levels are the lists its calls
+append to, and a rule is called as ``rule.fn``."""
 
 import inspect
 
 import pytest
 
-from trailflow import adversarial, analysis, graph, rules
+from trailflow import adversarial, analysis, dynamics, equilibria, graph, rules
 
 FIXED_SETTINGS = [
     (adversarial.verify_nonconvergence, "slack"),
@@ -39,8 +43,21 @@ REPEATED_ACCESSORS = [
     (graph.TwoPathGraph, "surv_top"),
     (graph.TwoPathGraph, "surv_bottom"),
     (graph.GraphArrays, "out_sums"),
-    (rules.FixedPointScan, "__iter__"),
+    (rules, "FixedPointScan"),
+    (rules, "fixed_points"),
+    (equilibria, "EquilibriumSpec"),
+    (dynamics, "split_fraction"),
+    (analysis.BranchLevelObserver, "levels"),
+    # an instance: ``hasattr`` finds ``type.__call__`` on every class
+    (rules.linear_rule(), "__call__"),
 ]
+
+
+def _label(owner) -> str:
+    """A class's qualified name, a module's name, or an instance's class's."""
+    return getattr(owner, "__qualname__", None) or getattr(
+        owner, "__name__", type(owner).__qualname__
+    )
 
 
 @pytest.mark.parametrize(
@@ -51,7 +68,7 @@ def test_fixed_setting_is_no_parameter(owner, name):
 
 
 @pytest.mark.parametrize(
-    "owner, name", REPEATED_ACCESSORS, ids=[f"{o.__qualname__}.{n}" for o, n in REPEATED_ACCESSORS]
+    "owner, name", REPEATED_ACCESSORS, ids=[f"{_label(o)}.{n}" for o, n in REPEATED_ACCESSORS]
 )
 def test_repeated_accessor_is_gone(owner, name):
     assert not hasattr(owner, name)

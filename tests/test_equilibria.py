@@ -13,7 +13,6 @@ from trailflow.dynamics import (
 )
 from trailflow.equilibria import (
     EquilibriumError,
-    EquilibriumSpec,
     equilibrium_state,
     perturb,
     stability_experiment,
@@ -21,7 +20,6 @@ from trailflow.equilibria import (
 )
 from trailflow.graph import build_two_path
 from trailflow.rules import (
-    fixed_points,
     linear_rule,
     power_rule,
     sine_rule,
@@ -37,12 +35,13 @@ CFG = EngineConfig(delta=0.5)
 
 
 def test_equilibrium_spec_closed_form():
-    spec = EquilibriumSpec(r=0.25, f_s=1.0, b_d=1.0, delta=0.5)
-    assert spec.pheromone_top == pytest.approx(0.5)
-    assert spec.pheromone_bottom == pytest.approx(1.5)
-    assert spec.pheromone_top + spec.pheromone_bottom == pytest.approx(
-        0.5 / 0.5 * (1.0 + 1.0)
-    )
+    """Top edges carry (delta/(1-delta)) (f_s+b_d) r of pheromone and bottom
+    edges the (1-r)-complement of that scale."""
+    st = equilibrium_state(TP, sine_rule(-0.05), 0.25, 1.0, 1.0, 0.5)
+    for top, bottom in zip(TP.path_eids("top"), TP.path_eids("bottom")):
+        assert st.p[top] == pytest.approx(0.5)
+        assert st.p[bottom] == pytest.approx(1.5)
+        assert st.p[top] + st.p[bottom] == pytest.approx(0.5 / 0.5 * (1.0 + 1.0))
 
 
 def test_equilibrium_state_values():
@@ -77,7 +76,7 @@ def test_equilibrium_state_preconditions():
 
 def test_equilibria_are_fixed_points_of_the_dynamics():
     for rule in (power_rule(2), power_rule(0.5), sine_rule(0.05)):
-        for r in fixed_points(rule).points:
+        for r in stable_fixed_points(rule).fixed_points:
             st = equilibrium_state(TP, rule, r, 1.0, 1.0, 0.5)
             drift = verify_equilibrium(st, TP, rule, SCHED, CFG, 100)
             assert drift <= 1e-12, (rule.name, r, drift)

@@ -12,7 +12,6 @@ from trailflow.rules import (
     RuleError,
     RuleFunction,
     clamp_unit_half,
-    fixed_points,
     linear_rule,
     power_rule,
     rule_from_config,
@@ -105,8 +104,8 @@ def test_general_split_matches_tabulated_oracle():
     tab = table_rule(xs, 2.0 * xs**2)
     rule = power_rule(2)
     for x in np.linspace(0.0, 0.5, 97):
-        a = float(rule(float(x)))
-        b = float(tab(float(x)))
+        a = float(rule.fn(float(x)))
+        b = float(tab.fn(float(x)))
         assert abs(a - b) <= 1e-6  # interpolation error bound on a 2001 grid
 
 
@@ -214,25 +213,24 @@ def test_rule_from_config_strict(cfg, fragment):
 
 
 def test_fixed_points_identity_flagged():
-    scan = fixed_points(linear_rule())
-    assert scan.identically_fixed
-    assert scan.points == ()
+    rep = stable_fixed_points(linear_rule())
+    assert rep.identically_fixed
+    assert rep.fixed_points == ()
 
 
 def test_fixed_points_examples():
-    assert [round(x, 9) for x in fixed_points(power_rule(2)).points] == [0.0, 0.5]
-    pts = list(fixed_points(sine_rule(0.05)).points)
+    assert [round(x, 9) for x in stable_fixed_points(power_rule(2)).fixed_points] == [0.0, 0.5]
+    pts = list(stable_fixed_points(sine_rule(0.05)).fixed_points)
     assert len(pts) == 3
     assert pts[0] == 0.0 and pts[-1] == 0.5
     assert abs(pts[1] - 0.25) <= 1e-9  # zero of the sine perturbation
     with pytest.raises(RuleError):
-        fixed_points(power_rule(2), grid=32)
+        stable_fixed_points(power_rule(2), grid=32)
 
 
 def test_fixed_points_residuals_within_tol():
     for rule in (power_rule(2), power_rule(0.5), sine_rule(0.05)):
-        scan = fixed_points(rule)
-        for r in scan.points:
+        for r in stable_fixed_points(rule).fixed_points:
             assert abs(float(rule.fn(r)) - r) <= 1e-9
 
 
@@ -243,12 +241,11 @@ def test_fixed_point_off_the_grid_is_bisected():
     only 0 and 1/2 are stable."""
     rule = table_rule([0.0, 0.1, 0.2, 0.5], [0.0, 0.05, 0.25, 0.5])
     assert validate_rule(rule) == []
-    points = fixed_points(rule).points
+    rep = stable_fixed_points(rule)
+    points = rep.fixed_points
     assert len(points) == 3 and (points[0], points[-1]) == (0.0, 0.5)
     assert abs(points[1] - 0.15) <= 1e-10
     assert points[1] != 0.15  # a midpoint of the bisection, not a grid point
-    rep = stable_fixed_points(rule)
-    assert rep.fixed_points == points
     assert rep.stable_points == (0.0, 0.5)
 
 

@@ -571,6 +571,9 @@ BAD_CONFIGS += [
     ({"graph": GRID33, "init": {"kind": "explicit", "values": "1"}}, "init.values"),
     ({"graph": GRID33, "rule": "linear"}, "rule"),
     ({"graph": GRID33, "monitors": ["invariants", 1]}, "monitors"),
+    # a uniform draw needs low <= high
+    ({"graph": GRID33, "init": {"kind": "uniform", "low": 2, "high": 1}}, "init.high"),
+    ({"graph": GRID33, "leakage": {"kind": "uniform", "low": 0.5, "high": 0.25}}, "leakage.high"),
 ]
 
 
@@ -778,6 +781,18 @@ def test_cli_counterexample(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["invariant_held"] is True
     assert doc["positive_control_converged"] == "0>1>4"
+
+
+def test_cli_counterexample_engine_abort_exits_3(capsys):
+    """At mu = 10 the flows overflow and the run aborts at t = 308: exit 3
+    with the abort on stderr, as for ``run``, and the report still printed."""
+    argv = ["counterexample", "--kind", "flow", "--rule", '{"kind":"power","k":2}',
+            "--mu", "10", "--steps", "1000", "--control-steps", "16"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert set(json.loads(out)) == COUNTEREXAMPLE_KEYS
+    assert err == "engine abort at t=308: non-finite total (overflow)\n"
 
 
 @pytest.mark.parametrize("extra", [
