@@ -524,9 +524,13 @@ def test_invariant_observer_rows_it_skips_and_flags():
 
 def _block_case(rows):
     """The growth protocol's engine settings on a graph where the observer
-    holds blocks of 32 pairs (the planted 10x10 grid) or checks each pair
-    on its call (a 100x100 grid: m + 4n is about 60k entries)."""
-    graph = plant_path(gen_grid(10, 10), 9)[0] if rows == 32 else gen_grid(100, 100)
+    holds blocks of 32 pairs (the planted 10x10 grid), of 6 pairs (a 40x40
+    grid: m + 4n = 9520 entries) or checks each pair on its call (a 100x100
+    grid: m + 4n is about 60k entries)."""
+    if rows == 32:
+        graph = plant_path(gen_grid(10, 10), 9)[0]
+    else:
+        graph = gen_grid(40, 40) if rows == 6 else gen_grid(100, 100)
     schedule = FlowSchedule.exponential(0.8, 0.6, 1.1)
     cfg = EngineConfig(delta=0.3, rescale_mode=RESCALE_BY_SOURCE)
     assert InvariantObserver(graph, cfg, schedule)._rows == rows
@@ -552,7 +556,9 @@ def _feed(calls, *observers):
             obs(t, state, prev)
 
 
-BLOCK_ROWS = pytest.mark.parametrize("rows", [32, 1], ids=["blocks", "one-row"])
+BLOCK_ROWS = pytest.mark.parametrize(
+    "rows", [32, 6, 1], ids=["blocks", "short-blocks", "one-row"]
+)
 
 
 @BLOCK_ROWS
