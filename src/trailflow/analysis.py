@@ -17,7 +17,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import RESCALE_BY_SOURCE, FlowSchedule, SystemState, _direction_totals
+from .dynamics import (
+    RESCALE_BY_SOURCE,
+    ConfigError,
+    FlowSchedule,
+    SystemState,
+    _direction_totals,
+)
 from .graph import DirectedGraph, Path, TwoPathGraph
 
 
@@ -346,8 +352,9 @@ class InvariantViolation:
     error: float
 
 
-# an ``InvariantObserver`` block holds at most _BLOCK_ROWS stepped pairs, one
-# row of m + 4n entries each, and at most _BLOCK_ELEMENTS entries per array
+# an ``InvariantObserver`` block holds at most _BLOCK_ROWS stepped pairs, with
+# m + 4n residuals each (one per entry of every kind), and at most
+# _BLOCK_ELEMENTS residuals in all
 _BLOCK_ROWS = 32
 _BLOCK_ELEMENTS = 2**16
 
@@ -375,16 +382,14 @@ class InvariantObserver:
     (R = 1 once m + 4n exceeds 2**15, as on G(1000, .1)), each pair is
     checked on its call from the states' own buffers, with no copies.
 
-    The residuals and scales of K pairs lie kind-major in flat buffers of
-    K (m + 4n) entries: each kind of ``KINDS``, in that order, is one
-    contiguous (K, m) or (K, n) section, so the check's array calls write
-    contiguous memory and one tolerance test covers the block. A pair with
-    a violation appends, per failing kind and in ``KINDS`` order, the entry
-    with the largest relative error; on a stationary run's repeated state
-    the observer repeats the last stepped pair's entries. The records, and
-    their order, are those of checking each pair on its call: the
-    conservation and split sums are bincounts over per-row bins, which sum
-    every bin in edge order as a bincount of one pair does.
+    Each kind of ``KINDS`` is checked on its own (K, m) or (K, n) view of
+    the K held pairs, with the reference tolerance entry by entry. A pair
+    with a violation appends, per failing kind and in ``KINDS`` order, the
+    entry with the largest relative error; on a stationary run's repeated
+    state the observer repeats the last stepped pair's entries. The
+    records, and their order, are those of checking each pair on its call:
+    the conservation and split sums are bincounts over per-row bins, which
+    sum every bin in edge order as a bincount of one pair does.
     """
 
     KINDS = ("recurrence", "conservation_f", "conservation_b", "split_f", "split_b")
@@ -399,35 +404,21 @@ class InvariantObserver:
         self.graph = graph
         self.cfg = cfg
         self.rel_tol = rel_tol
-        self.scale = (
-            1.0 / schedule.alpha if cfg.rescale_mode == RESCALE_BY_SOURCE else 1.0
-        )
+        self.scale = 1.0
+        if cfg.rescale_mode == RESCALE_BY_SOURCE:
+            if schedule.kind != "exponential":
+                raise ConfigError("rescaling applies to exponential schedules only")
+            self.scale = 1.0 / schedule.alpha
         # flush-to-zero makes sub-threshold discrepancies meaningless
         self.abs_floor = cfg.underflow_threshold * 1e6
         ga = graph.arrays
         m, n = ga.m, ga.n
-        width = self._width = m + 4 * n
-        rows = self._rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // width))
-        # the entries of each kind in one pair: one edge block, then four
-        # vertex blocks
-        self._bounds = (0, m, m + n, m + 2 * n, m + 3 * n, width)
-        # tolerance = max(rel_tol * max(scale, 1e-30), abs_floor), with the
-        # constant part folded (rounding is monotone, so this is exact)
-        self._tol_floor = max(rel_tol * 1e-30, self.abs_floor)
-        self._err = np.empty(rows * width)
-        # the expected pheromone and vertex flows, then the stepped vertex flows
-        self._scale = np.empty(rows * width)
-        self._abs = np.empty(rows * width)
-        self._tol = np.empty(rows * width)
-        self._bad = np.empty(rows * width, dtype=bool)
-        self._keep = np.empty(rows * width, dtype=bool)
+        rows = self._rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (m + 4 * n)))
         # vertex entries checked, per vertex kind: all but s and d in
         # conservation, the vertices with out-/in-edges in the split checks
-        checked = np.ones((4, 1, n), dtype=bool)
+        checked = self._checked = np.ones((4, 1, n), dtype=bool)
         checked[:2, 0, [ga.source, ga.destination]] = False
-        checked[2, 0] = ga.out_deg > 0
-        checked[3, 0] = ga.in_deg > 0
-        self._checked = checked
+        checked[2:, 0] = ga.out_deg > 0, ga.in_deg > 0
         if rows > 1:
             # bins of the sums over a block's [f_edge | b_edge] rows: row k
             # sums its forward flows into k*n .. k*n + n - 1 and its
@@ -488,94 +479,61 @@ class InvariantObserver:
         """Check the held block and keep its last state as the next
         block's row 0."""
         k = len(self._ts)
-        if not k:
-            return
-        states = self._states
-        self._check_rows(self._ts, states[:k], states[1 : k + 1])
-        states[0] = states[k]
-        self._ts = []
+        if k:
+            self._check_rows(self._ts, self._states[:k], self._states[1 : k + 1])
+            self._states[0] = self._states[k]
+            self._ts = []
 
     def _sums(self, bins, edges: np.ndarray) -> np.ndarray:
         """The (2, K, n) forward and backward per-vertex sums, by ``bins``,
         of the K rows of edge flows ``edges`` (each ``[f_edge | b_edge]``)."""
-        ga = self.graph.arrays
-        m, n = ga.m, ga.n
-        if self._rows == 1:
-            fwd, bwd = bins
-            row = edges[0]
+        m, n, R, K = self.graph.arrays.m, self.graph.arrays.n, self._rows, len(edges)
+        if R == 1:
+            (fwd, bwd), row = bins, edges[0]
             return np.stack((np.bincount(fwd, row[:m], n), np.bincount(bwd, row[m:], n)))[:, None]
-        K = len(edges)
-        sums = np.bincount(bins[: K * 2 * m], edges.ravel(), 2 * self._rows * n)
-        return sums.reshape(2, self._rows, n)[:, :K]
+        return np.bincount(bins[: K * 2 * m], edges.ravel(), 2 * R * n).reshape(2, R, n)[:, :K]
 
     def _check_rows(self, ts: List[int], before: np.ndarray, after: np.ndarray) -> None:
         """Check K = len(ts) pairs: row k of ``before`` and ``after`` is the
         buffer of pair k's prev and stepped state."""
         ga = self.graph.arrays
         m, n = ga.m, ga.n
-        K = len(ts)
-        e, v = K * m, K * (m + 2 * n)  # where the vertex kinds and the split kinds start
-        size = K * self._width
-        err, scale, keep = self._err[:size], self._scale[:size], self._keep[:size]
         f0, b0, p0 = before[:, :m], before[:, m : 2 * m], before[:, 2 * m : 3 * m]
         p1 = after[:, 2 * m : 3 * m]
-        # scales: expected p, expected f/b vertex flows (conservation), then
-        # the stepped f/b vertex flows (split)
-        expected = scale[:e].reshape(K, m)
-        conserved = scale[e:v].reshape(2, K, n)
-        vertex = scale[v:].reshape(2, K, n)
-        np.copyto(vertex, after[:, 3 * m :].reshape(K, 2, n).transpose(1, 0, 2))
-        np.add(p0, f0, out=expected)
-        expected += b0
-        expected *= self.cfg.delta
+        vertex = after[:, 3 * m :].reshape(len(ts), 2, n).transpose(1, 0, 2)  # stepped f, b
+        expected = (p0 + f0 + b0) * self.cfg.delta * self.scale
         # conservation sums are bincounts, the engine's kernel for forward
         # aggregation, and for backward aggregation where its out-sums take
         # the bincount branch (``GraphArrays.out_by_bincount``); elsewhere the
         # engine sums out-edges by ``reduceat``
-        np.multiply(ga.surv, self._sums(self._reach, before[:, : 2 * m]), out=conserved)
-        if self.scale != 1.0:
-            scale[:v] *= self.scale
-        # residuals
-        np.subtract(p1, expected, out=err[:e].reshape(K, m))
-        residual = err[e:].reshape(2, 2, K, n)
-        np.subtract(vertex, conserved, out=residual[0])
-        np.subtract(self._sums(self._leave, after[:, : 2 * m]), vertex, out=residual[1])
+        conserved = ga.surv * self._sums(self._reach, before[:, : 2 * m]) * self.scale
+        drift = vertex - conserved
+        split = self._sums(self._leave, after[:, : 2 * m]) - vertex
         # flushed entries are not compared: zero pheromone always, zero
         # vertex flow in conservation when a flush threshold is set
-        np.not_equal(p1, 0.0, out=keep[:e].reshape(K, m))
-        kept = keep[e:].reshape(4, K, n)
-        np.copyto(kept, self._checked)
-        if self.cfg.underflow_threshold > 0.0:
-            kept[:2] &= np.not_equal(vertex, 0.0, out=self._bad[e:v].reshape(2, K, n))
-        # one tolerance test over all five residuals of every pair
-        tol = np.multiply(scale, self.rel_tol, out=self._tol[:size])
-        np.maximum(tol, self._tol_floor, out=tol)
-        bad = np.greater(np.abs(err, out=self._abs[:size]), tol, out=self._bad[:size])
-        bad &= keep
-        if not bad.any():
-            self._last = []
-            return
-        hit = bad[:e].reshape(K, m).any(axis=1)
-        hit |= bad[e:].reshape(4, K, n).any(axis=(0, 2))
-        records: List[InvariantViolation] = []
-        for k in np.flatnonzero(hit).tolist():
-            records = self._worst(ts[k], k, K)
-            self._violations.extend(records)
-        self._last = records if hit[-1] else []
-
-    def _worst(self, t: int, k: int, K: int) -> List[InvariantViolation]:
-        """The worst entry of every kind with a violation in pair ``k`` of
-        the K checked."""
-        b = self._bounds
-        bad, err, abs_, scale, keep = self._bad, self._err, self._abs, self._scale, self._keep
-        out = []
-        for j, kind in enumerate(self.KINDS):
-            size = b[j + 1] - b[j]
-            lo = K * b[j] + k * size
-            hi = lo + size
-            if bad[lo:hi].any():
-                # an entry not compared has no error
-                rel = np.where(keep[lo:hi], abs_[lo:hi], 0.0) / np.maximum(scale[lo:hi], 1e-30)
-                i = int(np.argmax(rel))
-                out.append(InvariantViolation(t, kind, i, float(err[lo + i])))
-        return out
+        checked = self._checked
+        flowing = checked[:2] & (vertex != 0.0) if self.cfg.underflow_threshold > 0.0 else checked
+        entries = [  # (kind, residual, scale, compared), in ``KINDS`` order
+            ("recurrence", p1 - expected, expected, p1 != 0.0),
+            ("conservation_f", drift[0], conserved[0], flowing[0]),
+            ("conservation_b", drift[1], conserved[1], flowing[1]),
+            ("split_f", split[0], vertex[0], checked[2]),
+            ("split_b", split[1], vertex[1], checked[3]),
+        ]
+        failing = []  # (kind, residual, worst entry per pair, pairs hit) per failing kind
+        for kind, err, scale, compared in entries:
+            den = np.maximum(scale, 1e-30)
+            mag = np.abs(err)
+            bad = mag > np.maximum(self.rel_tol * den, self.abs_floor)
+            bad &= compared
+            if bad.any():
+                # the largest relative error; an entry not compared has none
+                worst = (np.where(compared, mag, 0.0) / den).argmax(axis=1)
+                failing.append((kind, err, worst, bad.any(axis=1)))
+        self._last = []
+        for k, t in enumerate(ts if failing else ()):  # no pair fails if no kind does
+            self._last = [
+                InvariantViolation(t, kind, int(i[k]), float(err[k, i[k]]))
+                for kind, err, i, hit in failing if hit[k]
+            ]
+            self._violations.extend(self._last)

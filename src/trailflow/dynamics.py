@@ -132,15 +132,26 @@ class FlowSchedule:
         if self.kind == "constant":
             return self.f0
         if self.kind == "exponential":
-            return self.f0 * self.alpha**t
+            return _grown(self.f0, self.alpha, t)
         return self.f0 + self.alpha * t
 
     def backward_at(self, t: int) -> float:
         if self.kind == "constant":
             return self.b0
         if self.kind == "exponential":
-            return self.b0 * self.alpha**t
+            return _grown(self.b0, self.alpha, t)
         return self.b0 + self.alpha * t if self.b0 > 0.0 else 0.0
+
+
+def _grown(x0: float, alpha: float, t: int) -> float:
+    """x0 * alpha**t. Python raises where alpha**t is past the float range,
+    though the product may not be: there it grows x0 by each half of t in
+    turn, and stops once it is inf (or 0, when x0 is)."""
+    try:
+        return x0 * alpha**t
+    except OverflowError:
+        half = _grown(x0, alpha, t // 2)
+        return _grown(half, alpha, t - t // 2) if 0.0 < half < math.inf else half
 
 
 RESCALE_OFF = "off"

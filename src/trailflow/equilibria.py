@@ -56,7 +56,7 @@ def equilibrium_state(
         raise EquilibriumError("equilibrium construction requires zero leakage")
     if not (0.0 <= r <= 0.5):
         raise EquilibriumError("r must lie in [0, 1/2]")
-    if abs(float(rule.fn(r)) - r) > 1e-10:
+    if not abs(float(rule.fn(r)) - r) <= 1e-10:  # NaN is not a fixed point
         raise EquilibriumError(f"r={r} is not a fixed point of the rule")
     scale = delta / (1.0 - delta) * (f_s + b_d)
     top, bottom = (scale * r, r), (scale * (1.0 - r), 1.0 - r)
@@ -192,7 +192,8 @@ def stability_experiment(
     constant, so the run stops stepping at ``t_stationary``, the first state
     that repeats its predecessor (see ``run``); every later deviation is that
     state's, and the report and the series hold the floats that stepping to
-    T_max gives: T_max + 1 rows, the held tail repeating the last."""
+    T_max gives: T_max + 1 rows, the held tail repeating the last. A run
+    that aborts has not held; its abort is the last of the warnings."""
     if not (0.0 <= eps < np.inf):
         raise ValueError("perturbation eps must be finite and >= 0")
     if not eps_target >= 0.0:
@@ -209,6 +210,7 @@ def stability_experiment(
     else:  # ``run`` takes at least one step
         observe(0, state, None)
         trace = RunTrace(warnings=state.warnings)
+    aborted = (f"engine abort at t={trace.failure_t}: {trace.failure}",) if trace.failure else ()
     devs = _deviations(_recorded(rows, m), two_path, r, eq.buf[: 2 * m])
     hits = np.flatnonzero(devs <= eps_target)
     t_converged = int(hits[0]) if hits.size else None
@@ -234,9 +236,9 @@ def stability_experiment(
         seed=seed,
         t_converged=t_converged,
         t_stationary=trace.t_stationary,
-        held_until_Tmax=t_converged is not None and max_after <= eps_target,
+        held_until_Tmax=t_converged is not None and max_after <= eps_target and not aborted,
         T_max=T_max,
         max_dev_after_convergence=max_after,
         max_drift_series_path=series_path,
-        warnings=trace.warnings,
+        warnings=trace.warnings + aborted,
     )

@@ -21,6 +21,7 @@ from trailflow.analysis import (
 )
 from trailflow.dynamics import (
     RESCALE_BY_SOURCE,
+    ConfigError,
     DecisionRule,
     EngineConfig,
     FlowSchedule,
@@ -517,6 +518,19 @@ def test_invariant_observer_rows_it_skips_and_flags():
     assert violations("f_vertex", v, "zero") == [("split_f", v)]
     assert violations("p", 5, 1e-9) == [("recurrence", 5)]
     assert violations("f_vertex", v, 1e-9) == [("conservation_f", v), ("split_f", v)]
+
+
+@pytest.mark.parametrize(
+    "schedule", [FlowSchedule.constant(1.0, 1.0), FlowSchedule.linear(1.0, 1.0, 0.1)]
+)
+def test_invariant_observer_rejects_rescaling_without_growth(schedule):
+    """Rescaling divides by the exponential schedule's alpha: the observer
+    rejects other schedules as ``validate_run_setup`` does (a constant
+    schedule's alpha of 0 raised ZeroDivisionError)."""
+    graph = gen_grid(3, 3)
+    cfg = EngineConfig(0.5, rescale_mode=RESCALE_BY_SOURCE)
+    with pytest.raises(ConfigError, match="rescaling applies to exponential schedules only"):
+        InvariantObserver(graph, cfg, schedule)
 
 
 # -- invariant observer blocks ---------------------------------------------------

@@ -78,6 +78,25 @@ def test_schedule_values_and_validation():
     assert FlowSchedule.constant(1.0, 0.0).backward_at(4) == 0.0
 
 
+def test_exponential_schedule_past_the_float_range():
+    """Python raises where alpha**t is past the float range, though x0 times
+    it may not be: the schedule gives that product, or inf, and keeps
+    x0 * alpha**t wherever that does not raise."""
+    e = FlowSchedule.exponential(1e-300, 0.0, 1e200)
+    assert [e.forward_at(t) for t in range(2)] == [1e-300, 1e-300 * 1e200]
+    assert e.forward_at(2) == pytest.approx(1e100, rel=1e-15)
+    assert e.forward_at(3) == pytest.approx(1e300, rel=1e-15)
+    assert e.forward_at(4) == e.forward_at(10**9) == math.inf
+    assert [e.backward_at(t) for t in (0, 2, 4, 10**9)] == [0.0] * 4
+    g = FlowSchedule.exponential(2.0, 3.0, 1.1)
+    for t in range(0, 10_000, 7):
+        try:
+            want = (2.0 * 1.1**t, 3.0 * 1.1**t)
+        except OverflowError:
+            want = (math.inf, math.inf)
+        assert (g.forward_at(t), g.backward_at(t)) == want
+
+
 @pytest.mark.parametrize(
     "make",
     [

@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from trailflow.equilibria import (
 )
 from trailflow.graph import build_two_path
 from trailflow.rules import (
+    RuleFunction,
     linear_rule,
     power_rule,
     sine_rule,
@@ -72,6 +74,9 @@ def test_equilibrium_state_preconditions():
         equilibrium_state(leaky, linear_rule(), 0.5, 1.0, 1.0, 0.5)
     with pytest.raises(EquilibriumError):
         equilibrium_state(TP, power_rule(2), 0.25, 1.0, 1.0, 0.5)  # not fixed
+    nan_rule = RuleFunction("nan", lambda x: math.nan)
+    with pytest.raises(EquilibriumError, match="not a fixed point"):
+        equilibrium_state(TP, nan_rule, 0.25, 1.0, 1.0, 0.5)  # g(r) is NaN
 
 
 def test_equilibria_are_fixed_points_of_the_dynamics():
@@ -135,6 +140,18 @@ def test_stability_experiment_unstable_point_reported_not_raised():
     # r = 0.5 is fixed but not stable for the sine rule; the run drifts away
     out = stability_experiment(sine_rule(0.05), 0.5, 0.02, 1e-3, 2000, TP, seed=2)
     assert not out.held_until_Tmax
+
+
+def test_stability_experiment_abort_does_not_hold():
+    """A run that aborts on a NaN of g has not held: its report says so and
+    names the abort in its warnings."""
+    rule = RuleFunction("nan-near-0", lambda x: math.nan if 0.0 < x < 0.01 else 2.0 * x * x)
+    out = stability_experiment(rule, 0.0, 1e-3, 1e-2, 50, TP, seed=0)
+    assert out.t_converged == 0 and not out.held_until_Tmax
+    assert out.warnings == (
+        "perturbation clamped 3 values at 0",
+        "engine abort at t=2: non-finite pheromone at index 0",
+    )
 
 
 def test_stability_report_series(tmp_path):

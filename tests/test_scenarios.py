@@ -357,6 +357,22 @@ def test_run_scenario_general_rule_two_path():
     assert res.trace.stop_reason in ("converged", "horizon")
 
 
+def test_run_scenario_schedule_past_the_float_range_aborts():
+    """alpha**t overflows at t = 2 while the injection is still finite: the
+    run goes on until the injection itself is inf and aborts on it."""
+    doc = {
+        "seed": 1,
+        "graph": {"kind": "two_path", "m": 2, "n": 3},
+        "rule": {"kind": "power", "k": 2},
+        "schedule": {"kind": "exponential", "f0": 1e-300, "b0": 1e-300, "alpha": 1e200},
+        "steps": 10,
+    }
+    res = run_scenario(parse_scenario(doc))
+    assert res.trace.stop_reason == "aborted" and res.trace.failure_t == 4
+    assert res.trace.failure == "non-finite forward vertex flow at index 0"
+    assert res.exit_code == 3
+
+
 def test_run_scenario_general_rule_on_a_grid():
     # every grid vertex has at most two out- and in-edges, so the general
     # rule splits at each vertex with two and passes flow on at the others
