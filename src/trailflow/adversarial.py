@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _PROOF_SLACK, BranchLevelObserver, detect_convergence
+from .analysis import _FLUSH_FLOOR, _PROOF_SLACK, BranchLevelObserver, detect_convergence
 from .dynamics import (
     ConfigError,
     DecisionRule,
@@ -238,7 +238,8 @@ def flow_counterexample(
     non-linear rule with zero leakage never converges to the unique shortest
     path. The growth condition couples the factor to the path-length gap:
     mu^(n-m) >= 1 + c_g for the below-diagonal case, mu^(n-m) <= 1/(1-c_g)
-    for the above-diagonal case."""
+    for the above-diagonal case. An ``f0`` so small that a flow bound starts
+    below the invariant check's floor is a ConfigError."""
     if f0 <= 0.0:
         raise ConfigError("f0 must be positive")
     if two_path.m >= two_path.n:
@@ -247,6 +248,17 @@ def flow_counterexample(
         raise ConfigError("flow counterexample requires zero leakage")
     nl = _resolve_nonlinearity(rule, r, eps)
     c_eps, c_g = _case_constants(rule, nl.r, nl.eps, nl.case)
+    # with zero leakage the smallest t = 0 flow bound is f0 times the smaller
+    # branch level; below ``InvariantObserver.abs_floor`` at the underflow
+    # threshold of ``run_counterexample``, the flow bounds would be checked
+    # against flushed flows, not the dynamics
+    smallest = f0 * min(nl.r + nl.eps, 1.0 - nl.r - nl.eps)
+    floor = EngineConfig.underflow_threshold * _FLUSH_FLOOR
+    if smallest < floor:
+        raise ConfigError(
+            f"f0={f0:.6g} puts the smallest t = 0 flow bound ({smallest:.6g}) below "
+            f"the floor {floor:.6g} under which the checks cannot tell it from a flush"
+        )
     gap = two_path.n - two_path.m
     if nl.case == CASE_BELOW:
         mu_min = (1.0 + c_g) ** (1.0 / gap)

@@ -35,6 +35,9 @@ _FIRST = np.zeros(1, dtype=np.intp)  # reduceat index of a single segment
 # the proof checks' slack: a bound holds when the value is within this of it
 # (relative for flows and ratio growth, absolute for pheromone and levels)
 _PROOF_SLACK = 1e-9
+# flush-to-zero makes discrepancies below this multiple of the underflow
+# threshold meaningless (``InvariantObserver.abs_floor``)
+_FLUSH_FLOOR = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,7 @@ class InvariantObserver:
             if schedule.kind != "exponential":
                 raise ConfigError("rescaling applies to exponential schedules only")
             self.scale = 1.0 / schedule.alpha
-        # flush-to-zero makes sub-threshold discrepancies meaningless
-        self.abs_floor = cfg.underflow_threshold * 1e6
+        self.abs_floor = cfg.underflow_threshold * _FLUSH_FLOOR
         ga = graph.arrays
         m, n = ga.m, ga.n
         rows = self._rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (m + 4 * n)))

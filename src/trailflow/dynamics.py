@@ -637,7 +637,8 @@ def step(
     # values whose Python sum is below ``limit`` have a numpy total that is
     # finite and below ``bound`` (``_SUM_MARGIN``). Every other buffer (NaN,
     # inf, a negative, a zero threshold, a total near the bound) is tested on
-    # numpy's total, as a large one is
+    # numpy's total, as a large one is; ``run`` takes it with overflow
+    # warnings off, so an overflowing total is only the abort
     threshold = cfg.underflow_threshold
     bound = threshold * _BOUNDED_SUM
     limit = (bound if bound < _FLOAT_MAX else _FLOAT_MAX) * _SUM_MARGIN
@@ -826,36 +827,40 @@ def run(
     # the run owns the states it steps into: from the third step on, each
     # step writes the state from two steps back, which no observer holds
     cur, spare = state, None
-    for i in range(1, T + 1):
-        try:
-            nxt = step(cur, graph, rule, schedule, cfg, spare)
-        except EngineAbort as exc:
-            trace.stop_reason = "aborted"
-            trace.failure = exc.detail
-            trace.failure_t = exc.t
-            break
-        prev, cur = cur, nxt
-        spare = None if prev is state else prev
-        for obs in observers:
-            obs(cur.t, cur, prev)
-        if eps is not None and (i % CONVERGENCE_CHECK_INTERVAL == 0 or i == T):
-            path = detect_convergence(cur, graph, eps)
-            if path is not None:
+    # an overflowing total makes ``step`` abort the run, which is reported,
+    # not warned about; one errstate for the loop costs about as much as one
+    # of the totals, so ``step`` takes none of its own
+    with np.errstate(over="ignore"):
+        for i in range(1, T + 1):
+            try:
+                nxt = step(cur, graph, rule, schedule, cfg, spare)
+            except EngineAbort as exc:
+                trace.stop_reason = "aborted"
+                trace.failure = exc.detail
+                trace.failure_t = exc.t
                 break
-        if gate is not None and gate(cur, prev):
-            trace.t_stationary = cur.t
-            k = T - i
-            if eps is not None and k:
+            prev, cur = cur, nxt
+            spare = None if prev is state else prev
+            for obs in observers:
+                obs(cur.t, cur, prev)
+            if eps is not None and (i % CONVERGENCE_CHECK_INTERVAL == 0 or i == T):
                 path = detect_convergence(cur, graph, eps)
                 if path is not None:
-                    k = min(k, CONVERGENCE_CHECK_INTERVAL - i % CONVERGENCE_CHECK_INTERVAL)
-            held = [obs for obs in observers if not getattr(obs, "skips_repeats", False)]
-            for t in range(cur.t + 1, cur.t + k + 1):
-                for obs in held:
-                    obs(t, cur, cur)
-            if k:
-                cur = _hold(cur, k, graph, rule, schedule, cfg)
-            break
+                    break
+            if gate is not None and gate(cur, prev):
+                trace.t_stationary = cur.t
+                k = T - i
+                if eps is not None and k:
+                    path = detect_convergence(cur, graph, eps)
+                    if path is not None:
+                        k = min(k, CONVERGENCE_CHECK_INTERVAL - i % CONVERGENCE_CHECK_INTERVAL)
+                held = [obs for obs in observers if not getattr(obs, "skips_repeats", False)]
+                for t in range(cur.t + 1, cur.t + k + 1):
+                    for obs in held:
+                        obs(t, cur, cur)
+                if k:
+                    cur = _hold(cur, k, graph, rule, schedule, cfg)
+                break
     if path is not None:
         trace.stop_reason = "converged"
         trace.converged_path = path

@@ -311,20 +311,57 @@ def _draw_delta(rng: np.random.Generator) -> float:
     return float(min(max(rng.uniform(0.0, 1.0), 1e-6), 1.0 - 1e-6))
 
 
+class _Grid:
+    """A grid family's graph, built once per process by ``_grid`` and shared
+    by every instance and scenario that draws it (per worker under
+    ``--workers``). ``graph`` comes with its engine arrays built, so
+    ``with_leakage`` copies share their index arrays through
+    ``GraphArrays.for_graph``; ``planted`` is the increasing preset's graph
+    with a 9-edge path planted, built on first use with its arrays and the
+    pair index its split reads (it is not sorted by tail), and that path,
+    its oracle.
+
+    Sharing is safe because every cached object is already immutable: a
+    graph's ``tails``, ``heads`` and ``leakage`` are read-only arrays, the
+    ``GraphArrays`` index arrays are documented as never written, and a
+    ``Path`` is frozen."""
+
+    def __init__(self, graph: DirectedGraph) -> None:
+        graph.arrays
+        self.graph = graph
+
+    @functools.cached_property
+    def planted(self) -> Tuple[DirectedGraph, Path]:
+        graph, path = plant_path(self.graph, 9)
+        graph.arrays.pair
+        return graph, path
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(generate: Callable, rows: int, cols: int) -> _Grid:
+    """The ``rows`` x ``cols`` grid as ``generate`` (``gen_grid``) builds it.
+    The key holds the generator the module names when called, so a
+    replaced ``gen_grid`` (a test double, a timing wrapper) is served the
+    graphs it builds itself, never those of another."""
+    return _Grid(generate(rows, cols))
+
+
 def _connected_graph(
     family: str, params: dict, seed: int, *stream: int
 ) -> Optional[DirectedGraph]:
     """Resample ``family`` until the destination is reachable; draw ``i``
     takes its graph seed from ``_stream(seed, *stream, i)``. None when no
-    draw within ``RESAMPLE_CAP`` is connected."""
+    draw within ``RESAMPLE_CAP`` is connected. A grid takes no seed and is
+    connected (its top row and last column join s to d): it is neither
+    drawn nor tested, but served by ``_grid``."""
+    if family == "grid":
+        return _grid(gen_grid, params["rows"], params["cols"]).graph
     for attempt in range(RESAMPLE_CAP):
         gseed = int(_stream(seed, *stream, attempt).integers(0, 2**63 - 1))
         if family == "gnp":
             graph = gen_gnp(params["n"], params["p"], gseed)
-        elif family == "banded_gnp":
-            graph = gen_banded_gnp(params["n"], params["p"], params["k"], gseed)
         else:
-            graph = gen_grid(params["rows"], params["cols"])
+            graph = gen_banded_gnp(params["n"], params["p"], params["k"], gseed)
         if is_connected(graph):
             return graph
     return None
@@ -696,9 +733,10 @@ def _planted_graph(
     graph: DirectedGraph, family: str, params: dict, rng: np.random.Generator
 ) -> Tuple[DirectedGraph, Optional[Path]]:
     """Zero leakage and a shortest path planted where the family does not
-    give a unique one; the oracle is that path."""
+    give a unique one; the oracle is that path. A grid's planted graph and
+    oracle are built once per process (``_Grid.planted``)."""
     if family == "grid":
-        return plant_path(graph, 9)
+        return _grid(gen_grid, params["rows"], params["cols"]).planted
     if family == "banded_gnp":
         graph, _ = plant_band_ladder(graph, params["k"])
         return graph, shortest_path(graph)

@@ -149,6 +149,12 @@ def test_flow_counterexample_preconditions():
         flow_counterexample(power_rule(2), leaky, 1.0)  # leakage must be zero
     with pytest.raises(RuleLinearAtResolution):
         flow_counterexample(linear_rule(), TP23, 1.0)
+    # the smallest t = 0 flow bound, f0 (r + eps), must clear the invariant
+    # check's floor (1e6 x the 1e-300 underflow threshold), or the bounds
+    # would be compared with flushed flows
+    with pytest.raises(ConfigError, match=r"f0=1e-300 .* below the floor 1e-294"):
+        flow_counterexample(power_rule(2), TP23, 1e-300, mu=10)
+    flow_counterexample(power_rule(2), TP23, 1e-290, mu=10)  # about 3.7e-291: accepted
 
 
 @pytest.mark.parametrize("rule", [power_rule(2), power_rule(0.5)])

@@ -658,10 +658,14 @@ def test_forward_repeat_split_equals_gather_form():
 
 def test_linear_split_fast_path_sets_no_error_state(monkeypatch):
     """On a planted grid with positive totals no split, level or monitor
-    call enters ``np.errstate`` or warns."""
+    call enters ``np.errstate`` or warns: the one ``np.errstate`` entered
+    is the run's, around its whole stepping loop."""
+    entered = []
+    real_errstate = np.errstate
 
     def errstate(**kwargs):
-        raise AssertionError(f"np.errstate({kwargs}) on the fast path")
+        entered.append(kwargs)
+        return real_errstate(**kwargs)
 
     g, _ = plant_path(gen_grid(10, 10), 9)
     sched = FlowSchedule.exponential(1.0, 1.0, 1.1)
@@ -673,6 +677,7 @@ def test_linear_split_fast_path_sets_no_error_state(monkeypatch):
         trace = run(state, g, LIN, sched, cfg, 200, [InvariantObserver(g, cfg, sched)])
         normalized_levels(trace.final_state, g)
     assert trace.failure is None and trace.final_state.zero_split_events == 0
+    assert entered == [{"over": "ignore"}]
 
 
 # -- rescale and underflow -------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from trailflow import scenarios
 from trailflow.analysis import TIMESERIES_COLUMNS, InvariantObserver, normalized_levels
 from trailflow.cli import main
 from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, init_state, run
-from trailflow.graph import count_shortest_paths, gen_gnp, shortest_path
+from trailflow.graph import count_shortest_paths, gen_gnp, gen_grid, plant_path, shortest_path
 from trailflow.scenarios import (
     Scenario,
     ScenarioError,
@@ -482,6 +483,94 @@ def test_full_scale_families_out_sum_kernel(preset, family, params):
         assert ga.out_by_bincount == (planted and (family, params) != _DENSE), index
 
 
+GRID10 = {"rows": 10, "cols": 10}
+
+
+@pytest.mark.parametrize("preset", sorted(scenarios._PRESETS))
+def test_grid_instances_share_one_graph(preset):
+    """Every instance of a grid family draws the same graph object, whatever
+    its seed; leakage copies share its index arrays, and the increasing
+    preset's instances share one planted graph and oracle."""
+    scenarios._grid.cache_clear()
+    spec = scenarios._PRESETS[preset]
+    drawn, prepared = [], []
+    for seed, index in ((0, 0), (0, 1), (7, 2)):
+        rng = scenarios._stream(seed, spec.streams[0], index)
+        graph = scenarios._connected_graph("grid", GRID10, seed, spec.streams[1], index)
+        drawn.append(graph)
+        prepared.append(spec.prepare(graph, "grid", GRID10, rng))
+    assert all(graph is drawn[0] for graph in drawn)
+    if preset == "appendixC-increasing":
+        assert all(g is prepared[0][0] and o is prepared[0][1] for g, o in prepared)
+    else:
+        assert len({id(g) for g, _ in prepared}) == 3
+        for graph, _ in prepared:
+            assert graph.arrays.out_eids is drawn[0].arrays.out_eids
+            assert graph.arrays.surv.tolist() == (1.0 - graph.leakage).tolist()
+
+
+def _grid_jobs(preset, horizon, count):
+    jobs = scenarios.batch_jobs(preset, full_scale=True, horizon=horizon, monitors=True)
+    return [job for job in jobs if job[2] == "grid"][:count]
+
+
+def _row_fields(row):
+    fields = dict(vars(row))
+    del fields["runtime_s"]
+    return fields
+
+
+@pytest.mark.parametrize(
+    "preset, horizon", [("appendixC-increasing", None), ("appendixC-leakage", 300)]
+)
+def test_cached_grid_rows_equal_fresh_ones(preset, horizon):
+    """Monitored grid-family rows from the cached graph equal, in every field
+    but the run time, the rows of graphs built afresh for each instance."""
+    jobs = _grid_jobs(preset, horizon, 3)
+    cached = [scenarios._instance(job) for job in jobs]
+    fresh = []
+    for job in jobs:
+        scenarios._grid.cache_clear()
+        fresh.append(scenarios._instance(job))
+    assert [_row_fields(r) for r in cached] == [_row_fields(r) for r in fresh]
+    assert all(r.invariant_violations == 0 and r.failure is None for r in cached)
+
+
+def test_cached_planted_grid_is_unchanged_by_a_batch():
+    """After a monitored batch the cached planted grid still holds the bytes
+    of a fresh one, and its edge and leakage arrays are still read-only."""
+    run_batch("appendixC-increasing", instances=3, monitors=True)
+    cached, oracle = scenarios._grid(scenarios.gen_grid, 10, 10).planted
+    fresh, fresh_oracle = plant_path(gen_grid(10, 10), 9)
+    assert oracle == fresh_oracle
+    for name in ("tails", "heads", "leakage"):
+        arr = getattr(cached, name)
+        assert arr.tobytes() == getattr(fresh, name).tobytes(), name
+        assert not arr.flags.writeable, name
+    ga, ref = cached.arrays, fresh.arrays
+    for name in (
+        "out_deg", "in_deg", "surv", "pair_surv", "out_eids", "out_ptr", "in_eids", "in_ptr",
+        "tail_bins", "head_bins", "with_out", "no_out", "no_in",
+    ):
+        assert getattr(ga, name).tobytes() == getattr(ref, name).tobytes(), name
+    for got, want in zip(ga.pair[:4], ref.pair[:4]):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_replaced_grid_generator_builds_its_own_graph(monkeypatch):
+    """The grid cache is keyed by the generator too: a replaced ``gen_grid``
+    is called and served its own graph, not the one cached for another."""
+    original = scenarios._connected_graph("grid", GRID10, 0, 0)
+    calls = []
+    monkeypatch.setattr(
+        scenarios, "gen_grid", lambda rows, cols: calls.append((rows, cols)) or gen_grid(rows, cols)
+    )
+    replaced = scenarios._connected_graph("grid", GRID10, 0, 0)
+    assert scenarios._connected_graph("grid", GRID10, 1, 0) is replaced
+    assert calls == [(10, 10)]
+    assert replaced is not original
+
+
 def test_batch_workers_match_serial():
     serial = run_batch("appendixC-leakage", instances=4, base_seed=9)
     parallel = run_batch("appendixC-leakage", instances=4, base_seed=9, workers=2)
@@ -801,10 +890,12 @@ def test_cli_counterexample(capsys):
 
 def test_cli_counterexample_engine_abort_exits_3(capsys):
     """At mu = 10 the flows overflow and the run aborts at t = 308: exit 3
-    with the abort on stderr, as for ``run``, and the report still printed."""
+    with the abort on stderr, as for ``run``, and the report still printed;
+    the overflow raises no RuntimeWarning on the way."""
     argv = ["counterexample", "--kind", "flow", "--rule", '{"kind":"power","k":2}',
             "--mu", "10", "--steps", "1000", "--control-steps", "16"]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 3
     out, err = capsys.readouterr()
     assert set(json.loads(out)) == COUNTEREXAMPLE_KEYS
