@@ -159,7 +159,8 @@ def _counterexample(
     pheromone exactly the bound r+eps at both graph ends, and the edge flows
     start rule-consistent (fraction g(bound) on the watched branch, the
     complement on the other). Rule-consistent flows are what the induction
-    step produces, so the hypothesis holds from t=0 with margin."""
+    step produces, so the hypothesis holds from t=0 with margin. A t = 0 flow
+    bound below the floor of ``InvariantObserver.abs_floor`` is a ConfigError."""
     config = CounterexampleConfig(nl.r, nl.eps, nl.case, c_eps, c_g, constraint)
     bound = config.bound
     frac = float(rule.fn(bound))
@@ -167,7 +168,16 @@ def _counterexample(
     # the case below bounds the top branch (``Counterexample.watch_branch``)
     top, bottom = (watched, other) if nl.case == CASE_BELOW else (other, watched)
     state = branch_state(two_path, schedule.forward_at(0), schedule.backward_at(0), top, bottom)
-    return Counterexample(rule, config, two_path, state, schedule)
+    cx = Counterexample(rule, config, two_path, state, schedule)
+    flows = FlowBoundObserver(two_path, schedule, cx.watch_branch, bound, cx.direction)
+    smallest = min(min(fb, bb) for _, fb, bb, _ in flows.bounds(0))
+    floor = EngineConfig.underflow_threshold * _FLUSH_FLOOR
+    if smallest < floor:
+        raise ConfigError(
+            f"t = 0 injections f0={schedule.f0:.6g} and b0={schedule.b0:.6g} put the smallest "
+            f"flow bound ({smallest:.6g}) below the floor {floor:.6g}, too close to a flush"
+        )
+    return cx
 
 
 def leakage_counterexample(
@@ -238,8 +248,7 @@ def flow_counterexample(
     non-linear rule with zero leakage never converges to the unique shortest
     path. The growth condition couples the factor to the path-length gap:
     mu^(n-m) >= 1 + c_g for the below-diagonal case, mu^(n-m) <= 1/(1-c_g)
-    for the above-diagonal case. An ``f0`` so small that a flow bound starts
-    below the invariant check's floor is a ConfigError."""
+    for the above-diagonal case."""
     if f0 <= 0.0:
         raise ConfigError("f0 must be positive")
     if two_path.m >= two_path.n:
@@ -248,17 +257,6 @@ def flow_counterexample(
         raise ConfigError("flow counterexample requires zero leakage")
     nl = _resolve_nonlinearity(rule, r, eps)
     c_eps, c_g = _case_constants(rule, nl.r, nl.eps, nl.case)
-    # with zero leakage the smallest t = 0 flow bound is f0 times the smaller
-    # branch level; below ``InvariantObserver.abs_floor`` at the underflow
-    # threshold of ``run_counterexample``, the flow bounds would be checked
-    # against flushed flows, not the dynamics
-    smallest = f0 * min(nl.r + nl.eps, 1.0 - nl.r - nl.eps)
-    floor = EngineConfig.underflow_threshold * _FLUSH_FLOOR
-    if smallest < floor:
-        raise ConfigError(
-            f"f0={f0:.6g} puts the smallest t = 0 flow bound ({smallest:.6g}) below "
-            f"the floor {floor:.6g} under which the checks cannot tell it from a flush"
-        )
     gap = two_path.n - two_path.m
     if nl.case == CASE_BELOW:
         mu_min = (1.0 + c_g) ** (1.0 / gap)
@@ -318,17 +316,22 @@ class FlowBoundObserver:
         self.violations: List[Tuple[int, int, float, float]] = []
         self._last: List[Tuple[int, int, float, float]] = []  # the last computed call's records
 
+    def bounds(self, t: int) -> List[Tuple[int, float, float, bool]]:
+        """(eid, forward bound, backward bound, upper?) of every branch edge at step t."""
+        fwd, bwd = self.schedule.forward_at, self.schedule.backward_at
+        return [
+            (eid, fwd(max(0, t - fage)) * level * pre, bwd(max(0, t - bage)) * level * suf, upper)
+            for eid, fage, bage, pre, suf, level, upper in self.spec
+        ]
+
     def __call__(self, t, state, prev) -> None:
         if prev is state and self.schedule.kind == "constant":
             # a repeated state under bounds that do not depend on t
             self.violations.extend((t, *v[1:]) for v in self._last)
             return
         fe, be = state.f_edge, state.b_edge
-        sched = self.schedule
         found = []
-        for eid, fage, bage, pre, suf, level, upper in self.spec:
-            fb = sched.forward_at(max(0, t - fage)) * level * pre
-            bb = sched.backward_at(max(0, t - bage)) * level * suf
+        for eid, fb, bb, upper in self.bounds(t):
             f, b = float(fe[eid]), float(be[eid])
             if upper:
                 if f > fb * (1.0 + _PROOF_SLACK) or b > bb * (1.0 + _PROOF_SLACK):

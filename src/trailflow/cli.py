@@ -127,7 +127,8 @@ def _cmd_batch(args) -> int:
         )
         print(
             f"{result.preset}: {len(result.rows)} instances, "
-            f"match rate {result.match_rate:.3f}, {result.total_runtime_s:.1f}s"
+            f"match rate {result.match_rate:.3f}, "
+            f"{result.single_edge_oracles} single-edge oracles, {result.total_runtime_s:.1f}s"
         )
         for row in result.rows:
             if not row.match:

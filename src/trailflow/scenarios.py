@@ -668,6 +668,11 @@ class BatchResult:
         return sum(r.match for r in self.rows) / len(self.rows)
 
     @property
+    def single_edge_oracles(self) -> int:
+        """Rows whose oracle is the direct s->d edge."""
+        return sum(r.oracle_path.count(">") == 1 for r in self.rows)
+
+    @property
     def total_runtime_s(self) -> float:
         return sum(r.runtime_s for r in self.rows)
 
@@ -698,6 +703,7 @@ class BatchResult:
             "total_runtime_s": self.total_runtime_s,
             "mismatches": [r.index for r in self.rows if not r.match],
             "invariant_violations": [r.invariant_violations for r in self.rows],
+            "single_edge_oracles": self.single_edge_oracles,
         }
 
 
@@ -732,14 +738,14 @@ def _leakage_graph(
 def _planted_graph(
     graph: DirectedGraph, family: str, params: dict, rng: np.random.Generator
 ) -> Tuple[DirectedGraph, Optional[Path]]:
-    """Zero leakage and a shortest path planted where the family does not
-    give a unique one; the oracle is that path. A grid's planted graph and
-    oracle are built once per process (``_Grid.planted``)."""
+    """Zero leakage and a shortest path planted where the family (a banded
+    graph after its ladder) does not give a unique one; the oracle is that
+    path. A grid's planted graph and oracle are built once per process
+    (``_Grid.planted``)."""
     if family == "grid":
         return _grid(gen_grid, params["rows"], params["cols"]).planted
     if family == "banded_gnp":
         graph, _ = plant_band_ladder(graph, params["k"])
-        return graph, shortest_path(graph)
     if count_shortest_paths(graph) != 1:
         return plant_path(graph, shortest_path(graph).length - 1)
     return graph, shortest_path(graph)

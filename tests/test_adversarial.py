@@ -104,6 +104,20 @@ def test_leakage_counterexample_case_above():
     assert 1.0 - path_leakage(tp.graph, tp.bottom) < 1.0 - path_leakage(tp.graph, tp.top)
 
 
+def test_leakage_counterexample_flush_floor():
+    """The floor that the flow kind applies to f0 holds for f_s and b_d too:
+    the smallest t = 0 flow bound (a leaky branch's survival prefix or
+    suffix times the level times the injection, about 0.364 f_s here) must
+    clear 1e-294, or the bounds would be compared with flushed flows."""
+    for flow in (1e-300, 1e-295):
+        floor = rf"f0={flow:g} and b0={flow:g} .* below the floor 1e-294"
+        with pytest.raises(ConfigError, match=floor):
+            leakage_counterexample(power_rule(2), TP23, flow, flow)
+    cx = leakage_counterexample(power_rule(2), TP23, 1e-290, 1e-290)  # about 3.6e-291
+    report, _, _ = run_counterexample(cx, 300)
+    assert report.ok, report
+
+
 @pytest.mark.parametrize("rule", [power_rule(2), power_rule(0.5), sine_rule(0.05)])
 def test_leakage_counterexample_invariant_short_run(rule):
     cx = leakage_counterexample(rule, TP23, 1.0, 1.0)

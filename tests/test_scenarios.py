@@ -408,6 +408,23 @@ def test_batch_rows_pass_final_detection():
         assert row.converged and row.converged_path == row.oracle_path
 
 
+def test_batch_counts_single_edge_oracles():
+    """``single_edge_oracles`` counts the rows whose oracle is the direct
+    s->d edge; a longer oracle and a row without one (no connected
+    instance) do not count."""
+    def row(index, oracle):
+        return scenarios.InstanceResult(
+            index, "gnp", bool(oracle), 1, oracle, oracle, bool(oracle), 0.5, 0, 0.0
+        )
+
+    rows = [row(0, "0>99"), row(1, "0>5>99"), row(2, ""), row(3, "0>7")]
+    result = scenarios.BatchResult("p", rows)
+    assert result.single_edge_oracles == 2
+    doc = result.to_json_dict()
+    assert list(doc)[-1] == "single_edge_oracles" and doc["single_edge_oracles"] == 2
+    assert scenarios.BatchResult("p", []).to_json_dict()["single_edge_oracles"] == 0
+
+
 def test_batch_unknown_preset():
     with pytest.raises(ScenarioError):
         run_batch("nope", instances=1)
@@ -424,21 +441,9 @@ def test_batch_csv_outputs(tmp_path):
     assert doc["invariant_violations"] == [0, 0]  # no monitors: nothing checked
 
 
-_BANDED_TIES = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP: band planting leaves tied shortest paths (base seed 0, instances "
-    "0-2: 15/47/26 on banded_gnp(100, .5, 10), 10436/5115/5538 on banded_gnp(1000, .5, 40))",
-)
-
-
 @pytest.mark.parametrize(
     "family, params",
-    [
-        pytest.param(
-            f, p, marks=_BANDED_TIES if f == "banded_gnp" else (), id=f"{f}{tuple(p.values())}"
-        )
-        for f, p, _ in scenarios.INCREASING_FULL
-    ],
+    [pytest.param(f, p, id=f"{f}{tuple(p.values())}") for f, p, _ in scenarios.INCREASING_FULL],
 )
 def test_increasing_full_scale_premise(family, params):
     """The growing-injection theorem needs a unique shortest path: instances
@@ -886,6 +891,18 @@ def test_cli_counterexample(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["invariant_held"] is True
     assert doc["positive_control_converged"] == "0>1>4"
+
+
+def test_cli_leakage_counterexample_below_the_flush_floor_exits_2(capsys):
+    """f_s = b_d = 1e-300 put the leakage kind's flow bounds below the floor
+    under which the checks cannot tell them from a flush: a config error,
+    raised before any run, as for the flow kind's f0."""
+    argv = ["counterexample", "--kind", "leakage", "--rule", '{"kind":"power","k":2}',
+            "--fs", "1e-300", "--bd", "1e-300", "--steps", "300", "--control-steps", "16"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error:" in err and "below the floor 1e-294" in err
 
 
 def test_cli_counterexample_engine_abort_exits_3(capsys):
