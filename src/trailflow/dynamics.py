@@ -28,8 +28,7 @@ pheromones. Perturbed states (``equilibria.perturb``) need not be.
 Layout and kernels. A state's five arrays are views of one float64 buffer,
 ``[f_edge | b_edge | p | f_vertex | b_vertex]`` (``SystemState.buf``):
 ``[p | f_vertex | b_vertex]`` takes the rescale, the finiteness test and
-the flush in one call each (on two-path graphs one ``tolist`` read serves
-the test and the flush), ``[f_edge | b_edge]`` is what aggregation
+the flush in one call each, ``[f_edge | b_edge]`` is what aggregation
 reads and the split writes, and ``[f_edge | b_edge | p]`` is all that a
 step reads. Forward flow splits over out-edges and backward flow over
 in-edges by the same rule, so on graphs that sum out-edges by
@@ -43,6 +42,20 @@ cost more than it saves. Both forms total every vertex flow, 1.0 where it
 has no edge to split over, and the joint form gives every float that the
 per-direction one gives.
 
+The step is prepared once per (graph, rule, schedule, config)
+(``_prepare``), so that each step runs as straight-line code: the
+preparation binds the index arrays, survivals and the source and
+destination offsets, picks the out-sum form and the flush form, computes
+the rescale factor, the constant injections and the flush bounds, and
+builds the split (``_splitter``): for the general rule a table of each
+branch's buffer offsets with g bound, for the joint linear split a
+``[p | p]`` buffer of its own. ``run`` prepares it once and passes it to
+every ``step`` call; a bare ``step`` and ``init_state`` prepare their own,
+so every phase has one implementation. On two-path graphs one ``tolist``
+read of ``[p | f_vertex | b_vertex]`` serves the finiteness test, the
+flush and the general split, which reads the pheromones and vertex flows
+from it.
+
 A state keeps the joint views ``[p | f_vertex | b_vertex]``,
 ``[f_edge | b_edge]`` and ``[f_vertex | b_vertex]`` with its five, all cut
 once per buffer (``_cut``), and ``run`` steps into two states of its own
@@ -53,8 +66,8 @@ Forms chosen by size or structure stay where they change floats (the
 out-sum kernel, which also picks the joint kernels, and the split's
 ``bounded`` path) or where a workload of the benchmark runs slower without
 them (the finiteness test and the flush in Python floats on two-path
-graphs); ``BENCH_21.json`` and ``BENCH_25.json`` measure each, and those
-deleted for saving nothing end to end.
+graphs); ``BENCH_21.json``, ``BENCH_25.json`` and ``BENCH_32.json``
+measure each, and those deleted for saving nothing end to end.
 """
 
 from __future__ import annotations
@@ -211,7 +224,7 @@ class SystemState:
     The five arrays are views of one float64 buffer, ``buf``, laid out as
     ``[f_edge | b_edge | p | f_vertex | b_vertex]``, so a kernel can treat
     both flow directions, or everything ``step`` reads, as one array. The
-    state also keeps the joint views ``step`` and ``_split`` work on,
+    state also keeps the joint views ``step`` and its split work on,
     ``[p | f_vertex | b_vertex]``, ``[f_edge | b_edge]`` and
     ``[f_vertex | b_vertex]``, cut once with the five (``_cut``), so a step
     slices nothing. ``copy`` copies the buffer and ``dataclasses.replace``
@@ -324,7 +337,7 @@ def init_state(
     b0 = schedule.backward_at(0)
     fv[ga.source] = f0
     bv[ga.destination] = b0
-    zeros = _split(ga, rule, layout)
+    zeros = _splitter(ga, rule)(layout, None, False)
     warnings: List[str] = []
     if strict:
         target = min_leakage_path(graph)
@@ -374,48 +387,86 @@ def branch_state(
 # Splits
 # ---------------------------------------------------------------------------
 
+# (layout, vals, bounded) -> the number of zero-total splits; see ``_splitter``
+_Split = Callable[[Tuple[np.ndarray, ...], Optional[List[float]], bool], int]
 
-def _split(
-    ga: GraphArrays,
-    rule: DecisionRule,
-    layout: Tuple[np.ndarray, ...],
-    bounded: bool = False,
-) -> int:
-    """Split the vertex flows of a state buffer against its pheromone into
-    its edge flows; ``layout`` is the buffer and its views (``_cut``).
-    Returns the number of zero-total splits. The general rule passes each
-    vertex flow on along its one edge with one gather over ``[f_edge |
-    b_edge]`` (``GraphArrays.pair``), then splits the flow of each vertex
-    with two edges (``GraphArrays.branches``, forward first) by
-    ``_branch_split``. The linear rule totals the pheromone at every vertex
-    flow, 1.0 where it has no edge to split over, and splits by
-    ``_split_groups``: on graphs that sum out-edges by ``np.bincount`` both
-    directions in one pass over the 2n vertex flows (``GraphArrays.pair``),
-    on graphs that sum them by ``reduceat`` (tail-sorted or dense) one
-    direction at a time over the n vertices (``_direction_totals``)."""
-    _, fe, be, p, fv, bv, _, flows, vflows = layout
+
+def _splitter(ga: GraphArrays, rule: DecisionRule) -> _Split:
+    """The split of a state buffer's vertex flows against its pheromone into
+    its edge flows, prepared for ``ga``'s graph and ``rule``: a function of
+    ``layout``, the buffer and its views (``_cut``), ``vals``, its stored
+    part ``[p | f_vertex | b_vertex]`` as Python floats or None, and
+    ``bounded`` (see ``_split_groups``), returning the number of zero-total
+    splits.
+
+    The general rule passes each vertex flow on along its one edge with one
+    gather over ``[f_edge | b_edge]`` (``GraphArrays.pair``), then splits
+    the flow of each vertex with two edges (``GraphArrays.branches``,
+    forward first; GraphError names a vertex with more) by g: the edge with
+    the smaller normalized level gets g of that level, the other the rest,
+    and a positive flow over a zero total splits evenly and is counted. It
+    reads pheromones and vertex flows from ``vals`` (one ``tolist`` when
+    None), as Python floats, which on two edges cost less than numpy
+    scalars. The linear rule totals the pheromone at every vertex flow, 1.0
+    where it has no edge to split over, and splits by ``_split_groups``: on
+    graphs that sum out-edges by ``np.bincount`` both directions in one pass
+    over the 2n vertex flows (``GraphArrays.pair``), against a ``[p | p]``
+    buffer of the split's own; on graphs that sum them by ``reduceat``
+    (tail-sorted or dense) one direction at a time over the n vertices
+    (``_direction_totals``)."""
+    m, n = ga.m, ga.n
     if not rule.is_linear:
-        vflows.take(ga.pair.src, None, flows, "wrap")
-        fn, p_list = rule.rule_fn.fn, p.tolist()
+        src, fn = ga.pair.src, rule.rule_fn.fn
         forward, backward = ga.branches
-        zeros = 0
-        for v, e1, e2 in forward:
-            zeros += _branch_split(fn, p_list, fe, fv.item(v), e1, e2)
-        for v, e1, e2 in backward:
-            zeros += _branch_split(fn, p_list, be, bv.item(v), e1, e2)
-        return zeros
+        # per branch: where ``vals`` holds the pheromone of e1 and e2 and the
+        # vertex flow, and where ``[f_edge | b_edge]`` holds e1's and e2's flow
+        table = tuple((e1, e2, m + v, e1, e2) for v, e1, e2 in forward) + tuple(
+            (e1, e2, m + n + v, m + e1, m + e2) for v, e1, e2 in backward
+        )
+
+        def split_general(layout, vals, bounded):
+            flows = layout[7]
+            layout[8].take(src, None, flows, "wrap")
+            if vals is None:
+                vals = layout[6].tolist()
+            zeros = 0
+            for i1, i2, iv, f1, f2 in table:
+                p1, p2, amount = vals[i1], vals[i2], vals[iv]
+                total = p1 + p2
+                if total <= 0.0:
+                    flows[f1] = flows[f2] = 0.5 * amount
+                    zeros += amount > 0.0
+                    continue
+                if not p1 <= p2:
+                    f1, f2, p1 = f2, f1, p2
+                g = float(fn(clamp_unit_half(p1 / total)))
+                flows[f1] = amount * g
+                flows[f2] = amount * (1.0 - g)
+            return zeros
+
+        return split_general
     if ga.out_by_bincount:
         pair = ga.pair
-        pp = np.concatenate((p, p))
-        totals = np.bincount(pair.src, pp, 2 * ga.n)
-        totals[pair.dead] = 1.0  # as in ``_direction_totals``
-        return _split_groups(
-            pp, totals, vflows, pair.src, pair.halves, pair.degrees, bounded, flows
-        )
-    whole = ((0, ga.n),)
-    fwd, bwd = _direction_totals(ga, p, True), _direction_totals(ga, p, False)
-    zeros = _split_groups(p, fwd, fv, ga.tail_bins, whole, ga.out_deg, bounded, fe)
-    return zeros + _split_groups(p, bwd, bv, ga.head_bins, whole, ga.in_deg, bounded, be)
+        src, dead, halves, degrees = pair.src, pair.dead, pair.halves, pair.degrees
+        pp = np.empty(2 * m)
+        rows = pp.reshape(2, m)
+
+        def split_joint(layout, vals, bounded):
+            rows[...] = layout[3]
+            totals = np.bincount(src, pp, 2 * n)
+            totals[dead] = 1.0  # as in ``_direction_totals``
+            return _split_groups(pp, totals, layout[8], src, halves, degrees, bounded, layout[7])
+
+        return split_joint
+    whole = ((0, n),)
+
+    def split_directions(layout, vals, bounded):
+        _, fe, be, p, fv, bv, _, _, _ = layout
+        fwd, bwd = _direction_totals(ga, p, True), _direction_totals(ga, p, False)
+        zeros = _split_groups(p, fwd, fv, ga.tail_bins, whole, ga.out_deg, bounded, fe)
+        return zeros + _split_groups(p, bwd, bv, ga.head_bins, whole, ga.in_deg, bounded, be)
+
+    return split_directions
 
 
 def _direction_totals(ga: GraphArrays, p: np.ndarray, forward: bool) -> np.ndarray:
@@ -500,34 +551,6 @@ def _split_groups(
     return int(np.count_nonzero(fix & (totals == 0.0)))
 
 
-def _branch_split(
-    fn: Callable[[float], float],
-    p: List[float],
-    eflow: np.ndarray,
-    amount: float,
-    e1: int,
-    e2: int,
-) -> int:
-    """Split ``amount``, the flow of a vertex with two edges e1 and e2, by
-    the rule's g (``fn``) into ``eflow``: the edge with the smaller
-    normalized level gets g of that level, the other the rest. ``p`` is the
-    pheromone as a list. Returns 1 for a positive amount over a zero total
-    (split evenly), else 0. Python floats, which on two edges cost less than
-    numpy scalars."""
-    p1, p2 = p[e1], p[e2]
-    total = p1 + p2
-    if total <= 0.0:
-        eflow[e1] = eflow[e2] = 0.5 * amount
-        return int(amount > 0.0)
-    if p1 <= p2:
-        e_min, e_oth, x = e1, e2, p1 / total
-    else:
-        e_min, e_oth, x = e2, e1, p2 / total
-    g = float(fn(clamp_unit_half(x)))
-    eflow[e_min] = amount * g
-    eflow[e_oth] = amount * (1.0 - g)
-    return 0
-
 
 # ---------------------------------------------------------------------------
 # Step
@@ -559,8 +582,139 @@ def validate_run_setup(
             raise ConfigError("rescaling requires the linear rule (scale invariance)")
         if schedule.kind != "exponential":
             raise ConfigError("rescaling applies to exponential schedules only")
-    if not rule.is_linear:
-        graph.arrays.branches  # raises on a vertex with more than two edges
+
+
+# state, into (None: a new state) -> the state at t+1; see ``_prepare``
+_Kernel = Callable[[SystemState, Optional[SystemState]], SystemState]
+
+
+def _prepare(
+    graph: DirectedGraph,
+    rule: DecisionRule,
+    schedule: FlowSchedule,
+    cfg: EngineConfig,
+) -> _Kernel:
+    """``step`` prepared for one (graph, rule, schedule, cfg): a function
+    of a state on ``graph`` and ``into`` that writes the state at t+1 into
+    ``into`` (a new state when None) and returns it. It binds once what
+    depends on these four alone: the index arrays, survivals and offsets,
+    the out-sum form, the rescale factor and constant injections, the flush
+    constants, and the split (``_splitter``). It checks no size."""
+    ga = graph.arrays
+    m, n = ga.m, ga.n
+    size = 3 * m + 2 * n
+    s, d = ga.source, ga.destination
+    # ufuncs take a 0-d array operand at a lower fixed price than a float
+    delta = np.array(cfg.delta)
+    joint = ga.out_by_bincount
+    agg_bins, pair_surv = (ga.pair.agg_bins, ga.pair_surv) if joint else (None, None)
+    head_bins, surv, tail_sums = ga.head_bins, ga.surv, ga.tail_sums
+    # rescaling injects f0 and b0 at every step, as a constant schedule does
+    rescale = np.array(1.0 / schedule.alpha) if cfg.rescale_mode == RESCALE_BY_SOURCE else None
+    constant = rescale is not None or schedule.kind == "constant"
+    f0, b0 = schedule.f0, schedule.b0
+    forward_at, backward_at = schedule.forward_at, schedule.backward_at
+    # after the flush every positive pheromone total is at least the
+    # threshold and no vertex flow exceeds the total of the stored values
+    # (all >= 0), so every ratio flow/total is below _BOUNDED_SUM when that
+    # total is below ``bound``. Non-negative values whose Python sum is below
+    # ``limit`` have a numpy total that is finite and below ``bound``
+    # (``_SUM_MARGIN``)
+    threshold = cfg.underflow_threshold
+    bound = threshold * _BOUNDED_SUM
+    limit = (bound if bound < _FLOAT_MAX else _FLOAT_MAX) * _SUM_MARGIN
+    # a zero threshold flushes nothing and puts ``limit`` at 0, which no
+    # non-negative sum is below: its buffers take numpy's total
+    in_python = threshold > 0.0 and m + 2 * n <= _FLUSH_IN_PYTHON_MAX
+    split = _splitter(ga, rule)
+
+    def kernel(state: SystemState, into: Optional[SystemState] = None) -> SystemState:
+        t1 = state.t + 1
+        if into is None:
+            layout = _cut(np.empty(size), m, n)
+            into = SystemState(t1, layout[3], layout[1], layout[2], layout[4], layout[5], _layout=layout)
+        else:
+            layout = into._layout
+        # the new state's buffer and its views (``_cut``): its stored part
+        # [p | f_vertex | b_vertex] takes the rescale, the flush and the
+        # finiteness test in one numpy call each, or in one ``tolist`` read on
+        # two-path graphs. On small graphs each call costs its fixed price, so
+        # ufuncs take ``out`` positionally and scalars go through ``item`` and
+        # plain stores
+        _, fe, be, p, fv, bv, stored, _, vflows = layout
+        _, fe0, be0, p0, _, _, _, flows0, _ = state._layout
+
+        # (a) pheromone update from the flows that traversed edges at time t
+        np.add(p0, fe0, p)
+        np.add(p, be0, p)
+        np.multiply(p, delta, p)
+
+        # (b) aggregation with leakage; delivered flow exits. Where out-edges
+        # are summed by np.bincount one bincount over [f_edge | b_edge] sums
+        # both directions, each bin in edge order from 0.0 as a bincount of
+        # one does
+        if joint:
+            np.multiply(pair_surv, np.bincount(agg_bins, flows0, 2 * n), vflows)
+        else:
+            np.multiply(surv, np.bincount(head_bins, fe0, n), fv)
+            np.multiply(surv, tail_sums(be0), bv)
+        delivered_f = state.delivered_forward + fv.item(d)
+        delivered_b = state.delivered_backward + bv.item(s)
+        fv[d] = 0.0
+        bv[s] = 0.0
+
+        # (e'/c) rescale before injection so fresh flow enters at base magnitude
+        if rescale is not None:
+            np.multiply(stored, rescale, stored)
+        if constant:
+            inj_f, inj_b = f0, b0
+        else:
+            inj_f, inj_b = forward_at(t1), backward_at(t1)
+        fv[s] = fv.item(s) + inj_f
+        bv[d] = bv.item(d) + inj_b
+
+        # finiteness is tested before the flush, which would zero a -inf as an
+        # underflow. Up to _FLUSH_IN_PYTHON_MAX entries one ``tolist`` serves
+        # the test, ``bounded``, the flush and the general split: the entries
+        # to flush, ``low``, are found on Python floats, and as every negative
+        # value is among them, values with none to flush need no sign test.
+        # Every other buffer (NaN, inf, a negative, a total near the bound) is
+        # tested on numpy's total, as a large one is; ``run`` takes it with
+        # overflow warnings off, so an overflowing total is only the abort
+        vals = low = None
+        if in_python:
+            vals = stored.tolist()
+            low = [i for i, v in enumerate(vals) if v < threshold and v != 0.0]
+        if vals is not None and (not low or 0.0 <= min(vals)) and sum(vals) < limit:
+            bounded = True
+        else:
+            total = float(np.add.reduce(stored))
+            if not math.isfinite(total):
+                raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
+            bounded = total < bound
+        if low is None:
+            flushes = _flush(stored, threshold)
+        else:
+            if low:
+                stored[low] = 0.0
+                for i in low:
+                    vals[i] = 0.0
+            flushes = len(low)
+
+        # (d) split the new vertex flows against p(t+1)
+        zeros = split(layout, vals, bounded)
+
+        into.t = t1
+        into.delivered_forward = delivered_f
+        into.delivered_backward = delivered_b
+        into.injected_f = inj_f
+        into.injected_b = inj_b
+        into.underflow_flushes = state.underflow_flushes + flushes
+        into.zero_split_events = state.zero_split_events + zeros
+        into.warnings = state.warnings
+        return into
+
+    return kernel
 
 
 def step(
@@ -570,6 +724,8 @@ def step(
     schedule: FlowSchedule,
     cfg: EngineConfig,
     into: Optional[SystemState] = None,
+    *,
+    _kernel: Optional[_Kernel] = None,
 ) -> SystemState:
     """One synchronous update; returns the state at t+1.
 
@@ -577,93 +733,20 @@ def step(
     ``state``, the new state is written into it, buffer and scalar fields,
     and ``into`` is returned: nothing is allocated and no view is cut. After
     an abort ``into`` holds a partly written buffer. Without it the new
-    state gets a buffer of its own."""
-    ga = graph.arrays
-    t1 = state.t + 1
-    size = _check_size(state, ga)
-    if into is None:
-        fresh = _cut(np.empty(size), ga.m, ga.n)
-        into = SystemState(t1, fresh[3], fresh[1], fresh[2], fresh[4], fresh[5], _layout=fresh)
-    elif into.buf.size != size:
-        raise ConfigError(f"into has {into.buf.size} values, but the state has {size}")
-    elif into.buf is state.buf:
-        raise ConfigError("into shares the buffer of the state it steps from")
-    layout = into._layout
-    s, d = ga.source, ga.destination
+    state gets a buffer of its own.
 
-    # the new state's buffer and its views (``_cut``): its stored part
-    # [p | f_vertex | b_vertex] takes the rescale, the flush and the
-    # finiteness test in one numpy call each, or in one ``tolist`` read on
-    # two-path graphs. On small graphs each call costs its fixed price, so
-    # ufuncs take ``out`` positionally and scalars go through ``item`` and
-    # plain stores
-    _, fe, be, p, fv, bv, stored, _, vflows = layout
-
-    # (a) pheromone update from the flows that traversed edges at time t
-    np.add(state.p, state.f_edge, p)
-    np.add(p, state.b_edge, p)
-    np.multiply(p, cfg.delta, p)
-
-    # (b) aggregation with leakage; delivered flow exits. Where out-edges are
-    # summed by np.bincount one bincount over [f_edge | b_edge] sums both
-    # directions, each bin in edge order from 0.0 as a bincount of one does
-    if ga.out_by_bincount:
-        edge_flows = state._layout[7]  # the state's [f_edge | b_edge]
-        np.multiply(ga.pair_surv, np.bincount(ga.pair.agg_bins, edge_flows, 2 * ga.n), vflows)
-    else:
-        np.multiply(ga.surv, np.bincount(ga.head_bins, state.f_edge, ga.n), fv)
-        np.multiply(ga.surv, ga.tail_sums(state.b_edge), bv)
-    delivered_f = state.delivered_forward + fv.item(d)
-    delivered_b = state.delivered_backward + bv.item(s)
-    fv[d] = 0.0
-    bv[s] = 0.0
-
-    # (e'/c) rescale before injection so fresh flow enters at base magnitude
-    if cfg.rescale_mode == RESCALE_BY_SOURCE:
-        np.multiply(stored, 1.0 / schedule.alpha, stored)
-        inj_f, inj_b = schedule.f0, schedule.b0
-    else:
-        inj_f = schedule.forward_at(t1)
-        inj_b = schedule.backward_at(t1)
-    fv[s] = fv.item(s) + inj_f
-    bv[d] = bv.item(d) + inj_b
-
-    # finiteness is tested before the flush, which would zero a -inf as an
-    # underflow. After the flush every positive pheromone total is at least
-    # the threshold and no vertex flow exceeds the total of the stored values
-    # (all >= 0), so every ratio flow/total is below _BOUNDED_SUM when that
-    # total is below ``bound``. Up to _FLUSH_IN_PYTHON_MAX entries one
-    # ``tolist`` serves the test, ``bounded`` and the flush: non-negative
-    # values whose Python sum is below ``limit`` have a numpy total that is
-    # finite and below ``bound`` (``_SUM_MARGIN``). Every other buffer (NaN,
-    # inf, a negative, a zero threshold, a total near the bound) is tested on
-    # numpy's total, as a large one is; ``run`` takes it with overflow
-    # warnings off, so an overflowing total is only the abort
-    threshold = cfg.underflow_threshold
-    bound = threshold * _BOUNDED_SUM
-    limit = (bound if bound < _FLOAT_MAX else _FLOAT_MAX) * _SUM_MARGIN
-    vals = stored.tolist() if stored.size <= _FLUSH_IN_PYTHON_MAX else None
-    if vals is not None and 0.0 <= min(vals) and sum(vals) < limit:
-        bounded = True
-    else:
-        total = float(np.add.reduce(stored))
-        if not math.isfinite(total):
-            raise EngineAbort(t1, _nonfinite_detail(p, fv, bv))
-        bounded = total < bound
-    flushes = _flush(stored, threshold, vals)
-
-    # (d) split the new vertex flows against p(t+1)
-    zeros = _split(ga, rule, layout, bounded)
-
-    into.t = t1
-    into.delivered_forward = delivered_f
-    into.delivered_backward = delivered_b
-    into.injected_f = inj_f
-    into.injected_b = inj_b
-    into.underflow_flushes = state.underflow_flushes + flushes
-    into.zero_split_events = state.zero_split_events + zeros
-    into.warnings = state.warnings
-    return into
+    ``_kernel`` is this step prepared by ``_prepare`` for the same graph,
+    rule, schedule and config, which ``run`` passes on every step; it skips
+    the checks on ``state`` and ``into``. Without it the step checks them
+    and prepares its own."""
+    if _kernel is None:
+        size = _check_size(state, graph.arrays)
+        if into is not None and into.buf.size != size:
+            raise ConfigError(f"into has {into.buf.size} values, but the state has {size}")
+        if into is not None and into.buf is state.buf:
+            raise ConfigError("into shares the buffer of the state it steps from")
+        _kernel = _prepare(graph, rule, schedule, cfg)
+    return _kernel(state, into)
 
 
 def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
@@ -675,9 +758,9 @@ def _nonfinite_detail(p: np.ndarray, fv: np.ndarray, bv: np.ndarray) -> str:
 
 
 # up to this many entries (two-path graphs) ``step`` reads its stored values
-# once as Python floats for the finiteness test and ``_flush`` tests them as
-# Python floats, below the fixed price of the numpy calls (BENCH_21.json,
-# BENCH_25.json)
+# once as Python floats for the finiteness test, the flush and the general
+# split, below the fixed price of the numpy calls (BENCH_21.json,
+# BENCH_25.json, BENCH_32.json)
 _FLUSH_IN_PYTHON_MAX = 32
 # sums of up to _FLUSH_IN_PYTHON_MAX finite non-negative floats, added in any
 # order (left to right, numpy's pairwise, Python's ``sum``), lie within a
@@ -687,20 +770,13 @@ _SUM_MARGIN = 1.0 - 2.0**-40
 _FLOAT_MAX = sys.float_info.max
 
 
-def _flush(x: np.ndarray, threshold: float, vals: Optional[List[float]] = None) -> int:
+def _flush(x: np.ndarray, threshold: float) -> int:
     """Zero, in place, every nonzero entry of ``x`` below ``threshold``
     (negative values included; -0.0 stays as it is); returns how many were
-    zeroed. Up to _FLUSH_IN_PYTHON_MAX entries the test runs on Python
-    floats: ``vals``, ``x.tolist()`` when the caller has read it already."""
+    zeroed. ``step`` flushes up to _FLUSH_IN_PYTHON_MAX entries on Python
+    floats by the same test, and larger buffers here."""
     if threshold <= 0.0:
         return 0
-    if x.size <= _FLUSH_IN_PYTHON_MAX:
-        if vals is None:
-            vals = x.tolist()
-        low = [i for i, v in enumerate(vals) if v < threshold and v != 0.0]
-        if low:
-            x[low] = 0.0
-        return len(low)
     mask = x < threshold
     np.logical_and(mask, np.not_equal(x, 0.0), mask)
     count = int(np.count_nonzero(mask))
@@ -766,14 +842,14 @@ class _RepeatGate:
         return True
 
 
-def _hold(state: SystemState, k: int, *step_args) -> SystemState:
+def _hold(state: SystemState, k: int, *step_args, kernel: _Kernel) -> SystemState:
     """The state ``k`` steps after ``state``, which repeats its predecessor.
     Each of those steps maps its arrays to themselves and adds the same
     amounts to the delivered flow and the counters: one step from a copy
     with these at zero gives them exactly. The delivered amounts are added
     one step at a time, so the sums round as stepping rounds them."""
     zero = replace(state, delivered_forward=0.0, delivered_backward=0.0)
-    unit = step(replace(zero, underflow_flushes=0, zero_split_events=0), *step_args)
+    unit = step(replace(zero, underflow_flushes=0, zero_split_events=0), *step_args, _kernel=kernel)
     forward, backward = state.delivered_forward, state.delivered_backward
     for _ in range(k):
         forward += unit.delivered_forward
@@ -810,12 +886,14 @@ def run(
     for the next one stepping would make, and ``_hold`` gives the final
     state.
 
-    The run allocates two states and from then on steps into the state of
-    two steps back (``step``'s ``into``), so an observer must copy what it
-    keeps (see ``Observer``). ``state`` itself is never written."""
+    The run prepares its step once (``_prepare``) and passes it to every
+    ``step`` call. It allocates two states and from then on steps into the
+    state of two steps back (``step``'s ``into``), so an observer must copy
+    what it keeps (see ``Observer``). ``state`` itself is never written."""
     if T < 1:
         raise ConfigError("T must be >= 1")
     validate_run_setup(state, graph, rule, schedule, cfg)
+    kernel = _prepare(graph, rule, schedule, cfg)
     from .analysis import detect_convergence
 
     trace = RunTrace(warnings=state.warnings)
@@ -833,7 +911,7 @@ def run(
     with np.errstate(over="ignore"):
         for i in range(1, T + 1):
             try:
-                nxt = step(cur, graph, rule, schedule, cfg, spare)
+                nxt = step(cur, graph, rule, schedule, cfg, spare, _kernel=kernel)
             except EngineAbort as exc:
                 trace.stop_reason = "aborted"
                 trace.failure = exc.detail
@@ -859,7 +937,7 @@ def run(
                     for obs in held:
                         obs(t, cur, cur)
                 if k:
-                    cur = _hold(cur, k, graph, rule, schedule, cfg)
+                    cur = _hold(cur, k, graph, rule, schedule, cfg, kernel=kernel)
                 break
     if path is not None:
         trace.stop_reason = "converged"

@@ -28,9 +28,7 @@ from trailflow.dynamics import (
     RESCALE_BY_SOURCE,
     EngineAbort,
     SystemState,
-    _direction_totals,
-    _split,
-    _split_groups,
+    _splitter,
     step,
 )
 from trailflow.graph import (
@@ -44,7 +42,7 @@ from trailflow.graph import (
     plant_band_ladder,
     plant_path,
 )
-from trailflow.rules import clamp_unit_half
+from trailflow.rules import DecisionRule, clamp_unit_half
 
 
 class ReferenceGraph:
@@ -299,23 +297,24 @@ def bincount_split(ga, p, vertex_flow, forward):
     return vertex_flow[group] * frac, zero_events
 
 
-def engine_split(ga, rule, p, f_vertex, b_vertex):
-    """The engine's split (``dynamics._split``) of the vertex flows of both
-    directions against ``p``: (f_edge, b_edge, zero-split count)."""
+def engine_split(ga, rule, p, f_vertex, b_vertex, bounded=False):
+    """The engine's split (``dynamics._splitter``, as ``init_state`` and
+    ``step`` prepare it) of the vertex flows of both directions against
+    ``p``: (f_edge, b_edge, zero-split count)."""
     st = SystemState(0, p, np.zeros(ga.m), np.zeros(ga.m), f_vertex, b_vertex)
-    zeros = _split(ga, rule, st._layout)
+    zeros = _splitter(ga, rule)(st._layout, None, bounded)
     return st.f_edge, st.b_edge, zeros
 
 
 def linear_split(ga, p, vertex_flow, forward, bounded=False):
     """The engine's linear split of one direction's vertex flows against
-    ``p``, as ``dynamics._split`` makes it on graphs summed by ``reduceat``:
-    (edge flows, zero-split count)."""
-    eflow = np.empty(ga.m)
-    totals = _direction_totals(ga, p, forward)
-    bins, deg = (ga.tail_bins, ga.out_deg) if forward else (ga.head_bins, ga.in_deg)
-    zeros = _split_groups(p, totals, vertex_flow, bins, ((0, ga.n),), deg, bounded, eflow)
-    return eflow, zeros
+    ``p``, the other direction carrying none: (edge flows, zero-split
+    count). The graph's out-sum form picks the joint kernel or the
+    per-direction one, as in ``step``."""
+    idle = np.zeros(ga.n)
+    flows = (vertex_flow, idle) if forward else (idle, vertex_flow)
+    fe, be, zeros = engine_split(ga, DecisionRule.linear(), p, *flows, bounded)
+    return (fe if forward else be), zeros
 
 
 def reference_general_split(graph, rule, p, vertex_flow, forward):

@@ -36,3 +36,26 @@ SITES = [(owner, attr) for owner, attr, _layer, _tally in _patch_table()]
 @pytest.mark.parametrize("owner, attr", SITES, ids=[f"{o.__name__}.{a}" for o, a in SITES])
 def test_patched_call_site_is_in_its_owner(owner, attr):
     assert attr in owner.__dict__, f"{owner.__name__} has no {attr} of its own"
+
+
+def test_run_calls_dynamics_step_once_per_step(monkeypatch):
+    """The benchmark counts ``run``'s steps at ``trailflow.dynamics.step``:
+    ``run`` looks the name up on every step it takes, passes its prepared
+    step through keyword arguments, and a wrapper that forwards them sees
+    every step with the state it steps from."""
+    from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, init_state, run, step
+    from trailflow.graph import build_two_path
+
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0].t)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(trailflow.dynamics, "step", counted)
+    graph = build_two_path(2, 3, [0.0], [0.0, 0.0]).graph
+    sched = FlowSchedule.exponential(1.0, 1.0, 1.1)  # growing: no stationary stop
+    state = init_state(graph, 1.0, sched)
+    trace = run(state, graph, DecisionRule.linear(), sched, EngineConfig(0.5), 40)
+    assert trace.final_state.t == 40
+    assert seen == list(range(40))

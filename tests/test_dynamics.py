@@ -419,6 +419,71 @@ def test_linear_scale_invariance_of_normalized_trajectory():
     assert worst <= 1e-9
 
 
+def _level_rows(graph, rule, schedule, state, T):
+    """The forward and backward normalized levels of every state of a run,
+    the initial one first, as rows."""
+    rows = []
+
+    def record(t, st, prev):
+        levels = normalized_levels(st, graph)
+        rows.append(np.concatenate((levels.fwd, levels.bwd)))
+
+    trace = run(state, graph, rule, schedule, EngineConfig(delta=0.5), T, [record])
+    assert trace.failure is None and len(rows) == T + 1
+    return np.array(rows)
+
+
+def _scaling_cases():
+    tp = two_path_23(0.03, 0.02, 0.02)
+    grid = gen_grid(10, 10)
+    rng = np.random.default_rng(32)
+    return [
+        (tp.graph, rng.uniform(0.2, 2.0, tp.graph.n_edges)),
+        (grid, rng.uniform(0.2, 2.0, grid.n_edges)),
+    ]
+
+
+@pytest.mark.parametrize("rule", [power_rule(2), power_rule(0.5), sine_rule(0.05)])
+def test_general_rule_joint_scale_invariance(rule):
+    """The general rule reads only normalized levels: scaling the initial
+    pheromone and both injections by a common c > 0 leaves every forward
+    and backward level of the trajectory unchanged to 1e-9, on two paths
+    and on a 10x10 grid, as the linear rule's does (A8). Rescaling by the
+    source stays restricted to the linear rule (``validate_run_setup``)."""
+    c = 3.7
+    decision = DecisionRule.general(rule)
+    for graph, p0 in _scaling_cases():
+        rows = []
+        for scale in (1.0, c):
+            sched = FlowSchedule.constant(scale, scale)
+            state = init_state(graph, scale * p0, sched, decision)
+            rows.append(_level_rows(graph, decision, sched, state, 300))
+        a, b = rows
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert float(np.nanmax(np.abs(a - b))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "schedule", [FlowSchedule.constant(1.0, 0.0), FlowSchedule.exponential(1.0, 0.0, 1.1)]
+)
+def test_unidirectional_linear_flow_keeps_every_forward_level(schedule):
+    """With no backward injection the update is p' = delta (p + f_e) and the
+    linear rule sends f_e = F_v p_e / sum_v p, so every edge at a vertex
+    grows by one factor: each forward level p_e / sum_v p stays where it
+    started, to 1e-12 over 300 steps, on the swap graph and on leaky
+    G(100, .1) graphs."""
+    graphs = [two_path_23().graph]
+    for seed in (1, 2, 3):
+        g = gen_gnp(100, 0.1, seed)
+        graphs.append(g.with_leakage(np.random.default_rng(seed).uniform(0.0, 0.3, g.n_vertices)))
+    for graph in graphs:
+        p0 = np.random.default_rng(graph.n_edges).uniform(0.1, 1.0, graph.n_edges)
+        rows = _level_rows(graph, LIN, schedule, init_state(graph, p0, schedule), 300)
+        fwd = rows[:, : graph.n_edges]
+        assert not np.isnan(fwd).any()
+        assert float(np.max(np.abs(fwd - fwd[0]))) <= 1e-12
+
+
 def test_general_rule_matches_linear_when_g_is_identity():
     tp = two_path_23(0.05, 0.1, 0.0)
     sched = FlowSchedule.constant(1.0, 1.0)
@@ -751,10 +816,12 @@ def test_flush_underflow():
     [12, _FLUSH_IN_PYTHON_MAX, _FLUSH_IN_PYTHON_MAX + 1, 800, 102_000],
 )
 def test_flush_zeroes_negatives_and_leaves_negative_zero(size):
-    """Both forms of the flush, at two-path sizes, on both sides of the
-    bound between the forms, and at grid and G(1000, .1) sizes:
-    sub-threshold and negative entries become 0.0 and are counted; -0.0
-    keeps its bytes and is not counted; NaN is neither."""
+    """The array flush, which ``step`` takes above _FLUSH_IN_PYTHON_MAX
+    entries, at two-path sizes, on both sides of that bound, and at grid
+    and G(1000, .1) sizes: sub-threshold and negative entries become 0.0 and
+    are counted; -0.0 keeps its bytes and is not counted; NaN is neither.
+    The flush on Python floats, which ``step`` takes up to that bound, is
+    checked against the reference step (``test_state_buffer.FUSED``)."""
     x = np.ones(size)
     x[:7] = [1e-310, -1e-3, -0.0, 0.0, 1e-300, -math.inf, math.nan]
     want = x.copy()

@@ -361,9 +361,9 @@ def test_stability_experiment_stops_stepping_at_t_stationary(monkeypatch):
 
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "step", counted)
     rule, r, eps = _stable_case(power_rule(2))
@@ -424,9 +424,9 @@ def test_verify_equilibrium_stops_at_fixed_point_with_exact_drift(monkeypatch):
         )
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "step", counted)
     assert verify_equilibrium(st, TP, rule, SCHED, CFG, k).hex() == want.hex()

@@ -22,6 +22,7 @@ from trailflow.dynamics import (
     FlowSchedule,
     SystemState,
     _RepeatGate,
+    _prepare,
     branch_state,
     init_state,
     run,
@@ -235,15 +236,19 @@ def test_step_aborts_as_reference_step(field, index, value, absorbing):
 
 
 def test_step_flushes_as_reference_step():
+    """Under either rule: both out-edges of vertex 1 (edges 2 and 3) and
+    its forward flow are flushed, so the general split, which reads them
+    from the values listed before the flush, must see them zeroed."""
     g = DirectedGraph(4, BUFFER_EDGES, 0, 3)
     sched = FlowSchedule.constant(1.0, 1.0)
     st = init_state(g, 1.0, sched)
     st.p[:] = [1.0, 1.0, -1.0, 1e-305, 1.0]
     st.f_edge[:] = [1e-305, -1e-3, 0.0, -0.0, 0.0]
     st.b_edge[:] = [0.0, 0.0, 1e-305, 0.0, -1e-3]
-    for threshold in (0.0, 1e-300):
-        out = _same_step(st, g, LIN, sched, EngineConfig(0.5, underflow_threshold=threshold))
-        assert out.underflow_flushes == (6 if threshold else 0)
+    for rule in (LIN, DecisionRule.general(power_rule(2))):
+        for threshold in (0.0, 1e-300):
+            out = _same_step(st, g, rule, sched, EngineConfig(0.5, underflow_threshold=threshold))
+            assert out.underflow_flushes == (6 if threshold else 0)
 
 
 # The stored part of a step on the 2x3 linear graph (m = 5, n = 5) has 15
@@ -694,3 +699,85 @@ def test_step_rejects_an_unfit_or_shared_into():
     assert st.buf.tobytes() == before
     # a copy is a buffer of its own
     assert step(st, g, LIN, sched, cfg, into=st.copy()).t == 1
+
+
+# -- one prepared step per run --------------------------------------------------
+
+
+def _reuse_cases():
+    """Runs on one 2x3 two-path graph that differ in delta, rescaling, the
+    flush threshold, the rule and the schedule, two of them ending in an
+    abort: a total past the float range at t = 1, and a NaN pheromone."""
+    g = build_two_path(2, 3, [0.1], [0.0, 0.2]).graph
+    RESCALE = RESCALE_BY_SOURCE
+    const, grow = FlowSchedule.constant(1.0, 0.7), FlowSchedule.exponential(1.0, 0.5, 1.1)
+    power, sine = DecisionRule.general(power_rule(2)), DecisionRule.general(sine_rule(0.05))
+    p0 = np.random.default_rng(32).uniform(0.2, 2.0, g.n_edges)
+    nan = init_state(g, p0, const)
+    nan.p[2] = math.nan
+    cases = {
+        "linear": (init_state(g, p0, const), LIN, const, EngineConfig(0.5)),
+        "power-delta": (init_state(g, p0, const, power), power, const, EngineConfig(0.3)),
+        "rescaled": (init_state(g, p0, grow), LIN, grow, EngineConfig(0.5, rescale_mode=RESCALE)),
+        "no-flush": (init_state(g, p0, grow), LIN, grow, EngineConfig(0.5, underflow_threshold=0.0)),
+        "sine-grown": (init_state(g, p0, grow, sine), sine, grow, EngineConfig(0.7)),
+        "overflow": (init_state(g, 1.7e308, const, power), power, const, EngineConfig(0.9)),
+        "nan": (nan, LIN, const, EngineConfig(0.5)),
+    }
+    return g, cases
+
+
+def _outcome(state):
+    if isinstance(state, EngineAbort):
+        return ("abort", state.t, state.detail)
+    return (state.buf.tobytes(),) + tuple(getattr(state, name).hex() for name in SCALARS) + (
+        state.t, state.underflow_flushes, state.zero_split_events,
+    )
+
+
+def test_runs_interleaved_on_one_graph_step_as_each_alone():
+    """Every run prepares its step once and passes it to each ``step``
+    call. Stepped in turn on one graph, one step each, with the kernels of
+    the others in between, every run gives the bytes, counters, delivered
+    totals and abort of the same run alone, of bare ``step`` calls and of
+    the reference step."""
+    g, cases = _reuse_cases()
+    T = 60
+    alone, bare, reference = {}, {}, {}
+    with np.errstate(over="ignore"):
+        for name, (state, rule, sched, cfg) in cases.items():
+            trace = run(state, g, rule, sched, cfg, T)
+            alone[name] = (
+                _outcome(EngineAbort(trace.failure_t, trace.failure))
+                if trace.failure
+                else _outcome(trace.final_state)
+            )
+            for stepper, out in ((step, bare), (reference_step, reference)):
+                cur = state
+                try:
+                    for _ in range(T):
+                        cur = stepper(cur, g, rule, sched, cfg)
+                except EngineAbort as exc:
+                    cur = exc
+                out[name] = _outcome(cur)
+        # the stepping of ``run``: each case's own kernel, into the state of
+        # two steps back, all cases in turn
+        kernels = {name: _prepare(g, *case[1:]) for name, case in cases.items()}
+        cur = {name: case[0] for name, case in cases.items()}
+        spare = dict.fromkeys(cases)
+        for _ in range(T):
+            for name, (state, rule, sched, cfg) in cases.items():
+                if isinstance(cur[name], EngineAbort):
+                    continue
+                try:
+                    nxt = step(cur[name], g, rule, sched, cfg, spare[name], _kernel=kernels[name])
+                except EngineAbort as exc:
+                    cur[name] = exc
+                    continue
+                spare[name] = None if cur[name] is state else cur[name]
+                cur[name] = nxt
+    interleaved = {name: _outcome(value) for name, value in cur.items()}
+    assert interleaved == alone == bare == reference
+    assert alone["overflow"] == ("abort", 1, "non-finite total (overflow)")
+    assert alone["nan"] == ("abort", 1, "non-finite pheromone at index 2")
+    assert sum(outcome[0] == "abort" for outcome in alone.values()) == 2
