@@ -2,6 +2,11 @@
 swaps, leakage settings that defeat non-linear rules under fixed flow, and
 growth rates that defeat non-linear rules under zero leakage.
 
+The swap needs no run to decide: with backward injection 0 the linear rule
+keeps every forward level fixed, so the t = 0 source level names the branch
+a run settles on. ``unidirectional_swap_demo`` predicts it from that level
+and runs the dynamics only to check that the level held.
+
 Both counterexample constructors follow the same recipe: find an interior
 point r where the rule leaves the diagonal with a consistent sign on
 (r, r+eps], derive the margin constant c_g = c_eps / 4 from the gap at
@@ -404,21 +409,18 @@ def verify_nonconvergence(
 
 
 def run_counterexample(
-    cx: Counterexample,
-    T: int,
-    delta: float = 0.5,
-    epsilon: float = 0.01,
+    cx: Counterexample, T: int, delta: float = 0.5
 ) -> Tuple[NonconvergenceReport, RunTrace, BranchLevelObserver]:
     """Run a constructed counterexample for T steps and verify its bound
-    invariant plus non-convergence to the top (min-leakage / shortest)
-    path."""
+    invariant plus non-convergence (at epsilon 0.01) to the top
+    (min-leakage / shortest) path."""
     graph = cx.two_path.graph
     rule = DecisionRule.general(cx.rule_fn)
     cfg = EngineConfig(delta=delta)
     bound, direction = cx.config.bound, cx.direction
     obs = BranchLevelObserver(cx.two_path, cx.watch_branch)
     flows = FlowBoundObserver(cx.two_path, cx.schedule, cx.watch_branch, bound, direction)
-    watcher = TargetConvergenceWatcher(graph, cx.two_path.top, epsilon)
+    watcher = TargetConvergenceWatcher(graph, cx.two_path.top, 0.01)
     trace = run(cx.state, graph, rule, cx.schedule, cfg, T, observers=[obs, flows, watcher])
     report = verify_nonconvergence(
         obs, bound, direction,
@@ -427,16 +429,12 @@ def run_counterexample(
     return report, trace, obs
 
 
-def run_positive_control(
-    cx: Counterexample,
-    T: int,
-    delta: float = 0.5,
-    epsilon: float = 0.01,
-) -> RunTrace:
+def run_positive_control(cx: Counterexample, T: int, delta: float = 0.5) -> RunTrace:
     """Re-run the same configuration under the linear rule; the dynamics
-    must converge to the top (min-leakage / shortest) path."""
+    must converge (at epsilon 0.01) to the top (min-leakage / shortest)
+    path."""
     rescale = RESCALE_BY_SOURCE if cx.schedule.kind == "exponential" else RESCALE_OFF
-    cfg = EngineConfig(delta=delta, epsilon_convergence=epsilon, rescale_mode=rescale)
+    cfg = EngineConfig(delta=delta, epsilon_convergence=0.01, rescale_mode=rescale)
     return run(cx.state, cx.two_path.graph, DecisionRule.linear(), cx.schedule, cfg, T)
 
 
@@ -451,8 +449,6 @@ class SwapDemoReport:
     swapped_branch: Optional[str]
     flipped: bool
     degenerate: bool
-    base_settled: bool
-    swapped_settled: bool
     base_eps_path: Optional[Path]
     swapped_eps_path: Optional[Path]
 
@@ -462,54 +458,48 @@ def unidirectional_swap_demo(
     rule: DecisionRule,
     p_top: float,
     p_bottom: float,
-    f0: float = 1.0,
     T: int = 200,
-    delta: float = 0.5,
-    other_pheromone: float = 1.0,
-    epsilon: float = 0.01,
 ) -> SwapDemoReport:
-    """Run the unidirectional (backward injection 0) dynamics from the given
-    source-edge pheromones and from the swapped pair; report the branch each
-    run settles on.
+    """Predict the branch of the unidirectional (backward injection 0) linear
+    dynamics from the source-edge pheromones and from the swapped pair, then
+    run each to check the prediction.
 
-    Under the linear rule the source-edge ratio is exactly invariant, so
-    epsilon-convergence never happens; the settled branch is the one whose
-    source-edge normalized level stays above 1/2.
-    """
-
+    The t = 0 source level p1 / (p1 + p2) names the branch: top above 1/2,
+    bottom below, none (degenerate) within 1e-12 of 1/2 or NaN (both at 0).
+    A run (injection 1, δ = 0.5, other edges at pheromone 1) holds if the
+    level stays within 1e-12 of that value; a pair flips only if neither
+    side is degenerate, the branches differ and both runs hold. A general
+    rule raises ConfigError."""
+    if not rule.is_linear:
+        raise ConfigError("the swap demo predicts the linear rule's branch only")
+    g = two_path.graph
     s_top, s_bottom = two_path.branch_eids("top")[0], two_path.branch_eids("bottom")[0]
+    schedule = FlowSchedule.constant(1.0, 0.0)
 
     def one(p1: float, p2: float) -> Tuple[Optional[str], bool, Optional[Path]]:
-        g = two_path.graph
-        p = np.full(g.n_edges, float(other_pheromone))
+        total = p1 + p2
+        level = p1 / total if total > 0 else math.nan
+        p = np.ones(g.n_edges)
         p[s_top] = p1
         p[s_bottom] = p2
-        schedule = FlowSchedule.constant(f0, 0.0)
         from .dynamics import init_state
 
         state = init_state(g, p, schedule, rule)
         obs = BranchLevelObserver(two_path, "top")
-        trace = run(state, g, rule, schedule, EngineConfig(delta=delta), T, observers=[obs])
-        tail = obs.norm_s[-max(10, T // 10):]
-        above = [x > 0.5 for x in tail if not math.isnan(x)]
-        if not above or abs(tail[-1] - 0.5) < 1e-12:
-            return None, False, None
-        settled = all(above) or not any(above)
-        branch = "top" if above[-1] else "bottom"
-        eps_path = detect_convergence(trace.final_state, g, epsilon)
-        return branch, settled, eps_path
+        trace = run(state, g, rule, schedule, EngineConfig(delta=0.5), T, observers=[obs])
+        held = all(abs(x - level) <= 1e-12 for x in obs.norm_s)
+        side = level - 0.5  # NaN compares false: no branch
+        branch = "top" if side >= 1e-12 else "bottom" if side <= -1e-12 else None
+        return branch, held, detect_convergence(trace.final_state, g, 0.01)
 
-    base_branch, base_settled, base_path = one(p_top, p_bottom)
-    swap_branch, swap_settled, swap_path = one(p_bottom, p_top)
+    base_branch, base_held, base_path = one(p_top, p_bottom)
+    swap_branch, swap_held, swap_path = one(p_bottom, p_top)
     degenerate = base_branch is None or swap_branch is None
-    flipped = (not degenerate) and base_branch != swap_branch
     return SwapDemoReport(
         base_branch=base_branch,
         swapped_branch=swap_branch,
-        flipped=flipped,
+        flipped=not degenerate and base_branch != swap_branch and base_held and swap_held,
         degenerate=degenerate,
-        base_settled=base_settled,
-        swapped_settled=swap_settled,
         base_eps_path=base_path,
         swapped_eps_path=swap_path,
     )
@@ -521,7 +511,6 @@ def swap_demo_batch(
     n_seeds: int,
     base_seed: int = 0,
     T: int = 200,
-    delta: float = 0.5,
 ) -> Tuple[List[SwapDemoReport], float]:
     """Seeded non-degenerate initial pheromone pairs; returns the reports and
     the flip rate. Raises ConfigError unless n_seeds >= 1."""
@@ -535,7 +524,7 @@ def swap_demo_batch(
             p1, p2 = rng.uniform(0.1, 2.0, size=2)
             if abs(p1 - p2) > 1e-6:
                 break
-        rep = unidirectional_swap_demo(two_path, rule, p1, p2, T=T, delta=delta)
+        rep = unidirectional_swap_demo(two_path, rule, p1, p2, T=T)
         reports.append(rep)
         flips += int(rep.flipped)
     return reports, flips / n_seeds

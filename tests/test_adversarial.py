@@ -7,6 +7,7 @@ from trailflow.adversarial import (
     BranchLevelObserver,
     CASE_ABOVE,
     CASE_BELOW,
+    TargetConvergenceWatcher,
     find_nonlinearity,
     flow_counterexample,
     leakage_counterexample,
@@ -25,7 +26,7 @@ from trailflow.dynamics import (
     run,
     step,
 )
-from trailflow.graph import build_two_path, path_leakage
+from trailflow.graph import build_two_path, build_two_path_survival, path_leakage
 from trailflow.rules import (
     RuleError,
     RuleFunction,
@@ -244,6 +245,21 @@ def test_verify_nonconvergence_trivial_and_violation():
     assert rep3.ok
 
 
+def test_target_convergence_watcher_records_the_hit():
+    """The linear rule converges to the min-leakage (top) branch, so the
+    watcher's every-100th-step check sees the top path: from t = 1300 on
+    this graph, and the report is then not ok whatever the level bound."""
+    tp = build_two_path_survival(2, 3, 0.97, 0.95)
+    sched = FlowSchedule.constant(1.0, 1.0)
+    watcher = TargetConvergenceWatcher(tp.graph, tp.top, 0.01)
+    obs = BranchLevelObserver(tp, "top")
+    state = init_state(tp.graph, 1.0, sched, LIN)
+    run(state, tp.graph, LIN, sched, EngineConfig(delta=0.5), 3000, observers=[obs, watcher])
+    assert watcher.seen_at == 1300
+    rep = verify_nonconvergence(obs, 1.0, AT_MOST, target_convergence_at=1300)
+    assert rep.first_violation_t is None and not rep.ok
+
+
 # -- unidirectional swap ------------------------------------------------------------------
 
 
@@ -259,6 +275,11 @@ def test_swap_demo_flips():
 def test_swap_demo_symmetric_is_degenerate():
     rep = unidirectional_swap_demo(TP23, LIN, 1.0, 1.0)
     assert rep.degenerate and not rep.flipped
+
+
+def test_swap_demo_needs_the_linear_rule():
+    with pytest.raises(ConfigError, match="linear rule"):
+        unidirectional_swap_demo(TP23, DecisionRule.general(power_rule(2)), 2.0, 1.0)
 
 
 def test_swap_demo_flip_independent_of_downstream():

@@ -24,6 +24,13 @@ FIXED_SETTINGS = [
     (analysis.sweep_potential_growth, "slack"),
     (analysis.sweep_potential_monotone, "rel_tol"),
     (adversarial.run_counterexample, "check_every"),
+    (adversarial.run_counterexample, "epsilon"),
+    (adversarial.run_positive_control, "epsilon"),
+    (adversarial.unidirectional_swap_demo, "f0"),
+    (adversarial.unidirectional_swap_demo, "delta"),
+    (adversarial.unidirectional_swap_demo, "other_pheromone"),
+    (adversarial.unidirectional_swap_demo, "epsilon"),
+    (adversarial.swap_demo_batch, "delta"),
     (adversarial.TargetConvergenceWatcher, "every"),
     (rules.stability_margin, "samples"),
     (adversarial.find_nonlinearity, "grid"),

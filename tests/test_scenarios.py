@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trailflow import scenarios
+from trailflow import adversarial, scenarios
 from trailflow.analysis import TIMESERIES_COLUMNS, InvariantObserver, normalized_levels
 from trailflow.cli import main
 from trailflow.dynamics import DecisionRule, EngineConfig, FlowSchedule, init_state, run
@@ -36,6 +36,16 @@ A1_DOC = {
     "init": {"kind": "constant", "value": 1.0},
     "schedule": {"kind": "constant", "f0": 1.0, "b0": 1.0},
     "monitors": ["invariants", "pheromone_bound", "potential"],
+}
+
+# an exponential schedule past the float range: alpha**t overflows at t = 2,
+# the injection at t = 4
+OVERFLOW_DOC = {
+    "seed": 1,
+    "graph": {"kind": "two_path", "m": 2, "n": 3},
+    "rule": {"kind": "power", "k": 2},
+    "schedule": {"kind": "exponential", "f0": 1e-300, "b0": 1e-300, "alpha": 1e200},
+    "steps": 10,
 }
 
 GRID33 = {"kind": "grid", "rows": 3, "cols": 3}
@@ -361,14 +371,7 @@ def test_run_scenario_general_rule_two_path():
 def test_run_scenario_schedule_past_the_float_range_aborts():
     """alpha**t overflows at t = 2 while the injection is still finite: the
     run goes on until the injection itself is inf and aborts on it."""
-    doc = {
-        "seed": 1,
-        "graph": {"kind": "two_path", "m": 2, "n": 3},
-        "rule": {"kind": "power", "k": 2},
-        "schedule": {"kind": "exponential", "f0": 1e-300, "b0": 1e-300, "alpha": 1e200},
-        "steps": 10,
-    }
-    res = run_scenario(parse_scenario(doc))
+    res = run_scenario(parse_scenario(OVERFLOW_DOC))
     assert res.trace.stop_reason == "aborted" and res.trace.failure_t == 4
     assert res.trace.failure == "non-finite forward vertex flow at index 0"
     assert res.exit_code == 3
@@ -862,6 +865,16 @@ def test_cli_batch_scenario_file(tmp_path, capsys):
     assert out.count("instance") == 2
 
 
+def test_cli_batch_scenario_file_aborts_exit_3(tmp_path, capsys):
+    """Every re-seeded instance of the overflowing scenario aborts: each is
+    listed as aborted and the batch exits 3, raising no RuntimeWarning."""
+    cfg = write_config(tmp_path, OVERFLOW_DOC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["batch", "--config", cfg, "--instances", "2"]) == 3
+    assert capsys.readouterr().out == "instance 0: aborted\ninstance 1: aborted\n"
+
+
 def test_cli_analyze_rule(capsys):
     assert main(["analyze-rule", "--rule", '{"kind":"power","k":2}']) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -891,6 +904,19 @@ def test_cli_counterexample(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["invariant_held"] is True
     assert doc["positive_control_converged"] == "0>1>4"
+
+
+def test_cli_counterexample_out_dir_holds_the_printed_report(tmp_path, capsys):
+    """``--out-dir`` gets the report as printed; 16 control steps are too few
+    for the linear rule to converge, so the verification fails (exit 1)."""
+    out_dir = tmp_path / "cx"
+    argv = ["counterexample", "--kind", "leakage", "--rule", '{"kind":"power","k":2}',
+            "--steps", "300", "--control-steps", "16", "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out == (out_dir / "counterexample.json").read_text() + "\n"
+    doc = json.loads(out)
+    assert doc["invariant_held"] is True and doc["positive_control_converged"] is None
 
 
 def test_cli_leakage_counterexample_below_the_flush_floor_exits_2(capsys):
@@ -973,4 +999,24 @@ def test_cli_swap_demo_single_pair(argv, want, capsys):
     """Without ``--seeds`` the demo runs the one pheromone pair and its swap;
     a flip and a tie (nothing to swap) both exit 0."""
     assert main(["swap-demo", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {"mode": "single", **want}
+
+
+def test_cli_swap_demo_level_drift_is_no_flip(monkeypatch, capsys):
+    """The run checks the predicted branch: a source level that drifts by
+    1e-9 from its t = 0 value, though it stays on its side of 1/2, breaks
+    the linear rule's invariant, so the pair does not flip and the demo
+    exits 1."""
+    real_run = adversarial.run
+
+    def drifting(*args, observers=(), **kwargs):
+        trace = real_run(*args, observers=observers, **kwargs)
+        for obs in observers:
+            assert len(obs.norm_s) > 1
+            obs.norm_s[1:] = [x + 1e-9 for x in obs.norm_s[1:]]
+        return trace
+
+    monkeypatch.setattr(adversarial, "run", drifting)
+    assert main(["swap-demo"]) == 1
+    want = {"base_branch": "top", "swapped_branch": "bottom", "flipped": False, "degenerate": False}
     assert json.loads(capsys.readouterr().out) == {"mode": "single", **want}
