@@ -24,7 +24,7 @@ from .dynamics import (
     SystemState,
     _direction_totals,
 )
-from .graph import DirectedGraph, Path, TwoPathGraph
+from .graph import DirectedGraph, GraphArrays, Path, TwoPathGraph
 
 
 TIMESERIES_COLUMNS = ["t", "edge_id", "u", "v", "p", "f", "b", "norm_fwd", "norm_bwd"]
@@ -362,6 +362,33 @@ _BLOCK_ROWS = 32
 _BLOCK_ELEMENTS = 2**16
 
 
+def _block_index(ga: GraphArrays) -> tuple:
+    """The index arrays of every ``InvariantObserver`` on a graph
+    (``GraphArrays.derive``): its rows R, the vertex entries each vertex
+    kind checks, and the bins its conservation and split sums read."""
+    m, n = ga.m, ga.n
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (m + 4 * n)))
+    # vertex entries checked, per vertex kind: all but s and d in
+    # conservation, the vertices with out-/in-edges in the split checks
+    checked = np.ones((4, 1, n), dtype=bool)
+    checked[:2, 0, [ga.source, ga.destination]] = False
+    checked[2:, 0] = ga.out_deg > 0, ga.in_deg > 0
+    checked.setflags(write=False)
+    if rows == 1:
+        # one row: a sum per direction over the engine's writable bins,
+        # with no copy of the edge arrays on the large graphs of R = 1
+        return rows, checked, (ga.head_bins, ga.tail_bins), (ga.tail_bins, ga.head_bins)
+    # bins of the sums over a block's [f_edge | b_edge] rows: row k sums its
+    # forward flows into k*n .. k*n + n - 1 and its backward flows R*n
+    # later, so the sums come out as (2, R, n). Conservation sums each edge
+    # flow at the vertex it reaches, the split check at the vertex it leaves
+    fwd = n * np.arange(rows)[:, None]
+    bwd = fwd + rows * n
+    reach = np.hstack((ga.heads + fwd, ga.tails + bwd)).ravel()
+    leave = np.hstack((ga.tails + fwd, ga.heads + bwd)).ravel()
+    return rows, checked, reach, leave
+
+
 class InvariantObserver:
     """Per-step checks of the update equations at 1e-12 relative tolerance:
 
@@ -383,16 +410,25 @@ class InvariantObserver:
     starts), on an initial state and on a repeated one. R fits the block
     into a fixed element budget (at most 32 rows); where one row fills it
     (R = 1 once m + 4n exceeds 2**15, as on G(1000, .1)), each pair is
-    checked on its call from the states' own buffers, with no copies.
+    checked on its call from the states' own buffers, with no copies. R and
+    the index arrays the checks read are built once per graph, and shared
+    by its ``with_leakage`` copies (``GraphArrays.derive``).
 
     Each kind of ``KINDS`` is checked on its own (K, m) or (K, n) view of
-    the K held pairs, with the reference tolerance entry by entry. A pair
-    with a violation appends, per failing kind and in ``KINDS`` order, the
-    entry with the largest relative error; on a stationary run's repeated
-    state the observer repeats the last stepped pair's entries. The
-    records, and their order, are those of checking each pair on its call:
-    the conservation and split sums are bincounts over per-row bins, which
-    sum every bin in edge order as a bincount of one pair does.
+    the K held pairs, with the reference tolerance entry by entry. The
+    recurrence and conservation expectations repeat the engine's float
+    operations in its order, so on states the engine stepped every compared
+    entry equals its expectation. Those kinds test equality first and take
+    the tolerance test only when an entry differs (a NaN differs from
+    everything): an equal entry cannot exceed a tolerance. The split sums
+    round differently from the engine's split, so the two split kinds take
+    the tolerance test on every block, together. A pair with a violation
+    appends, per failing kind and in ``KINDS`` order, the entry with the
+    largest relative error; on a stationary run's repeated state the
+    observer repeats the last stepped pair's entries. The records, and
+    their order, are those of checking each pair on its call: the
+    conservation and split sums are bincounts over per-row bins, which sum
+    every bin in edge order as a bincount of one pair does.
     """
 
     KINDS = ("recurrence", "conservation_f", "conservation_b", "split_f", "split_b")
@@ -414,31 +450,11 @@ class InvariantObserver:
             self.scale = 1.0 / schedule.alpha
         self.abs_floor = cfg.underflow_threshold * _FLUSH_FLOOR
         ga = graph.arrays
-        m, n = ga.m, ga.n
-        rows = self._rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (m + 4 * n)))
-        # vertex entries checked, per vertex kind: all but s and d in
-        # conservation, the vertices with out-/in-edges in the split checks
-        checked = self._checked = np.ones((4, 1, n), dtype=bool)
-        checked[:2, 0, [ga.source, ga.destination]] = False
-        checked[2:, 0] = ga.out_deg > 0, ga.in_deg > 0
-        if rows > 1:
-            # bins of the sums over a block's [f_edge | b_edge] rows: row k
-            # sums its forward flows into k*n .. k*n + n - 1 and its
-            # backward flows R*n later, so the sums come out as (2, R, n).
-            # Conservation sums each edge flow at the vertex it reaches,
-            # the split check at the vertex it leaves
-            fwd = n * np.arange(rows)[:, None]
-            bwd = fwd + rows * n
-            self._reach = np.hstack((ga.heads + fwd, ga.tails + bwd)).ravel()
-            self._leave = np.hstack((ga.tails + fwd, ga.heads + bwd)).ravel()
+        self._rows, self._checked, self._reach, self._leave = ga.derive(_block_index)
+        if self._rows > 1:
             # the buffers of the block's states: row 0 is the first pair's
             # prev, row k the state of pair k
-            self._states = np.empty((rows + 1, 3 * m + 2 * n))
-        else:
-            # one row: a sum per direction over the engine's writable bins,
-            # with no copy of the edge arrays on the large graphs of R = 1
-            self._reach = (ga.head_bins, ga.tail_bins)
-            self._leave = (ga.tail_bins, ga.head_bins)
+            self._states = np.empty((self._rows + 1, 3 * ga.m + 2 * ga.n))
         self._ts: List[int] = []  # t of each held pair
         self._tail: Optional["SystemState"] = None  # the state in the block's last row
         self._last: List[InvariantViolation] = []  # the last stepped pair's records
@@ -495,6 +511,23 @@ class InvariantObserver:
             return np.stack((np.bincount(fwd, row[:m], n), np.bincount(bwd, row[m:], n)))[:, None]
         return np.bincount(bins[: K * 2 * m], edges.ravel(), 2 * R * n).reshape(2, R, n)[:, :K]
 
+    def _failing(self, kinds, err, scale, compared) -> list:
+        """(kind, residual, worst entry per pair, pairs hit) for each of
+        ``kinds`` with a compared entry beyond tolerance; its residuals,
+        scales and compared entries are the kind's rows of ``err``,
+        ``scale`` and ``compared``, each of one (K, m) or (K, n) array per
+        kind."""
+        den = np.maximum(scale, 1e-30)
+        mag = np.abs(err)
+        bad = mag > np.maximum(self.rel_tol * den, self.abs_floor)
+        bad &= compared
+        return [
+            # the largest relative error; an entry not compared has none
+            (kind, e, (np.where(c, a, 0.0) / d).argmax(axis=1), hit)
+            for kind, e, a, d, c, hit in zip(kinds, err, mag, den, compared, bad.any(axis=2))
+            if hit.any()
+        ]
+
     def _check_rows(self, ts: List[int], before: np.ndarray, after: np.ndarray) -> None:
         """Check K = len(ts) pairs: row k of ``before`` and ``after`` is the
         buffer of pair k's prev and stepped state."""
@@ -509,29 +542,27 @@ class InvariantObserver:
         # the bincount branch (``GraphArrays.out_by_bincount``); elsewhere the
         # engine sums out-edges by ``reduceat``
         conserved = ga.surv * self._sums(self._reach, before[:, : 2 * m]) * self.scale
-        drift = vertex - conserved
-        split = self._sums(self._leave, after[:, : 2 * m]) - vertex
         # flushed entries are not compared: zero pheromone always, zero
         # vertex flow in conservation when a flush threshold is set
         checked = self._checked
-        flowing = checked[:2] & (vertex != 0.0) if self.cfg.underflow_threshold > 0.0 else checked
-        entries = [  # (kind, residual, scale, compared), in ``KINDS`` order
-            ("recurrence", p1 - expected, expected, p1 != 0.0),
-            ("conservation_f", drift[0], conserved[0], flowing[0]),
-            ("conservation_b", drift[1], conserved[1], flowing[1]),
-            ("split_f", split[0], vertex[0], checked[2]),
-            ("split_b", split[1], vertex[1], checked[3]),
-        ]
-        failing = []  # (kind, residual, worst entry per pair, pairs hit) per failing kind
-        for kind, err, scale, compared in entries:
-            den = np.maximum(scale, 1e-30)
-            mag = np.abs(err)
-            bad = mag > np.maximum(self.rel_tol * den, self.abs_floor)
-            bad &= compared
-            if bad.any():
-                # the largest relative error; an entry not compared has none
-                worst = (np.where(compared, mag, 0.0) / den).argmax(axis=1)
-                failing.append((kind, err, worst, bad.any(axis=1)))
+        stepped = p1 != 0.0
+        flowing = checked[:2]
+        if self.cfg.underflow_threshold > 0.0:
+            flowing = flowing & (vertex != 0.0)
+        # an entry equal to its expectation has residual 0 (or NaN, from
+        # inf - inf), which exceeds no tolerance (every one is >= 0): a kind
+        # whose compared entries all equal theirs has no violation
+        kinds = self.KINDS
+        failing = []
+        if ((p1 != expected) & stepped).any():
+            drift = (p1 - expected)[None]
+            failing += self._failing(kinds[:1], drift, expected[None], stepped[None])
+        if ((vertex != conserved) & flowing).any():
+            failing += self._failing(kinds[1:3], vertex - conserved, conserved, flowing)
+        # over a quarter of the split entries differ from their vertex flow by
+        # rounding, so an equality test would only add to the tolerance test
+        split = self._sums(self._leave, after[:, : 2 * m]) - vertex
+        failing += self._failing(kinds[3:], split, vertex, checked[2:])
         self._last = []
         for k, t in enumerate(ts if failing else ()):  # no pair fails if no kind does
             self._last = [

@@ -842,18 +842,28 @@ class _RepeatGate:
         return True
 
 
+# ``_hold`` adds the delivered amounts of at most this many steps per
+# accumulate call, so a long hold needs no array of its length
+_HOLD_ROWS = 4096
+
+
 def _hold(state: SystemState, k: int, *step_args, kernel: _Kernel) -> SystemState:
     """The state ``k`` steps after ``state``, which repeats its predecessor.
     Each of those steps maps its arrays to themselves and adds the same
     amounts to the delivered flow and the counters: one step from a copy
     with these at zero gives them exactly. The delivered amounts are added
-    one step at a time, so the sums round as stepping rounds them."""
+    one step at a time, left to right by ``np.add.accumulate`` over at most
+    ``_HOLD_ROWS`` steps at once, so the sums round as stepping rounds them."""
     zero = replace(state, delivered_forward=0.0, delivered_backward=0.0)
     unit = step(replace(zero, underflow_flushes=0, zero_split_events=0), *step_args, _kernel=kernel)
-    forward, backward = state.delivered_forward, state.delivered_backward
-    for _ in range(k):
-        forward += unit.delivered_forward
-        backward += unit.delivered_backward
+    sums = np.empty((min(k, _HOLD_ROWS) + 1, 2))  # row 0: the totals so far
+    sums[0] = state.delivered_forward, state.delivered_backward
+    for done in range(0, k, _HOLD_ROWS):
+        rows = sums[: min(k - done, _HOLD_ROWS) + 1]
+        rows[1:] = unit.delivered_forward, unit.delivered_backward
+        np.add.accumulate(rows, out=rows)
+        sums[0] = rows[-1]
+    forward, backward = sums[0].tolist()
     return replace(
         state,
         t=state.t + k,

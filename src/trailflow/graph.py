@@ -27,7 +27,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -63,6 +63,7 @@ def _vertex_index(v, n_vertices: int) -> int:
 
 
 Pairs = Union[Sequence[Tuple[int, int]], np.ndarray]
+_T = TypeVar("_T")
 
 
 def _pair_array(pairs: Pairs) -> np.ndarray:
@@ -353,6 +354,9 @@ class GraphArrays:
         self._seg_starts = self.out_ptr[self.with_out]
         self.no_out = np.flatnonzero(self.out_deg == 0)
         self.no_in = np.flatnonzero(self.in_deg == 0)
+        # what ``derive`` built, by builder: one dict for these arrays and
+        # every ``for_graph`` copy of them, whenever the copy was made
+        self._derived: dict = {}
 
     def _set_survival(self, leakage: np.ndarray) -> None:
         self.surv = 1.0 - np.asarray(leakage, dtype=float)
@@ -363,6 +367,16 @@ class GraphArrays:
         ga = copy.copy(self)
         ga._set_survival(g.leakage)
         return ga
+
+    def derive(self, build: Callable[["GraphArrays"], _T]) -> _T:
+        """``build(self)``, built on the first call for these arrays or a
+        ``for_graph`` copy of them and shared by all of them after; so
+        ``build`` must read no leakage. What it returns must not be
+        written."""
+        derived = self._derived
+        if build not in derived:
+            derived[build] = build(self)
+        return derived[build]
 
     @cached_property
     def pair(self) -> PairIndex:

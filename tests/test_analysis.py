@@ -693,6 +693,79 @@ def test_invariant_observer_states_written_after_their_calls(rows):
     assert obs.violations == ref.violations and ref.violations
 
 
+def test_invariant_observer_equality_test_falls_through_exactly(monkeypatch):
+    """One 32-pair block per case, with a flush threshold and without: a
+    clean chain, a pheromone 1 ulp off at row 9 (its kind takes the
+    tolerance test and records nothing), a vertex flow x(1 + 1e-9) at row
+    17 (it records) and a NaN pheromone in the last row. The records are
+    the reference's, in order, and the tolerance test sees exactly the
+    kinds with a compared entry unequal to its expectation, and the split
+    kinds, which it always sees."""
+    graph, schedule, _ = _block_case(32)
+    v = int(graph.heads[5])
+    kinds = InvariantObserver.KINDS
+    rec, cons, split = kinds[:1], kinds[1:3], kinds[3:]
+    cases = [  # (faults as (row, array, index, new value), kinds tested, records)
+        ([], [split], []),
+        ([(9, "p", 5, lambda x: np.nextafter(x, np.inf))], [rec, split], []),
+        (
+            [(17, "f_vertex", v, lambda x: x * (1.0 + 1e-9))],
+            [cons, split],
+            [(18, "conservation_f", v), (18, "split_f", v)],
+        ),
+        ([(31, "p", 5, lambda x: np.nan)], [rec, split], []),
+    ]
+    tested = []
+    failing = InvariantObserver._failing
+
+    def spy(self, kinds, *args):
+        tested.append(kinds)
+        return failing(self, kinds, *args)
+
+    monkeypatch.setattr(InvariantObserver, "_failing", spy)
+    for threshold in (1e-300, 0.0):
+        cfg = EngineConfig(delta=0.3, underflow_threshold=threshold, rescale_mode=RESCALE_BY_SOURCE)
+        states = [cur for _, cur in _stepped_pairs(graph, schedule, cfg, 32)]
+        assert states[18].f_vertex[v] > 0.0 and v not in (graph.source, graph.destination)
+        for faults, kinds, records in cases:
+            faulty = [st.copy() for st in states]
+            for row, name, i, value in faults:
+                arr = getattr(faulty[row + 1], name)
+                arr[i] = value(arr[i])
+            obs = InvariantObserver(graph, cfg, schedule)
+            ref = ReferenceInvariantObserver(graph, cfg, schedule)
+            tested.clear()
+            _feed([(cur.t, cur, prev) for prev, cur in zip(faulty, faulty[1:])], obs, ref)
+            assert obs.violations == ref.violations
+            assert [(r.t, r.kind, r.index) for r in ref.violations] == records
+            assert tested == kinds
+
+
+def test_invariant_observers_share_the_index_arrays_of_a_graph():
+    """Observers on one graph and on a ``with_leakage`` copy made before
+    either read one set of index arrays, and checking leaves them as they
+    were; a graph of another size has its own."""
+    graph, _ = plant_path(gen_grid(10, 10), 9)
+    graph.arrays
+    leaky = graph.with_leakage(np.full(graph.n_vertices, 0.1))
+    schedule = FlowSchedule.exponential(0.8, 0.6, 1.1)
+    cfg = EngineConfig(delta=0.3, rescale_mode=RESCALE_BY_SOURCE)
+    names = ("_checked", "_reach", "_leave")
+    first = InvariantObserver(graph, cfg, schedule)
+    again = InvariantObserver(graph, cfg, schedule)
+    tight = InvariantObserver(leaky, cfg, schedule, 1e-16)
+    for name in names:
+        assert getattr(first, name) is getattr(again, name) is getattr(tight, name)
+    saved = [getattr(first, name).tobytes() for name in names]
+    _feed(_chain(_stepped_pairs(leaky, schedule, cfg, 40)), tight)
+    assert tight.violations  # the tolerance test and its worst-entry search ran
+    assert [getattr(first, name).tobytes() for name in names] == saved
+    other, _, _ = _block_case(6)
+    sized = InvariantObserver(other, cfg, schedule)
+    for name in names:
+        assert getattr(sized, name) is not getattr(first, name)
+
+
 def test_branch_level_observer_levels_and_zero_totals():
     """Each level is the branch edge's pheromone over both branch edges at s
     (at d), the same float as numpy's p / (p + p), and NaN on a zero total."""

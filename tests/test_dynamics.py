@@ -15,7 +15,10 @@ from trailflow.dynamics import (
     RESCALE_BY_SOURCE,
     SystemState,
     _FLUSH_IN_PYTHON_MAX,
+    _HOLD_ROWS,
     _flush,
+    _hold,
+    _prepare,
     branch_state,
     init_state,
     run,
@@ -1024,6 +1027,36 @@ def test_run_does_not_call_a_skips_repeats_observer_for_held_t():
     assert last
     for t in range(ts + 1, T + 1):
         assert [replace(v, t=None) for v in inv.violations if v.t == t] == last
+
+
+@pytest.mark.parametrize("k", [1, 2, 1000, 2 * _HOLD_ROWS + 5])
+def test_hold_adds_the_delivered_amounts_as_stepping_does(k):
+    """``_hold`` gives the state k steps after one that repeats: its
+    delivered sums are those of stepping k times, bit for bit, where each
+    step delivers 0.1 forward and 0.9 backward and every addition rounds;
+    the longest hold spans three of its accumulate calls."""
+    graph = DirectedGraph(2, [(0, 1)], 0, 1)
+    sched = FlowSchedule.constant(0.1, 0.9)
+    cfg = EngineConfig(delta=0.5)
+    state = init_state(graph, 1.0, sched)
+    for _ in range(3):
+        state = step(state, graph, LIN, sched, cfg)
+    nxt = step(state, graph, LIN, sched, cfg)
+    assert nxt.buf[:3].tobytes() == state.buf[:3].tobytes()  # f_edge, b_edge, p repeat
+    zero = replace(state, delivered_forward=0.0, delivered_backward=0.0)
+    unit = step(zero, graph, LIN, sched, cfg)
+    assert (unit.delivered_forward, unit.delivered_backward) == (0.1, 0.9)
+    held = _hold(state, k, graph, LIN, sched, cfg, kernel=_prepare(graph, LIN, sched, cfg))
+    want = state
+    for _ in range(k):
+        want = step(want, graph, LIN, sched, cfg)
+    assert held.delivered_forward.hex() == want.delivered_forward.hex()
+    assert held.delivered_backward.hex() == want.delivered_backward.hex()
+    # the rounding shows: the long holds' sums are not one multiply-add
+    assert k < 1000 or want.delivered_forward != state.delivered_forward + k * 0.1
+    assert (held.t, held.underflow_flushes, held.zero_split_events) == (
+        want.t, want.underflow_flushes, want.zero_split_events
+    )
 
 
 def test_branch_state_carries_flows_through_survivals():
