@@ -38,7 +38,7 @@ from .dynamics import (
     run,
 )
 from .graph import Path, TwoPathGraph, build_two_path_survival
-from .rules import DEFAULT_GRID, RuleError, RuleFunction, RuleLinearAtResolution, _eval_grid
+from .rules import DEFAULT_GRID, RuleError, RuleFunction, _eval_grid
 
 CASE_BELOW = "below_diagonal"  # g(r+s) < r+s on (0, eps]
 CASE_ABOVE = "above_diagonal"  # g(r+s) > r+s on (0, eps]
@@ -66,9 +66,7 @@ def find_nonlinearity(rule: RuleFunction) -> Nonlinearity:
     interior = slice(1, grid - 1)
     mags = np.abs(h[interior])
     if float(mags.max(initial=0.0)) <= 1e-8:
-        raise RuleLinearAtResolution(
-            "rule is indistinguishable from the linear rule at grid resolution"
-        )
+        raise RuleError("rule is indistinguishable from the linear rule at grid resolution")
     idx = 1 + int(np.argmax(mags))
     r = float(xs[idx])
     below = h[idx] < 0.0
@@ -349,18 +347,17 @@ class FlowBoundObserver:
 
 
 class TargetConvergenceWatcher:
-    """Sparse check, every 100th step, that the dynamics never
-    epsilon-converge to a target path."""
+    """Sparse check, every 100th step, that the dynamics never converge (at
+    epsilon 0.01) to a target path."""
 
-    def __init__(self, graph, target: Path, epsilon: float) -> None:
+    def __init__(self, graph, target: Path) -> None:
         self.graph = graph
         self.target = target
-        self.epsilon = epsilon
         self.seen_at: Optional[int] = None
 
     def __call__(self, t, state, prev) -> None:
         if self.seen_at is None and t % 100 == 0:
-            path = detect_convergence(state, self.graph, self.epsilon)
+            path = detect_convergence(state, self.graph, 0.01)
             if path is not None and path == self.target:
                 self.seen_at = t
 
@@ -374,7 +371,6 @@ class NonconvergenceReport:
     first_violation_t: Optional[int]
     first_violation_value: Optional[float]
     target_convergence_at: Optional[int] = None
-    flow_bounds_ok: bool = True
     flow_bound_violations: int = 0
 
 
@@ -403,7 +399,6 @@ def verify_nonconvergence(
         first_violation_t=first_t,
         first_violation_value=first_v,
         target_convergence_at=target_convergence_at,
-        flow_bounds_ok=not flow_bound_violations,
         flow_bound_violations=flow_bound_violations,
     )
 
@@ -420,7 +415,7 @@ def run_counterexample(
     bound, direction = cx.config.bound, cx.direction
     obs = BranchLevelObserver(cx.two_path, cx.watch_branch)
     flows = FlowBoundObserver(cx.two_path, cx.schedule, cx.watch_branch, bound, direction)
-    watcher = TargetConvergenceWatcher(graph, cx.two_path.top, 0.01)
+    watcher = TargetConvergenceWatcher(graph, cx.two_path.top)
     trace = run(cx.state, graph, rule, cx.schedule, cfg, T, observers=[obs, flows, watcher])
     report = verify_nonconvergence(
         obs, bound, direction,
@@ -507,15 +502,16 @@ def unidirectional_swap_demo(
 
 def swap_demo_batch(
     two_path: TwoPathGraph,
-    rule: DecisionRule,
     n_seeds: int,
     base_seed: int = 0,
     T: int = 200,
 ) -> Tuple[List[SwapDemoReport], float]:
-    """Seeded non-degenerate initial pheromone pairs; returns the reports and
-    the flip rate. Raises ConfigError unless n_seeds >= 1."""
+    """Swap demos of the linear rule on seeded non-degenerate initial
+    pheromone pairs; returns the reports and the flip rate. Raises
+    ConfigError unless n_seeds >= 1."""
     if n_seeds < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n_seeds}")
+    rule = DecisionRule.linear()
     reports = []
     flips = 0
     for i in range(n_seeds):

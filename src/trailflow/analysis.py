@@ -62,8 +62,6 @@ def normalized_levels(state: "SystemState", graph: DirectedGraph) -> NormalizedL
     ga, p = graph.arrays, state.p
     fwd = _direction_totals(ga, p, True)[ga.tail_bins]
     bwd = _direction_totals(ga, p, False)[ga.head_bins]
-    if np.count_nonzero(fwd) == fwd.size and np.count_nonzero(bwd) == bwd.size:
-        return NormalizedLevels(p / fwd, p / bwd)
     with np.errstate(invalid="ignore"):
         return NormalizedLevels(p / fwd, p / bwd)
 
@@ -180,33 +178,26 @@ class PotentialTrace:
     r_min: List[float] = field(default_factory=list)
 
 
-def update_potential(
-    trace: PotentialTrace, state: "SystemState", two_path: TwoPathGraph
-) -> PotentialTrace:
-    """Push the current branch ratios and recompute the window minimum."""
-    p = state.p
-    s_top, d_top = two_path.branch_eids("top")
-    s_bottom, d_bottom = two_path.branch_eids("bottom")
-    trace.r_s.append(ratio(float(p[s_top]), float(p[s_bottom])))
-    trace.r_d.append(ratio(float(p[d_top]), float(p[d_bottom])))
-    L = trace.window
-    if len(trace.r_s) < L:
-        trace.r_min.append(math.nan)
-        return trace
-    samples = [x for series in (trace.r_s, trace.r_d) for x in series[-L:] if not math.isnan(x)]
-    trace.r_min.append(min(samples) if samples else math.nan)
-    return trace
-
-
 class PotentialObserver:
-    """Run observer recording the potential of a two-path run."""
+    """Run observer recording the potential of a two-path run: each call
+    pushes the current branch ratios and the window minimum."""
 
     def __init__(self, two_path: TwoPathGraph) -> None:
-        self.two_path = two_path
+        self.top_eids = two_path.branch_eids("top")
+        self.bottom_eids = two_path.branch_eids("bottom")
         self.trace = PotentialTrace(window=two_path.window)
 
     def __call__(self, t, state, prev) -> None:
-        update_potential(self.trace, state, self.two_path)
+        p, trace = state.p, self.trace
+        (s_top, d_top), (s_bottom, d_bottom) = self.top_eids, self.bottom_eids
+        trace.r_s.append(ratio(float(p[s_top]), float(p[s_bottom])))
+        trace.r_d.append(ratio(float(p[d_top]), float(p[d_bottom])))
+        L = trace.window
+        if len(trace.r_s) < L:
+            trace.r_min.append(math.nan)
+            return
+        samples = [x for series in (trace.r_s, trace.r_d) for x in series[-L:] if not math.isnan(x)]
+        trace.r_min.append(min(samples) if samples else math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +221,6 @@ class TheoremConstants:
     gamma_dl: float
     gamma_l: float
     T1: float
-    alpha_surv: float
-    beta_surv: float
 
 
 def warmup_time(p_init_max: float, injected: float, delta: float) -> float:
@@ -267,8 +256,6 @@ def theorem_constants(
         gamma_dl=gamma_dl,
         gamma_l=min(gamma_sl, gamma_dl),
         T1=warmup_time(p_init_max, f_s + b_d, delta),
-        alpha_surv=surv_top,
-        beta_surv=surv_bottom,
     )
 
 
@@ -304,16 +291,12 @@ class GrowthViolation:
     required: float
 
 
-def sweep_potential_monotone(
-    trace: PotentialTrace, t_min: Optional[int] = None
-) -> List[GrowthViolation]:
+def sweep_potential_monotone(trace: PotentialTrace) -> List[GrowthViolation]:
     """All monotonicity violations r_min(t+1) < r_min(t)(1 - 1e-12) for
-    t >= t_min (default: the window length)."""
-    L = trace.window
-    start = L if t_min is None else t_min
+    t >= the window length."""
     out: List[GrowthViolation] = []
     r = trace.r_min
-    for t in range(start, len(r) - 1):
+    for t in range(trace.window, len(r) - 1):
         a, b = r[t], r[t + 1]
         if math.isnan(a) or math.isnan(b):
             continue
@@ -416,13 +399,19 @@ class InvariantObserver:
 
     Each kind of ``KINDS`` is checked on its own (K, m) or (K, n) view of
     the K held pairs, with the reference tolerance entry by entry. The
-    recurrence and conservation expectations repeat the engine's float
-    operations in its order, so on states the engine stepped every compared
-    entry equals its expectation. Those kinds test equality first and take
-    the tolerance test only when an entry differs (a NaN differs from
-    everything): an equal entry cannot exceed a tolerance. The split sums
-    round differently from the engine's split, so the two split kinds take
-    the tolerance test on every block, together. A pair with a violation
+    recurrence and conservation kinds test equality first and take the
+    tolerance test only when an entry differs (a NaN differs from
+    everything): an equal entry cannot exceed a tolerance. The recurrence
+    and forward conservation expectations repeat the engine's float
+    operations in its order, so on stepped states no entry differs.
+    Backward conservation sums by bincount, as the engine does only where
+    its out-sums take the bincount branch (``GraphArrays.out_by_bincount``:
+    two-path and planted graphs). On tail-sorted graphs the engine sums
+    out-edges by ``reduceat``, which rounds differently at a vertex with
+    three or more of them, so on G(n, p) and banded graphs backward
+    conservation takes the tolerance test in nearly every block. The split
+    sums round differently from the engine's split, so the two split kinds
+    take the tolerance test on every block, together. A pair with a violation
     appends, per failing kind and in ``KINDS`` order, the entry with the
     largest relative error; on a stationary run's repeated state the
     observer repeats the last stepped pair's entries. The records, and
@@ -537,10 +526,10 @@ class InvariantObserver:
         p1 = after[:, 2 * m : 3 * m]
         vertex = after[:, 3 * m :].reshape(len(ts), 2, n).transpose(1, 0, 2)  # stepped f, b
         expected = (p0 + f0 + b0) * self.cfg.delta * self.scale
-        # conservation sums are bincounts, the engine's kernel for forward
-        # aggregation, and for backward aggregation where its out-sums take
-        # the bincount branch (``GraphArrays.out_by_bincount``); elsewhere the
-        # engine sums out-edges by ``reduceat``
+        # conservation sums are bincounts, as the engine's forward sums are
+        # and, where ``GraphArrays.out_by_bincount`` holds, its backward
+        # sums; its ``reduceat`` backward sums round differently at vertices
+        # with three or more out-edges
         conserved = ga.surv * self._sums(self._reach, before[:, : 2 * m]) * self.scale
         # flushed entries are not compared: zero pheromone always, zero
         # vertex flow in conservation when a flush threshold is set

@@ -224,7 +224,7 @@ def _cmd_counterexample(args) -> int:
         "constraint": cx.config.constraint,
         "horizon": horizon,
         "invariant_held": report.ok,
-        "flow_bounds_held": report.flow_bounds_ok,
+        "flow_bounds_held": report.flow_bound_violations == 0,
         "first_violation_t": report.first_violation_t,
         "positive_control_converged": str(control.converged_path)
         if control.converged_path
@@ -245,11 +245,8 @@ def _cmd_counterexample(args) -> int:
 
 def _cmd_swap_demo(args) -> int:
     two_path = build_two_path(args.m, args.n, [0.0] * (args.m - 1), [0.0] * (args.n - 1))
-    rule = DecisionRule.linear()
     if args.seeds:
-        reports, rate = swap_demo_batch(
-            two_path, rule, args.seeds, base_seed=args.seed, T=args.steps
-        )
+        reports, rate = swap_demo_batch(two_path, args.seeds, base_seed=args.seed, T=args.steps)
         doc = {
             "mode": "batch",
             "seeds": args.seeds,
@@ -259,7 +256,7 @@ def _cmd_swap_demo(args) -> int:
         ok = rate == 1.0
     else:
         rep = unidirectional_swap_demo(
-            two_path, rule, args.p_top, args.p_bottom, T=args.steps
+            two_path, DecisionRule.linear(), args.p_top, args.p_bottom, T=args.steps
         )
         doc = {
             "mode": "single",

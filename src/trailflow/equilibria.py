@@ -177,15 +177,13 @@ def stability_experiment(
     eps_target: float,
     T_max: int,
     two_path: TwoPathGraph,
-    f_s: float = 1.0,
-    b_d: float = 1.0,
-    delta: float = 0.5,
     seed: int = 0,
     series_path: Optional[str] = None,
 ) -> StabilityReport:
-    """Perturb the equilibrium at r by ``eps`` and report the first time all
-    branch normalized levels and edge flows are within ``eps_target`` of the
-    equilibrium, and whether they stay there through T_max.
+    """Perturb the equilibrium at r (injections f_s = b_d = 1, δ = 0.5) by
+    ``eps`` and report the first time all branch normalized levels and edge
+    flows are within ``eps_target`` of the equilibrium, and whether they
+    stay there through T_max.
 
     The run records each state it steps to, and one numpy pass over them
     gives every deviation after the run (``_deviations``). The schedule is
@@ -200,13 +198,13 @@ def stability_experiment(
         raise ValueError("eps_target must be >= 0")
     if T_max < 0:
         raise ValueError("T_max must be >= 0")
-    eq = equilibrium_state(two_path, rule, r, f_s, b_d, delta)
+    eq = equilibrium_state(two_path, rule, r, 1.0, 1.0, 0.5)
     state = perturb(eq, eps, seed) if eps > 0.0 else eq
     m = two_path.graph.n_edges
     observe, rows = _state_recorder()
     if T_max:
-        decision, sched = DecisionRule.general(rule), FlowSchedule.constant(f_s, b_d)
-        trace = run(state, two_path.graph, decision, sched, EngineConfig(delta), T_max, [observe])
+        decision, sched = DecisionRule.general(rule), FlowSchedule.constant(1.0, 1.0)
+        trace = run(state, two_path.graph, decision, sched, EngineConfig(0.5), T_max, [observe])
     else:  # ``run`` takes at least one step
         observe(0, state, None)
         trace = RunTrace(warnings=state.warnings)

@@ -33,10 +33,6 @@ class RuleError(ValueError):
     """Raised for invalid rule definitions or rule inputs."""
 
 
-class RuleLinearAtResolution(RuleError):
-    """The rule is indistinguishable from the identity at grid resolution."""
-
-
 @dataclass(frozen=True)
 class RuleFunction:
     """A member of the general rule family: g: [0, 1/2] -> [0, 1]."""

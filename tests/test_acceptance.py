@@ -211,7 +211,7 @@ def test_A5_leakage_counterexample():
 
 def test_A6_unidirectional_swap_and_flow_counterexample():
     tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
-    reports, rate = swap_demo_batch(tp, LIN, 20, base_seed=0)
+    reports, rate = swap_demo_batch(tp, 20, base_seed=0)
     assert rate == 1.0, f"swap flip rate {rate}"
     assert all(not r.degenerate for r in reports)
 

@@ -30,7 +30,6 @@ from trailflow.graph import build_two_path, build_two_path_survival, path_leakag
 from trailflow.rules import (
     RuleError,
     RuleFunction,
-    RuleLinearAtResolution,
     linear_rule,
     power_rule,
     sine_rule,
@@ -52,7 +51,7 @@ def test_find_nonlinearity_cases():
     nl2 = find_nonlinearity(power_rule(0.5))
     assert nl2.case == CASE_ABOVE
     assert nl2.r == pytest.approx(0.125)
-    with pytest.raises(RuleLinearAtResolution):
+    with pytest.raises(RuleError, match="indistinguishable from the linear rule"):
         find_nonlinearity(linear_rule())
 
 
@@ -92,7 +91,7 @@ def test_leakage_counterexample_rejects_violating_survival():
             power_rule(2), TP23, 1.0, 1.0, r=0.25, eps=0.1,
             surv_top=0.99, surv_bottom=0.95,  # ratio 1.042 > 1.02625
         )
-    with pytest.raises(RuleLinearAtResolution):
+    with pytest.raises(RuleError, match="indistinguishable from the linear rule"):
         leakage_counterexample(linear_rule(), TP23, 1.0, 1.0)
 
 
@@ -124,7 +123,7 @@ def test_leakage_counterexample_invariant_short_run(rule):
     cx = leakage_counterexample(rule, TP23, 1.0, 1.0)
     report, trace, obs = run_counterexample(cx, 3000)
     assert report.ok, (rule.name, report)
-    assert report.flow_bounds_ok
+    assert report.flow_bound_violations == 0
     assert report.target_convergence_at is None
 
 
@@ -162,7 +161,7 @@ def test_flow_counterexample_preconditions():
     leaky = build_two_path(2, 3, [0.1], [0.0, 0.0])
     with pytest.raises(ConfigError):
         flow_counterexample(power_rule(2), leaky, 1.0)  # leakage must be zero
-    with pytest.raises(RuleLinearAtResolution):
+    with pytest.raises(RuleError, match="indistinguishable from the linear rule"):
         flow_counterexample(linear_rule(), TP23, 1.0)
     # the smallest t = 0 flow bound, f0 (r + eps), must clear the invariant
     # check's floor (1e6 x the 1e-300 underflow threshold), or the bounds
@@ -251,7 +250,7 @@ def test_target_convergence_watcher_records_the_hit():
     this graph, and the report is then not ok whatever the level bound."""
     tp = build_two_path_survival(2, 3, 0.97, 0.95)
     sched = FlowSchedule.constant(1.0, 1.0)
-    watcher = TargetConvergenceWatcher(tp.graph, tp.top, 0.01)
+    watcher = TargetConvergenceWatcher(tp.graph, tp.top)
     obs = BranchLevelObserver(tp, "top")
     state = init_state(tp.graph, 1.0, sched, LIN)
     run(state, tp.graph, LIN, sched, EngineConfig(delta=0.5), 3000, observers=[obs, watcher])
@@ -290,7 +289,7 @@ def test_swap_demo_flip_independent_of_downstream():
 
 
 def test_swap_batch_full_flip_rate():
-    reports, rate = swap_demo_batch(TP23, LIN, 20, base_seed=0)
+    reports, rate = swap_demo_batch(TP23, 20, base_seed=0)
     assert rate == 1.0
     assert all(not r.degenerate for r in reports)
 
@@ -298,7 +297,7 @@ def test_swap_batch_full_flip_rate():
 @pytest.mark.parametrize("n_seeds", [0, -1])
 def test_swap_batch_needs_a_seed(n_seeds):
     with pytest.raises(ConfigError, match="n_seeds must be >= 1"):
-        swap_demo_batch(TP23, LIN, n_seeds)
+        swap_demo_batch(TP23, n_seeds)
 
 
 def test_unidirectional_source_trajectory_independent_of_downstream():

@@ -17,7 +17,6 @@ from trailflow.analysis import (
     sweep_potential_growth,
     sweep_potential_monotone,
     theorem_constants,
-    update_potential,
 )
 from trailflow.dynamics import (
     RESCALE_BY_SOURCE,
@@ -232,42 +231,41 @@ def test_ratio_markers():
     assert math.isnan(ratio(0.0, 0.0))
 
 
-def test_update_potential_window_min():
-    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
-    trace = PotentialTrace(window=2)
+def test_potential_observer_window_min():
+    tp = build_two_path(2, 2, [0.0], [0.0])  # window 2
+    pot = PotentialObserver(tp)
     # hand-built states: push ratios (2,2.5) then (3,4); window min = 2
-    st = make_state(tp, [2.0, 2.5, 1.0, 1.0, 1.0])  # r_s=2, r_d=2.5
-    update_potential(trace, st, tp)
-    assert math.isnan(trace.r_min[0])
-    st2 = make_state(tp, [3.0, 4.0, 1.0, 1.0, 1.0])  # r_s=3, r_d=4
-    update_potential(trace, st2, tp)
-    assert trace.r_min[1] == 2.0
+    pot(0, make_state(tp, [2.0, 2.5, 1.0, 1.0]), None)  # r_s=2, r_d=2.5
+    assert math.isnan(pot.trace.r_min[0])
+    pot(1, make_state(tp, [3.0, 4.0, 1.0, 1.0]), None)  # r_s=3, r_d=4
+    assert pot.trace.r_min[1] == 2.0
 
 
-def test_update_potential_constant_ratio():
-    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
-    trace = PotentialTrace(window=3)
+def test_potential_observer_constant_ratio():
+    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])  # window 3
+    pot = PotentialObserver(tp)
     st = make_state(tp, [2.0, 2.0, 1.0, 1.0, 1.0])
-    for _ in range(5):
-        update_potential(trace, st, tp)
-    assert trace.r_min[-1] == 2.0
+    for t in range(5):
+        pot(t, st, None)
+    assert pot.trace.r_min[-1] == 2.0
 
 
-def test_update_potential_all_infinite_window_is_infinite():
-    tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
+def test_potential_observer_all_infinite_window_is_infinite():
+    tp = build_two_path(2, 2, [0.0], [0.0])  # window 2
     # no pheromone on the bottom branch at either end: r_s = r_d = +inf
-    st = make_state(tp, [1.0, 1.0, 0.0, 1.0, 0.0])
-    trace = PotentialTrace(window=2)
-    for _ in range(3):
-        update_potential(trace, st, tp)
+    st = make_state(tp, [1.0, 1.0, 0.0, 0.0])
+    pot = PotentialObserver(tp)
+    for t in range(3):
+        pot(t, st, None)
+    trace = pot.trace
     assert trace.r_s[-1] == trace.r_d[-1] == math.inf
     assert math.isnan(trace.r_min[0])
     assert trace.r_min[1:] == [math.inf, math.inf]
     # and with no pheromone on any branch edge every sample is 0/0: NaN
-    nan_trace = PotentialTrace(window=2)
-    for _ in range(3):
-        update_potential(nan_trace, make_state(tp, [0.0, 0.0, 0.0, 1.0, 0.0]), tp)
-    assert all(math.isnan(x) for x in nan_trace.r_min)
+    nan_pot = PotentialObserver(tp)
+    for t in range(3):
+        nan_pot(t, make_state(tp, [0.0, 0.0, 0.0, 0.0]), None)
+    assert all(math.isnan(x) for x in nan_pot.trace.r_min)
 
 
 # -- theorem constants ------------------------------------------------------------
@@ -337,9 +335,8 @@ def test_potential_sweeps_flag_fault_injection():
     trace = PotentialTrace(window=2)
     trace.r_min = [1.0, 1.0, 2.0, 1.5, 3.0]  # decreases at t=2 -> 3
     tc = theorem_constants(1.0, 1.0, 0.5, 1.0, 0.9, 1.0)
-    viols = sweep_potential_monotone(trace, t_min=0)
+    viols = sweep_potential_monotone(trace)  # from t = window
     assert [(v.t, v.kind, v.value, v.required) for v in viols] == [(2, "monotonic", 1.5, 2.0)]
-    assert [v.t for v in sweep_potential_monotone(trace)] == [2]  # from t = window
     assert sweep_potential_growth(trace, tc) == []  # r_min(4) = 3 >= gamma_l r_min(2)
     trace.window = 1
     growth = sweep_potential_growth(trace, tc)

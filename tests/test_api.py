@@ -9,8 +9,14 @@ out-edge sums are ``GraphArrays.tail_sums``, a rule's fixed points are
 is the identity at grid resolution), the closed-form equilibrium is
 ``equilibrium_state``, the linear rule's edge shares are
 ``normalized_levels``, a branch observer's levels are the lists its calls
-append to, and a rule is called as ``rule.fn``."""
+append to, a rule is called as ``rule.fn``, the ratio potential is pushed
+by ``PotentialObserver`` calls, and a rule linear at grid resolution
+raises a plain ``RuleError``. A report holds no field that repeats another
+or echoes an input: the CLI derives ``flow_bounds_held`` from
+``flow_bound_violations``, and a ``TheoremConstants`` does not repeat the
+survivals it was built from."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -23,6 +29,7 @@ FIXED_SETTINGS = [
     (analysis.PheromoneBoundObserver, "slack"),
     (analysis.sweep_potential_growth, "slack"),
     (analysis.sweep_potential_monotone, "rel_tol"),
+    (analysis.sweep_potential_monotone, "t_min"),
     (adversarial.run_counterexample, "check_every"),
     (adversarial.run_counterexample, "epsilon"),
     (adversarial.run_positive_control, "epsilon"),
@@ -31,7 +38,12 @@ FIXED_SETTINGS = [
     (adversarial.unidirectional_swap_demo, "other_pheromone"),
     (adversarial.unidirectional_swap_demo, "epsilon"),
     (adversarial.swap_demo_batch, "delta"),
+    (adversarial.swap_demo_batch, "rule"),
     (adversarial.TargetConvergenceWatcher, "every"),
+    (adversarial.TargetConvergenceWatcher, "epsilon"),
+    (equilibria.stability_experiment, "f_s"),
+    (equilibria.stability_experiment, "b_d"),
+    (equilibria.stability_experiment, "delta"),
     (rules.stability_margin, "samples"),
     (adversarial.find_nonlinearity, "grid"),
     (graph.DirectedGraph.to_dot, "name"),
@@ -55,6 +67,8 @@ REPEATED_ACCESSORS = [
     (equilibria, "EquilibriumSpec"),
     (dynamics, "split_fraction"),
     (analysis.BranchLevelObserver, "levels"),
+    (analysis, "update_potential"),
+    (rules, "RuleLinearAtResolution"),
     # an instance: ``hasattr`` finds ``type.__call__`` on every class
     (rules.linear_rule(), "__call__"),
 ]
@@ -80,3 +94,18 @@ def test_fixed_setting_is_no_parameter(owner, name):
 def test_repeated_accessor_is_gone(owner, name):
     assert not hasattr(owner, name)
 
+
+# ``hasattr`` is false on a dataclass for any field without a default, so
+# the fields themselves are listed
+REMOVED_FIELDS = [
+    (adversarial.NonconvergenceReport, "flow_bounds_ok"),
+    (analysis.TheoremConstants, "alpha_surv"),
+    (analysis.TheoremConstants, "beta_surv"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name", REMOVED_FIELDS, ids=[f"{o.__qualname__}.{n}" for o, n in REMOVED_FIELDS]
+)
+def test_removed_report_field_is_gone(owner, name):
+    assert name not in {f.name for f in dataclasses.fields(owner)}

@@ -725,9 +725,9 @@ def test_forward_repeat_split_equals_gather_form():
 
 
 def test_linear_split_fast_path_sets_no_error_state(monkeypatch):
-    """On a planted grid with positive totals no split, level or monitor
-    call enters ``np.errstate`` or warns: the one ``np.errstate`` entered
-    is the run's, around its whole stepping loop."""
+    """On a planted grid with positive totals no split or monitor call
+    enters ``np.errstate`` or warns: the one ``np.errstate`` entered is the
+    run's, around its whole stepping loop."""
     entered = []
     real_errstate = np.errstate
 
@@ -743,7 +743,6 @@ def test_linear_split_fast_path_sets_no_error_state(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run(state, g, LIN, sched, cfg, 200, [InvariantObserver(g, cfg, sched)])
-        normalized_levels(trace.final_state, g)
     assert trace.failure is None and trace.final_state.zero_split_events == 0
     assert entered == [{"over": "ignore"}]
 

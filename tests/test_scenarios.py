@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -974,6 +975,26 @@ def test_cli_counterexample_kinds(kind, capsys):
     assert set(doc) == COUNTEREXAMPLE_KEYS
     assert doc["kind"] == kind and doc["horizon"] == 2000
     assert doc["invariant_held"] is True and doc["flow_bounds_held"] is True
+    assert doc["first_violation_t"] is None
+    assert doc["positive_control_converged"] == "0>1>4"
+
+
+def test_cli_counterexample_flow_bound_violations_exit_1(capsys, monkeypatch):
+    """The CLI derives ``flow_bounds_held`` from the report's violation
+    count: a run that broke edge-flow bounds (stubbed, as no constructed
+    counterexample breaks one) prints false and exits 1, although the
+    linear control converges."""
+
+    def broken(cx, T, **kwargs):
+        report, trace, levels = adversarial.run_counterexample(cx, T, **kwargs)
+        return dataclasses.replace(report, ok=False, flow_bound_violations=3), trace, levels
+
+    monkeypatch.setattr("trailflow.cli.run_counterexample", broken)
+    argv = ["counterexample", "--rule", '{"kind":"power","k":2}', "--kind", "leakage",
+            "--steps", "300"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["flow_bounds_held"] is False and doc["invariant_held"] is False
     assert doc["first_violation_t"] is None
     assert doc["positive_control_converged"] == "0>1>4"
 
