@@ -292,9 +292,12 @@ class FlowBoundObserver:
     against schedule(t - age) * q * survival-prefix and every backward flow
     against the suffix version; the other branch carries the complementary
     (1-q) lower/upper bounds, each with relative slack ``_PROOF_SLACK``.
-    Injection before t=0 is treated as the t=0 value. Under a constant
-    schedule no bound depends on t, so on a repeated state
-    (``prev is state``) the last call's records repeat with the new t.
+    Injection before t=0 is treated as the t=0 value. An edge that breaks a
+    bound is recorded once per step as (t, edge, direction, value, bound):
+    the direction that broke ("forward", also when both did, or
+    "backward"), its flow and its bound. Under a constant schedule no bound
+    depends on t, so on a repeated state (``prev is state``) the last
+    call's records repeat with the new t.
     """
 
     def __init__(
@@ -316,8 +319,8 @@ class FlowBoundObserver:
             k = len(eids)
             for i, eid in enumerate(eids):
                 self.spec.append((eid, i, k - 1 - i, prefix[i], suffix[i], level, upper))
-        self.violations: List[Tuple[int, int, float, float]] = []
-        self._last: List[Tuple[int, int, float, float]] = []  # the last computed call's records
+        self.violations: List[Tuple[int, int, str, float, float]] = []
+        self._last: List[Tuple[int, int, str, float, float]] = []  # the last computed call's records
 
     def bounds(self, t: int) -> List[Tuple[int, float, float, bool]]:
         """(eid, forward bound, backward bound, upper?) of every branch edge at step t."""
@@ -337,11 +340,13 @@ class FlowBoundObserver:
         for eid, fb, bb, upper in self.bounds(t):
             f, b = float(fe[eid]), float(be[eid])
             if upper:
-                if f > fb * (1.0 + _PROOF_SLACK) or b > bb * (1.0 + _PROOF_SLACK):
-                    found.append((t, eid, f, fb))
+                fwd, bwd = f > fb * (1.0 + _PROOF_SLACK), b > bb * (1.0 + _PROOF_SLACK)
             else:
-                if f < fb * (1.0 - _PROOF_SLACK) or b < bb * (1.0 - _PROOF_SLACK):
-                    found.append((t, eid, f, fb))
+                fwd, bwd = f < fb * (1.0 - _PROOF_SLACK), b < bb * (1.0 - _PROOF_SLACK)
+            if fwd:
+                found.append((t, eid, "forward", f, fb))
+            elif bwd:
+                found.append((t, eid, "backward", b, bb))
         self._last = found
         self.violations.extend(found)
 
@@ -372,6 +377,7 @@ class NonconvergenceReport:
     first_violation_value: Optional[float]
     target_convergence_at: Optional[int] = None
     flow_bound_violations: int = 0
+    first_flow_violation: Optional[Tuple[int, int, str, float, float]] = None
 
 
 def verify_nonconvergence(
@@ -381,12 +387,14 @@ def verify_nonconvergence(
     *,
     target_convergence_at: Optional[int] = None,
     flow_bound_violations: int = 0,
+    first_flow_violation: Optional[Tuple[int, int, str, float, float]] = None,
 ) -> NonconvergenceReport:
     """Check the branch level bound, with slack ``_PROOF_SLACK``, at both
     graph ends over the recorded steps (<= for AT_MOST, >= for AT_LEAST).
     A NaN level compares false, so it never violates. The report is ok only
     if, besides, the run never converged to the target and broke no
-    edge-flow bound."""
+    edge-flow bound: ``flow_bound_violations`` counts the broken flow bounds
+    and ``first_flow_violation`` is the first ``FlowBoundObserver`` record."""
     limit = bound + _PROOF_SLACK if direction == AT_MOST else bound - _PROOF_SLACK
     bad = (lambda v: v > limit) if direction == AT_MOST else (lambda v: v < limit)
     pairs = enumerate(zip(levels.norm_s, levels.norm_d))
@@ -400,6 +408,7 @@ def verify_nonconvergence(
         first_violation_value=first_v,
         target_convergence_at=target_convergence_at,
         flow_bound_violations=flow_bound_violations,
+        first_flow_violation=first_flow_violation,
     )
 
 
@@ -419,7 +428,9 @@ def run_counterexample(
     trace = run(cx.state, graph, rule, cx.schedule, cfg, T, observers=[obs, flows, watcher])
     report = verify_nonconvergence(
         obs, bound, direction,
-        target_convergence_at=watcher.seen_at, flow_bound_violations=len(flows.violations),
+        target_convergence_at=watcher.seen_at,
+        flow_bound_violations=len(flows.violations),
+        first_flow_violation=flows.violations[0] if flows.violations else None,
     )
     return report, trace, obs
 
@@ -472,8 +483,6 @@ def unidirectional_swap_demo(
     schedule = FlowSchedule.constant(1.0, 0.0)
 
     def one(p1: float, p2: float) -> Tuple[Optional[str], bool, Optional[Path]]:
-        total = p1 + p2
-        level = p1 / total if total > 0 else math.nan
         p = np.ones(g.n_edges)
         p[s_top] = p1
         p[s_bottom] = p2
@@ -482,6 +491,7 @@ def unidirectional_swap_demo(
         state = init_state(g, p, schedule, rule)
         obs = BranchLevelObserver(two_path, "top")
         trace = run(state, g, rule, schedule, EngineConfig(delta=0.5), T, observers=[obs])
+        level = obs.norm_s[0]  # the t = 0 source level
         held = all(abs(x - level) <= 1e-12 for x in obs.norm_s)
         side = level - 0.5  # NaN compares false: no branch
         branch = "top" if side >= 1e-12 else "bottom" if side <= -1e-12 else None

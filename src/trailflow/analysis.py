@@ -519,7 +519,9 @@ class InvariantObserver:
 
     def _check_rows(self, ts: List[int], before: np.ndarray, after: np.ndarray) -> None:
         """Check K = len(ts) pairs: row k of ``before`` and ``after`` is the
-        buffer of pair k's prev and stepped state."""
+        buffer of pair k's prev and stepped state. A further kind is one
+        more ``_failing`` call, behind an equality test where its
+        expectation repeats the engine's floats."""
         ga = self.graph.arrays
         m, n = ga.m, ga.n
         f0, b0, p0 = before[:, :m], before[:, m : 2 * m], before[:, 2 * m : 3 * m]

@@ -213,6 +213,9 @@ def _cmd_counterexample(args) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
     report, trace, _ = run_counterexample(cx, horizon, delta=args.delta)
     control = run_positive_control(cx, args.control_steps, delta=args.delta)
+    first_flow = report.first_flow_violation
+    if first_flow is not None:
+        first_flow = dict(zip(("t", "edge", "direction", "value", "bound"), first_flow))
     doc = {
         "rule": rule.name,
         "kind": args.kind,
@@ -225,7 +228,9 @@ def _cmd_counterexample(args) -> int:
         "horizon": horizon,
         "invariant_held": report.ok,
         "flow_bounds_held": report.flow_bound_violations == 0,
+        "first_flow_violation": first_flow,
         "first_violation_t": report.first_violation_t,
+        "target_convergence_at": report.target_convergence_at,
         "positive_control_converged": str(control.converged_path)
         if control.converged_path
         else None,

@@ -287,7 +287,8 @@ def _chain_pairs(vertices: Sequence[int]) -> np.ndarray:
 
 # graphs not sorted by tail with at most this many edges per vertex sum their
 # out-edges with np.bincount; denser ones pay more per edge in bincount than
-# the gather and per-segment cost of ``reduceat`` (README "Performance")
+# the gather and per-segment cost of ``reduceat``. The measured crossover lies
+# near 20 edges per vertex (BENCH_17.json, "crossover")
 _BINCOUNT_MAX_DEGREE = 16
 
 
@@ -314,7 +315,12 @@ class GraphArrays:
     derived once from the graph's edges, and the copies ``for_graph`` makes
     for ``with_leakage`` share them. Unlike ``DirectedGraph.tails`` and
     ``heads`` they are left writable, because ``np.bincount`` copies a
-    read-only index array on every call."""
+    read-only index array on every call.
+
+    The arrays hold no reference back to their graph, so the two make no
+    reference cycle and are freed as soon as the last reference goes, not
+    at the next cyclic garbage collection, which a run that allocates few
+    tracked objects seldom reaches."""
 
     def __init__(self, g: DirectedGraph) -> None:
         self.n = g.n_vertices
@@ -341,7 +347,11 @@ class GraphArrays:
         # ``tail_sums`` and ``detect_convergence``: np.bincount (left to
         # right from 0.0, in edge-id order) on sparse graphs not sorted by
         # tail, where the gather before ``reduceat`` and its cost per
-        # segment dominate; ``reduceat`` over the CSR segments otherwise
+        # segment dominate; ``reduceat`` over the CSR segments otherwise. On
+        # edges sorted by tail np.bincount adds each value into the bin the
+        # previous add hit, and on G(1000, .1) took about 9 times as long as
+        # the segment sum. The choice reads the graph's structure, never a
+        # timing, so a graph's floats do not depend on the machine
         self.out_by_bincount = not self.tail_sorted and self.m <= _BINCOUNT_MAX_DEGREE * self.n
         # each edge's tail and head as writable index arrays: np.bincount
         # copies a read-only one on every call
@@ -393,7 +403,12 @@ class GraphArrays:
 
     def tail_sums(self, x: np.ndarray) -> np.ndarray:
         """Per-vertex sums of the edge values ``x`` over each vertex's
-        out-edges (0 at vertices without out-edges)."""
+        out-edges (0 at vertices without out-edges). ``reduceat`` sums a
+        segment as its first value plus numpy's sum of the rest (eight
+        interleaved partial sums from eight values on), so at a vertex with
+        three or more out-edges its total can differ in the last bits from
+        the left-to-right sum of ``np.bincount``. With at most two (0.0 + a
+        + b against a + b) the two give the same bits, -0.0 aside."""
         if self.out_by_bincount:
             return np.bincount(self.tail_bins, x, self.n)
         sums = np.zeros(self.n)

@@ -7,6 +7,7 @@ from trailflow.adversarial import (
     BranchLevelObserver,
     CASE_ABOVE,
     CASE_BELOW,
+    FlowBoundObserver,
     TargetConvergenceWatcher,
     find_nonlinearity,
     flow_counterexample,
@@ -242,6 +243,30 @@ def test_verify_nonconvergence_trivial_and_violation():
     assert not rep2.ok and rep2.first_violation_t == 2
     rep3 = verify_nonconvergence(obs, bound=0.25, direction=AT_LEAST)
     assert rep3.ok
+
+
+def test_flow_bound_observer_records_the_direction_that_broke():
+    """Each broken edge is recorded once, with the flow and bound of the
+    direction that broke, forward when both did; a repeated state under the
+    constant schedule repeats those records with the new t."""
+    cx = leakage_counterexample(
+        power_rule(2), TP23, 1.0, 1.0, r=0.25, eps=0.1, surv_top=0.97, surv_bottom=0.95
+    )
+    obs = FlowBoundObserver(cx.two_path, cx.schedule, cx.watch_branch, cx.config.bound,
+                            cx.direction)
+    (eid, fb, bb, upper), *_ = obs.bounds(0)  # the watched top branch's first edge
+    assert upper and eid == cx.two_path.path_eids("top")[0]
+    obs(0, cx.state, None)
+    assert obs.violations == []
+    state = cx.state.copy()
+    state.b_edge[eid] = 2.0 * bb
+    obs(0, state, None)
+    assert obs.violations == [(0, eid, "backward", 2.0 * bb, bb)]
+    obs(1, state, state)
+    assert obs.violations[1:] == [(1, eid, "backward", 2.0 * bb, bb)]
+    state.f_edge[eid] = 2.0 * fb
+    obs(2, state, None)
+    assert obs.violations[2:] == [(2, eid, "forward", 2.0 * fb, fb)]
 
 
 def test_target_convergence_watcher_records_the_hit():

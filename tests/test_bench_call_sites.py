@@ -1,9 +1,17 @@
 """The benchmark's call sites exist: every (owner, attribute) that
 ``perfbench/tracing.py`` patches is defined in the owner's own namespace.
 A renamed or removed name then fails here, by name, instead of with a
-``KeyError`` in ``Probe.__enter__`` when the benchmark runs. Some names are
-kept only for the benchmark, such as the ``step`` that ``equilibria``
-imports."""
+``KeyError`` in ``Probe.__enter__`` when the benchmark runs.
+
+Some names stay as they are only because the benchmark calls them so: the
+``step`` that ``equilibria`` imports, for the harness to patch;
+``unidirectional_swap_demo``'s ``rule``, which the ``two-path-regimes``
+workload passes positionally, though the demo accepts only the linear rule;
+the demo's two ``detect_convergence`` calls, the only convergence checks of
+that workload, while ``perfbench/test_perfbench.py`` requires every listed
+per-layer metric, ``analysis.check_us`` among them, on every workload; and
+``RuleFunction.validation_grid``, which the workload passes when it wraps a
+rule."""
 
 import importlib.util
 from pathlib import Path

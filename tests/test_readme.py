@@ -62,3 +62,15 @@ def test_readme_scenario_config_serializes_as_before():
     assert len(blocks) == 1, "README should hold one scenario config"
     s = parse_scenario(blocks[0])
     assert s.serialize() == json.dumps(README_SCENARIO_SERIALIZED, sort_keys=True, indent=2)
+
+
+def test_readme_performance_table_names_exactly_the_committed_records():
+    """The Performance table has one row per committed ``BENCH_*.json``,
+    named in its first column, and the README names no other record."""
+    text = README.read_text()
+    committed = sorted(p.stem for p in README.parent.glob("BENCH_*.json"))
+    section = text.split("\n## Performance\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(BENCH_\d+)` \|", section, re.MULTILINE)
+    assert sorted(rows) == committed
+    named = set(re.findall(r"\bBENCH_\d+\b", text))
+    assert named <= set(committed), f"README names missing records {named - set(committed)}"

@@ -961,7 +961,8 @@ def test_cli_counterexample_bad_eps_exits_2(extra, capsys):
 
 COUNTEREXAMPLE_KEYS = {
     "rule", "kind", "r", "eps", "c_eps", "c_g", "case", "constraint", "horizon",
-    "invariant_held", "flow_bounds_held", "first_violation_t", "positive_control_converged",
+    "invariant_held", "flow_bounds_held", "first_flow_violation", "first_violation_t",
+    "target_convergence_at", "positive_control_converged",
 }
 
 
@@ -975,15 +976,16 @@ def test_cli_counterexample_kinds(kind, capsys):
     assert set(doc) == COUNTEREXAMPLE_KEYS
     assert doc["kind"] == kind and doc["horizon"] == 2000
     assert doc["invariant_held"] is True and doc["flow_bounds_held"] is True
-    assert doc["first_violation_t"] is None
+    assert doc["first_violation_t"] is None and doc["first_flow_violation"] is None
+    assert doc["target_convergence_at"] is None
     assert doc["positive_control_converged"] == "0>1>4"
 
 
 def test_cli_counterexample_flow_bound_violations_exit_1(capsys, monkeypatch):
     """The CLI derives ``flow_bounds_held`` from the report's violation
-    count: a run that broke edge-flow bounds (stubbed, as no constructed
-    counterexample breaks one) prints false and exits 1, although the
-    linear control converges."""
+    count: a run that broke edge-flow bounds but held its level bound
+    (stubbed) prints false and exits 1, although the linear control
+    converges."""
 
     def broken(cx, T, **kwargs):
         report, trace, levels = adversarial.run_counterexample(cx, T, **kwargs)
@@ -997,6 +999,24 @@ def test_cli_counterexample_flow_bound_violations_exit_1(capsys, monkeypatch):
     assert doc["flow_bounds_held"] is False and doc["invariant_held"] is False
     assert doc["first_violation_t"] is None
     assert doc["positive_control_converged"] == "0>1>4"
+
+
+def test_cli_counterexample_reports_what_broke(capsys):
+    """Power 1.002 is close enough to linear that its flow counterexample
+    breaks its level bound at t = 4 and its edge-flow bounds too: the
+    report names the first broken flow bound, and the run never converged
+    to the shortest path."""
+    argv = ["counterexample", "--kind", "flow", "--rule", '{"kind":"power","k":1.002}',
+            "--steps", "2000", "--control-steps", "16"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == COUNTEREXAMPLE_KEYS
+    assert doc["invariant_held"] is False and doc["flow_bounds_held"] is False
+    assert doc["first_violation_t"] == 4 and doc["target_convergence_at"] is None
+    first = doc["first_flow_violation"]
+    assert set(first) == {"t", "edge", "direction", "value", "bound"}
+    assert first["direction"] in ("forward", "backward")
+    assert first["value"] > first["bound"] > 0.0
 
 
 def test_cli_swap_demo(capsys):
