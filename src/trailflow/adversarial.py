@@ -293,11 +293,11 @@ class FlowBoundObserver:
     against the suffix version; the other branch carries the complementary
     (1-q) lower/upper bounds, each with relative slack ``_PROOF_SLACK``.
     Injection before t=0 is treated as the t=0 value. An edge that breaks a
-    bound is recorded once per step as (t, edge, direction, value, bound):
-    the direction that broke ("forward", also when both did, or
-    "backward"), its flow and its bound. Under a constant schedule no bound
-    depends on t, so on a repeated state (``prev is state``) the last
-    call's records repeat with the new t.
+    bound counts once per step in ``count``, and ``first`` is the first
+    such break as (t, edge, direction, value, bound): the direction that
+    broke ("forward", also when both did, or "backward"), its flow and its
+    bound. Under a constant schedule no bound depends on t, so on a
+    repeated state (``prev is state``) the last call's count repeats.
     """
 
     def __init__(
@@ -319,8 +319,9 @@ class FlowBoundObserver:
             k = len(eids)
             for i, eid in enumerate(eids):
                 self.spec.append((eid, i, k - 1 - i, prefix[i], suffix[i], level, upper))
-        self.violations: List[Tuple[int, int, str, float, float]] = []
-        self._last: List[Tuple[int, int, str, float, float]] = []  # the last computed call's records
+        self.count = 0
+        self.first: Optional[Tuple[int, int, str, float, float]] = None
+        self._last = 0  # the last computed call's count
 
     def bounds(self, t: int) -> List[Tuple[int, float, float, bool]]:
         """(eid, forward bound, backward bound, upper?) of every branch edge at step t."""
@@ -333,22 +334,23 @@ class FlowBoundObserver:
     def __call__(self, t, state, prev) -> None:
         if prev is state and self.schedule.kind == "constant":
             # a repeated state under bounds that do not depend on t
-            self.violations.extend((t, *v[1:]) for v in self._last)
+            self.count += self._last
             return
         fe, be = state.f_edge, state.b_edge
-        found = []
+        found = 0
         for eid, fb, bb, upper in self.bounds(t):
             f, b = float(fe[eid]), float(be[eid])
             if upper:
                 fwd, bwd = f > fb * (1.0 + _PROOF_SLACK), b > bb * (1.0 + _PROOF_SLACK)
             else:
                 fwd, bwd = f < fb * (1.0 - _PROOF_SLACK), b < bb * (1.0 - _PROOF_SLACK)
-            if fwd:
-                found.append((t, eid, "forward", f, fb))
-            elif bwd:
-                found.append((t, eid, "backward", b, bb))
+            if not (fwd or bwd):
+                continue
+            found += 1
+            if self.first is None:
+                self.first = (t, eid, "forward", f, fb) if fwd else (t, eid, "backward", b, bb)
         self._last = found
-        self.violations.extend(found)
+        self.count += found
 
 
 class TargetConvergenceWatcher:
@@ -429,8 +431,8 @@ def run_counterexample(
     report = verify_nonconvergence(
         obs, bound, direction,
         target_convergence_at=watcher.seen_at,
-        flow_bound_violations=len(flows.violations),
-        first_flow_violation=flows.violations[0] if flows.violations else None,
+        flow_bound_violations=flows.count,
+        first_flow_violation=flows.first,
     )
     return report, trace, obs
 

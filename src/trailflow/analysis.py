@@ -346,9 +346,10 @@ _BLOCK_ELEMENTS = 2**16
 
 
 def _block_index(ga: GraphArrays) -> tuple:
-    """The index arrays of every ``InvariantObserver`` on a graph
-    (``GraphArrays.derive``): its rows R, the vertex entries each vertex
-    kind checks, and the bins its conservation and split sums read."""
+    """The index arrays of every ``InvariantObserver`` on a graph and its
+    ``with_leakage`` copies, built once by ``GraphArrays.derive``: its rows
+    R, the vertex entries each vertex kind checks, and the bins its
+    conservation and split sums read."""
     m, n = ga.m, ga.n
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // (m + 4 * n)))
     # vertex entries checked, per vertex kind: all but s and d in
@@ -394,8 +395,10 @@ class InvariantObserver:
     into a fixed element budget (at most 32 rows); where one row fills it
     (R = 1 once m + 4n exceeds 2**15, as on G(1000, .1)), each pair is
     checked on its call from the states' own buffers, with no copies. R and
-    the index arrays the checks read are built once per graph, and shared
-    by its ``with_leakage`` copies (``GraphArrays.derive``).
+    the index arrays the checks read depend on the edges alone: they are
+    built once per graph and shared by its ``with_leakage`` copies
+    (``_block_index``), while conservation reads the survival of the
+    observer's own graph.
 
     Each kind of ``KINDS`` is checked on its own (K, m) or (K, n) view of
     the K held pairs, with the reference tolerance entry by entry. The
@@ -532,7 +535,7 @@ class InvariantObserver:
         # and, where ``GraphArrays.out_by_bincount`` holds, its backward
         # sums; its ``reduceat`` backward sums round differently at vertices
         # with three or more out-edges
-        conserved = ga.surv * self._sums(self._reach, before[:, : 2 * m]) * self.scale
+        conserved = self.graph.survival * self._sums(self._reach, before[:, : 2 * m]) * self.scale
         # flushed entries are not compared: zero pheromone always, zero
         # vertex flow in conservation when a flush threshold is set
         checked = self._checked

@@ -611,8 +611,10 @@ def _prepare(
     # ufuncs take a 0-d array operand at a lower fixed price than a float
     delta = np.array(cfg.delta)
     joint = ga.out_by_bincount
-    agg_bins, pair_surv = (ga.pair.agg_bins, ga.pair_surv) if joint else (None, None)
-    head_bins, surv, tail_sums = ga.head_bins, ga.surv, ga.tail_sums
+    head_bins, surv, tail_sums = ga.head_bins, graph.survival, ga.tail_sums
+    agg_bins = pair_surv = None
+    if joint:  # the survivals over [f_vertex | b_vertex]
+        agg_bins, pair_surv = ga.pair.agg_bins, np.concatenate((surv, surv))
     # rescaling injects f0 and b0 at every step, as a constant schedule does
     rescale = np.array(1.0 / schedule.alpha) if cfg.rescale_mode == RESCALE_BY_SOURCE else None
     constant = rescale is not None or schedule.kind == "constant"

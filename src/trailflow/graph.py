@@ -4,12 +4,14 @@ Vertices are integers ``0 .. n_vertices-1``. Edges are ordered pairs with a
 stable integer id equal to their position in the edge list. A graph stores
 its edges as two validated int64 arrays, ``tails`` and ``heads``; the
 generators build those arrays directly, and validation runs in numpy.
-Graphs are immutable after construction: those arrays, like the leakage,
-are flagged read-only. Derived structures are built lazily from the arrays
-and cached: the flat arrays of the flow engine (``arrays``), whose CSR
-grouping is the graph's only adjacency, and the sorted edge keys
-``u*n + v`` that ``edge_ids`` searches. ``with_leakage`` shares the edge
-structure of the graph it copies.
+Graphs are immutable after construction: those arrays, like the leakage
+and the survival ``1 - leakage``, are flagged read-only. Everything that
+depends on the edges alone lives in one ``GraphArrays`` (``arrays``), built
+with the graph: the flat arrays of the flow engine, whose CSR grouping is
+the graph's only adjacency, and, built on first use, the pair index, the
+branch tables, the sorted edge keys ``u*n + v`` that ``edge_ids`` searches
+and what ``GraphArrays.derive`` builds. ``with_leakage`` copies share it by
+reference; only the leakage and the survival differ between them.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -55,9 +57,12 @@ class Path:
 
 
 def _vertex_index(v, n_vertices: int) -> int:
-    """``int(v)``, checked to name one of ``n_vertices`` vertices (a negative
-    index would silently pick a vertex from the end)."""
-    if not 0 <= int(v) < n_vertices:
+    """``v`` as an int, checked to be an integer (``int`` would truncate 1.5
+    and take True as 1) that names one of ``n_vertices`` vertices (a
+    negative index would silently pick a vertex from the end)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise GraphError(f"vertex id {v!r} is not an integer")
+    if not 0 <= v < n_vertices:
         raise GraphError(f"vertex {v} out of range 0..{n_vertices - 1}")
     return int(v)
 
@@ -119,27 +124,6 @@ def _leakage_array(
     return lk
 
 
-class _EdgeKeys:
-    """The table ``DirectedGraph.edge_ids`` searches, built on first use and
-    shared by ``with_leakage`` copies: the edge keys ``u*n + v`` in
-    increasing order, closed by ``n*n``, which no pair in range reaches, and
-    the edge ids in that order (None when the keys already increase in
-    edge-id order, as in every G(n, p), banded and grid graph)."""
-
-    def __init__(self, tails: np.ndarray, heads: np.ndarray, n: int) -> None:
-        self._edges = (tails, heads, n)
-
-    @cached_property
-    def table(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        tails, heads, n = self._edges
-        keys = tails * n + heads
-        order = None
-        if not np.all(keys[1:] > keys[:-1]):
-            order = np.argsort(keys)
-            keys = keys[order]
-        return np.append(keys, n * n), order
-
-
 class DirectedGraph:
     """Immutable directed graph with designated source/destination and
     per-vertex leakage in [0, 1]."""
@@ -175,8 +159,7 @@ class DirectedGraph:
         self._set_leakage(lk)
         if lk[self.source] != 0.0 or lk[self.destination] != 0.0:
             raise GraphError("leakage at source and destination must be 0")
-        self._arrays: Optional[GraphArrays] = None
-        self._keys = _EdgeKeys(self.tails, self.heads, self.n_vertices)
+        self.arrays = GraphArrays(self)
 
     def _set_leakage(self, lk: np.ndarray) -> None:
         # NaN fails both comparisons, so it is rejected here too
@@ -184,6 +167,9 @@ class DirectedGraph:
             raise GraphError("leakage values must lie in [0, 1]")
         lk.setflags(write=False)
         self.leakage = lk
+        # the share 1 - l_v of a vertex's incoming flow that it passes on
+        self.survival = 1.0 - lk
+        self.survival.setflags(write=False)
 
     # -- basic queries ----------------------------------------------------
 
@@ -205,7 +191,7 @@ class DirectedGraph:
             u, v = uv[int(np.argmax(out.any(axis=1)))].tolist()
             raise GraphError(f"pair ({u},{v}) has a vertex out of range 0..{n - 1}")
         keys = uv[:, 0] * n + uv[:, 1]
-        table, order = self._keys.table
+        table, order = self.arrays.edge_keys
         pos = np.searchsorted(table, keys)
         missing = table[pos] != keys
         if missing.any():
@@ -219,24 +205,13 @@ class DirectedGraph:
         """Copy of this graph with new leakage values (a mapping updates the
         vertices it names). The source/destination entries are forced to 0
         regardless of the input, matching the model convention. The copy
-        shares this graph's validated edges and the structure derived from
-        them."""
+        shares this graph's validated edges and their ``arrays``."""
         lk = _leakage_array(self.leakage, leakage)
         lk[self.source] = 0.0
         lk[self.destination] = 0.0
         g = copy.copy(self)
         g._set_leakage(lk)
-        if self._arrays is not None:
-            g._arrays = self._arrays.for_graph(g)
         return g
-
-    # -- flat arrays for the flow engine ----------------------------------
-
-    @property
-    def arrays(self) -> "GraphArrays":
-        if self._arrays is None:
-            self._arrays = GraphArrays(self)
-        return self._arrays
 
     # -- export ------------------------------------------------------------
 
@@ -308,14 +283,14 @@ class PairIndex(NamedTuple):
 
 
 class GraphArrays:
-    """Flat numpy views of a graph used by the flow engine.
+    """Flat numpy views of a graph's edges used by the flow engine, built
+    with the graph and shared by its ``with_leakage`` copies. They read no
+    leakage: the survival each copy differs by is ``DirectedGraph.survival``.
 
     The index arrays here (the CSR grouping, ``tail_bins``, ``head_bins``,
-    ``no_out``, ``no_in`` and ``pair``) must not be written: they are
-    derived once from the graph's edges, and the copies ``for_graph`` makes
-    for ``with_leakage`` share them. Unlike ``DirectedGraph.tails`` and
-    ``heads`` they are left writable, because ``np.bincount`` copies a
-    read-only index array on every call.
+    ``no_out``, ``no_in`` and ``pair``) must not be written. Unlike
+    ``DirectedGraph.tails`` and ``heads`` they are left writable, because
+    ``np.bincount`` copies a read-only index array on every call.
 
     The arrays hold no reference back to their graph, so the two make no
     reference cycle and are freed as soon as the last reference goes, not
@@ -329,7 +304,6 @@ class GraphArrays:
         self.heads = g.heads
         self.out_deg = np.bincount(self.tails, minlength=self.n).astype(np.int64)
         self.in_deg = np.bincount(self.heads, minlength=self.n).astype(np.int64)
-        self._set_survival(g.leakage)
         self.source = g.source
         self.destination = g.destination
         # CSR grouping: the edges of vertex v are ``out_eids[out_ptr[v]:out_ptr[v+1]]``
@@ -364,29 +338,31 @@ class GraphArrays:
         self._seg_starts = self.out_ptr[self.with_out]
         self.no_out = np.flatnonzero(self.out_deg == 0)
         self.no_in = np.flatnonzero(self.in_deg == 0)
-        # what ``derive`` built, by builder: one dict for these arrays and
-        # every ``for_graph`` copy of them, whenever the copy was made
+        # what ``derive`` built, by builder
         self._derived: dict = {}
 
-    def _set_survival(self, leakage: np.ndarray) -> None:
-        self.surv = 1.0 - np.asarray(leakage, dtype=float)
-        self.pair_surv = np.concatenate((self.surv, self.surv))  # over [f_vertex | b_vertex]
-
-    def for_graph(self, g: DirectedGraph) -> "GraphArrays":
-        """These arrays for ``g``, a copy of their graph with other leakage."""
-        ga = copy.copy(self)
-        ga._set_survival(g.leakage)
-        return ga
-
     def derive(self, build: Callable[["GraphArrays"], _T]) -> _T:
-        """``build(self)``, built on the first call for these arrays or a
-        ``for_graph`` copy of them and shared by all of them after; so
-        ``build`` must read no leakage. What it returns must not be
-        written."""
+        """``build(self)``, built on the first call and shared by every
+        later one. What it returns must not be written."""
         derived = self._derived
         if build not in derived:
             derived[build] = build(self)
         return derived[build]
+
+    @cached_property
+    def edge_keys(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The table ``DirectedGraph.edge_ids`` searches (built on first
+        use): the edge keys ``u*n + v`` in increasing order, closed by
+        ``n*n``, which no pair in range reaches, and the edge ids in that
+        order (None when the keys already increase in edge-id order, as in
+        every G(n, p), banded and grid graph)."""
+        n = self.n
+        keys = self.tails * n + self.heads
+        order = None
+        if not np.all(keys[1:] > keys[:-1]):
+            order = np.argsort(keys)
+            keys = keys[order]
+        return np.append(keys, n * n), order
 
     @cached_property
     def pair(self) -> PairIndex:
@@ -496,7 +472,7 @@ class TwoPathGraph:
         over the vertices forward flow on edge i has passed from s, suffix[i]
         over those backward flow on edge i has passed from d."""
         path = self.top if branch == "top" else self.bottom
-        surv = 1.0 - self.graph.leakage[list(path.vertices)]
+        surv = self.graph.survival[list(path.vertices)]
         return np.cumprod(surv[:-1]), np.cumprod(surv[:0:-1])[::-1]
 
 
@@ -658,7 +634,7 @@ def path_leakage(graph: DirectedGraph, path: Path) -> float:
     validate_path(graph, path)
     surv = 1.0
     for v in path.vertices[1:-1]:
-        surv *= 1.0 - float(graph.leakage[v])
+        surv *= float(graph.survival[v])
     return 1.0 - surv
 
 

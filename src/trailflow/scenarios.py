@@ -314,27 +314,21 @@ def _draw_delta(rng: np.random.Generator) -> float:
 class _Grid:
     """A grid family's graph, built once per process by ``_grid`` and shared
     by every instance and scenario that draws it (per worker under
-    ``--workers``). ``graph`` comes with its engine arrays built, so
-    ``with_leakage`` copies share their index arrays through
-    ``GraphArrays.for_graph``; ``planted`` is the increasing preset's graph
-    with a 9-edge path planted, built on first use with its arrays and the
-    pair index its split reads (it is not sorted by tail), and that path,
-    its oracle.
+    ``--workers``), with its ``arrays``, which its ``with_leakage`` copies
+    share; ``planted`` is the increasing preset's graph with a 9-edge path
+    planted, built on first use, and that path, its oracle.
 
     Sharing is safe because every cached object is already immutable: a
-    graph's ``tails``, ``heads`` and ``leakage`` are read-only arrays, the
-    ``GraphArrays`` index arrays are documented as never written, and a
-    ``Path`` is frozen."""
+    graph's ``tails``, ``heads``, ``leakage`` and ``survival`` are read-only
+    arrays, the ``GraphArrays`` index arrays are documented as never
+    written, and a ``Path`` is frozen."""
 
     def __init__(self, graph: DirectedGraph) -> None:
-        graph.arrays
         self.graph = graph
 
     @functools.cached_property
     def planted(self) -> Tuple[DirectedGraph, Path]:
-        graph, path = plant_path(self.graph, 9)
-        graph.arrays.pair
-        return graph, path
+        return plant_path(self.graph, 9)
 
 
 @functools.lru_cache(maxsize=8)

@@ -188,8 +188,8 @@ def reference_step(state, graph, rule, schedule, cfg):
     np.add(state.p, state.f_edge, p)
     np.add(p, state.b_edge, p)
     np.multiply(p, cfg.delta, p)
-    np.multiply(ga.surv, np.bincount(ga.heads, state.f_edge, n), fv)
-    np.multiply(ga.surv, ga.tail_sums(state.b_edge), bv)
+    np.multiply(graph.survival, np.bincount(ga.heads, state.f_edge, n), fv)
+    np.multiply(graph.survival, ga.tail_sums(state.b_edge), bv)
     delivered_f = state.delivered_forward + fv.item(d)
     delivered_b = state.delivered_backward + bv.item(s)
     fv[d] = 0.0
@@ -411,8 +411,8 @@ def bincount_step(state, graph, schedule, delta):
     """One linear step (constant schedule, nothing flushed) on bincount sums."""
     ga = graph.arrays
     p = delta * (state.p + state.f_edge + state.b_edge)
-    fv = ga.surv * np.bincount(ga.heads, weights=state.f_edge, minlength=ga.n)
-    bv = ga.surv * np.bincount(ga.tails, weights=state.b_edge, minlength=ga.n)
+    fv = graph.survival * np.bincount(ga.heads, weights=state.f_edge, minlength=ga.n)
+    bv = graph.survival * np.bincount(ga.tails, weights=state.b_edge, minlength=ga.n)
     fv[ga.destination] = 0.0
     bv[ga.source] = 0.0
     fv[ga.source] += schedule.forward_at(state.t + 1)
@@ -511,8 +511,8 @@ class ReferenceInvariantObserver:
         # conservation at interior vertices
         arr_f = np.bincount(ga.heads, weights=prev.f_edge, minlength=ga.n)
         arr_b = np.bincount(ga.tails, weights=prev.b_edge, minlength=ga.n)
-        exp_f = ga.surv * arr_f * s
-        exp_b = ga.surv * arr_b * s
+        exp_f = self.graph.survival * arr_f * s
+        exp_b = self.graph.survival * arr_b * s
         mask = np.ones(ga.n, dtype=bool)
         mask[ga.source] = False
         mask[ga.destination] = False

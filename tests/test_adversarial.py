@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,27 +248,53 @@ def test_verify_nonconvergence_trivial_and_violation():
 
 
 def test_flow_bound_observer_records_the_direction_that_broke():
-    """Each broken edge is recorded once, with the flow and bound of the
-    direction that broke, forward when both did; a repeated state under the
-    constant schedule repeats those records with the new t."""
+    """Each broken edge counts once, and the first is recorded with the
+    flow and bound of the direction that broke, forward when both did; a
+    repeated state under the constant schedule repeats the last call's
+    count."""
     cx = leakage_counterexample(
         power_rule(2), TP23, 1.0, 1.0, r=0.25, eps=0.1, surv_top=0.97, surv_bottom=0.95
     )
-    obs = FlowBoundObserver(cx.two_path, cx.schedule, cx.watch_branch, cx.config.bound,
-                            cx.direction)
+
+    def observer():
+        return FlowBoundObserver(
+            cx.two_path, cx.schedule, cx.watch_branch, cx.config.bound, cx.direction
+        )
+
+    obs = observer()
     (eid, fb, bb, upper), *_ = obs.bounds(0)  # the watched top branch's first edge
     assert upper and eid == cx.two_path.path_eids("top")[0]
     obs(0, cx.state, None)
-    assert obs.violations == []
+    assert (obs.count, obs.first) == (0, None)
     state = cx.state.copy()
     state.b_edge[eid] = 2.0 * bb
     obs(0, state, None)
-    assert obs.violations == [(0, eid, "backward", 2.0 * bb, bb)]
+    assert (obs.count, obs.first) == (1, (0, eid, "backward", 2.0 * bb, bb))
     obs(1, state, state)
-    assert obs.violations[1:] == [(1, eid, "backward", 2.0 * bb, bb)]
+    assert (obs.count, obs.first) == (2, (0, eid, "backward", 2.0 * bb, bb))
     state.f_edge[eid] = 2.0 * fb
     obs(2, state, None)
-    assert obs.violations[2:] == [(2, eid, "forward", 2.0 * fb, fb)]
+    assert (obs.count, obs.first) == (3, (0, eid, "backward", 2.0 * bb, bb))
+    both = observer()
+    both(2, state, None)
+    assert (both.count, both.first) == (1, (2, eid, "forward", 2.0 * fb, fb))
+
+
+def test_flow_bound_observer_memory_does_not_grow_with_its_violations():
+    """Near the linear rule the flow bounds break about five times a step:
+    10,000 steps at power 1.002 keep 49,974 records' worth of breaks in a
+    count and the first record, and peak as low as a run with none (about
+    0.66 MB; 7.4 MB when every record was kept)."""
+    cx = flow_counterexample(power_rule(1.002), TP23, 1.0)
+    tracemalloc.start()
+    try:
+        report, _, _ = run_counterexample(cx, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.flow_bound_violations == 49_974
+    assert report.first_flow_violation == (6, 0, "forward", 0.35252193981173974, 0.35250577195970934)
+    assert peak < 2e6, peak
 
 
 def test_target_convergence_watcher_records_the_hit():

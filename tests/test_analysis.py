@@ -164,8 +164,8 @@ def test_detect_convergence_reads_the_out_sum_kernel():
     assert levels.fwd[1] == levels.bwd[0] == 1.0
     assert detect_convergence(st, g, eps).vertices == (0, 1, 4)
     by_reduceat = copy.copy(g)
-    by_reduceat._arrays = copy.copy(g.arrays)
-    by_reduceat._arrays.out_by_bincount = False
+    by_reduceat.arrays = copy.copy(g.arrays)
+    by_reduceat.arrays.out_by_bincount = False
     assert normalized_levels(st, by_reduceat).fwd[1] < 1.0
     assert detect_convergence(st, by_reduceat, eps) is None
 
@@ -743,7 +743,6 @@ def test_invariant_observers_share_the_index_arrays_of_a_graph():
     either read one set of index arrays, and checking leaves them as they
     were; a graph of another size has its own."""
     graph, _ = plant_path(gen_grid(10, 10), 9)
-    graph.arrays
     leaky = graph.with_leakage(np.full(graph.n_vertices, 0.1))
     schedule = FlowSchedule.exponential(0.8, 0.6, 1.1)
     cfg = EngineConfig(delta=0.3, rescale_mode=RESCALE_BY_SOURCE)
@@ -761,6 +760,38 @@ def test_invariant_observers_share_the_index_arrays_of_a_graph():
     sized = InvariantObserver(other, cfg, schedule)
     for name in names:
         assert getattr(sized, name) is not getattr(first, name)
+
+
+@pytest.mark.parametrize(
+    "make, joint",
+    [(lambda: plant_path(gen_grid(6, 6), 5)[0], True), (lambda: gen_gnp(40, 0.15, 2), False)],
+    ids=["planted-grid", "gnp"],
+)
+def test_monitored_runs_alternating_with_a_leakage_copy(make, joint):
+    """Runs that alternate between a graph and its leakage copy share one
+    ``GraphArrays`` but each binds its own graph's survival: every
+    invariant observer records nothing, and each run ends in the bytes of
+    the same run on a graph built afresh with that leakage. The planted
+    grid aggregates both directions in one call, G(n, p) one at a time."""
+    rng = np.random.default_rng(4)
+    base = make()
+    graph = base.with_leakage(rng.uniform(0.0, 0.3, base.n_vertices))
+    leaky = graph.with_leakage(rng.uniform(0.3, 0.6, base.n_vertices))
+    assert leaky.arrays is graph.arrays and graph.arrays.out_by_bincount == joint
+    schedule = FlowSchedule.constant(1.0, 0.5)
+    cfg = EngineConfig(delta=0.4)
+    p0 = rng.uniform(0.1, 1.0, base.n_edges)
+    ends = {}
+    for g in (graph, leaky, graph, leaky):
+        obs = InvariantObserver(g, cfg, schedule)
+        trace = run(init_state(g, p0, schedule), g, LIN, schedule, cfg, 30, [obs])
+        assert obs.violations == []
+        ends.setdefault(id(g), []).append(trace.final_state.buf.tobytes())
+    for g in (graph, leaky):
+        fresh = DirectedGraph(g.n_vertices, edge_tuple(g), g.source, g.destination, g.leakage)
+        trace = run(init_state(fresh, p0, schedule), fresh, LIN, schedule, cfg, 30)
+        assert ends[id(g)] == [trace.final_state.buf.tobytes()] * 2
+    assert ends[id(graph)] != ends[id(leaky)]
 
 
 def test_branch_level_observer_levels_and_zero_totals():

@@ -14,7 +14,10 @@ by ``PotentialObserver`` calls, and a rule linear at grid resolution
 raises a plain ``RuleError``. A report holds no field that repeats another
 or echoes an input: the CLI derives ``flow_bounds_held`` from
 ``flow_bound_violations``, and a ``TheoremConstants`` does not repeat the
-survivals it was built from."""
+survivals it was built from. What depends on a graph's edges alone is its
+one ``arrays``, which its ``with_leakage`` copies share, and the survival
+1 - l is ``DirectedGraph.survival``; a ``FlowBoundObserver`` keeps the
+count of its violations and the first of them."""
 
 import dataclasses
 import inspect
@@ -22,6 +25,8 @@ import inspect
 import pytest
 
 from trailflow import adversarial, analysis, dynamics, equilibria, graph, rules
+
+_TWO_PATH = graph.build_two_path(2, 3, [0.0], [0.0, 0.0])
 
 FIXED_SETTINGS = [
     (adversarial.verify_nonconvergence, "slack"),
@@ -71,6 +76,23 @@ REPEATED_ACCESSORS = [
     (rules, "RuleLinearAtResolution"),
     # an instance: ``hasattr`` finds ``type.__call__`` on every class
     (rules.linear_rule(), "__call__"),
+    # what depends on the edges alone is one ``arrays`` per edge set, and
+    # the survival lives on the graph; attributes once set per instance are
+    # looked up on an instance
+    (graph, "_EdgeKeys"),
+    (graph.GraphArrays, "for_graph"),
+    (graph.GraphArrays, "_set_survival"),
+    (_TWO_PATH.graph.arrays, "surv"),
+    (_TWO_PATH.graph.arrays, "pair_surv"),
+    (_TWO_PATH.graph, "_arrays"),
+    (_TWO_PATH.graph, "_keys"),
+    # a count and the first record, not every record
+    (
+        adversarial.FlowBoundObserver(
+            _TWO_PATH, dynamics.FlowSchedule.constant(1.0, 1.0), "top", 0.5, adversarial.AT_MOST
+        ),
+        "violations",
+    ),
 ]
 
 

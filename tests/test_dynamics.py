@@ -258,7 +258,7 @@ def test_step_conservation_and_recurrence_properties():
         assert np.allclose(st.p, want, rtol=1e-12, atol=0)
         # conservation at interior vertices
         arr = np.bincount(ga.heads, weights=prev.f_edge, minlength=ga.n)
-        expect = ga.surv * arr
+        expect = g.survival * arr
         mask = np.ones(ga.n, bool)
         mask[[g.source, g.destination]] = False
         assert np.allclose(st.f_vertex[mask], expect[mask], rtol=1e-12, atol=1e-300)
@@ -884,6 +884,8 @@ class _ArrayRecorder:
 def _records(obs):
     if isinstance(obs, BranchLevelObserver):
         return [x.hex() for x in obs.norm_s + obs.norm_d]
+    if isinstance(obs, FlowBoundObserver):
+        return obs.count, obs.first
     return obs.violations if hasattr(obs, "violations") else obs.rows
 
 
@@ -994,16 +996,21 @@ def test_run_stationary_stop_repeats_invariant_records():
 
 
 def test_run_stationary_stop_repeats_flow_bound_records():
-    """The A5 case's reversed flow bound records violations on the repeated
-    state too, each t carrying the last stepped call's records."""
+    """The A5 case's reversed flow bound counts violations on the repeated
+    state too, each t adding the last stepped call's count."""
     state, graph, rule, sched, cfg, T, observers = _a5_case()
     obs = observers()[-2]
-    trace = run(state, graph, rule, sched, cfg, T, [obs])
+    counts = []
+
+    def counting(t, st, prev):
+        obs(t, st, prev)
+        counts.append(obs.count)
+
+    trace = run(state, graph, rule, sched, cfg, T, [counting])
     ts = trace.t_stationary
-    last = [v[1:] for v in obs.violations if v[0] == ts]
-    assert last
-    for t in (ts + 1, T):
-        assert [v[1:] for v in obs.violations if v[0] == t] == last
+    last = counts[ts] - counts[ts - 1]
+    assert len(counts) == T + 1 and last and obs.first[0] < ts
+    assert counts[ts:] == [counts[ts] + k * last for k in range(T - ts + 1)]
 
 
 def test_run_does_not_call_a_skips_repeats_observer_for_held_t():

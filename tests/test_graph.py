@@ -119,8 +119,9 @@ def _assert_matches_reference(g, ref):
         assert _segment(ga.out_eids, ga.out_ptr, v) == ref.out[v]
         assert _segment(ga.in_eids, ga.in_ptr, v) == ref.inc[v]
     assert dict(zip(ref.edges, g.edge_ids(ref.edges).tolist())) == ref.edge_ids
+    assert g.survival.tolist() == (1.0 - ref.leakage).tolist()
     got, want = vars(g.arrays), vars(GraphArrays(ref))
-    assert got.keys() == want.keys()
+    assert got.keys() - want.keys() == {"edge_keys"}  # built by the lookup above
     for name in want:
         if isinstance(want[name], np.ndarray):
             assert got[name].dtype == want[name].dtype, name
@@ -172,12 +173,10 @@ def test_constructor_matches_per_edge_reference(case):
 
 def test_with_leakage_shares_edges_and_rebuilds_survival():
     g = gen_gnp(30, 0.2, 5)
-    ga = g.arrays
     leak = np.full(30, 0.25)
     g2 = g.with_leakage(leak)
-    assert g2.tails is g.tails and g2.heads is g.heads
-    assert g2.arrays.out_eids is ga.out_eids
-    assert g2.arrays.surv[1] == 0.75 and ga.surv[1] == 1.0
+    assert g2.tails is g.tails and g2.heads is g.heads and g2.arrays is g.arrays
+    assert g2.survival[1] == 0.75 and g.survival[1] == 1.0
     assert g.leakage[1] == 0.0
     ref = ReferenceGraph(30, edge_tuple(g), 0, 29, g2.leakage)
     _assert_matches_reference(g2, ref)
@@ -188,7 +187,7 @@ def test_edge_and_leakage_arrays_are_read_only():
     which ``GraphArrays`` derives its grouping once, refuse writes."""
     g = gen_gnp(30, 0.2, 5)
     g2 = g.with_leakage(np.full(30, 0.25))
-    for arr in (g.tails, g.heads, g.leakage, g2.tails, g2.heads, g2.leakage):
+    for arr in (g.tails, g.heads, g.leakage, g.survival, g2.leakage, g2.survival):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     with pytest.raises(ValueError, match="read-only"):
@@ -247,12 +246,61 @@ def test_edge_key_table_is_lazy_and_shared():
     increase."""
     g = gen_gnp(30, 0.2, 5)
     g2 = g.with_leakage(np.full(30, 0.25))
-    assert "table" not in vars(g._keys)
+    assert "edge_keys" not in vars(g.arrays)
     assert g2.edge_ids([(int(g.tails[3]), int(g.heads[3]))]).tolist() == [3]
-    assert g2._keys is g._keys and g._keys.table[1] is None
+    assert "edge_keys" in vars(g.arrays) and g.arrays.edge_keys[1] is None
     tp = build_two_path(2, 3, [0.0], [0.0, 0.0])
-    assert tp.graph._keys.table[1] is not None  # the bottom chain starts below the top's keys
+    assert tp.graph.arrays.edge_keys[1] is not None  # the bottom chain starts below the top's keys
     assert tp.path_eids("bottom") == [2, 3, 4]
+
+
+def test_leakage_copies_share_one_edge_structure():
+    """A ``with_leakage`` copy made before the first use of the pair index,
+    the branch tables, the key table and a ``derive`` builder, and one made
+    after, share the graph's ``arrays``; each of those is built once, by
+    whichever graph uses it first."""
+    g = build_two_path(2, 3, [0.1], [0.2, 0.3]).graph
+    early = g.with_leakage([0.0, 0.5, 0.0, 0.0, 0.0])
+    assert not {"pair", "branches", "edge_keys"} & vars(g.arrays).keys()
+    builds = []
+
+    def build(ga):
+        builds.append(ga)
+        return object()
+
+    made = (early.arrays.pair, early.arrays.branches, early.arrays.derive(build))
+    assert early.edge_ids([(0, 1)]).tolist() == [0]
+    keys = early.arrays.edge_keys
+    late = g.with_leakage({2: 0.5})
+    for twin in (early, late):
+        assert twin.arrays is g.arrays
+        assert twin.tails is g.tails and twin.heads is g.heads
+    for graph in (g, early, late):
+        assert graph.edge_ids([(3, 4)]).tolist() == [4]
+        assert graph.arrays.edge_keys is keys
+        got = (graph.arrays.pair, graph.arrays.branches, graph.arrays.derive(build))
+        assert all(a is b for a, b in zip(got, made))
+    assert builds == [g.arrays]
+    # only the leakage and the survival differ
+    assert early.survival.tolist() == [1.0, 0.5, 1.0, 1.0, 1.0]
+    assert late.survival.tolist() == [1.0, 0.9, 0.5, 0.7, 1.0]
+    assert g.survival.tolist() == [1.0, 0.9, 0.8, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.bool_(True), "1"])
+def test_leakage_mapping_rejects_a_vertex_id_that_is_no_integer(bad):
+    """``int`` would take 1.5 and True as vertex 1."""
+    g = gen_grid(3, 3)
+    with pytest.raises(GraphError, match="not an integer"):
+        g.with_leakage({bad: 0.3})
+    with pytest.raises(GraphError, match="not an integer"):
+        DirectedGraph(9, edge_tuple(g), 0, 8, {bad: 0.3})
+
+
+def test_leakage_mapping_takes_numpy_integer_ids():
+    g = gen_grid(3, 3)
+    for v in (np.int64(1), np.int32(1), np.uint8(1)):
+        assert g.with_leakage({v: 0.3}).leakage.tolist() == [0.0, 0.3] + [0.0] * 7
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])

@@ -498,7 +498,7 @@ GRID10 = {"rows": 10, "cols": 10}
 @pytest.mark.parametrize("preset", sorted(scenarios._PRESETS))
 def test_grid_instances_share_one_graph(preset):
     """Every instance of a grid family draws the same graph object, whatever
-    its seed; leakage copies share its index arrays, and the increasing
+    its seed; leakage copies share its arrays, and the increasing
     preset's instances share one planted graph and oracle."""
     scenarios._grid.cache_clear()
     spec = scenarios._PRESETS[preset]
@@ -514,8 +514,8 @@ def test_grid_instances_share_one_graph(preset):
     else:
         assert len({id(g) for g, _ in prepared}) == 3
         for graph, _ in prepared:
-            assert graph.arrays.out_eids is drawn[0].arrays.out_eids
-            assert graph.arrays.surv.tolist() == (1.0 - graph.leakage).tolist()
+            assert graph.arrays is drawn[0].arrays
+            assert graph.survival.tolist() == (1.0 - graph.leakage).tolist()
 
 
 def _grid_jobs(preset, horizon, count):
@@ -547,18 +547,19 @@ def test_cached_grid_rows_equal_fresh_ones(preset, horizon):
 
 def test_cached_planted_grid_is_unchanged_by_a_batch():
     """After a monitored batch the cached planted grid still holds the bytes
-    of a fresh one, and its edge and leakage arrays are still read-only."""
+    of a fresh one, and its edge, leakage and survival arrays are still
+    read-only."""
     run_batch("appendixC-increasing", instances=3, monitors=True)
     cached, oracle = scenarios._grid(scenarios.gen_grid, 10, 10).planted
     fresh, fresh_oracle = plant_path(gen_grid(10, 10), 9)
     assert oracle == fresh_oracle
-    for name in ("tails", "heads", "leakage"):
+    for name in ("tails", "heads", "leakage", "survival"):
         arr = getattr(cached, name)
         assert arr.tobytes() == getattr(fresh, name).tobytes(), name
         assert not arr.flags.writeable, name
     ga, ref = cached.arrays, fresh.arrays
     for name in (
-        "out_deg", "in_deg", "surv", "pair_surv", "out_eids", "out_ptr", "in_eids", "in_ptr",
+        "out_deg", "in_deg", "out_eids", "out_ptr", "in_eids", "in_ptr",
         "tail_bins", "head_bins", "with_out", "no_out", "no_in",
     ):
         assert getattr(ga, name).tobytes() == getattr(ref, name).tobytes(), name
